@@ -4,9 +4,12 @@
 (crawler/src/persistant_handler.ts:159-162). ``stable_hash64`` is the
 partitioning hash used for frontier sharding and hash-partitioned
 output layout — a splitmix64-finalized FNV-1a, stable across processes
-(unlike Python's ``hash``). ``rolling_fingerprint`` is a Rabin-Karp
-style rolling hash for document fingerprinting (training-data
-pipeline addition; no reference analog).
+(unlike Python's ``hash``). ``rolling_fingerprint`` is a winnowing
+document fingerprint (training-data pipeline addition; no reference
+analog): each 16-byte window is hashed from scratch as a weighted byte
+sum plus a mix — nothing rolls from one window to the next — and the
+smallest distinct hashes are kept. ``rolling_fingerprint_col`` computes
+the same sketch for a whole Arrow column in one kernel.
 """
 
 from __future__ import annotations
@@ -110,18 +113,79 @@ def rolling_fingerprint(text: str, window: int = 16, keep: int = 8) -> list[int]
         h ^= h >> np.uint64(33)
         h *= np.uint64(0xFF51AFD7ED558CCD)
         h ^= h >> np.uint64(29)
-    # smallest `keep` DISTINCT hashes without sorting all n windows:
-    # partition the 4*keep smallest values, dedupe those; any distinct
-    # value smaller than the keep-th distinct must be among them. Fall
-    # back to the full unique only when duplicates crowd the partition
-    # (identical 16-byte windows — rare).
+    return [int(x) for x in _smallest_distinct(h, keep)]
+
+
+def _smallest_distinct(h: np.ndarray, keep: int) -> np.ndarray:
+    """The ``keep`` smallest distinct values of ``h``, ascending."""
+    # without sorting all windows: partition the 4*keep smallest
+    # values, dedupe those; any distinct value smaller than the keep-th
+    # distinct must be among them. Fall back to the full unique only
+    # when duplicates crowd the partition (identical windows — rare).
     m = 4 * keep
     if h.size > m:
         cand = np.unique(np.partition(h, m - 1)[:m])
         if cand.size >= keep:
-            return [int(x) for x in cand[:keep]]
-    uniq = np.unique(h)
-    return [int(x) for x in uniq[:keep]]
+            return cand[:keep]
+    return np.unique(h)[:keep]
+
+
+def rolling_fingerprint_col(texts, window: int = 16, keep: int = 8):
+    """``rolling_fingerprint`` over a whole Arrow string/binary column
+    → ``list<uint64>`` (nulls give ``[]``), equal row for row to
+    ``[rolling_fingerprint(t or "") for t in texts]``.
+
+    The window hashes come from one weighted sum over the column's
+    flat data buffer (windows that cross a document boundary are
+    computed and never read), so the transient cost is about two
+    uint64 arrays of the buffer's size; each document then selects
+    from its own slice of them."""
+    import pyarrow as pa
+    if isinstance(texts, pa.ChunkedArray):
+        texts = texts.combine_chunks()
+    n = len(texts)
+    large = pa.types.is_large_string(texts.type) \
+        or pa.types.is_large_binary(texts.type)
+    off_dtype = np.dtype(np.int64 if large else np.int32)
+    bufs = texts.buffers()
+    off = np.frombuffer(bufs[1], off_dtype, count=n + 1,
+                        offset=texts.offset * off_dtype.itemsize) \
+        .astype(np.int64)
+    lens = off[1:] - off[:-1]
+    if texts.null_count:
+        lens[texts.is_null().to_numpy(zero_copy_only=False)] = 0
+    starts = off[:-1] - off[0]
+    parts = [np.empty(0, np.uint64)] * n
+    short = np.flatnonzero((lens > 0) & (lens <= window))
+    if short.size:
+        sh = stable_hash64_col_np(texts.take(short))
+        for i, d in enumerate(short.tolist()):
+            parts[d] = sh[i:i + 1]
+    long_docs = np.flatnonzero(lens > window)
+    if long_docs.size:
+        h = _window_hashes(np.frombuffer(bufs[2], np.uint8)[off[0]:off[-1]],
+                           fp_weights(window))
+        for d, s, ln in zip(long_docs.tolist(), starts[long_docs].tolist(),
+                            lens[long_docs].tolist()):
+            parts[d] = _smallest_distinct(h[s:s + ln - window + 1], keep)
+    out_off = np.zeros(n + 1, np.int32)
+    np.cumsum([p.size for p in parts], out=out_off[1:])
+    return pa.ListArray.from_arrays(
+        pa.array(out_off),
+        pa.array(np.concatenate(parts) if n else np.empty(0, np.uint64),
+                 pa.uint64()))
+
+
+def _window_hashes(data: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Mixed hash of every ``len(w)``-byte window of ``data``: the
+    weighted byte sum in wrapping uint64 (one ``np.correlate`` over
+    the buffer), then an xorshift-multiply mix."""
+    with np.errstate(over="ignore"):
+        h = np.correlate(data.astype(np.uint64), w, "valid")
+        h ^= h >> np.uint64(33)
+        h *= np.uint64(0xFF51AFD7ED558CCD)
+        h ^= h >> np.uint64(29)
+    return h
 
 
 def splitmix64_np(x: np.ndarray) -> np.ndarray:

@@ -1040,8 +1040,10 @@ def q_q14_promo_share(sf_dir: str):
         ks, pm = ray.get(bcast)
         b = batch.filter(pc.and_(pc.greater_equal(batch["l_shipdate"], lo),
                                  pc.less(batch["l_shipdate"], hi)))
-        price_c = (np.asarray(b["l_extendedprice"].to_pylist()) * 100).round().astype(np.int64)
-        disc_c = (np.asarray(b["l_discount"].to_pylist()) * 100).round().astype(np.int64)
+        price_c = (b["l_extendedprice"].to_numpy(zero_copy_only=False)
+                   * 100).round().astype(np.int64)
+        disc_c = (b["l_discount"].to_numpy(zero_copy_only=False)
+                  * 100).round().astype(np.int64)
         rev = price_c * (100 - disc_c)
         probe = b["l_partkey"].to_numpy(zero_copy_only=False)
         pos = np.clip(np.searchsorted(ks, probe), 0, len(ks) - 1)

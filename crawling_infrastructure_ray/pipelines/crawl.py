@@ -56,19 +56,29 @@ def _fetch_slice_task(tbl: pa.Table, offset: int, length: int, **kwargs) -> pa.T
 
 
 @ray.remote(num_cpus=1)
-def _fetch_commit_task(seqs: list, urls: list, hosts: list, depths: list,
-                       attempts: list, shard: int, shard_handle,
-                       lease_id: int,
-                       now, all_shards=None, route_seed: int = 42, **kwargs):
-    """Pump-mode chunk: fetch + store + COMMIT + route inside the task.
+def _fetch_store_route_task(seqs: list, urls: list, hosts: list,
+                            depths: list, attempts: list, shard: int,
+                            lease_id: int, all_shards=None,
+                            route_seed: int = 42, **kwargs):
+    """Pump-mode chunk: fetch + store + route inside the task; the
+    driver commits.
 
-    The task commits its own lease to the owning shard actor
-    (store-then-commit ordering, reference R7) and, when given the
-    shard handle list, routes discovered children DIRECTLY to their
-    host shards (which allocate their own seq blocks) — neither
-    per-row statuses nor child URLs transit the driver, whose loop
-    stays O(chunks). Child inserts are awaited before the task
-    returns, so the driver's drained-ness check stays sound.
+    The task writes the lease's fragment, then returns the lease's
+    write-back as plain lists ``(seqs, statuses, errors)``; the driver
+    sends that commit to the owning shard actor when it collects the
+    result (store-then-commit ordering, reference R7) and does not
+    wait for it. The task itself never blocks on another actor: a
+    blocked one-CPU task would lend its CPU to the next queued chunk
+    and make Ray start a new worker process for it. Ray runs one
+    caller's calls to an actor in submission order, so every later
+    driver call to that shard (lease, histogram, retry, checkpoint)
+    sees the commit. A task that dies never commits, and its lease
+    rolls back.
+
+    When given the shard handle list, the task routes discovered
+    children DIRECTLY to their host shards (which allocate their own
+    seq blocks) — child URLs never transit the driver, whose loop
+    stays O(chunks).
 
     The lease arrives as the shard's RAW column lists and the Arrow
     table is built HERE, in the task: pickling a small pa.Table on the
@@ -95,9 +105,8 @@ def _fetch_commit_task(seqs: list, urls: list, hosts: list, depths: list,
     # failure reset (crawler/src/index.ts:265-268, R7)
     rep = ctl.filter(pc.not_equal(ctl["status"], "storage_failed"))
     statuses = rep["status"].to_pylist()
-    ray.get(shard_handle.commit.remote(
-        lease_id, rep["enqueue_seq"].to_pylist(), statuses,
-        rep["error"].to_pylist(), now, True))
+    commit = (rep["enqueue_seq"].to_pylist(), statuses,
+              rep["error"].to_pylist())
     n_ok = statuses.count("completed")
     flat = pc.list_flatten(ctl["discovered"])
     # children=None unless the driver must relay them: returning even
@@ -140,7 +149,7 @@ def _fetch_commit_task(seqs: list, urls: list, hosts: list, depths: list,
             for sh, (us, ds) in per.items():
                 all_shards[sh].enqueue_discovered.remote(us, ds)
     return {"n": ctl.num_rows, "n_ok": n_ok,
-            "started": t_start, "ended": time.time()}, children
+            "started": t_start, "ended": time.time()}, commit, children
 
 DOCS_SCHEMA = pa.schema([
     ("doc_id", pa.string()),
@@ -609,7 +618,8 @@ def run_crawl_pump(seed_urls: list[str] | None = None, *,
         target_inflight = max(8, 3 * ncpu)
 
     t0 = time.perf_counter()
-    inflight: dict = {}            # ObjectRef -> (shard, lease_id)
+    inflight: dict = {}            # ObjectRef -> (shard, lease_id, now)
+    commit_refs: list = []         # commits sent, not yet awaited
     urls_processed = 0
     docs_written = 0
     commits = 0
@@ -652,16 +662,55 @@ def run_crawl_pump(seed_urls: list[str] | None = None, *,
 
     def submit(lease: dict, shard: int):
         # raw lists, not a pa.Table — the table is built in the task
-        # (see _fetch_commit_task docstring: ~20x cheaper driver-side
-        # serialization per chunk)
-        ref = _fetch_commit_task.options(max_retries=0).remote(
+        # (see _fetch_store_route_task docstring: ~20x cheaper
+        # driver-side serialization per chunk)
+        ref = _fetch_store_route_task.options(max_retries=0).remote(
             lease["seq"], lease["url"], lease["host"], lease["depth"],
-            lease["attempt"], shard,
-            frontier.shards[shard], lease["lease_id"],
-            now_fn() if now_fn else None,
+            lease["attempt"], shard, lease["lease_id"],
             all_shards=frontier.shards, route_seed=frontier.seed,
             part_label=f"{lease['lease_id']:015d}", **fetch_kwargs)
-        inflight[ref] = (shard, lease["lease_id"])
+        # the submit-time clock stamps the commit, as when the task
+        # committed itself
+        inflight[ref] = (shard, lease["lease_id"],
+                         now_fn() if now_fn else None)
+
+    def collect(ref) -> bool:
+        """Account one finished chunk and send its commit without
+        waiting for it; False when the task died (its lease rolls
+        back, any orphan fragment is deleted)."""
+        nonlocal docs_written, urls_processed, lost_tasks
+        shard, lease_id, now_submit = inflight.pop(ref)
+        try:
+            counts, commit, children = ray.get(ref)
+        except Exception:
+            # lost worker (reference J5/R3): the lease was never
+            # committed — roll it back to INITIAL and delete any
+            # orphan fragment the task wrote before it died
+            frontier.rollback(shard, lease_id)
+            drop_orphan_fragment(lease_id)
+            lost_tasks += 1
+            return False
+        commit_refs.append(frontier.commit(shard, lease_id, *commit,
+                                           now_submit, True))
+        if len(commit_refs) > target_inflight:
+            # bound the list on long runs; a failed commit still raises
+            done_c, rest = ray.wait(commit_refs,
+                                    num_returns=len(commit_refs), timeout=0)
+            ray.get(done_c)
+            commit_refs[:] = rest
+        docs_written += counts["n_ok"]
+        urls_processed += counts["n"]
+        lineage_rows.append((lease_id, shard, counts["n"], counts["n_ok"],
+                             counts["n"] - counts["n_ok"],
+                             counts["started"], counts["ended"]))
+        if children is not None:
+            disc_urls.extend(children[0])
+            disc_depths.extend(children[1])
+        return True
+
+    def await_commits() -> None:
+        ray.get(commit_refs)
+        commit_refs.clear()
 
     lease_pending: dict = {}   # lease_many ObjectRef -> shard index
     last_ckpt_commits = 0
@@ -723,6 +772,7 @@ def run_crawl_pump(seed_urls: list[str] | None = None, *,
         now = now_fn() if now_fn else None
         got = refill(now)
         if not inflight:
+            await_commits()
             flush_discovered(block=True)  # inserts must land before the
             if refill(now, block=True):   # drained check can be trusted
                 continue
@@ -764,30 +814,14 @@ def run_crawl_pump(seed_urls: list[str] | None = None, *,
         done, _ = ray.wait(list(inflight.keys()),
                            num_returns=len(inflight), timeout=0)
         for ref in done:
-            shard, lease_id = inflight.pop(ref)
-            try:
-                counts, children = ray.get(ref)
-            except Exception:
-                # lost worker (reference J5/R3): the task died before
-                # committing — roll its lease back to INITIAL, delete
-                # any orphan fragment it wrote pre-commit, and trip
-                # the circuit breaker if thresholds are exceeded
-                frontier.rollback(shard, lease_id)
-                drop_orphan_fragment(lease_id)
-                lost_tasks += 1
-                c = frontier.counters()
-                c["expired_leases"] = c.get("expired_leases", 0) + lost_tasks
-                check_quarantine(c, max_lost_leases=max_lost_leases)
+            if collect(ref):
+                commits += 1
                 continue
-            docs_written += counts["n_ok"]
-            urls_processed += counts["n"]
-            lineage_rows.append((lease_id, shard, counts["n"], counts["n_ok"],
-                                 counts["n"] - counts["n_ok"],
-                                 counts["started"], counts["ended"]))
-            if children is not None:
-                disc_urls.extend(children[0])
-                disc_depths.extend(children[1])
-            commits += 1
+            # trip the circuit breaker if lost-lease thresholds are
+            # exceeded
+            c = frontier.counters()
+            c["expired_leases"] = c.get("expired_leases", 0) + lost_tasks
+            check_quarantine(c, max_lost_leases=max_lost_leases)
         if evict_every_commits and commits and \
                 commits % evict_every_commits == 0:
             # bound shard memory at scale: terminal items leave the
@@ -819,23 +853,8 @@ def run_crawl_pump(seed_urls: list[str] | None = None, *,
                 done, _ = ray.wait(list(inflight.keys()),
                                    num_returns=len(inflight))
                 for ref in done:
-                    shard, lease_id = inflight.pop(ref)
-                    try:
-                        counts, children = ray.get(ref)
-                    except Exception:
-                        frontier.rollback(shard, lease_id)
-                        drop_orphan_fragment(lease_id)
-                        lost_tasks += 1
-                        continue
-                    docs_written += counts["n_ok"]
-                    urls_processed += counts["n"]
-                    lineage_rows.append((lease_id, shard, counts["n"],
-                                         counts["n_ok"],
-                                         counts["n"] - counts["n_ok"],
-                                         counts["started"], counts["ended"]))
-                    if children is not None:
-                        disc_urls.extend(children[0])
-                        disc_depths.extend(children[1])
+                    collect(ref)
+            await_commits()
             flush_discovered(block=True)
             # settle: fire-and-forget child inserts from the drained
             # tasks must land before the snapshot (histogram stability)
@@ -853,6 +872,7 @@ def run_crawl_pump(seed_urls: list[str] | None = None, *,
                                         "docs": docs_written})
             last_ckpt_commits = commits
 
+    await_commits()
     _write_lineage(out_dir, lineage_rows)
     elapsed = time.perf_counter() - t0
     return CrawlResult(out_dir=out_dir, waves=commits,

@@ -60,16 +60,16 @@ def run_multi_task(tasks, *, seed: int = 42, num_shards: int = 1,
     its own Frontier (its own queue — one collection per task in the
     reference) and documents directory. Per cycle: drop finished tasks
     (G2), select runnable ones by priority policy (O4), split the
-    chunk budget by ``capacity_shares``, lease+fetch+commit each
-    task's allocation via the store-then-commit task, then heal/retry
-    (R1). Returns per-task histograms plus the allocation log
-    [(cycle, task, n_chunks)] — the observable the priority-policy
-    conformance test asserts on.
+    chunk budget by ``capacity_shares``, lease+fetch+store each
+    task's allocation as chunk tasks and commit their results from
+    here, then heal/retry (R1). Returns per-task histograms plus the
+    allocation log [(cycle, task, n_chunks)] — the observable the
+    priority-policy conformance test asserts on.
     """
     import ray
 
     from ..state.frontier import Frontier
-    from .crawl import _fetch_commit_task
+    from .crawl import _fetch_store_route_task
 
     frontiers: dict[str, Frontier] = {}
     configs: dict[str, JobConfig] = {}
@@ -92,7 +92,7 @@ def run_multi_task(tasks, *, seed: int = 42, num_shards: int = 1,
         if not runnable:
             break
         shares = capacity_shares(runnable, total_chunks_per_cycle)
-        refs = []
+        refs, owners = [], []
         for name, n_chunks in shares.items():
             fr = frontiers[name]
             docs_dir = os.path.join(out_root, name, "documents")
@@ -102,21 +102,24 @@ def run_multi_task(tasks, *, seed: int = 42, num_shards: int = 1,
                                                           chunk_size, None)):
                     # raw lease lists — the task builds the Arrow table
                     # (same contract as the pump's submit)
-                    refs.append(_fetch_commit_task.options(max_retries=0)
+                    refs.append(_fetch_store_route_task.options(max_retries=0)
                                 .remote(lease["seq"], lease["url"],
                                         lease["host"], lease["depth"],
-                                        lease["attempt"], sh_i, sh,
-                                        lease["lease_id"], None,
+                                        lease["attempt"], sh_i,
+                                        lease["lease_id"],
                                         seed=seed, max_depth=0,
                                         docs_dir=docs_dir,
                                         part_label=f"{lease['lease_id']:015d}"))
+                    owners.append((fr, sh_i, lease["lease_id"]))
                     got += 1
                 if got >= n_chunks:
                     break
             if got:
                 alloc_log.append((cycle, name, got))
         if refs:
-            ray.get(refs)
+            ray.get([fr.commit(sh_i, lease_id, *commit, None, True)
+                     for (fr, sh_i, lease_id), (_, commit, _) in
+                     zip(owners, ray.get(refs))])
     return {"histograms": {n: fr.status_histogram()
                            for n, fr in frontiers.items()},
             "alloc_log": alloc_log}

@@ -17,6 +17,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.bucketing import i64_as_u64, tag_bucket_fn, u64_as_i64
+from ..functions.tokenize import split_ws
 from ..sources.corpus import (fetch_audio_payloads, fetch_media_payloads,
                               fetch_video_payloads, make_seed_urls)
 from ..sources.readers import read_table
@@ -688,16 +689,14 @@ def q_source_vocab_overlap(sf_dir: str):
     ds = read_table(sf_dir, "documents", columns=["source", "text"])
 
     def pairs_partial(batch: pa.Table) -> pa.Table:
-        # ONE Arrow RE2 split over the batch (the vocab_partial_counts
+        # ONE whitespace split over the batch (the vocab_partial_counts
         # recipe, byte-identical to str.split on ASCII), row-index
         # repeat to pair each flat token with its source, and a single
         # Arrow group_by for the per-batch distinct — no per-doc
         # Python loop in this corpus-scale stage.
         stripped = pc.utf8_trim_whitespace(pc.fill_null(batch["text"],
                                                         ""))
-        lists = pc.split_pattern_regex(stripped, r"[ \t\n\r\f\v]+")
-        if isinstance(lists, pa.ChunkedArray):
-            lists = lists.combine_chunks()
+        lists = split_ws(stripped)
         raw_lens = np.diff(lists.offsets.to_numpy(zero_copy_only=False)
                            .astype(np.int64))
         empty = np.asarray(pc.equal(stripped, "")
@@ -1248,9 +1247,7 @@ def q_oov_stats(sf_dir: str, top: int = 10):
     def stats(batch: pa.Table) -> pa.Table:
         voc = _ray.get(vref)
         stripped = pc.utf8_trim_whitespace(pc.fill_null(batch["text"], ""))
-        lists = pc.split_pattern_regex(stripped, r"[ \t\n\r\f\v]+")
-        if isinstance(lists, pa.ChunkedArray):
-            lists = lists.combine_chunks()
+        lists = split_ws(stripped)
         ndocs = len(lists)
         raw_lens = np.diff(lists.offsets.to_numpy(zero_copy_only=False))
         empty = np.asarray(pc.equal(stripped, "")
@@ -1491,9 +1488,7 @@ def q_source_terms(sf_dir: str, k: int = 5):
 
     def tok_lists(batch: pa.Table):
         stripped = pc.utf8_trim_whitespace(pc.fill_null(batch["text"], ""))
-        lists = pc.split_pattern_regex(stripped, r"[ \t\n\r\f\v]+")
-        if isinstance(lists, pa.ChunkedArray):
-            lists = lists.combine_chunks()
+        lists = split_ws(stripped)
         raw_lens = np.diff(lists.offsets.to_numpy(zero_copy_only=False))
         empty = np.asarray(pc.equal(stripped, "")
                            .to_numpy(zero_copy_only=False))
@@ -3728,8 +3723,7 @@ def q_dedup_minhash_pairs(sf_dir: str):
     # (the SQL mirror's self-join has no cap); the capped form stays
     # the documented hot-bucket option at scale
     out = dd.minhash_dedup_pairs(ds, bands=16, rows_per_band=4, threshold=0.4,
-                                 shingle_k=3, max_bucket=None,
-                                 concurrency=(2, 16))
+                                 shingle_k=3, max_bucket=None)
     return out[["a", "b", "jaccard_e6"]]
 
 
@@ -3745,7 +3739,7 @@ def q_dedup_minhash_remove(sf_dir: str):
                             "text": t["text"]}), batch_format="pyarrow")
     kept = dd.minhash_dedup_remove(ds, bands=16, rows_per_band=4,
                                    threshold=0.4, shingle_k=3,
-                                   max_bucket=None, concurrency=(2, 16))
+                                   max_bucket=None)
     out = kept.map_batches(lambda t: t.select(["doc_id"]),
                            batch_format="pyarrow").to_pandas()
     return out.sort_values("doc_id").reset_index(drop=True)
@@ -4282,20 +4276,17 @@ def q_text_fingerprint(sf_dir: str):
     every window hash (16-term weighted byte sum mod 2^64 + xorshift
     mix, weights shared via functions.hashing.fp_weights) and keeps
     the 8 smallest distinct per doc with row_number()."""
-    from ..functions.hashing import rolling_fingerprint
+    from ..functions.hashing import rolling_fingerprint_col
     ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
 
     def explode(batch: pa.Table) -> pa.Table:
-        out_id, out_rank, out_h = [], [], []
-        for d, t in zip(batch["doc_id"].to_pylist(),
-                        batch["text"].to_pylist()):
-            for r, h in enumerate(rolling_fingerprint(t or ""), 1):
-                out_id.append(d)
-                out_rank.append(r)
-                out_h.append(h)
-        return pa.table({"doc_id": pa.array(out_id),
-                         "fp_rank": pa.array(out_rank, pa.int64()),
-                         "fp_hash": pa.array(out_h, pa.uint64())})
+        fps = rolling_fingerprint_col(batch["text"])
+        parent = pc.list_parent_indices(fps).to_numpy(zero_copy_only=False)
+        offs = fps.offsets.to_numpy(zero_copy_only=False)
+        rank = np.arange(1, len(parent) + 1) - offs[parent]
+        return pa.table({"doc_id": pc.take(batch["doc_id"], parent),
+                         "fp_rank": pa.array(rank, pa.int64()),
+                         "fp_hash": fps.flatten()})
 
     return ds.map_batches(explode, batch_format="pyarrow")
 
@@ -7045,7 +7036,7 @@ def q_dsir_importance(sf_dir: str):
     def totals_batch(batch: pa.Table) -> pa.Table:
         stripped = pc.utf8_trim_whitespace(
             pc.coalesce(batch["text"], ""))
-        lists = pc.split_pattern_regex(stripped, r"[ \t\n\r\f\v]+")
+        lists = split_ws(stripped)
         n_tok = pc.list_value_length(lists).to_numpy(
             zero_copy_only=False).astype(np.int64)
         n_tok[np.asarray(pc.equal(stripped, "").to_numpy(
@@ -7395,9 +7386,7 @@ def q_token_length_histogram(sf_dir: str, cap: int = 20):
     def _flat_tokens(batch: pa.Table) -> pa.Array:
         stripped = pc.utf8_trim_whitespace(
             pc.fill_null(pc.cast(batch["text"], pa.string()), ""))
-        lists = pc.split_pattern_regex(stripped, r"[ \t\n\r\f\v]+")
-        if isinstance(lists, pa.ChunkedArray):
-            lists = lists.combine_chunks()
+        lists = split_ws(stripped)
         return pc.cast(lists.flatten(), pa.string())
 
     def occ_partial(batch: pa.Table) -> pa.Table:
@@ -7459,9 +7448,7 @@ def q_ngram_novelty_by_source(sf_dir: str):
     def sh_partial(batch: pa.Table) -> pa.Table:
         stripped = pc.utf8_trim_whitespace(
             pc.fill_null(pc.cast(batch["text"], pa.string()), ""))
-        lists = pc.split_pattern_regex(stripped, r"[ \t\n\r\f\v]+")
-        if isinstance(lists, pa.ChunkedArray):
-            lists = lists.combine_chunks()
+        lists = split_ws(stripped)
         offs = lists.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
         lens = np.diff(offs)
         empty = np.asarray(pc.equal(stripped, "")
@@ -7608,9 +7595,7 @@ def q_hapax_stats(sf_dir: str):
     def part(batch: pa.Table) -> pa.Table:
         stripped = pc.utf8_trim_whitespace(
             pc.fill_null(pc.cast(batch["text"], pa.string()), ""))
-        lists = pc.split_pattern_regex(stripped, r"[ \t\n\r\f\v]+")
-        if isinstance(lists, pa.ChunkedArray):
-            lists = lists.combine_chunks()
+        lists = split_ws(stripped)
         raw_lens = np.diff(lists.offsets.to_numpy(zero_copy_only=False)
                            .astype(np.int64))
         empty = np.asarray(pc.equal(stripped, "")
@@ -7912,9 +7897,7 @@ def q_source_cosine_matrix(sf_dir: str):
     def part(batch: pa.Table) -> pa.Table:
         stripped = pc.utf8_trim_whitespace(
             pc.fill_null(pc.cast(batch["text"], pa.string()), ""))
-        lists = pc.split_pattern_regex(stripped, r"[ \t\n\r\f\v]+")
-        if isinstance(lists, pa.ChunkedArray):
-            lists = lists.combine_chunks()
+        lists = split_ws(stripped)
         raw_lens = np.diff(lists.offsets.to_numpy(zero_copy_only=False)
                            .astype(np.int64))
         empty = np.asarray(pc.equal(stripped, "")
@@ -8170,9 +8153,7 @@ def _roundtrip_stats(sf_dir: str, fmt: str, salt: int):
         chars = pc.utf8_length(text).to_numpy(zero_copy_only=False) \
             .astype(np.int64)
         stripped = pc.utf8_trim_whitespace(text)
-        lists = pc.split_pattern_regex(stripped, r"[ \t\n\r\f\v]+")
-        if isinstance(lists, pa.ChunkedArray):
-            lists = lists.combine_chunks()
+        lists = split_ws(stripped)
         raw_lens = np.diff(lists.offsets.to_numpy(zero_copy_only=False)
                            .astype(np.int64))
         empty = np.asarray(pc.equal(stripped, "")
@@ -8333,9 +8314,7 @@ def q_surprisal_bits(sf_dir: str):
     def doc_tok(batch: pa.Table) -> pa.Table:
         stripped = pc.utf8_trim_whitespace(
             pc.fill_null(pc.cast(batch["text"], pa.string()), ""))
-        lists = pc.split_pattern_regex(stripped, r"[ \t\n\r\f\v]+")
-        if isinstance(lists, pa.ChunkedArray):
-            lists = lists.combine_chunks()
+        lists = split_ws(stripped)
         raw_lens = np.diff(lists.offsets.to_numpy(zero_copy_only=False)
                            .astype(np.int64))
         empty = np.asarray(pc.equal(stripped, "")
@@ -8553,9 +8532,7 @@ def q_gopher_rules(sf_dir: str):
     def part(batch: pa.Table) -> pa.Table:
         stripped = pc.utf8_trim_whitespace(
             pc.fill_null(pc.cast(batch["text"], pa.string()), ""))
-        lists = pc.split_pattern_regex(stripped, r"[ \t\n\r\f\v]+")
-        if isinstance(lists, pa.ChunkedArray):
-            lists = lists.combine_chunks()
+        lists = split_ws(stripped)
         n_docs = len(stripped)
         raw_lens = np.diff(lists.offsets.to_numpy(zero_copy_only=False)
                            .astype(np.int64))
@@ -8649,9 +8626,7 @@ def q_simpson_diversity(sf_dir: str):
     def part(batch: pa.Table) -> pa.Table:
         stripped = pc.utf8_trim_whitespace(
             pc.fill_null(pc.cast(batch["text"], pa.string()), ""))
-        lists = pc.split_pattern_regex(stripped, r"[ \t\n\r\f\v]+")
-        if isinstance(lists, pa.ChunkedArray):
-            lists = lists.combine_chunks()
+        lists = split_ws(stripped)
         raw_lens = np.diff(lists.offsets.to_numpy(zero_copy_only=False)
                            .astype(np.int64))
         empty = np.asarray(pc.equal(stripped, "")
@@ -8744,8 +8719,8 @@ def q_kmv_source_jaccard(sf_dir: str):
     hash via the FNV/splitmix recursion); the two estimates are single
     final IEEE divisions over exact ints, identical both engines.
 
-    Scale shape: per-batch combiner emits ≤ sources×k rows (ONE Arrow
-    RE2 split, per-batch distinct via Arrow group_by, hash once per
+    Scale shape: per-batch combiner emits ≤ sources×k rows (ONE
+    whitespace split, per-batch distinct via Arrow group_by, hash once per
     DISTINCT token via dictionary encode); the merge is a Ray groupby
     over sketch-sized partials (sources × k × blocks rows — never the
     corpus); the pairing is driver-side over sources²×k ints, a
@@ -8757,12 +8732,10 @@ def q_kmv_source_jaccard(sf_dir: str):
 
     def sketch_partial(batch: pa.Table) -> pa.Table:
         # (source, token) distinct per batch — the pairs_partial
-        # recipe (one RE2 split + row-repeat + Arrow group_by)
+        # recipe (one whitespace split + row-repeat + Arrow group_by)
         stripped = pc.utf8_trim_whitespace(pc.fill_null(batch["text"],
                                                         ""))
-        lists = pc.split_pattern_regex(stripped, r"[ \t\n\r\f\v]+")
-        if isinstance(lists, pa.ChunkedArray):
-            lists = lists.combine_chunks()
+        lists = split_ws(stripped)
         raw_lens = np.diff(lists.offsets.to_numpy(zero_copy_only=False)
                            .astype(np.int64))
         empty = np.asarray(pc.equal(stripped, "")

@@ -32,6 +32,7 @@ import ray
 import ray.data as rd
 
 from ..functions.hashing import md5_id, stable_hash64
+from ..functions.tokenize import split_ws
 
 _MERSENNE = (1 << 61) - 1
 
@@ -213,69 +214,57 @@ def minhash_signature(shingles: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.
     return h.min(axis=1)
 
 
-class MinHasher:
-    """Actor-pool stage: doc → LSH band rows (band_id, band_hash, doc_id).
+def minhash_band_rows(batch: pa.Table, *, bands: int = 16,
+                      rows_per_band: int = 8, seed: int = 42,
+                      shingle_k: int = 3, shingle_kind: str = "token",
+                      column: str = "text",
+                      id_column: str = "doc_id") -> pa.Table:
+    """Batch stage: doc → LSH band rows (band_id, band_hash, doc_id).
 
-    num_perm = bands × rows_per_band; permutation params built once per
-    actor in __init__ (stateful-stage pattern).
+    num_perm = bands × rows_per_band; the permutation params are two
+    seeded draws, cheap enough to rebuild per batch, so the stage runs
+    as plain tasks fused with the read.
     """
-
-    def __init__(self, bands: int = 16, rows_per_band: int = 8, seed: int = 42,
-                 shingle_k: int = 3, shingle_kind: str = "token",
-                 column: str = "text", id_column: str = "doc_id"):
-        self.bands = bands
-        self.rows = rows_per_band
-        self.a, self.b = _minhash_params(bands * rows_per_band, seed)
-        self.k = shingle_k
-        self.kind = shingle_kind
-        self.column = column
-        self.id_column = id_column
-
-    def signature(self, text: str) -> np.ndarray:
-        sh = (_token_shingles(text, self.k) if self.kind == "token"
-              else _char_shingles(text, self.k))
-        return minhash_signature(sh, self.a, self.b)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch[self.id_column].to_pylist()
-        texts = batch[self.column].to_pylist()
-        n = len(ids)
-        if n == 0:
-            return pa.table({"band_id": pa.array([], pa.int32()),
-                             "band_hash": pa.array([], pa.uint64()),
-                             "doc_id": pa.array([], pa.string())})
-        # one mixed-hash matrix over the batch's CONCATENATED shingles,
-        # per-doc minima via minimum.reduceat — the per-doc Python work
-        # is only the tokenization; the MinHash math runs once per batch
-        shs = (_batch_token_shingles(texts, self.k)
-               if self.kind == "token"
-               else [_char_shingles(t, self.k) for t in texts])
-        counts = np.fromiter((s.size for s in shs), dtype=np.int64, count=n)
-        cat = np.concatenate(shs)
-        with np.errstate(over="ignore"):
-            h = cat[None, :] * self.a[:, None] + self.b[:, None]
-            h ^= h >> np.uint64(33)
-            h *= np.uint64(0xFF51AFD7ED558CCD)
-            h ^= h >> np.uint64(33)
-        offsets = np.zeros(n, dtype=np.int64)
-        np.cumsum(counts[:-1], out=offsets[1:])
-        sigs = np.minimum.reduceat(h, offsets, axis=1).T  # (n, perms)
-        # vectorized band hashing: fold each band's row values with the
-        # multiply-xor chain (any deterministic equality-preserving
-        # hash of the tuple works — band hashes only bucket rows; the
-        # SQL oracle joins on the raw minima tuples, not this hash).
-        # Replaces n x bands Python stable_hash64(bytes) calls.
-        chunks = sigs.reshape(n, self.bands, self.rows)
-        with np.errstate(over="ignore"):
-            bh = chunks[:, :, 0].copy()
-            for j in range(1, self.rows):
-                bh *= np.uint64(0x9E3779B97F4A7C15)
-                bh ^= chunks[:, :, j]
-        band_ids = np.tile(np.arange(self.bands, dtype=np.int32), n)
-        return pa.table({"band_id": pa.array(band_ids),
-                         "band_hash": pa.array(bh.reshape(-1), pa.uint64()),
-                         "doc_id": pa.array(np.repeat(np.asarray(ids, dtype=object),
-                                                      self.bands))})
+    ids = batch[id_column].to_pylist()
+    texts = batch[column].to_pylist()
+    n = len(ids)
+    if n == 0:
+        return pa.table({"band_id": pa.array([], pa.int32()),
+                         "band_hash": pa.array([], pa.uint64()),
+                         "doc_id": pa.array([], pa.string())})
+    a, b = _minhash_params(bands * rows_per_band, seed)
+    # one mixed-hash matrix over the batch's CONCATENATED shingles,
+    # per-doc minima via minimum.reduceat — the per-doc Python work
+    # is only the tokenization; the MinHash math runs once per batch
+    shs = (_batch_token_shingles(texts, shingle_k)
+           if shingle_kind == "token"
+           else [_char_shingles(t, shingle_k) for t in texts])
+    counts = np.fromiter((s.size for s in shs), dtype=np.int64, count=n)
+    cat = np.concatenate(shs)
+    with np.errstate(over="ignore"):
+        h = cat[None, :] * a[:, None] + b[:, None]
+        h ^= h >> np.uint64(33)
+        h *= np.uint64(0xFF51AFD7ED558CCD)
+        h ^= h >> np.uint64(33)
+    offsets = np.zeros(n, dtype=np.int64)
+    np.cumsum(counts[:-1], out=offsets[1:])
+    sigs = np.minimum.reduceat(h, offsets, axis=1).T  # (n, perms)
+    # vectorized band hashing: fold each band's row values with the
+    # multiply-xor chain (any deterministic equality-preserving
+    # hash of the tuple works — band hashes only bucket rows; the
+    # SQL oracle joins on the raw minima tuples, not this hash).
+    # Replaces n x bands Python stable_hash64(bytes) calls.
+    chunks = sigs.reshape(n, bands, rows_per_band)
+    with np.errstate(over="ignore"):
+        bh = chunks[:, :, 0].copy()
+        for j in range(1, rows_per_band):
+            bh *= np.uint64(0x9E3779B97F4A7C15)
+            bh ^= chunks[:, :, j]
+    band_ids = np.tile(np.arange(bands, dtype=np.int32), n)
+    return pa.table({"band_id": pa.array(band_ids),
+                     "band_hash": pa.array(bh.reshape(-1), pa.uint64()),
+                     "doc_id": pa.array(np.repeat(np.asarray(ids, dtype=object),
+                                                  bands))})
 
 
 def _tag_bucket_partition(num_parts: int):
@@ -326,7 +315,7 @@ def lsh_candidate_pairs_ds(band_rows: rd.Dataset, *, num_parts: int = 64,
                                  "b": pd.Series([], dtype=g["doc_id"].dtype)})
         return pd.concat(frames, ignore_index=True).drop_duplicates()
 
-    # consolidate the actor pool's many small band-row blocks before
+    # consolidate the band stage's many small band-row blocks before
     # the sort-based groupby (per-block sort overhead dominates at
     # small batch_size; same trick as analytics._merge_partials_ray)
     return (band_rows.map_batches(_tag_bucket_partition(num_parts),
@@ -810,26 +799,25 @@ def minhash_dedup_pairs(ds: rd.Dataset, *, bands: int = 16, rows_per_band: int =
                         seed: int = 42, shingle_k: int = 3, kind: str = "token",
                         threshold: float = 0.5, column: str = "text",
                         id_column: str = "doc_id",
-                        max_bucket: int | None = 64,
-                        concurrency=(1, 4)) -> pd.DataFrame:
+                        max_bucket: int | None = 64) -> pd.DataFrame:
     """Full MinHash-LSH near-dup pipeline → verified pairs DataFrame.
 
-    shingle → minhash → band rows (actor pool) → distributed bucket
-    pairing (``lsh_candidate_pairs_ds``) → distributed exact-Jaccard
-    verification (``verify_jaccard_ds``). Only the final pair set is
-    driver-side; everything corpus-sized stays in the cluster.
+    shingle → minhash → band rows (``minhash_band_rows`` tasks) →
+    distributed bucket pairing (``lsh_candidate_pairs_ds``) →
+    distributed exact-Jaccard verification (``verify_jaccard_ds``).
+    Only the final pair set is driver-side; everything corpus-sized
+    stays in the cluster.
     """
     band_rows = ds.map_batches(
-        MinHasher,
-        fn_constructor_kwargs=dict(bands=bands, rows_per_band=rows_per_band,
-                                   seed=seed, shingle_k=shingle_k,
-                                   shingle_kind=kind, column=column,
-                                   id_column=id_column),
-        batch_format="pyarrow", concurrency=concurrency,
+        minhash_band_rows,
+        fn_kwargs=dict(bands=bands, rows_per_band=rows_per_band, seed=seed,
+                       shingle_k=shingle_k, shingle_kind=kind, column=column,
+                       id_column=id_column),
+        batch_format="pyarrow",
         # small batches: the shingling stage is the CPU-heavy part and
-        # the default 1024-row batches leave most of the actor pool
-        # idle on 5k-row inputs (measured 1.9s → 1.3s at 32 cpus)
-        batch_size=128, num_cpus=1)
+        # the default 1024-row batches leave most of the CPUs idle on
+        # 5k-row inputs
+        batch_size=128)
     cands = (lsh_candidate_pairs_ds(band_rows, max_bucket=max_bucket)
              .to_pandas()
              .drop_duplicates(["a", "b"]))   # cross-band dup collapse
@@ -846,8 +834,7 @@ def minhash_dedup_remove(ds: rd.Dataset, *, bands: int = 16,
                          shingle_k: int = 3, kind: str = "token",
                          threshold: float = 0.5, column: str = "text",
                          id_column: str = "doc_id",
-                         max_bucket: int | None = 64,
-                         concurrency=(1, 4)) -> rd.Dataset:
+                         max_bucket: int | None = 64) -> rd.Dataset:
     """End-to-end near-dup REMOVAL: verified pairs → connected
     components (union-find over the output-sized edge list, smallest
     id is each cluster's representative) → distributed ANTI-join drops
@@ -858,8 +845,7 @@ def minhash_dedup_remove(ds: rd.Dataset, *, bands: int = 16,
     pairs = minhash_dedup_pairs(ds, bands=bands, rows_per_band=rows_per_band,
                                 seed=seed, shingle_k=shingle_k, kind=kind,
                                 threshold=threshold, column=column,
-                                id_column=id_column, max_bucket=max_bucket,
-                                concurrency=concurrency)
+                                id_column=id_column, max_bucket=max_bucket)
     if pairs.empty:
         return ds
     roots = union_find_components(zip(pairs["a"], pairs["b"]))
@@ -923,7 +909,7 @@ def simhash64(text: str, seed: int = 42) -> int:
 
 def simhash64_batch(texts, seed: int = 42) -> np.ndarray:
     """Batch SimHash, bit-identical to ``simhash64`` per text: ONE
-    Arrow RE2 split over the whole batch (byte-identical to str.split
+    whitespace split over the whole batch (byte-identical to str.split
     for ASCII), ONE factorize of the flat token stream,
     ``stable_hash64`` once per batch-distinct token (through the same
     memo cache), then a contiguous ``np.add.reduceat`` over per-doc
@@ -942,9 +928,7 @@ def simhash64_batch(texts, seed: int = 42) -> np.ndarray:
         return np.empty(0, dtype=np.uint64)
     import pyarrow.compute as _pc
     stripped = _pc.utf8_trim_whitespace(_pc.fill_null(texts, ""))
-    lists = _pc.split_pattern_regex(stripped, r"[ \t\n\r\f\v]+")
-    if isinstance(lists, pa.ChunkedArray):
-        lists = lists.combine_chunks()
+    lists = split_ws(stripped)
     raw_lens = np.diff(lists.offsets.to_numpy(zero_copy_only=False)
                        .astype(np.int64))
     empty = np.asarray(_pc.equal(stripped, "")
@@ -1265,7 +1249,7 @@ def window_hash_batch(batch: pa.Table, window: int = RK_WINDOW,
     sum_j th[i+j] * P^(window-1-j) mod 2^64 over stable_hash64 token
     hashes, computed with the rolling O(1)-per-window trick: P is odd
     hence invertible mod 2^64, so B_k = th_k * Pinv^k prefix-sums once
-    and every window is two lookups and one multiply. One RE2 split,
+    and every window is two lookups and one multiply. One whitespace split,
     factorize so only DISTINCT tokens pay the string hash; fully
     vectorized; embarrassingly parallel per doc."""
     import pandas as pd
@@ -1273,9 +1257,7 @@ def window_hash_batch(batch: pa.Table, window: int = RK_WINDOW,
     from ..functions.hashing import stable_hash64_np
 
     stripped = pc.utf8_trim_whitespace(pc.fill_null(batch[column], ""))
-    lists = pc.split_pattern_regex(stripped, r"[ \t\n\r\f\v]+")
-    if isinstance(lists, pa.ChunkedArray):
-        lists = lists.combine_chunks()
+    lists = split_ws(stripped)
     ndocs = len(lists)
     offs = lists.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
     raw_lens = np.diff(offs)
@@ -1329,9 +1311,7 @@ def window_totals_batch(batch: pa.Table, window: int = RK_WINDOW,
     """One row per doc: total window count (and a zero dup column, so
     totals union dup-partials and merge in one bucketed reduce)."""
     stripped = pc.utf8_trim_whitespace(pc.fill_null(batch[column], ""))
-    lists = pc.split_pattern_regex(stripped, r"[ \t\n\r\f\v]+")
-    if isinstance(lists, pa.ChunkedArray):
-        lists = lists.combine_chunks()
+    lists = split_ws(stripped)
     offs = lists.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
     raw_lens = np.diff(offs)
     empty = np.asarray(pc.equal(stripped, "").to_numpy(zero_copy_only=False))
@@ -1465,9 +1445,7 @@ def dup_window_remove_stats(ds: rd.Dataset, *, window: int = RK_WINDOW,
                                  "kept_sum": pd.Series([], dtype="uint64")})
         texts = pa.array(docs["text"].to_numpy(), pa.string())
         stripped = pc.utf8_trim_whitespace(texts)
-        lists = pc.split_pattern_regex(stripped, r"[ \t\n\r\f\v]+")
-        if isinstance(lists, pa.ChunkedArray):
-            lists = lists.combine_chunks()
+        lists = split_ws(stripped)
         offs = lists.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
         raw_lens = np.diff(offs)
         empty = np.asarray(pc.equal(stripped, "")

@@ -85,7 +85,7 @@ def fetch_store_batch(batch: pa.Table, *, seed: int = 42, max_depth: int = 2,
     """
     import os
 
-    from ..functions.hashing import rolling_fingerprint, stable_hash64
+    from ..functions.hashing import rolling_fingerprint_col
     from .dedup import simhash64_batch
 
     if fail_marker and any(fail_marker in u for u in batch["url"].to_pylist()):
@@ -145,9 +145,7 @@ def fetch_store_batch(batch: pa.Table, *, seed: int = 42, max_depth: int = 2,
             flat_spans.field("text").filter(is_text))
         texts_arr = pa.compute.binary_join(txt_lists, " ")
         simhashes = pa.array(simhash64_batch(texts_arr, seed), pa.uint64())
-        texts = pa.compute.fill_null(texts_arr, "").to_pylist()
-        fps = pa.array([rolling_fingerprint(t) for t in texts],
-                       pa.list_(pa.uint64()))
+        fps = rolling_fingerprint_col(texts_arr)
         doc_tbl = pa.table({
             "doc_id": ok["doc_id"], "url": ok["url"], "host": ok["host"],
             "depth": ok["depth"], "enqueue_seq": ok["enqueue_seq"],

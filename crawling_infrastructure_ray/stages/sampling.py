@@ -36,6 +36,7 @@ import ray
 import ray.data as rd
 
 from ..functions.hashing import splitmix64_np
+from ..functions.tokenize import split_ws
 
 # salts for the two independent per-doc hash draws (split assignment
 # and mixture sampling must be uncorrelated)
@@ -180,15 +181,13 @@ def decontaminate_ds(docs: rd.Dataset, k: int = 8) -> rd.Dataset:
 # vocabulary (token frequency top-k)
 # ----------------------------------------------------------------------
 def vocab_partial_counts(batch: pa.Table, column: str = "text") -> pa.Table:
-    """Per-batch (token, n) combiner: ONE Arrow RE2 split over the
+    """Per-batch (token, n) combiner: ONE whitespace split over the
     batch (byte-identical to Python str.split for ASCII — the
     chunk_batch recipe), factorize the flat token stream once (C
     path) and bincount — the exchange then carries distinct-token
     partials only; no per-doc Python loop."""
     stripped = pc.utf8_trim_whitespace(pc.fill_null(batch[column], ""))
-    lists = pc.split_pattern_regex(stripped, r"[ \t\n\r\f\v]+")
-    if isinstance(lists, pa.ChunkedArray):
-        lists = lists.combine_chunks()
+    lists = split_ws(stripped)
     raw_lens = np.diff(lists.offsets.to_numpy(zero_copy_only=False)
                        .astype(np.int64))
     empty = np.asarray(pc.equal(stripped, "")
@@ -207,7 +206,7 @@ def vocab_partial_counts(batch: pa.Table, column: str = "text") -> pa.Table:
 
 
 def _flat_adjacent_pairs(batch: pa.Table, column: str):
-    """Shared vectorized bigram extraction: ONE Arrow RE2 split over
+    """Shared vectorized bigram extraction: ONE whitespace split over
     the batch (the chunk_batch tokenizer recipe, byte-identical to
     Python str.split on ASCII), one factorize over the flat token
     stream, and a same-doc adjacency mask — no per-doc Python loop.
@@ -215,9 +214,7 @@ def _flat_adjacent_pairs(batch: pa.Table, column: str):
     (codes[:-1][ok], codes[1:][ok]) and doc_idx[:-1][ok] maps each
     pair to its row."""
     stripped = pc.utf8_trim_whitespace(pc.fill_null(batch[column], ""))
-    lists = pc.split_pattern_regex(stripped, r"[ \t\n\r\f\v]+")
-    if isinstance(lists, pa.ChunkedArray):
-        lists = lists.combine_chunks()
+    lists = split_ws(stripped)
     offs = lists.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
     raw_lens = np.diff(offs)
     empty = np.asarray(pc.equal(stripped, "")
@@ -356,7 +353,7 @@ def chunk_batch(batch: pa.Table, window: int = CHUNK_WINDOW,
     uint64 sum of stable_hash64(token) over the chunk — so the gate
     pins chunk CONTENT, not just geometry.
 
-    Fully vectorized: one Arrow RE2 split, factorize so only DISTINCT
+    Fully vectorized: one whitespace split, factorize so only DISTINCT
     tokens pay the string hash, then a single wrap-around cumsum gives
     every chunk sum as two lookups (csum[end] - csum[start]).
     Embarrassingly parallel per doc — no shuffle; at 100 TB the
@@ -366,9 +363,7 @@ def chunk_batch(batch: pa.Table, window: int = CHUNK_WINDOW,
     from ..functions.hashing import stable_hash64_np
 
     stripped = pc.utf8_trim_whitespace(pc.fill_null(batch[column], ""))
-    lists = pc.split_pattern_regex(stripped, r"[ \t\n\r\f\v]+")
-    if isinstance(lists, pa.ChunkedArray):
-        lists = lists.combine_chunks()
+    lists = split_ws(stripped)
     ndocs = len(lists)
     offs = lists.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
     raw_lens = np.diff(offs)

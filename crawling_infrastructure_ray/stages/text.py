@@ -29,7 +29,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..functions.hashing import rolling_fingerprint
+from ..functions.hashing import rolling_fingerprint_col
+from ..functions.tokenize import split_ws
 
 # langid tokenization (per-row model scoring). Explicit ASCII
 # whitespace class — the engine-wide token contract is Python
@@ -137,10 +138,9 @@ def langid_batch(batch: pa.Table, column: str = "text") -> pa.Table:
 def fingerprint_batch(batch: pa.Table, column: str = "text",
                       window: int = 16, keep: int = 8) -> pa.Table:
     """(doc_id, fingerprint: list<uint64>) winnowing sketches."""
-    texts = batch[column].to_pylist()
-    fps = [rolling_fingerprint(t or "", window, keep) for t in texts]
     return pa.table({"doc_id": batch["doc_id"],
-                     "fingerprint": pa.array(fps, pa.list_(pa.uint64()))})
+                     "fingerprint": rolling_fingerprint_col(
+                         batch[column], window, keep)})
 
 
 class TextAnalyzer:
@@ -169,16 +169,14 @@ def repetition_stats_batch(batch: pa.Table, column: str = "text") -> pa.Table:
     """(doc_id, n_tokens, n_distinct, distinct_frac_e4, top_bigram_n,
     top_bigram_frac_e4) — the two classic repetition filters (token
     diversity and most-frequent-word-2-gram share, exact integer e4
-    units). Fully vectorized: one Arrow RE2 split per batch, then
+    units). Fully vectorized: one whitespace split per batch, then
     factorize + np.unique/bincount/maximum.at over the flattened
     token stream — no per-doc Python loop. Embarrassingly parallel
     (per-doc outputs, no shuffle) — the right shape for a 100-TB
     quality-filter pass."""
     import pandas as pd
     stripped = pc.utf8_trim_whitespace(pc.fill_null(batch[column], ""))
-    lists = pc.split_pattern_regex(stripped, r"[ \t\n\r\f\v]+")
-    if isinstance(lists, pa.ChunkedArray):
-        lists = lists.combine_chunks()
+    lists = split_ws(stripped)
     ndocs = len(lists)
     offs = lists.offsets.to_numpy(zero_copy_only=False)
     raw_lens = np.diff(offs).astype(np.int64)
@@ -267,7 +265,7 @@ QC_BIAS = 1000
 def classifier_score_batch(batch: pa.Table,
                            column: str = "text") -> pa.Table:
     """Hashed linear quality-classifier scoring: logit(doc) = sum over
-    token occurrences of w(token). Fully vectorized — one RE2 split,
+    token occurrences of w(token). Fully vectorized — one whitespace split,
     factorize so only DISTINCT tokens pay the string hash, bincount
     per doc (weights are |w| <= 1000 ints and docs are < 2^40 tokens,
     so the float64 bincount accumulator stays exact far below 2^53).
@@ -277,9 +275,7 @@ def classifier_score_batch(batch: pa.Table,
     from ..functions.hashing import stable_hash64_np
 
     stripped = pc.utf8_trim_whitespace(pc.fill_null(batch[column], ""))
-    lists = pc.split_pattern_regex(stripped, r"[ \t\n\r\f\v]+")
-    if isinstance(lists, pa.ChunkedArray):
-        lists = lists.combine_chunks()
+    lists = split_ws(stripped)
     ndocs = len(lists)
     offs = lists.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
     raw_lens = np.diff(offs)

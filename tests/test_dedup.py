@@ -138,3 +138,38 @@ def test_minhash_recall_vs_exact_baseline(ray_session):
     exact_pairs = set(zip(exact["a"], exact["b"]))
     lsh_pairs = set(zip(lsh["a"], lsh["b"]))
     assert exact_pairs <= lsh_pairs  # 100% recall on this corpus
+
+
+def test_minhash_pairs_finishes_on_one_cpu(tmp_path):
+    """The MinHash pair query must finish on a one-CPU session and
+    still match its DuckDB oracle."""
+    import os
+    import subprocess
+    import sys
+
+    import duckdb
+
+    import __ray_entry__ as entrymod
+    from test_queries_oracle import SF as sf
+    out = tmp_path / "pairs.parquet"
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    code = (
+        "import ray\n"
+        "ray.init(address='local', num_cpus=1, include_dashboard=False,"
+        " logging_level='ERROR')\n"
+        "from crawling_infrastructure_ray.pipelines.training import "
+        "q_dedup_minhash_pairs\n"
+        f"q_dedup_minhash_pairs({sf!r}).to_parquet({str(out)!r})\n"
+        "ray.shutdown()\n")
+    res = subprocess.run([sys.executable, "-c", code], cwd=root,
+                         capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr[-2000:]
+    con = duckdb.connect()
+    con.execute(f"CREATE VIEW documents AS SELECT * FROM "
+                f"read_parquet('{sf}/documents.parquet')")
+    want = con.execute(entrymod.oracle_sql()["dedup_minhash_pairs"]).fetchdf()
+    cols = ["a", "b", "jaccard_e6"]
+    got = pd.read_parquet(out)[cols].sort_values(cols).reset_index(drop=True)
+    want = want[cols].sort_values(cols).reset_index(drop=True)
+    assert len(got) > 0
+    pd.testing.assert_frame_equal(got, want, check_dtype=False)
