@@ -1,10 +1,11 @@
-"""The engine's ONE bucket tagger.
+"""The engine's ONE bucket tagger and ONE shuffle width.
 
 Every shuffle-by-hash stage (final reduces in pipelines/analytics,
 semi/anti joins in stages/joins, LSH bucket→partition routing in
 stages/dedup) tags rows with the same vectorized batch fn so the
 "key combination → exactly one bucket" invariant is enforced in a
 single place and no shuffle-tag stage ever hashes per row in Python.
+How many partitions such a shuffle uses is ``shuffle_partitions()``.
 """
 
 from __future__ import annotations
@@ -12,8 +13,21 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
 
 from .hashing import stable_hash64
+
+
+def shuffle_partitions() -> int:
+    """Width of every hash shuffle: the cluster's CPU count, capped at
+    32. A partition count only sets parallelism (every key lands
+    wholly in one bucket and every per-bucket reduce sorts before it
+    sums), so the width follows the CPUs that run the shuffle's map
+    and reduce tasks: on one CPU a 32-way shuffle is 64 queued tasks
+    of pure per-task overhead. Key-bucket counts are twice this (64
+    at 32 CPUs). Call it on the driver once per query plan, never
+    inside a batch function."""
+    return max(1, min(32, int(ray.cluster_resources().get("CPU", 1))))
 
 
 def u64_as_i64(batch: pa.Table, cols: list[str]) -> pa.Table:
@@ -39,13 +53,17 @@ def i64_as_u64(batch: pa.Table, cols: list[str]) -> pa.Table:
     return batch
 
 
-def tag_bucket_fn(keys: list[str], num_buckets: int = 32,
+def tag_bucket_fn(keys: list[str], num_buckets: int | None = None,
                   col_name: str = "_kb"):
-    """Batch fn: append an integer bucket column = hash(keys) % B.
+    """Batch fn: append an integer bucket column = hash(keys) % B,
+    B = ``num_buckets`` or, by default, ``shuffle_partitions()``.
     Vectorized — string keys are dictionary-encoded so only distinct
     values are hashed; numeric/timestamp keys use a splitmix-style
     multiply. Every key combination lands wholly in ONE bucket, which
     is the invariant the bucketed reduces/joins/windows rely on."""
+    if num_buckets is None:
+        num_buckets = shuffle_partitions()
+
     def tag(batch: pa.Table) -> pa.Table:
         n = batch.num_rows
         acc = np.zeros(n, dtype=np.uint64)

@@ -34,6 +34,7 @@ from ray.data.aggregate import Count, Max, Min, Sum
 # the engine's single vectorized shuffle tagger — shared with
 # stages/joins and stages/dedup so the bucket invariant and the
 # no-per-row-Python rule are enforced in one place
+from ..functions.bucketing import shuffle_partitions
 from ..functions.bucketing import tag_bucket_fn as _tag_bucket
 from ..sources.readers import read_table
 from ..stages.html import clean_html_string
@@ -59,30 +60,33 @@ def _merge_partials(partials: rd.Dataset, keys: list[str],
 
 
 def _merge_partials_ray(partials: rd.Dataset, keys: list[str],
-                        sums: list[str], num_buckets: int = 32) -> rd.Dataset:
+                        sums: list[str]) -> rd.Dataset:
     """Final reduce of a combiner aggregation IN RAY, for
     data-dependent key sets (per-host counts, per-user stats, per-part
     counts): the driver never holds the partial set.
 
-    Shape: consolidate the fragmented partial blocks
-    (``repartition`` — partials are one small block per input block),
-    tag each row with an integer bucket = hash(keys) % B (vectorized;
-    string keys are dictionary-encoded so only distinct values are
-    hashed), then ``groupby(bucket).map_groups`` with a vectorized
-    pandas reduce per bucket. Every key lands wholly in one bucket, so
-    per-bucket sums are exact global sums. Measured ~4.5x faster than
-    ``groupby(keys).aggregate(Sum...)`` on this Ray version (sorting
-    one small-int column beats sorting composite keys, and 32
-    consolidated partitions beat hundreds of tiny shuffle blocks) —
-    same all-to-all scalability."""
+    Shape: consolidate the fragmented partial blocks into
+    P = ``shuffle_partitions()`` partitions (partials are one small
+    block per input block), tag each row with an integer bucket =
+    hash(keys) % P (vectorized; string keys are dictionary-encoded so
+    only distinct values are hashed), then ``groupby(bucket).map_groups``
+    with a vectorized pandas reduce per bucket. Every key lands wholly
+    in one bucket, so per-bucket sums are exact global sums whatever P
+    is. Measured ~4.5x faster than ``groupby(keys).aggregate(Sum...)``
+    on this Ray version (sorting one small-int column beats sorting
+    composite keys, and a few consolidated partitions beat hundreds of
+    tiny shuffle blocks) — same all-to-all scalability. P follows the
+    cluster's CPUs (32 at 32 CPUs, 1 on one CPU, where each extra
+    partition is only per-task overhead)."""
     def reduce_bucket(g: pd.DataFrame) -> pd.DataFrame:
         # canonical order: group row order follows block arrival and
         # float sums are order-sensitive — sort for bit-reproducibility
         g = g.sort_values(keys + sums).reset_index(drop=True)
         return g.groupby(keys, as_index=False)[sums].sum()
 
-    return (partials.repartition(num_buckets)
-            .map_batches(_tag_bucket(keys, num_buckets), batch_format="pyarrow")
+    p = shuffle_partitions()
+    return (partials.repartition(p)
+            .map_batches(_tag_bucket(keys, p), batch_format="pyarrow")
             .groupby("_kb").map_groups(reduce_bucket, batch_format="pandas"))
 
 
@@ -217,7 +221,7 @@ def q_g6_distinct_users(sf_dir: str):
         return pd.DataFrame([{"n": np.int64(g["user_id"].nunique())}])
 
     counts = (ds.map_batches(partial, batch_format="pyarrow")
-              .repartition(32)
+              .repartition(shuffle_partitions())
               .map_batches(_tag_bucket(["user_id"]), batch_format="pyarrow")
               .groupby("_kb").map_groups(count_bucket, batch_format="pandas")
               .to_pandas())
@@ -436,15 +440,19 @@ def q_j4_customers_without_p_orders(sf_dir: str, *, broadcast: bool = False):
     return bucketed_anti_join(cust, keys_ds, on="c_custkey")
 
 
-def q_j2_bucketed_join_revenue(sf_dir: str, num_buckets: int = 64):
+def q_j2_bucketed_join_revenue(sf_dir: str):
     """Large-large partitioned hash join: lineitem ⋈ orders on
     orderkey, explicit bucket = key % B on both sides, per-bucket
     pandas merge in map_groups, then partial-sum + final groupby
     (the ray_guide portable join pattern; skew-salting would split
-    hot buckets). num_buckets=64 so per-bucket join tasks saturate the
-    CPUs (measured 2x faster than 16 buckets at 32 cpus, and ~4x
-    faster than this Ray version's native Dataset.join — see
-    q_j3_native_hash_join)."""
+    hot buckets). The union shuffles through P = ``shuffle_partitions()``
+    partitions into B = 2P key buckets, so per-bucket join tasks
+    saturate the CPUs (B = 64 at 32 cpus measured 2x faster than 16
+    buckets, and ~4x faster than this Ray version's native
+    Dataset.join — see q_j3_native_hash_join); on one CPU, P = 1 and
+    B = 2 keep the task count from outgrowing the work."""
+    p = shuffle_partitions()
+    num_buckets = 2 * p
     li = read_table(sf_dir, "lineitem",
                     columns=["l_orderkey", "l_extendedprice", "l_discount"])
     orders = read_table(sf_dir, "orders", columns=["o_orderkey", "o_orderstatus"])
@@ -461,14 +469,16 @@ def q_j2_bucketed_join_revenue(sf_dir: str, num_buckets: int = 64):
         g = t.group_by("key").aggregate([("revenue_e4", "sum"),
                                          ("revenue_e4", "count")])
         g = g.rename_columns(["key", "revenue_e4", "n_lines"])
-        b = pc.cast(pc.bit_wise_and(g["key"], num_buckets - 1), pa.int32())
+        key = g["key"].to_numpy(zero_copy_only=False)
+        b = pa.array((key % num_buckets).astype(np.int32))
         return pa.table({"key": g["key"], "bucket": b,
                          "revenue_e4": g["revenue_e4"],
                          "n_lines": pc.cast(g["n_lines"], pa.int64()),
                          "side": pa.array(["l"] * g.num_rows)})
 
     def tag_o(batch: pa.Table) -> pa.Table:
-        b = pc.cast(pc.bit_wise_and(batch["o_orderkey"], num_buckets - 1), pa.int32())
+        key = batch["o_orderkey"].to_numpy(zero_copy_only=False)
+        b = pa.array((key % num_buckets).astype(np.int32))
         return pa.table({"key": batch["o_orderkey"], "bucket": b,
                          "status": batch["o_orderstatus"]})
 
@@ -496,9 +506,10 @@ def q_j2_bucketed_join_revenue(sf_dir: str, num_buckets: int = 64):
         o_t.map_batches(widen_o, batch_format="pyarrow"))
     # consolidate the two sides' many small blocks before the sort-based
     # groupby: Ray's sort pays per-block overhead, and 32 consolidated
-    # partitions measured ~1.7x faster end-to-end than feeding the raw
-    # union (same trick as _merge_partials_ray); same all-to-all volume
-    both = both.repartition(32)
+    # partitions measured ~1.7x faster end-to-end at 32 cpus than
+    # feeding the raw union (same trick as _merge_partials_ray); same
+    # all-to-all volume
+    both = both.repartition(p)
 
     def join_bucket(group: pd.DataFrame) -> pd.DataFrame:
         left = group[group["side"] == "l"][["key", "revenue_e4", "n_lines"]]
@@ -816,7 +827,7 @@ def q_part_ntile(sf_dir: str, k: int = 4):
     documented scale path — NTILE needs each partition's total order."""
     part = read_table(sf_dir, "part",
                       columns=["p_partkey", "p_brand", "p_retailprice"])
-    tag = _tag_bucket(["p_brand"], 16, "_nb")
+    tag = _tag_bucket(["p_brand"], col_name="_nb")
 
     def tile_bucket(g: pd.DataFrame) -> pd.DataFrame:
         outs = []
@@ -857,7 +868,7 @@ def q_percentile_rank_parts(sf_dir: str):
     per-row work, no per-tie grouping."""
     part = read_table(sf_dir, "part",
                       columns=["p_partkey", "p_brand", "p_retailprice"])
-    tag = _tag_bucket(["p_brand"], 16, "_pb")
+    tag = _tag_bucket(["p_brand"], col_name="_pb")
 
     def rank_bucket(g: pd.DataFrame) -> pd.DataFrame:
         outs = []
@@ -947,7 +958,7 @@ def q_user_timeline(sf_dir: str):
 
     both = (ev.map_batches(ev_side, batch_format="pyarrow")
             .union(od.map_batches(od_side, batch_format="pyarrow"))
-            .repartition(32))
+            .repartition(shuffle_partitions()))
 
     def seq_bucket(g: pd.DataFrame) -> pd.DataFrame:
         ts = g["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
@@ -962,7 +973,7 @@ def q_user_timeline(sf_dir: str):
             "item": g["item"],
             "seq": seq.astype(np.int64)})
 
-    return (both.map_batches(_tag_bucket(["user_id"], 32, "_zb"),
+    return (both.map_batches(_tag_bucket(["user_id"], col_name="_zb"),
                              batch_format="pyarrow")
             .groupby("_zb").map_groups(seq_bucket, batch_format="pandas"))
 
@@ -1193,7 +1204,7 @@ def q_events_session_window(sf_dir: str, gap_minutes: int = 30):
         return out[["user_id", "session_id", "n_events",
                     "session_start", "session_end"]]
 
-    return (ds.repartition(32)
+    return (ds.repartition(shuffle_partitions())
             .map_batches(_tag_bucket(["user_id"]), batch_format="pyarrow")
             .groupby("_kb").map_groups(sessionize_bucket,
                                        batch_format="pandas"))
@@ -1219,7 +1230,7 @@ def q_latest_event_per_user(sf_dir: str):
     def reduce_bucket(g: pd.DataFrame) -> pd.DataFrame:
         return latest_in(g)[["user_id", "event_id", "ts", "event_type"]]
 
-    return (partials.repartition(32)
+    return (partials.repartition(shuffle_partitions())
             .map_batches(_tag_bucket(["user_id"]), batch_format="pyarrow")
             .groupby("_kb").map_groups(reduce_bucket, batch_format="pandas"))
 
@@ -1266,7 +1277,7 @@ def q_events_ffill_daily(sf_dir: str):
                           "value_c": pd.Series([], dtype="int64"),
                           "is_observed": pd.Series([], dtype="int64")})
 
-    return (ds.map_batches(_tag_bucket(["user_id"], 32, "_fb"),
+    return (ds.map_batches(_tag_bucket(["user_id"], col_name="_fb"),
                            batch_format="pyarrow")
             .groupby("_fb").map_groups(fill_bucket, batch_format="pandas"))
 
@@ -1342,8 +1353,8 @@ def q_profile_events(sf_dir: str):
 
     dist = _merge_partials(
         ds.map_batches(distinct_partial, batch_format="pyarrow")
-        .repartition(32)
-        .map_batches(_tag_bucket(["column", "val"], 32, "_kb"),
+        .repartition(shuffle_partitions())
+        .map_batches(_tag_bucket(["column", "val"], col_name="_kb"),
                      batch_format="pyarrow")
         .groupby("_kb").map_groups(count_bucket, batch_format="pandas"),
         ["column"], ["n_distinct"])
@@ -1415,8 +1426,8 @@ def q_basket_rules(sf_dir: str):
 
     hist = _merge_partials(
         ds.map_batches(mask_partial, batch_format="pandas")
-        .repartition(32)
-        .map_batches(_tag_bucket(["user_id", "h"], 32, "_kb"),
+        .repartition(shuffle_partitions())
+        .map_batches(_tag_bucket(["user_id", "h"], col_name="_kb"),
                      batch_format="pyarrow")
         .groupby("_kb").map_groups(mask_hist, batch_format="pandas"),
         ["mask"], ["n"])
@@ -1492,8 +1503,8 @@ def q_events_ohlc_hourly(sf_dir: str):
                                   "low_c", "close_c", "n")})
 
     partials = ds.map_batches(partial, batch_format="pandas")
-    return (partials.repartition(32)
-            .map_batches(_tag_bucket(["user_id", "h"], 32, "_kb"),
+    return (partials.repartition(shuffle_partitions())
+            .map_batches(_tag_bucket(["user_id", "h"], col_name="_kb"),
                          batch_format="pyarrow")
             .groupby("_kb").map_groups(reduce_bucket,
                                        batch_format="pandas"))
@@ -1544,7 +1555,7 @@ def q_throttle_events(sf_dir: str, gap_hours: int = 24):
                           "ts": pd.Series([], dtype="datetime64[us]"),
                           "keep_rank": pd.Series([], dtype="int64")})
 
-    return (ds.map_batches(_tag_bucket(["user_id"], 32, "_tb"),
+    return (ds.map_batches(_tag_bucket(["user_id"], col_name="_tb"),
                            batch_format="pyarrow")
             .groupby("_tb").map_groups(chain_bucket, batch_format="pandas"))
 
@@ -1563,7 +1574,7 @@ def q_events_cumsum(sf_dir: str):
                           .astype("int64") + 1)
         return g[["user_id", "event_id", "running_n"]]
 
-    return (ds.repartition(32)
+    return (ds.repartition(shuffle_partitions())
             .map_batches(_tag_bucket(["user_id"]), batch_format="pyarrow")
             .groupby("_kb").map_groups(cum_bucket, batch_format="pandas"))
 
@@ -1602,7 +1613,7 @@ def q_asof_last_click(sf_dir: str):
         return batch.filter(m)
 
     tagged = (ds.map_batches(keep, batch_format="pyarrow")
-              .repartition(32)
+              .repartition(shuffle_partitions())
               .map_batches(_tag_bucket(["user_id"]), batch_format="pyarrow"))
 
     out_cols = ["event_id", "user_id", "ts", "click_event_id", "click_ts"]
@@ -1658,7 +1669,7 @@ def q_range_join_click_views(sf_dir: str):
         return batch.filter(m)
 
     tagged = (ds.map_batches(keep, batch_format="pyarrow")
-              .repartition(32)
+              .repartition(shuffle_partitions())
               .map_batches(_tag_bucket(["user_id"]), batch_format="pyarrow"))
 
     def count_bucket(g: pd.DataFrame) -> pd.DataFrame:
@@ -1714,7 +1725,7 @@ def q_topk_per_group(sf_dir: str, k: int = 3):
                      .astype("int64") + 1)
         return g[["source", "doc_id", "n_chars", "rank"]]
 
-    return (partials.repartition(8)
+    return (partials.repartition(shuffle_partitions())
             .map_batches(_tag_bucket(["source"]), batch_format="pyarrow")
             .groupby("_kb").map_groups(reduce_bucket, batch_format="pandas"))
 
@@ -1742,7 +1753,7 @@ def q_rolling_window_value(sf_dir: str):
         g["n_in_window"] = np.minimum(grp.cumcount() + 1, 3).astype("int64")
         return g[["user_id", "event_id", "rolling_sum_c", "n_in_window"]]
 
-    return (ds.repartition(32)
+    return (ds.repartition(shuffle_partitions())
             .map_batches(_tag_bucket(["user_id"]), batch_format="pyarrow")
             .groupby("_kb").map_groups(roll_bucket, batch_format="pandas"))
 
@@ -1802,7 +1813,7 @@ def q_scd2_intervals(sf_dir: str):
             "valid_to_us": nxt,
             "value_c": (g["value"] * 100).round().astype("int64")})
 
-    return (ds.repartition(32)
+    return (ds.repartition(shuffle_partitions())
             .map_batches(_tag_bucket(["user_id"]), batch_format="pyarrow")
             .groupby("_kb").map_groups(scd_bucket, batch_format="pandas"))
 
@@ -1832,6 +1843,7 @@ def q_normalize_value_per_user(sf_dir: str):
     re-reads events and probes the per-user bounds via a user-bucketed
     tagged-union join — never a driver-held bounds map (users are
     data-sized)."""
+    p = shuffle_partitions()
     ds = read_table(sf_dir, "events", columns=["user_id", "event_id",
                                                "value"])
 
@@ -1849,9 +1861,9 @@ def q_normalize_value_per_user(sf_dir: str):
         return g.groupby("user_id", as_index=False).agg(
             vmin=("vmin", "min"), vmax=("vmax", "max"))
 
-    tag = _tag_bucket(["user_id"], 64, "_jb")
+    tag = _tag_bucket(["user_id"], 2 * p, "_jb")
     bounds = (ds.map_batches(bounds_partial, batch_format="pyarrow")
-              .repartition(32)
+              .repartition(p)
               .map_batches(tag, batch_format="pyarrow")
               .groupby("_jb").map_groups(bounds_reduce,
                                          batch_format="pandas"))
@@ -1895,7 +1907,8 @@ def q_normalize_value_per_user(sf_dir: str):
 
     return (bounds.map_batches(b_side, batch_format="pyarrow")
             .union(ds.map_batches(e_side, batch_format="pyarrow"))
-            .map_batches(tag, batch_format="pyarrow").repartition(32)
+            .map_batches(tag, batch_format="pyarrow")
+            .repartition(p)
             .groupby("_jb").map_groups(norm_bucket,
                                        batch_format="pandas"))
 
@@ -2134,7 +2147,7 @@ def q_event_trigrams(sf_dir: str):
             "t3": uniq[(vals % k).astype(np.int64)],
             "n": cnts.astype(np.int64)})
 
-    parts = (ds.repartition(32)
+    parts = (ds.repartition(shuffle_partitions())
              .map_batches(_tag_bucket(["user_id"]), batch_format="pyarrow")
              .groupby("_kb").map_groups(tri_bucket,
                                         batch_format="pandas"))
@@ -2435,15 +2448,16 @@ def q_covisit_user_pairs(sf_dir: str):
             out[c] = out[c].astype("int64")
         return out
 
-    ctx_tag = _tag_bucket(["day", "event_type"], 64, "_cb")
-    pair_tag = _tag_bucket(["user_a", "user_b"], 64, "_pb")
+    p = shuffle_partitions()
+    ctx_tag = _tag_bucket(["day", "event_type"], 2 * p, "_cb")
+    pair_tag = _tag_bucket(["user_a", "user_b"], 2 * p, "_pb")
     return (trip.map_batches(ctx_tag, batch_format="pyarrow")
-            .repartition(32)
+            .repartition(p)
             .groupby("_cb").map_groups(
                 lambda g: pairs_in_ctx(dedup_ctx(g)),
                 batch_format="pandas")
             .map_batches(pair_tag, batch_format="pyarrow")
-            .repartition(32)
+            .repartition(p)
             .groupby("_pb").map_groups(reduce_pairs,
                                        batch_format="pandas"))
 
@@ -2497,7 +2511,7 @@ def q_trailing_window_value(sf_dir: str):
         g["n_in_range"] = (hi - lo).astype("int64")
         return g[["user_id", "event_id", "trailing_sum_c", "n_in_range"]]
 
-    return (ds.repartition(32)
+    return (ds.repartition(shuffle_partitions())
             .map_batches(_tag_bucket(["user_id"]), batch_format="pyarrow")
             .groupby("_kb").map_groups(trail_bucket, batch_format="pandas"))
 
@@ -2541,7 +2555,7 @@ def q_events_ewma(sf_dir: str):
             "event_id": g["event_id"].astype("int64"),
             "ewma16_c": out.astype("int64")})
 
-    return (ds.repartition(32)
+    return (ds.repartition(shuffle_partitions())
             .map_batches(_tag_bucket(["user_id"]), batch_format="pyarrow")
             .groupby("_kb").map_groups(ewma_bucket, batch_format="pandas"))
 
@@ -2655,7 +2669,7 @@ def q_late_event_flags(sf_dir: str):
             agg[c] = agg[c].astype("int64")
         return agg
 
-    return (ds.repartition(32)
+    return (ds.repartition(shuffle_partitions())
             .map_batches(_tag_bucket(["user_id"]), batch_format="pyarrow")
             .groupby("_kb").map_groups(late_bucket, batch_format="pandas"))
 
@@ -2799,6 +2813,7 @@ def q_q13_customer_distribution(sf_dir: str):
     (c_count has a config-sized domain) so the driver reduce is a few
     dozen rows."""
     from ..functions.bucketing import tag_bucket_fn
+    p = shuffle_partitions()
 
     ords = read_table(sf_dir, "orders", columns=["o_custkey"])
     cust = read_table(sf_dir, "customer", columns=["c_custkey"])
@@ -2813,7 +2828,7 @@ def q_q13_customer_distribution(sf_dir: str):
         ords.map_batches(cnt_partials, batch_format="pyarrow"),
         ["c_custkey"], ["n_orders"])
 
-    tag = tag_bucket_fn(["c_custkey"], 64, "jbucket")
+    tag = tag_bucket_fn(["c_custkey"], 2 * p, "jbucket")
 
     def tag_cust(t: pa.Table) -> pa.Table:
         return tag(pa.table({
@@ -2827,7 +2842,7 @@ def q_q13_customer_distribution(sf_dir: str):
 
     both = (cust.map_batches(tag_cust, batch_format="pyarrow")
             .union(counts.map_batches(tag_counts, batch_format="pyarrow"))
-            .repartition(32))
+            .repartition(p))
 
     def hist_bucket(g: pd.DataFrame) -> pd.DataFrame:
         cnt_rows = g[g["n_orders"].notna()]
@@ -2908,17 +2923,17 @@ def _rev_e4(batch: pa.Table, price: str = "l_extendedprice",
 
 
 def _tagged_union_join(left: rd.Dataset, right: rd.Dataset, key: str,
-                       join_bucket, num_buckets: int = 64,
-                       num_parts: int = 32) -> rd.Dataset:
+                       join_bucket) -> rd.Dataset:
     """Large-large bucketed hash join core (the j2/q13 shape, shared):
     both sides already carry aligned schemas plus a ``side`` column;
     tag bucket = hash(key) % B on each, union, consolidate blocks,
     and run ``join_bucket`` (a pandas group fn) per bucket. Every key
     lands wholly in one bucket, so per-bucket joins are exact."""
-    tag = _tag_bucket([key], num_buckets, "_jb")
+    p = shuffle_partitions()
+    tag = _tag_bucket([key], 2 * p, "_jb")
     both = (left.map_batches(tag, batch_format="pyarrow")
             .union(right.map_batches(tag, batch_format="pyarrow"))
-            .repartition(num_parts))
+            .repartition(p))
     return both.groupby("_jb").map_groups(join_bucket, batch_format="pandas")
 
 
@@ -4096,7 +4111,7 @@ def q_hopping_distinct_users(sf_dir: str):
                 .agg(n_users=("user_id", "size")))
 
     parts = (ds.map_batches(pairs, batch_format="pyarrow")
-             .repartition(32)
+             .repartition(shuffle_partitions())
              .map_batches(_tag_bucket(["w_us", "user_id"]),
                           batch_format="pyarrow")
              .groupby("_kb").map_groups(count_bucket,
@@ -4203,7 +4218,7 @@ def q_sessionize_events(sf_dir: str, session_gap_us: int = 28_800_000_000):
                            "end_us": "int64"})
 
     out = (ds.map_batches(to_us, batch_format="pyarrow")
-           .repartition(32)
+           .repartition(shuffle_partitions())
            .map_batches(_tag_bucket(["user_id"]), batch_format="pyarrow")
            .groupby("_kb").map_groups(sessions_bucket, batch_format="pandas")
            .to_pandas())
@@ -4247,7 +4262,7 @@ def q_events_lag_gaps(sf_dir: str, long_gap_us: int = 3_600_000_000):
                            "max_gap_us": "int64", "n_long_gaps": "int64"})
 
     out = (ds.map_batches(to_us, batch_format="pyarrow")
-           .repartition(32)
+           .repartition(shuffle_partitions())
            .map_batches(_tag_bucket(["user_id"]), batch_format="pyarrow")
            .groupby("_kb").map_groups(gaps_bucket, batch_format="pandas")
            .to_pandas())
@@ -4456,7 +4471,7 @@ def q_distinct_users_per_type(sf_dir: str):
         return out.rename(columns={"size": "n_users"})
 
     partials = (ds.map_batches(pair_dedup, batch_format="pyarrow")
-                .repartition(32)
+                .repartition(shuffle_partitions())
                 .map_batches(_tag_bucket(["event_type", "user_id"]),
                              batch_format="pyarrow")
                 .groupby("_kb").map_groups(count_bucket,
@@ -4788,7 +4803,7 @@ def q_part_pareto_frontier(sf_dir: str):
         return out[["p_partkey", "p_brand", "price_c", "p_size"]]
 
     out = (ds.map_batches(to_c, batch_format="pyarrow")
-           .repartition(32)
+           .repartition(shuffle_partitions())
            .map_batches(_tag_bucket(["p_brand"]), batch_format="pyarrow")
            .groupby("_kb").map_groups(skyline_bucket,
                                       batch_format="pandas")
@@ -4894,7 +4909,7 @@ def q_events_funnel(sf_dir: str):
             .astype("int64")
 
     out = (ds.map_batches(to_us, batch_format="pyarrow")
-           .repartition(32)
+           .repartition(shuffle_partitions())
            .map_batches(_tag_bucket(["user_id"]), batch_format="pyarrow")
            .groupby("_kb").map_groups(funnel_bucket, batch_format="pandas")
            .to_pandas())
@@ -4939,7 +4954,7 @@ def q_interval_coverage(sf_dir: str):
                 .agg(n_intervals=("isl", "size"), covered_us=("cov", "sum")))
 
     out = (ds.map_batches(to_iv, batch_format="pyarrow")
-           .repartition(32)
+           .repartition(shuffle_partitions())
            .map_batches(_tag_bucket(["user_id"]), batch_format="pyarrow")
            .groupby("_kb").map_groups(merge_bucket, batch_format="pandas")
            .to_pandas())
@@ -4976,7 +4991,7 @@ def q_cohort_retention(sf_dir: str):
                 .agg(n_users=("user_id", "size")))
 
     parts = (ds.map_batches(to_wk, batch_format="pyarrow")
-             .repartition(32)
+             .repartition(shuffle_partitions())
              .map_batches(_tag_bucket(["user_id"]), batch_format="pyarrow")
              .groupby("_kb").map_groups(cohort_bucket,
                                         batch_format="pandas"))
@@ -5031,7 +5046,7 @@ def q_time_weighted_value(sf_dir: str):
         return out.groupby("user_id", as_index=False).sum()
 
     out = (ds.map_batches(to_us, batch_format="pyarrow")
-           .repartition(32)
+           .repartition(shuffle_partitions())
            .map_batches(_tag_bucket(["user_id"]), batch_format="pyarrow")
            .groupby("_kb").map_groups(tw_bucket, batch_format="pandas")
            .to_pandas())
@@ -5290,7 +5305,7 @@ def q_activity_islands(sf_dir: str):
         return out.astype("int64")
 
     res = (ds.map_batches(part, batch_format="pyarrow")
-           .repartition(16)
+           .repartition(shuffle_partitions())
            .map_batches(_tag_bucket(["user_id"]),
                         batch_format="pyarrow")
            .groupby("_kb").map_groups(island_stats,
@@ -5352,7 +5367,7 @@ def q_conversion_lag(sf_dir: str):
         return m[["user_id", "lag_us"]]
 
     partials = ds.map_batches(part, batch_format="pyarrow")
-    out = (partials.repartition(32)
+    out = (partials.repartition(shuffle_partitions())
            .map_batches(_tag_bucket(["user_id"]), batch_format="pyarrow")
            .groupby("_kb").map_groups(min_bucket, batch_format="pandas")
            .to_pandas())
@@ -5392,7 +5407,7 @@ def q_event_transitions(sf_dir: str):
             .agg(n=("to_type", "size"))
 
     parts = (ds.map_batches(to_us, batch_format="pyarrow")
-             .repartition(32)
+             .repartition(shuffle_partitions())
              .map_batches(_tag_bucket(["user_id"]), batch_format="pyarrow")
              .groupby("_kb").map_groups(trans_bucket,
                                         batch_format="pandas"))
@@ -5426,7 +5441,7 @@ def q_part_price_rank_dense(sf_dir: str):
         return g[["p_partkey", "p_brand", "price_c", "rank_dense"]]
 
     out = (ds.map_batches(to_c, batch_format="pyarrow")
-           .repartition(32)
+           .repartition(shuffle_partitions())
            .map_batches(_tag_bucket(["p_brand"]), batch_format="pyarrow")
            .groupby("_kb").map_groups(rank_bucket, batch_format="pandas")
            .to_pandas())
@@ -5460,7 +5475,7 @@ def q_part_price_rank(sf_dir: str):
         return g[["p_partkey", "p_brand", "price_c", "rank_gaps"]]
 
     out = (ds.map_batches(to_c, batch_format="pyarrow")
-           .repartition(32)
+           .repartition(shuffle_partitions())
            .map_batches(_tag_bucket(["p_brand"]), batch_format="pyarrow")
            .groupby("_kb").map_groups(rank_bucket, batch_format="pandas")
            .to_pandas())
@@ -6083,7 +6098,7 @@ def q_recrawl_backoff(sf_dir: str):
             "final_interval": iv, "interval_sum": tot})
         return out
 
-    res = ds.map_batches(_tag_bucket(["user_id"], 32, "_rb"),
+    res = ds.map_batches(_tag_bucket(["user_id"], col_name="_rb"),
                          batch_format="pyarrow") \
         .groupby("_rb").map_groups(fold, batch_format="pandas") \
         .to_pandas()
@@ -6472,7 +6487,7 @@ def q_theil_sen_trend(sf_dir: str):
                 "med_den": pd.Series([], dtype="int64")})
 
     out = (ds.map_batches(to_xy, batch_format="pyarrow")
-           .map_batches(_tag_bucket(["user_id"], 32, "_tsb"),
+           .map_batches(_tag_bucket(["user_id"], col_name="_tsb"),
                         batch_format="pyarrow")
            .groupby("_tsb").map_groups(med_bucket, batch_format="pandas")
            .to_pandas())
@@ -6633,7 +6648,7 @@ def q_politeness_wait_replay(sf_dir: str):
         return r
 
     out = (ds.map_batches(to_claims, batch_format="pyarrow")
-           .map_batches(_tag_bucket(["host"], 16, "_pwb"),
+           .map_batches(_tag_bucket(["host"], col_name="_pwb"),
                         batch_format="pyarrow")
            .groupby("_pwb").map_groups(sched_bucket,
                                        batch_format="pandas")
@@ -6760,7 +6775,7 @@ def q_lru_cache_stats(sf_dir: str):
                          for k2, v in row.items()})
 
     partials = (claims
-                .map_batches(_tag_bucket(["k"], 16, "_lrb"),
+                .map_batches(_tag_bucket(["k"], col_name="_lrb"),
                              batch_format="pyarrow")
                 .groupby("_lrb").map_groups(prev_bucket,
                                             batch_format="pandas")
@@ -8129,7 +8144,7 @@ def q_interval_scheduling(sf_dir: str):
                              "best_weight_c": M[np.arange(nu), n_iv]})
 
     out = (ds.map_batches(to_iv, batch_format="pyarrow")
-           .map_batches(_tag_bucket(["user_id"], 32, "_wsb"),
+           .map_batches(_tag_bucket(["user_id"], col_name="_wsb"),
                         batch_format="pyarrow")
            .groupby("_wsb").map_groups(dp_bucket,
                                        batch_format="pandas")
@@ -8242,7 +8257,7 @@ def q_lis_per_user(sf_dir: str):
             "lis_len": L.max(axis=1)})
 
     out = (ds.map_batches(to_v, batch_format="pyarrow")
-           .map_batches(_tag_bucket(["user_id"], 32, "_lsb"),
+           .map_batches(_tag_bucket(["user_id"], col_name="_lsb"),
                         batch_format="pyarrow")
            .groupby("_lsb").map_groups(lis_bucket,
                                        batch_format="pandas")

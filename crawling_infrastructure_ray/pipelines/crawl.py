@@ -675,10 +675,10 @@ def run_crawl_pump(seed_urls: list[str] | None = None, *,
                          now_fn() if now_fn else None)
 
     def collect(ref) -> bool:
-        """Account one finished chunk and send its commit without
-        waiting for it; False when the task died (its lease rolls
-        back, any orphan fragment is deleted)."""
-        nonlocal docs_written, urls_processed, lost_tasks
+        """Account one finished chunk (one more ``commits``) and send
+        its commit without waiting for it; False when the task died
+        (its lease rolls back, any orphan fragment is deleted)."""
+        nonlocal commits, docs_written, urls_processed, lost_tasks
         shard, lease_id, now_submit = inflight.pop(ref)
         try:
             counts, commit, children = ray.get(ref)
@@ -698,6 +698,7 @@ def run_crawl_pump(seed_urls: list[str] | None = None, *,
                                     num_returns=len(commit_refs), timeout=0)
             ray.get(done_c)
             commit_refs[:] = rest
+        commits += 1
         docs_written += counts["n_ok"]
         urls_processed += counts["n"]
         lineage_rows.append((lease_id, shard, counts["n"], counts["n_ok"],
@@ -815,7 +816,6 @@ def run_crawl_pump(seed_urls: list[str] | None = None, *,
                            num_returns=len(inflight), timeout=0)
         for ref in done:
             if collect(ref):
-                commits += 1
                 continue
             # trip the circuit breaker if lost-lease thresholds are
             # exceeded

@@ -16,7 +16,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..functions.bucketing import i64_as_u64, tag_bucket_fn, u64_as_i64
+from ..functions.bucketing import (i64_as_u64, shuffle_partitions,
+                                  tag_bucket_fn, u64_as_i64)
 from ..functions.tokenize import split_ws
 from ..sources.corpus import (fetch_audio_payloads, fetch_media_payloads,
                               fetch_video_payloads, make_seed_urls)
@@ -273,7 +274,7 @@ def q_pack_sequences(sf_dir: str, budget: int = 2048):
         g["pack_id"] = (cum_before // budget).astype("int64")
         return g[["source", "doc_id", "n_tokens", "pack_id"]]
 
-    return (counted.repartition(8)
+    return (counted.repartition(shuffle_partitions())
             .map_batches(tag_bucket_fn(["source"]), batch_format="pyarrow")
             .groupby("_kb").map_groups(pack_bucket, batch_format="pandas"))
 
@@ -728,7 +729,7 @@ def q_source_vocab_overlap(sf_dir: str):
     # distinct (source, token) partials are vocab-x-sources-sized —
     # materialized once so pairs and sizes share a single corpus pass
     dedup = (ds.map_batches(pairs_partial, batch_format="pyarrow")
-             .repartition(32).materialize())
+             .repartition(shuffle_partitions()).materialize())
     pair_partials = (dedup
                      .map_batches(_tag_bucket(["token"]),
                                   batch_format="pyarrow")
@@ -799,7 +800,6 @@ def q_contrastive_pairs(sf_dir: str, negs: int = 2):
     arithmetic in the same pass; the membership flag is ONE
     neg_id-bucketed shuffle against the (output-sized) member-id
     stream — isin per bucket, the semi-join machinery as a flag."""
-    from ..functions.bucketing import tag_bucket_fn
     from ..functions.hashing import splitmix64_np
 
     ds = read_table(sf_dir, "documents",
@@ -813,7 +813,7 @@ def q_contrastive_pairs(sf_dir: str, negs: int = 2):
         return pa.table({"content_hash": key,
                          "doc_id": pc.cast(batch["doc_id"], pa.int64())})
 
-    htag = tag_bucket_fn(["content_hash"], 64, "_cb")
+    htag = tag_bucket_fn(["content_hash"], 2 * shuffle_partitions(), "_cb")
 
     def pairs_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["content_hash", "doc_id"])
@@ -858,11 +858,11 @@ def q_contrastive_pairs(sf_dir: str, negs: int = 2):
                          "is_member": pa.array(np.ones(n, np.int64)),
                          "side": pa.array(["m"] * n)})
 
-    ntag = tag_bucket_fn(["neg_id"], 64, "_nb")
+    ntag = tag_bucket_fn(["neg_id"], 2 * shuffle_partitions(), "_nb")
     both = (pairs.map_batches(draw, batch_format="pyarrow")
             .union(pairs.map_batches(member_side, batch_format="pyarrow"))
             .map_batches(ntag, batch_format="pyarrow")
-            .repartition(32))
+            .repartition(shuffle_partitions()))
 
     def flag_bucket(g: pd.DataFrame) -> pd.DataFrame:
         mem = set(g.loc[g["side"] == "m", "neg_id"])
@@ -1208,7 +1208,7 @@ def q_sample_per_source(sf_dir: str, k: int = 5):
                             .astype("int64") + 1)
         return g[["source", "doc_id", "draw", "sample_rank"]]
 
-    return (partials.repartition(8)
+    return (partials.repartition(shuffle_partitions())
             .map_batches(_tag_bucket(["source"]), batch_format="pyarrow")
             .groupby("_kb").map_groups(reduce_bucket,
                                        batch_format="pandas"))
@@ -1479,8 +1479,8 @@ def q_source_terms(sf_dir: str, k: int = 5):
     its per-source partial top-k (global top-k ⊆ union of bucket
     top-ks), and a final source-bucketed reduce ranks. Never a global
     sort, never a driver-side token table."""
-    from ..functions.bucketing import tag_bucket_fn
     from .analytics import _merge_partials_ray, _tag_bucket
+    p = shuffle_partitions()
 
     ds = read_table(sf_dir, "documents",
                     columns=["doc_id", "source", "text"])
@@ -1533,7 +1533,7 @@ def q_source_terms(sf_dir: str, k: int = 5):
         ["token"], ["df"])
 
     # tagged-union bucketed join on token (both sides data-sized)
-    tag = tag_bucket_fn(["token"], 64, "jbucket")
+    tag = tag_bucket_fn(["token"], 2 * p, "jbucket")
 
     def tag_tf(t: pa.Table) -> pa.Table:
         return tag(t).append_column("df", pa.nulls(t.num_rows, pa.int64()))
@@ -1547,7 +1547,7 @@ def q_source_terms(sf_dir: str, k: int = 5):
 
     both = (tf.map_batches(tag_tf, batch_format="pyarrow")
             .union(dfreq.map_batches(tag_df, batch_format="pyarrow"))
-            .repartition(32))
+            .repartition(p))
 
     def score_bucket(g: pd.DataFrame) -> pd.DataFrame:
         dfs = g[g["tf"].isna()]
@@ -1575,7 +1575,7 @@ def q_source_terms(sf_dir: str, k: int = 5):
                           .astype("int64") + 1)
         return g[["source", "token", "tf", "df", "score", "term_rank"]]
 
-    return (cands.repartition(8)
+    return (cands.repartition(p)
             .map_batches(_tag_bucket(["source"]), batch_format="pyarrow")
             .groupby("_kb").map_groups(final_rank, batch_format="pandas"))
 
@@ -2960,16 +2960,16 @@ def q_lm_bigram_score(sf_dir: str):
     no join); per-doc partials then merge through the standard
     bucketed partial reduce. The model table is never materialized on
     the driver."""
-    from ..functions.bucketing import tag_bucket_fn
     from ..stages.sampling import doc_bigram_partial_counts
     from .analytics import _merge_partials_ray
+    p = shuffle_partitions()
 
     ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
     partials = ds.map_batches(doc_bigram_partial_counts,
                               batch_format="pyarrow")
-    tag = tag_bucket_fn(["left_tok"], 64, "_lb")
+    tag = tag_bucket_fn(["left_tok"], 2 * p, "_lb")
     tagged = partials.map_batches(tag, batch_format="pyarrow") \
-        .repartition(32)
+        .repartition(p)
 
     def score_bucket(g: pd.DataFrame) -> pd.DataFrame:
         pair_n = g.groupby(["left_tok", "right_tok"], sort=False)["occ"] \
@@ -3033,7 +3033,6 @@ def q_collocation_stats(sf_dir: str):
     data-sized (grows with the corpus), so neither side is broadcast.
     The >= COLLOC_MIN_COUNT filter runs before the first join, so the
     joins move only the collocation-candidate pairs."""
-    from ..functions.bucketing import tag_bucket_fn
     from ..stages import sampling as sp
     from .analytics import _merge_partials_ray
 
@@ -3082,12 +3081,13 @@ def q_collocation_stats(sf_dir: str):
                      [c for c in carry if c in p.columns]]
         return join_bucket
 
-    tag = tag_bucket_fn(["key"], 64, "_jb")
+    tag = tag_bucket_fn(["key"], 2 * shuffle_partitions(), "_jb")
 
     # join 1: attach c_a, keyed on the left token
     j1 = (pair.map_batches(pair_side, batch_format="pyarrow")
           .union(uni.map_batches(uni_side(False), batch_format="pyarrow"))
-          .map_batches(tag, batch_format="pyarrow").repartition(32)
+          .map_batches(tag, batch_format="pyarrow")
+          .repartition(shuffle_partitions())
           .groupby("_jb").map_groups(attach("c_first", []),
                                      batch_format="pandas"))
 
@@ -3101,7 +3101,8 @@ def q_collocation_stats(sf_dir: str):
 
     j2 = (j1.map_batches(rekey, batch_format="pyarrow")
           .union(uni.map_batches(uni_side(True), batch_format="pyarrow"))
-          .map_batches(tag, batch_format="pyarrow").repartition(32)
+          .map_batches(tag, batch_format="pyarrow")
+          .repartition(shuffle_partitions())
           .groupby("_jb").map_groups(attach("c_second", ["c_first"]),
                                      batch_format="pandas"))
 
@@ -3162,6 +3163,7 @@ def q_entity_resolution(sf_dir: str, block: int = 4096):
     from ..functions.hashing import stable_hash64_np
     from ..stages.joins import union_find_components
     from .analytics import _merge_partials, _tag_bucket
+    p = shuffle_partitions()
 
     docs = read_table(sf_dir, "documents", columns=["doc_id", "text",
                                                     "n_chars"])
@@ -3216,8 +3218,8 @@ def q_entity_resolution(sf_dir: str, block: int = 4096):
                              "rank": rank.astype(np.int64),
                              "toks": g["toks"]})
 
-    ranked = (fds.repartition(32)
-              .map_batches(_tag_bucket(["n_chars"], 64, "_kb"),
+    ranked = (fds.repartition(p)
+              .map_batches(_tag_bucket(["n_chars"], 2 * p, "_kb"),
                            batch_format="pyarrow")
               .groupby("_kb").map_groups(rank_bucket,
                                          batch_format="pandas"))
@@ -3260,7 +3262,7 @@ def q_entity_resolution(sf_dir: str, block: int = 4096):
         return pd.DataFrame(out, columns=["a", "b"]).astype("int64")
 
     edges = (ranked.map_batches(to_blocks, batch_format="pyarrow")
-             .repartition(32)
+             .repartition(p)
              .groupby("blk").map_groups(match_in_block,
                                         batch_format="pandas")
              .to_pandas())
@@ -3338,9 +3340,9 @@ def q_rank_fusion(sf_dir: str):
     so the global top-k is contained in the union of bucket top-ks)."""
     import ray as _ray
 
-    from ..functions.bucketing import tag_bucket_fn
     from ..stages.text import _ws_token_counts
     from .analytics import _merge_partials
+    p = shuffle_partitions()
 
     docs = read_table(sf_dir, "documents",
                       columns=["doc_id", "text", "n_chars"])
@@ -3394,8 +3396,8 @@ def q_rank_fusion(sf_dir: str):
             return pd.DataFrame({"doc_id": g["doc_id"].astype("int64"),
                                  "rank": rank.astype(np.int64)})
 
-        return (fds.repartition(32)
-                .map_batches(tag_bucket_fn([col], 64, "_kb"),
+        return (fds.repartition(p)
+                .map_batches(tag_bucket_fn([col], 2 * p, "_kb"),
                              batch_format="pyarrow")
                 .groupby("_kb").map_groups(rank_bucket,
                                            batch_format="pandas"))
@@ -3410,7 +3412,7 @@ def q_rank_fusion(sf_dir: str):
                              "side": pa.array([tagval] * batch.num_rows)})
         return fn
 
-    tag = tag_bucket_fn(["doc_id"], 64, "_jb")
+    tag = tag_bucket_fn(["doc_id"], 2 * p, "_jb")
 
     def fuse_bucket(g: pd.DataFrame) -> pd.DataFrame:
         a = g[g["side"] == "1"].set_index("doc_id")["rank"]
@@ -3429,7 +3431,8 @@ def q_rank_fusion(sf_dir: str):
 
     fused = (r1.map_batches(side("1"), batch_format="pyarrow")
              .union(r2.map_batches(side("2"), batch_format="pyarrow"))
-             .map_batches(tag, batch_format="pyarrow").repartition(32)
+             .map_batches(tag, batch_format="pyarrow")
+             .repartition(p)
              .groupby("_jb").map_groups(fuse_bucket,
                                         batch_format="pandas"))
     out = fused.to_pandas()
@@ -3482,8 +3485,8 @@ def q_sorted_neighborhood_pairs(sf_dir: str,
     N + N·w/B rows; never a global all-to-all sort."""
     import ray as _ray
 
-    from ..functions.bucketing import tag_bucket_fn
     from .analytics import _merge_partials
+    p = shuffle_partitions()
 
     docs = read_table(sf_dir, "documents", columns=["doc_id", "n_chars"])
 
@@ -3518,8 +3521,8 @@ def q_sorted_neighborhood_pairs(sf_dir: str,
                              "n_chars": v,
                              "rank": rank.astype(np.int64)})
 
-    ranked = (docs.repartition(32)
-              .map_batches(tag_bucket_fn(["n_chars"], 64, "_kb"),
+    ranked = (docs.repartition(p)
+              .map_batches(tag_bucket_fn(["n_chars"], 2 * p, "_kb"),
                            batch_format="pyarrow")
               .groupby("_kb").map_groups(rank_bucket,
                                          batch_format="pandas"))
@@ -3562,7 +3565,7 @@ def q_sorted_neighborhood_pairs(sf_dir: str,
         return out
 
     return (ranked.map_batches(to_blocks, batch_format="pyarrow")
-            .repartition(32)
+            .repartition(p)
             .groupby("blk").map_groups(pairs_in_block,
                                        batch_format="pandas"))
 
@@ -3596,7 +3599,6 @@ def q_typo_token_pairs(sf_dir: str):
     candidate-output-sized). The SQL twin verifies with DuckDB's
     levenshtein over the mirrored vocabulary — quadratic, valid at
     gate scale only (the engine side is the scale path)."""
-    from ..functions.bucketing import tag_bucket_fn
     from ..functions.hashing import stable_hash64_np
     from ..stages.sampling import vocab_partial_counts
     from .analytics import _merge_partials_ray, _tag_bucket
@@ -3643,7 +3645,7 @@ def q_typo_token_pairs(sf_dir: str):
                          "token": pa.array(toks[owner]),
                          "n": pa.array(n[owner])})
 
-    tag = tag_bucket_fn(["vkey"], 64, "_vb")
+    tag = tag_bucket_fn(["vkey"], 2 * shuffle_partitions(), "_vb")
 
     def pairs_bucket(g: pd.DataFrame) -> pd.DataFrame:
         m = g.merge(g, on="vkey", suffixes=("_a", "_b"))
@@ -3673,10 +3675,10 @@ def q_typo_token_pairs(sf_dir: str):
 
     cands = (vocab.map_batches(variants, batch_format="pyarrow")
              .map_batches(tag, batch_format="pyarrow")
-             .repartition(16)
+             .repartition(shuffle_partitions())
              .groupby("_vb").map_groups(pairs_bucket,
                                         batch_format="pandas"))
-    out = (cands.repartition(16)
+    out = (cands.repartition(shuffle_partitions())
            .map_batches(_tag_bucket(["token_a", "token_b"]),
                         batch_format="pyarrow")
            .groupby("_kb").map_groups(verify_bucket,
@@ -5034,7 +5036,7 @@ def q_media_decode_stats(sf_dir: str):
     crawl's image refs are fetched from the synthetic origin as
     binary PPM (P6) payloads (corpus.make_media_payload — magic +
     comment + dims + maxval header, raw RGB raster), decoded by the
-    pure-numpy P6 parser inside the MediaDecoder ACTOR POOL
+    pure-numpy P6 parser in the decode_image_batch TASKS
     (stages/multimodal.decode_ppm), and reduced to exact integer
     pixel statistics per image. ORACLE-CHECKED: DuckDB never sees a
     byte — it replays the generator's closed form from each ref's
@@ -5044,7 +5046,7 @@ def q_media_decode_stats(sf_dir: str):
     proves decode(encode(ref)) recovers every pixel the origin drew.
     Reference analog: the browser worker's media fetch+store
     (crawler/src/browser_worker.ts:26-748). batch_size=256: wide
-    binary rows (≤ ~2.2 KB/payload) keep actor heap small."""
+    binary rows (≤ ~2.2 KB/payload) keep task heaps small."""
     out = _crawl_out_dir(sf_dir)
     if not os.path.isdir(os.path.join(out, "documents")):
         q_crawl_documents(sf_dir)
@@ -5056,8 +5058,7 @@ def q_media_decode_stats(sf_dir: str):
         batch_format="pyarrow")
     stats = (imgs.map_batches(fetch_media_payloads,
                               batch_format="pyarrow")
-             .map_batches(mm.MediaDecoder, concurrency=(1, 4),
-                          num_cpus=1, batch_size=256,
+             .map_batches(mm.decode_image_batch, batch_size=256,
                           batch_format="pyarrow"))
     cols = ["media_ref", "img_w", "img_h", "n_bytes", "pixel_sum",
             "pixel_sq_sum", "mean_e3"]
@@ -5071,7 +5072,7 @@ def q_audio_decode_stats(sf_dir: str):
     synthetic origin as REAL RIFF/WAVE PCM16 files (fmt chunk with
     optional cbSize, a junk 'cue ' chunk the parser must skip, then
     data), decoded by the chunk-walking pure-numpy parser inside the
-    AudioDecoder ACTOR POOL, and reduced to exact integer sample
+    decode_audio_batch TASKS, and reduced to exact integer sample
     statistics. ORACLE-CHECKED from the generator's closed form: the
     int16 samples are an affine map (257·v − 32768) of the stride-31
     residue walk, so Σs and Σs² are affine in the walk's Σv / Σv²
@@ -5088,8 +5089,7 @@ def q_audio_decode_stats(sf_dir: str):
         batch_format="pyarrow")
     stats = (auds.map_batches(fetch_audio_payloads,
                               batch_format="pyarrow")
-             .map_batches(mm.AudioDecoder, concurrency=(1, 4),
-                          num_cpus=1, batch_size=256,
+             .map_batches(mm.decode_audio_batch, batch_size=256,
                           batch_format="pyarrow"))
     cols = ["media_ref", "sample_rate", "n_samples", "sample_sum",
             "sample_sq_sum", "duration_us"]
@@ -5143,7 +5143,7 @@ def q_video_decode_stats(sf_dir: str):
     refs are fetched from the synthetic origin as REAL .y4m streams
     (ASCII parameter line with tagged W/H/F/I/A/C fields, FRAME
     markers, raw 4:4:4 planes), decoded by the tag-parsing frame
-    walker inside the VideoDecoder ACTOR POOL, and reduced to exact
+    walker in the decode_video_batch TASKS, and reduced to exact
     integer statistics INCLUDING a luma-plane-only sum (y_sum) that
     gates the plane split, not just the flat byte walk.
     ORACLE-CHECKED from the generator's closed form: the flat stream
@@ -5163,8 +5163,7 @@ def q_video_decode_stats(sf_dir: str):
         batch_format="pyarrow")
     stats = (vids.map_batches(fetch_video_payloads,
                               batch_format="pyarrow")
-             .map_batches(mm.VideoDecoder, concurrency=(1, 4),
-                          num_cpus=1, batch_size=256,
+             .map_batches(mm.decode_video_batch, batch_size=256,
                           batch_format="pyarrow"))
     cols = ["media_ref", "frm_w", "frm_h", "fps_num", "n_frames",
             "n_bytes", "byte_sum", "byte_sq_sum", "y_sum"]
@@ -5177,7 +5176,7 @@ def q_media_resize_stats(sf_dir: str):
     the image path made real: PPM payloads decoded (decode_ppm), then
     aspect-preserving NEAREST-NEIGHBOR resampled to a 16-px box with
     the integer floor mapping sy = y'·h // rh, sx = x'·w // rw (pure
-    numpy fancy indexing inside the MediaResizer ACTOR POOL), reduced
+    numpy fancy indexing in the resize_image_batch TASKS), reduced
     to exact integer statistics of the RESAMPLED raster.
     ORACLE-CHECKED: DuckDB enumerates the target grid (three chained
     unnest CTEs: rows, cols, channels — ≤768 terms/image) and reads
@@ -5196,9 +5195,8 @@ def q_media_resize_stats(sf_dir: str):
         batch_format="pyarrow")
     stats = (imgs.map_batches(fetch_media_payloads,
                               batch_format="pyarrow")
-             .map_batches(mm.MediaResizer, concurrency=(1, 4),
-                          fn_constructor_kwargs={"max_side": 16},
-                          num_cpus=1, batch_size=256,
+             .map_batches(mm.resize_image_batch,
+                          fn_kwargs={"max_side": 16}, batch_size=256,
                           batch_format="pyarrow"))
     cols = ["media_ref", "resized_w", "resized_h", "resized_sum",
             "resized_sq_sum"]
@@ -7027,6 +7025,7 @@ def q_dsir_importance(sf_dir: str):
     ~sf100 on this corpus; beyond, lift w to object ints)."""
     from ..stages.sampling import doc_bigram_partial_counts
     from .analytics import _merge_partials_ray
+    p = shuffle_partitions()
 
     ds = read_table(sf_dir, "documents",
                     columns=["doc_id", "text", "source"])
@@ -7064,9 +7063,9 @@ def q_dsir_importance(sf_dir: str):
         return part.append_column("is_t", pa.array(flags, pa.int64()))
 
     partials = ds.map_batches(pair_partials, batch_format="pyarrow")
-    tag = tag_bucket_fn(["left_tok", "right_tok"], 64, "_bg")
+    tag = tag_bucket_fn(["left_tok", "right_tok"], 2 * p, "_bg")
     tagged = partials.map_batches(tag, batch_format="pyarrow") \
-        .repartition(32)
+        .repartition(p)
 
     def score_bucket(g: pd.DataFrame) -> pd.DataFrame:
         grp = g.groupby(["left_tok", "right_tok"], sort=False)
@@ -7163,6 +7162,7 @@ def q_url_canonical_dedup(sf_dir: str):
     per-bucket vectorized nunique/min/count reduce (keys are
     data-sized, the driver never holds them)."""
     from ..functions.urltools import canonicalize_urls_series
+    p = shuffle_partitions()
 
     ds = read_table(sf_dir, "documents", columns=["doc_id"])
 
@@ -7175,9 +7175,9 @@ def q_url_canonical_dedup(sf_dir: str):
                          "canonical_url": pa.array(canon, pa.string())})
 
     tagged = ds.map_batches(canon_batch, batch_format="pyarrow") \
-        .map_batches(tag_bucket_fn(["canonical_url"], 64, "_cu"),
+        .map_batches(tag_bucket_fn(["canonical_url"], 2 * p, "_cu"),
                      batch_format="pyarrow") \
-        .repartition(32)
+        .repartition(p)
 
     def reduce_bucket(g: pd.DataFrame) -> pd.DataFrame:
         grp = g.groupby("canonical_url", as_index=False)
@@ -7358,8 +7358,8 @@ def q_dedup_savings_by_source(sf_dir: str):
         return out.groupby("source", as_index=False)[vals].sum()
 
     partials = (ds.map_batches(tag, batch_format="pyarrow")
-                .repartition(32)
-                .map_batches(tag_bucket_fn(["content_hash"], 32),
+                .repartition(shuffle_partitions())
+                .map_batches(tag_bucket_fn(["content_hash"]),
                              batch_format="pyarrow")
                 .groupby("_kb").map_groups(bucket_stats,
                                            batch_format="pandas"))
@@ -7417,7 +7417,7 @@ def q_token_length_histogram(sf_dir: str, cap: int = 20):
         ["token_len"], ["n_tokens"])
     dst = _merge_partials(
         ds.map_batches(tok_partial, batch_format="pyarrow")
-        .repartition(16)
+        .repartition(shuffle_partitions())
         .map_batches(_tag_bucket(["token"]), batch_format="pyarrow")
         .groupby("_kb").map_groups(bucket_hist, batch_format="pandas"),
         ["token_len"], ["n_distinct"])
@@ -7504,7 +7504,7 @@ def q_ngram_novelty_by_source(sf_dir: str):
             ["n_shingles", "n_new"]].sum()
 
     parts = (ds.map_batches(sh_partial, batch_format="pyarrow")
-             .repartition(16)
+             .repartition(shuffle_partitions())
              .map_batches(_tag_bucket(["shingle"]), batch_format="pyarrow")
              .groupby("_kb").map_groups(bucket_novel,
                                         batch_format="pandas"))
@@ -7566,7 +7566,7 @@ def q_cross_source_dup_matrix(sf_dir: str, prefix_chars: int = 40):
             "n_shared"].sum()
 
     parts = (ds.map_batches(tag, batch_format="pyarrow")
-             .repartition(16)
+             .repartition(shuffle_partitions())
              .map_batches(_tag_bucket(["h"]), batch_format="pyarrow")
              .groupby("_kb").map_groups(bucket_pairs,
                                         batch_format="pandas"))
@@ -7625,7 +7625,7 @@ def q_hapax_stats(sf_dir: str):
             ["n_tokens", "n_distinct", "n_hapax"]].sum()
 
     parts = (ds.map_batches(part, batch_format="pyarrow")
-             .repartition(16)
+             .repartition(shuffle_partitions())
              .map_batches(_tag_bucket(["source", "token"]),
                           batch_format="pyarrow")
              .groupby("_kb").map_groups(bucket_stats,
@@ -7940,7 +7940,7 @@ def q_source_cosine_matrix(sf_dir: str):
                              "dot": d[keep].astype(np.int64)})
 
     parts = (ds.map_batches(part, batch_format="pyarrow")
-             .repartition(16)
+             .repartition(shuffle_partitions())
              .map_batches(_tag_bucket(["token"]),
                           batch_format="pyarrow")
              .groupby("_kb").map_groups(bucket_dots,
@@ -8655,7 +8655,7 @@ def q_simpson_diversity(sf_dir: str):
             ["n_tokens", "coll"]].sum()
 
     parts = (ds.map_batches(part, batch_format="pyarrow")
-             .repartition(16)
+             .repartition(shuffle_partitions())
              .map_batches(_tag_bucket(["source", "token"]),
                           batch_format="pyarrow")
              .groupby("_kb").map_groups(bucket_stats,
@@ -8991,11 +8991,12 @@ def q_url_edit_pairs(sf_dir: str):
         return _ed1_verify(g.drop_duplicates(["url_a", "url_b"]))
 
     sigs = ds.map_batches(sig_batch, batch_format="pyarrow")
-    cand = sigs.map_batches(tag_bucket_fn(["sig"], 64, "_sg"),
+    cand = sigs.map_batches(tag_bucket_fn(["sig"], 2 * shuffle_partitions(),
+                                          "_sg"),
                             batch_format="pyarrow") \
         .groupby("_sg").map_groups(emit_pairs, batch_format="pandas")
     verified = cand.map_batches(
-        tag_bucket_fn(["url_a", "url_b"], 32, "_pg"),
+        tag_bucket_fn(["url_a", "url_b"], col_name="_pg"),
         batch_format="pyarrow") \
         .groupby("_pg").map_groups(verify_group, batch_format="pandas")
     pdf = verified.to_pandas()
@@ -9369,7 +9370,7 @@ def q_balanced_label_sample(sf_dir: str):
         out["vec_id"] = out["vec_id"].astype("int64")
         return out
 
-    out = (ds.map_batches(tag_bucket_fn(["label"], 8, "_blb"),
+    out = (ds.map_batches(tag_bucket_fn(["label"], col_name="_blb"),
                           batch_format="pyarrow")
            .groupby("_blb").map_groups(pick_bucket,
                                        batch_format="pandas")
@@ -9893,7 +9894,6 @@ def q_url_levenshtein_pairs(sf_dir: str):
     group-key bucket shuffle; the verify is candidate-scale. The
     oracle replays blocking verbatim and verifies with DuckDB's
     levenshtein()."""
-    from ..functions.bucketing import tag_bucket_fn
 
     ds = read_table(sf_dir, "documents", columns=["doc_id"])
 
@@ -9933,7 +9933,7 @@ def q_url_levenshtein_pairs(sf_dir: str):
         return out
 
     out = (ds.map_batches(to_urls, batch_format="pyarrow")
-           .map_batches(tag_bucket_fn(["grp"], 32, "_lvb"),
+           .map_batches(tag_bucket_fn(["grp"], col_name="_lvb"),
                         batch_format="pyarrow")
            .groupby("_lvb").map_groups(pair_bucket,
                                        batch_format="pandas")

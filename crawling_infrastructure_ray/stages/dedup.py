@@ -31,6 +31,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
+from ..functions.bucketing import shuffle_partitions, tag_bucket_fn
 from ..functions.hashing import md5_id, stable_hash64
 from ..functions.tokenize import split_ws
 
@@ -275,23 +276,23 @@ def _tag_bucket_partition(num_parts: int):
     O(buckets). This is the partitioning assumption the distributed
     pairing relies on: bucket → exactly one partition. Delegates to
     the engine's single vectorized tagger (functions/bucketing)."""
-    from ..functions.bucketing import tag_bucket_fn
     return tag_bucket_fn(["band_id", "band_hash"], num_parts, "part")
 
 
-def lsh_candidate_pairs_ds(band_rows: rd.Dataset, *, num_parts: int = 64,
+def lsh_candidate_pairs_ds(band_rows: rd.Dataset, *,
                            max_bucket: int | None = 64) -> rd.Dataset:
     """(band_id, band_hash) buckets with ≥2 docs → unordered candidate
     pairs, FULLY DISTRIBUTED.
 
-    Shape: hash-partition band rows on the bucket key (num_parts
-    coarse partitions so the per-group Python cost is O(num_parts),
-    not O(buckets)) → build pairs inside ``map_groups`` with a
-    vectorized pandas groupby per partition, deduped WITHIN the
-    partition. The driver never materializes bucket counts or band
-    rows — only pair rows leave the cluster. Cross-partition
-    duplicates (a pair found by several bands) remain: the stream is
-    OUTPUT-sized, so the consumer dedupes it driver-side — a Ray
+    Shape: hash-partition band rows on the bucket key (twice
+    ``shuffle_partitions()`` coarse partitions so the per-group Python
+    cost is O(partitions), not O(buckets)) → build pairs inside
+    ``map_groups`` with a vectorized pandas groupby per partition,
+    deduped WITHIN the partition. The driver never materializes
+    bucket counts or band rows — only pair rows leave the cluster.
+    Cross-partition duplicates (a pair found by several bands)
+    remain: the stream is OUTPUT-sized, so the consumer dedupes it
+    driver-side — a Ray
     groupby over a few hundred pairs costs a whole extra shuffle
     (measured ~2s) for nothing. Buckets larger than ``max_bucket``
     are truncated (hot-bucket cap: bound the worst-case pairwise
@@ -318,9 +319,10 @@ def lsh_candidate_pairs_ds(band_rows: rd.Dataset, *, num_parts: int = 64,
     # consolidate the band stage's many small band-row blocks before
     # the sort-based groupby (per-block sort overhead dominates at
     # small batch_size; same trick as analytics._merge_partials_ray)
-    return (band_rows.map_batches(_tag_bucket_partition(num_parts),
+    p = shuffle_partitions()
+    return (band_rows.map_batches(_tag_bucket_partition(2 * p),
                                   batch_format="pyarrow")
-            .repartition(32)
+            .repartition(p)
             .groupby("part").map_groups(pairs_in_partition,
                                         batch_format="pandas"))
 
@@ -410,7 +412,8 @@ def verify_jaccard_ds(ds: rd.Dataset, cand_pairs: pd.DataFrame, *,
                                            "jaccard_e6"])
 
     out = (text_rows.union(pair_rows)
-           .repartition(32)   # consolidate before the sort-based groupby
+           # consolidate before the sort-based groupby
+           .repartition(shuffle_partitions())
            .groupby("vbucket").map_groups(verify_group, batch_format="pandas")
            .to_pandas())
     if out.empty:
@@ -422,8 +425,6 @@ def verify_jaccard_ds(ds: rd.Dataset, cand_pairs: pd.DataFrame, *,
 def jaccard_exact_pairs_ds(ds: rd.Dataset, *, shingle_k: int = 3,
                            kind: str = "token",
                            threshold_e6: int = 500_000,
-                           num_parts: int = 64,
-                           num_pair_buckets: int = 32,
                            id_column: str = "doc_id",
                            column: str = "text",
                            metric: str = "jaccard",
@@ -463,7 +464,8 @@ def jaccard_exact_pairs_ds(ds: rd.Dataset, *, shingle_k: int = 3,
     part. This is the classic stopword-prefix bound from the
     All-Pairs/PPJoin family (Bayardo et al., WWW'07).
     """
-    from ..functions.bucketing import tag_bucket_fn
+    p = shuffle_partitions()
+    num_parts = 2 * p
 
     def explode(batch: pa.Table) -> pa.Table:
         ids = batch[id_column].to_pylist()
@@ -516,7 +518,7 @@ def jaccard_exact_pairs_ds(ds: rd.Dataset, *, shingle_k: int = 3,
                                  "nb": pd.Series([], dtype=np.int64)})
         return pd.concat(frames, ignore_index=True)
 
-    co = (rows.repartition(32)
+    co = (rows.repartition(p)
           .groupby("part").map_groups(pairs_in_part, batch_format="pandas"))
 
     def combine(batch: pa.Table) -> pa.Table:
@@ -546,8 +548,8 @@ def jaccard_exact_pairs_ds(ds: rd.Dataset, *, shingle_k: int = 3,
         out[score_col] = score[keep]
         return out[["a", "b", "inter", score_col]]
 
-    return (partials.repartition(num_pair_buckets)
-            .map_batches(tag_bucket_fn(["a", "b"], num_pair_buckets),
+    return (partials.repartition(p)
+            .map_batches(tag_bucket_fn(["a", "b"], p),
                          batch_format="pyarrow")
             .groupby("_kb").map_groups(reduce_bucket,
                                        batch_format="pandas"))
@@ -556,7 +558,6 @@ def jaccard_exact_pairs_ds(ds: rd.Dataset, *, shingle_k: int = 3,
 def ppjoin_pairs_ds(ds: rd.Dataset, *, shingle_k: int = 3,
                     kind: str = "token",
                     threshold_e6: int = 500_000,
-                    num_buckets: int = 64,
                     id_column: str = "doc_id",
                     column: str = "text") -> pd.DataFrame:
     """PREFIX-FILTERED exact set-similarity join (the All-Pairs /
@@ -585,8 +586,8 @@ def ppjoin_pairs_ds(ds: rd.Dataset, *, shingle_k: int = 3,
     by construction and is the only driver-held state). Integer ids
     required (doc_id int64); threshold exact in e6 units.
     """
-    from ..functions.bucketing import tag_bucket_fn
-
+    p = shuffle_partitions()
+    num_buckets = 2 * p
     t_num, t_den = threshold_e6, 1_000_000
 
     def explode(batch: pa.Table) -> pa.Table:
@@ -621,7 +622,7 @@ def ppjoin_pairs_ds(ds: rd.Dataset, *, shingle_k: int = 3,
         return g.groupby("shingle", as_index=False)["df"].sum()
 
     dfm = (rows.map_batches(df_partial, batch_format="pyarrow")
-           .repartition(32)
+           .repartition(p)
            .map_batches(tag_sh, batch_format="pyarrow")
            .groupby("_kb").map_groups(df_reduce, batch_format="pandas"))
 
@@ -654,7 +655,7 @@ def ppjoin_pairs_ds(ds: rd.Dataset, *, shingle_k: int = 3,
     tag_j = tag_bucket_fn(["shingle"], num_buckets, "_jb")
     rows_df = (rows.map_batches(row_side, batch_format="pyarrow")
                .union(dfm.map_batches(df_side, batch_format="pyarrow"))
-               .map_batches(tag_j, batch_format="pyarrow").repartition(32)
+               .map_batches(tag_j, batch_format="pyarrow").repartition(p)
                .groupby("_jb").map_groups(attach_df,
                                           batch_format="pandas"))
 
@@ -670,7 +671,7 @@ def ppjoin_pairs_ds(ds: rd.Dataset, *, shingle_k: int = 3,
 
     tag_doc = tag_bucket_fn([id_column], num_buckets, "_db")
     pref = (rows_df.map_batches(tag_doc, batch_format="pyarrow")
-            .repartition(32)
+            .repartition(p)
             .groupby("_db").map_groups(prefix_rows,
                                        batch_format="pandas"))
 
@@ -704,11 +705,11 @@ def ppjoin_pairs_ds(ds: rd.Dataset, *, shingle_k: int = 3,
 
     tag_pair = tag_bucket_fn(["a", "b"], num_buckets, "_pb")
     cand = (pref.map_batches(tag_sh, batch_format="pyarrow")
-            .repartition(32)
+            .repartition(p)
             .groupby("_kb").map_groups(cand_in_bucket,
                                        batch_format="pandas")
             .map_batches(tag_pair, batch_format="pyarrow")
-            .repartition(32)
+            .repartition(p)
             .groupby("_pb").map_groups(cand_dedup,
                                        batch_format="pandas")
             .to_pandas())
@@ -781,7 +782,7 @@ def ppjoin_pairs_ds(ds: rd.Dataset, *, shingle_k: int = 3,
             .astype("int64")
 
     verified = (rows.map_batches(route, batch_format="pyarrow")
-                .repartition(32)
+                .repartition(p)
                 .groupby("vb").map_groups(verify_bucket,
                                           batch_format="pandas")
                 .to_pandas())
@@ -1061,7 +1062,8 @@ def simhash_near_pairs(ds: rd.Dataset, *, seed: int = 42, max_hamming: int = 3,
 
     pdf = (blocks.map_batches(_tag_bucket_partition(64),
                               batch_format="pyarrow")
-           .repartition(32)   # consolidate before the sort-based groupby
+           # consolidate before the sort-based groupby
+           .repartition(shuffle_partitions())
            .groupby("part").map_groups(pairs_in_partition,
                                        batch_format="pandas")
            .to_pandas())
@@ -1221,7 +1223,8 @@ def verify_cosine_ds(norm_ds: rd.Dataset, cand_pairs: pd.DataFrame, *,
                              "cosine": np.round(sims[mask], 4)})
 
     out = (vec_rows.union(pair_rows)
-           .repartition(32)   # consolidate before the sort-based groupby
+           # consolidate before the sort-based groupby
+           .repartition(shuffle_partitions())
            .groupby("vbucket").map_groups(verify_group, batch_format="pandas")
            .to_pandas())
     if out.empty:
@@ -1336,7 +1339,6 @@ def dup_window_stats(ds: rd.Dataset, *, window: int = RK_WINDOW,
     set is computed per hash-bucket (never on the driver) and dup
     membership is the distributed bucketed semi-join; per-doc counts
     merge in Ray."""
-    from ..functions.bucketing import tag_bucket_fn
     from ..pipelines.analytics import _merge_partials_ray
     from .joins import bucketed_semi_join
 
@@ -1354,7 +1356,7 @@ def dup_window_stats(ds: rd.Dataset, *, window: int = RK_WINDOW,
         return pd.DataFrame({"whash": hot})
 
     hot = (wins.map_batches(pair_dedup, batch_format="pyarrow")
-           .repartition(32)
+           .repartition(shuffle_partitions())
            .map_batches(tag_bucket_fn(["whash"]), batch_format="pyarrow")
            .groupby("_kb").map_groups(hot_bucket, batch_format="pandas"))
 
@@ -1395,9 +1397,9 @@ def dup_window_remove_stats(ds: rd.Dataset, *, window: int = RK_WINDOW,
     Python loop, no driver state."""
     import pandas as pd
 
-    from ..functions.bucketing import tag_bucket_fn
     from ..functions.hashing import stable_hash64_np
     from .joins import bucketed_semi_join
+    p = shuffle_partitions()
 
     wins = ds.map_batches(window_hash_batch,
                           fn_kwargs={"window": window, "column": column,
@@ -1415,7 +1417,7 @@ def dup_window_remove_stats(ds: rd.Dataset, *, window: int = RK_WINDOW,
         return pd.DataFrame({"whash": hot})
 
     hot = (wins.map_batches(pair_dedup, batch_format="pyarrow")
-           .repartition(32)
+           .repartition(p)
            .map_batches(tag_bucket_fn(["whash"]), batch_format="pyarrow")
            .groupby("_kb").map_groups(hot_bucket, batch_format="pandas"))
 
@@ -1489,7 +1491,7 @@ def dup_window_remove_stats(ds: rd.Dataset, *, window: int = RK_WINDOW,
             .map_batches(tag, batch_format="pyarrow")
             .union(dup.map_batches(dup_side, batch_format="pyarrow")
                    .map_batches(tag, batch_format="pyarrow"))
-            .repartition(32))
+            .repartition(p))
     return both.groupby("_db").map_groups(strip_bucket,
                                           batch_format="pandas")
 

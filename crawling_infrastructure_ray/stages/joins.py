@@ -16,7 +16,7 @@ import pandas as pd
 import pyarrow as pa
 import ray.data as rd
 
-from ..functions.bucketing import tag_bucket_fn
+from ..functions.bucketing import shuffle_partitions, tag_bucket_fn
 
 
 def _int_casts(schema: pa.Schema) -> dict:
@@ -30,12 +30,13 @@ def _int_casts(schema: pa.Schema) -> dict:
 
 
 def _tagged_union(data: rd.Dataset, keys: rd.Dataset, on: str,
-                  num_buckets: int, salt: int = 1) -> rd.Dataset:
+                  num_buckets: int | None, salt: int = 1) -> rd.Dataset:
     """Shared front half of the bucketed semi/anti joins: tag both
     sides with the engine's vectorized bucket tagger
     (functions/bucketing — dictionary-encoded string hashing, no
     per-row Python), pad the key side to the data schema with nulls,
-    and union into ONE shuffle stream keyed on ``jbucket``.
+    and union into ONE shuffle stream keyed on ``jbucket``, hashed into
+    ``num_buckets`` buckets (default: twice ``shuffle_partitions()``).
 
     ``salt > 1`` is the HOT-KEY SKEW path (the north rule's salted
     repartitioning): each data row lands in one of ``salt``
@@ -49,7 +50,8 @@ def _tagged_union(data: rd.Dataset, keys: rd.Dataset, on: str,
     the key side is the small one."""
     schema = data.schema()
     names, types = list(schema.names), list(schema.types)
-    tag = tag_bucket_fn([on], num_buckets, "jbucket")
+    p = shuffle_partitions()
+    tag = tag_bucket_fn([on], num_buckets or 2 * p, "jbucket")
 
     def _subsplit(t: pa.Table, s) -> pa.Table:
         b = t["jbucket"].to_numpy(zero_copy_only=False)
@@ -79,11 +81,12 @@ def _tagged_union(data: rd.Dataset, keys: rd.Dataset, on: str,
     # small blocks (measured ~1.7x on the j2-shaped join at sf0.1)
     return (data.map_batches(tag_data, batch_format="pyarrow")
             .union(keys.map_batches(tag_keys, batch_format="pyarrow"))
-            .repartition(32))
+            .repartition(p))
 
 
 def bucketed_semi_join(data: rd.Dataset, keys: rd.Dataset, *, on: str,
-                        num_buckets: int = 64, salt: int = 1) -> rd.Dataset:
+                       num_buckets: int | None = None,
+                       salt: int = 1) -> rd.Dataset:
     """Distributed semi-join: keep ``data`` rows whose ``on`` value
     appears in ``keys`` (a single-column Dataset named ``on``).
 
@@ -106,7 +109,8 @@ def bucketed_semi_join(data: rd.Dataset, keys: rd.Dataset, *, on: str,
 
 
 def bucketed_anti_join(data: rd.Dataset, keys: rd.Dataset, *, on: str,
-                       num_buckets: int = 64, salt: int = 1) -> rd.Dataset:
+                       num_buckets: int | None = None,
+                       salt: int = 1) -> rd.Dataset:
     """Distributed anti-join: keep ``data`` rows whose ``on`` value
     does NOT appear in ``keys`` — same bucketed shape as
     ``bucketed_semi_join`` with the membership inverted (the J4
@@ -152,8 +156,7 @@ def union_find_components(pairs) -> dict:
 
 
 def bloom_semi_join(data: rd.Dataset, keys: rd.Dataset, *, on: str,
-                    nbits: int = 1 << 20, n_hashes: int = 4,
-                    num_buckets: int = 64) -> rd.Dataset:
+                    nbits: int = 1 << 20, n_hashes: int = 4) -> rd.Dataset:
     """RUNTIME-FILTER (bloom) pushdown semi-join for integer keys —
     the modern engines' build-side runtime filter, composed from Ray
     stages: output is EXACTLY the plain semi-join, but the all-to-all
@@ -217,12 +220,11 @@ def bloom_semi_join(data: rd.Dataset, keys: rd.Dataset, *, on: str,
         return batch.filter(pa.array(hit))
 
     survivors = data.map_batches(probe, batch_format="pyarrow")
-    return bucketed_semi_join(survivors, keys, on=on,
-                              num_buckets=num_buckets)
+    return bucketed_semi_join(survivors, keys, on=on)
 
 
 def snapshot_diff(snap_a: rd.Dataset, snap_b: rd.Dataset, *, on: str,
-                  value: str, num_buckets: int = 64) -> rd.Dataset:
+                  value: str) -> rd.Dataset:
     """CHANGE-DATA-CAPTURE diff between two keyed snapshots — the
     recrawl operator (the reference's scheduler re-runs crawl tasks on
     an interval, `scheduler/` daemon; diffing the previous result set
@@ -241,7 +243,8 @@ def snapshot_diff(snap_a: rd.Dataset, snap_b: rd.Dataset, *, on: str,
     arbitrary two-snapshot diff."""
     import numpy as np
 
-    tag = tag_bucket_fn([on], num_buckets, "jbucket")
+    p = shuffle_partitions()
+    tag = tag_bucket_fn([on], 2 * p, "jbucket")
 
     def tag_side(side: int):
         def fn(t: pa.Table) -> pa.Table:
@@ -253,7 +256,7 @@ def snapshot_diff(snap_a: rd.Dataset, snap_b: rd.Dataset, *, on: str,
 
     both = (snap_a.map_batches(tag_side(0), batch_format="pyarrow")
             .union(snap_b.map_batches(tag_side(1), batch_format="pyarrow"))
-            .repartition(32))
+            .repartition(p))
 
     def diff_bucket(g: pd.DataFrame) -> pd.DataFrame:
         import numpy as np

@@ -5,12 +5,15 @@ input_hint documents table stores ``media_ref`` strings inside spans;
 a payload variant stores a ``binary`` column). Image DECODE is REAL:
 ``decode_ppm`` is a pure-numpy parser for the binary PPM (P6)
 container — the uncompressed format the synthetic origin
-(sources/corpus.make_media_payload) emits — and ``MediaDecoder`` is
-the actor-pool stage that decodes payload batches into exact integer
-pixel statistics, oracle-gated end to end
-(training.q_media_decode_stats). Compressed codecs (JPEG/PNG/libav)
-are not in this container; a production deployment swaps decode_ppm
-for the codec call inside the SAME actor signature.
+(sources/corpus.make_media_payload) emits — and ``decode_image_batch``
+is the batch stage that decodes payloads into exact integer pixel
+statistics, oracle-gated end to end (training.q_media_decode_stats).
+The decode stages are plain functions run as tasks: they hold no
+state, and an actor pool fed by a parquet read can take a one-CPU
+cluster's only CPU before the read runs. Compressed codecs
+(JPEG/PNG/libav) are not in this container; a production deployment
+swaps decode_ppm for the codec call inside the SAME batch signature
+(an actor class once the codec has load-once state).
 
 ``HashFeaturizer`` is the declared-synthetic embedding stand-in for
 the media→ANN chain (real image embedders aren't in the container):
@@ -98,14 +101,11 @@ def decode_ppm(buf: bytes) -> tuple[int, int, np.ndarray]:
     return w, h, raster[:n].reshape(h, w, 3)
 
 
-class MediaDecoder:
-    """Actor-pool IMAGE DECODE stage (A1-style heavyweight state:
-    construct once per actor, decode per batch; a production build
-    loads its codec/model here instead of the pure-numpy P6 parser).
-    Input batches carry (media_ref, payload[binary]); output appends
-    exact integer pixel statistics per image — the columns the
-    DuckDB oracle replays from the generator's closed form
-    (training._media_decode_oracle_sql):
+def decode_image_batch(batch: pa.Table) -> pa.Table:
+    """IMAGE DECODE batch stage. Input batches carry
+    (media_ref, payload[binary]); output appends exact integer pixel
+    statistics per image — the columns the DuckDB oracle replays from
+    the generator's closed form (training._media_decode_oracle_sql):
 
       img_w, img_h      decoded dimensions (int32)
       n_bytes           w·h·3 raster bytes (int64)
@@ -117,33 +117,27 @@ class MediaDecoder:
     WARC-writer contract); the per-image reductions are numpy. Batch
     small (wide binary rows): the callers pass batch_size<=512.
     """
-
-    def __init__(self):
-        self.n_decoded = 0  # per-actor lineage counter
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        payloads = batch["payload"].to_pylist()
-        k = len(payloads)
-        ws = np.empty(k, np.int32)
-        hs = np.empty(k, np.int32)
-        ps = np.empty(k, np.int64)
-        sq = np.empty(k, np.int64)
-        for i, buf in enumerate(payloads):
-            w, h, px = decode_ppm(buf)
-            flat = px.reshape(-1).astype(np.int64)
-            ws[i], hs[i] = w, h
-            ps[i] = flat.sum()
-            sq[i] = (flat * flat).sum()
-        self.n_decoded += k
-        nb = ws.astype(np.int64) * hs.astype(np.int64) * 3
-        return (batch.drop_columns(["payload"])
-                .append_column("img_w", pa.array(ws, pa.int32()))
-                .append_column("img_h", pa.array(hs, pa.int32()))
-                .append_column("n_bytes", pa.array(nb, pa.int64()))
-                .append_column("pixel_sum", pa.array(ps, pa.int64()))
-                .append_column("pixel_sq_sum", pa.array(sq, pa.int64()))
-                .append_column("mean_e3", pa.array(
-                    ps * 1000 // nb, pa.int64())))
+    payloads = batch["payload"].to_pylist()
+    k = len(payloads)
+    ws = np.empty(k, np.int32)
+    hs = np.empty(k, np.int32)
+    ps = np.empty(k, np.int64)
+    sq = np.empty(k, np.int64)
+    for i, buf in enumerate(payloads):
+        w, h, px = decode_ppm(buf)
+        flat = px.reshape(-1).astype(np.int64)
+        ws[i], hs[i] = w, h
+        ps[i] = flat.sum()
+        sq[i] = (flat * flat).sum()
+    nb = ws.astype(np.int64) * hs.astype(np.int64) * 3
+    return (batch.drop_columns(["payload"])
+            .append_column("img_w", pa.array(ws, pa.int32()))
+            .append_column("img_h", pa.array(hs, pa.int32()))
+            .append_column("n_bytes", pa.array(nb, pa.int64()))
+            .append_column("pixel_sum", pa.array(ps, pa.int64()))
+            .append_column("pixel_sq_sum", pa.array(sq, pa.int64()))
+            .append_column("mean_e3", pa.array(
+                ps * 1000 // nb, pa.int64())))
 
 
 def decode_wav(buf: bytes) -> tuple[int, np.ndarray]:
@@ -185,38 +179,32 @@ def decode_wav(buf: bytes) -> tuple[int, np.ndarray]:
     return rate, samples
 
 
-class AudioDecoder:
-    """Actor-pool AUDIO DECODE stage — the WAV sibling of
-    MediaDecoder: (media_ref, payload[binary]) batches in, exact
+def decode_audio_batch(batch: pa.Table) -> pa.Table:
+    """AUDIO DECODE batch stage — the WAV sibling of
+    decode_image_batch: (media_ref, payload[binary]) batches in, exact
     integer sample statistics out (the columns
     training._audio_decode_oracle_sql replays from the generator's
     closed form): sample_rate (int32), n_samples, sample_sum,
     sample_sq_sum, duration_us = n·1e6 // rate (all int64)."""
-
-    def __init__(self):
-        self.n_decoded = 0
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        payloads = batch["payload"].to_pylist()
-        k = len(payloads)
-        rates = np.empty(k, np.int32)
-        ns = np.empty(k, np.int64)
-        ss = np.empty(k, np.int64)
-        sq = np.empty(k, np.int64)
-        for i, buf in enumerate(payloads):
-            rate, s = decode_wav(buf)
-            s64 = s.astype(np.int64)
-            rates[i], ns[i] = rate, s64.size
-            ss[i] = s64.sum()
-            sq[i] = (s64 * s64).sum()
-        self.n_decoded += k
-        return (batch.drop_columns(["payload"])
-                .append_column("sample_rate", pa.array(rates, pa.int32()))
-                .append_column("n_samples", pa.array(ns, pa.int64()))
-                .append_column("sample_sum", pa.array(ss, pa.int64()))
-                .append_column("sample_sq_sum", pa.array(sq, pa.int64()))
-                .append_column("duration_us", pa.array(
-                    ns * 1_000_000 // rates, pa.int64())))
+    payloads = batch["payload"].to_pylist()
+    k = len(payloads)
+    rates = np.empty(k, np.int32)
+    ns = np.empty(k, np.int64)
+    ss = np.empty(k, np.int64)
+    sq = np.empty(k, np.int64)
+    for i, buf in enumerate(payloads):
+        rate, s = decode_wav(buf)
+        s64 = s.astype(np.int64)
+        rates[i], ns[i] = rate, s64.size
+        ss[i] = s64.sum()
+        sq[i] = (s64 * s64).sum()
+    return (batch.drop_columns(["payload"])
+            .append_column("sample_rate", pa.array(rates, pa.int32()))
+            .append_column("n_samples", pa.array(ns, pa.int64()))
+            .append_column("sample_sum", pa.array(ss, pa.int64()))
+            .append_column("sample_sq_sum", pa.array(sq, pa.int64()))
+            .append_column("duration_us", pa.array(
+                ns * 1_000_000 // rates, pa.int64())))
 
 
 def decode_y4m(buf: bytes) -> tuple[int, int, tuple[int, int], np.ndarray]:
@@ -276,49 +264,43 @@ def decode_y4m(buf: bytes) -> tuple[int, int, tuple[int, int], np.ndarray]:
     return w, h, fps, np.stack(frames)
 
 
-class VideoDecoder:
-    """Actor-pool VIDEO DECODE stage — the Y4M member of the decode
-    trio (MediaDecoder/AudioDecoder/this): (media_ref,
+def decode_video_batch(batch: pa.Table) -> pa.Table:
+    """VIDEO DECODE batch stage — the Y4M member of the decode trio
+    (decode_image_batch/decode_audio_batch/this): (media_ref,
     payload[binary]) in, exact integer plane statistics out (the
     columns training._video_decode_oracle_sql replays): frm_w, frm_h
     (int32), fps_num (int32, proves the F tag parsed), n_frames,
     n_bytes = frames·w·h·3, byte_sum, byte_sq_sum, y_sum (Σ of the
     luma plane only — exercises the plane SPLIT, not just the flat
     walk; all int64)."""
-
-    def __init__(self):
-        self.n_decoded = 0
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        payloads = batch["payload"].to_pylist()
-        k = len(payloads)
-        ws = np.empty(k, np.int32)
-        hs = np.empty(k, np.int32)
-        fn = np.empty(k, np.int32)
-        nf = np.empty(k, np.int64)
-        bs = np.empty(k, np.int64)
-        sq = np.empty(k, np.int64)
-        ys = np.empty(k, np.int64)
-        for i, buf in enumerate(payloads):
-            w, h, fps, frames = decode_y4m(buf)
-            flat = frames.reshape(-1).astype(np.int64)
-            ws[i], hs[i], fn[i] = w, h, fps[0]
-            nf[i] = frames.shape[0]
-            bs[i] = flat.sum()
-            sq[i] = (flat * flat).sum()
-            ys[i] = frames[:, 0].astype(np.int64).sum()
-        self.n_decoded += k
-        nb = nf * ws.astype(np.int64) * hs.astype(np.int64) * 3
-        return (batch.drop_columns(["payload"])
-                .append_column("frm_w", pa.array(ws, pa.int32()))
-                .append_column("frm_h", pa.array(hs, pa.int32()))
-                .append_column("fps_num", pa.array(fn, pa.int32()))
-                .append_column("n_frames", pa.array(
-                    nf.astype(np.int64), pa.int64()))
-                .append_column("n_bytes", pa.array(nb, pa.int64()))
-                .append_column("byte_sum", pa.array(bs, pa.int64()))
-                .append_column("byte_sq_sum", pa.array(sq, pa.int64()))
-                .append_column("y_sum", pa.array(ys, pa.int64())))
+    payloads = batch["payload"].to_pylist()
+    k = len(payloads)
+    ws = np.empty(k, np.int32)
+    hs = np.empty(k, np.int32)
+    fn = np.empty(k, np.int32)
+    nf = np.empty(k, np.int64)
+    bs = np.empty(k, np.int64)
+    sq = np.empty(k, np.int64)
+    ys = np.empty(k, np.int64)
+    for i, buf in enumerate(payloads):
+        w, h, fps, frames = decode_y4m(buf)
+        flat = frames.reshape(-1).astype(np.int64)
+        ws[i], hs[i], fn[i] = w, h, fps[0]
+        nf[i] = frames.shape[0]
+        bs[i] = flat.sum()
+        sq[i] = (flat * flat).sum()
+        ys[i] = frames[:, 0].astype(np.int64).sum()
+    nb = nf * ws.astype(np.int64) * hs.astype(np.int64) * 3
+    return (batch.drop_columns(["payload"])
+            .append_column("frm_w", pa.array(ws, pa.int32()))
+            .append_column("frm_h", pa.array(hs, pa.int32()))
+            .append_column("fps_num", pa.array(fn, pa.int32()))
+            .append_column("n_frames", pa.array(
+                nf.astype(np.int64), pa.int64()))
+            .append_column("n_bytes", pa.array(nb, pa.int64()))
+            .append_column("byte_sum", pa.array(bs, pa.int64()))
+            .append_column("byte_sq_sum", pa.array(sq, pa.int64()))
+            .append_column("y_sum", pa.array(ys, pa.int64())))
 
 
 class HashFeaturizer:
@@ -326,7 +308,7 @@ class HashFeaturizer:
     stand-in for the media→ANN chain (bytes of stable_hash64(ref),
     scaled /255; the scaling cancels in cosine so the oracle re-ranks
     on integer dots). Declared synthetic: NOT a decode path — see
-    MediaDecoder for actual image decode. Vectorized: one
+    decode_image_batch for actual image decode. Vectorized: one
     stable_hash64_np pass + a byte-plane shift matrix per batch."""
 
     FEATURE_DIM = 8
@@ -350,7 +332,7 @@ class ResizeStub:
     """Metadata-only resize PLAN: recomputes the target box
     (aspect-preserving) from claimed metadata without touching
     payload bytes — the cheap planning pass that runs before payloads
-    are fetched. Actual pixel resampling is MediaResizer below."""
+    are fetched. Actual pixel resampling is resize_image_batch below."""
 
     def __init__(self, max_side: int = 256):
         self.max_side = max_side
@@ -374,8 +356,8 @@ def resize_nn(px: np.ndarray, rw: int, rh: int) -> np.ndarray:
     return px[sy][:, sx]
 
 
-class MediaResizer:
-    """Actor-pool DECODE + RESIZE stage: PPM payloads in, exact
+def resize_image_batch(batch: pa.Table, max_side: int = 16) -> pa.Table:
+    """DECODE + RESIZE batch stage: PPM payloads in, exact
     integer statistics of the aspect-preserving nearest-neighbor
     thumbnail out (the real-pixel upgrade of the ResizeStub plan;
     oracle: training._media_resize_oracle_sql enumerates the target
@@ -384,38 +366,31 @@ class MediaResizer:
     image exceeds max_side S, else pass-through — all integer floor.
     Emits resized_w/resized_h (int32), resized_sum, resized_sq_sum
     (int64)."""
-
-    def __init__(self, max_side: int = 16):
-        self.max_side = max_side
-        self.n_resized = 0
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        payloads = batch["payload"].to_pylist()
-        k = len(payloads)
-        rws = np.empty(k, np.int32)
-        rhs = np.empty(k, np.int32)
-        ss = np.empty(k, np.int64)
-        sq = np.empty(k, np.int64)
-        for i, buf in enumerate(payloads):
-            w, h, px = decode_ppm(buf)
-            m = max(w, h)
-            rw, rh = ((w, h) if m <= self.max_side else
-                      (w * self.max_side // m, h * self.max_side // m))
-            small = resize_nn(px, rw, rh).reshape(-1).astype(np.int64)
-            rws[i], rhs[i] = rw, rh
-            ss[i] = small.sum()
-            sq[i] = (small * small).sum()
-        self.n_resized += k
-        return (batch.drop_columns(["payload"])
-                .append_column("resized_w", pa.array(rws, pa.int32()))
-                .append_column("resized_h", pa.array(rhs, pa.int32()))
-                .append_column("resized_sum", pa.array(ss, pa.int64()))
-                .append_column("resized_sq_sum", pa.array(sq, pa.int64())))
+    payloads = batch["payload"].to_pylist()
+    k = len(payloads)
+    rws = np.empty(k, np.int32)
+    rhs = np.empty(k, np.int32)
+    ss = np.empty(k, np.int64)
+    sq = np.empty(k, np.int64)
+    for i, buf in enumerate(payloads):
+        w, h, px = decode_ppm(buf)
+        m = max(w, h)
+        rw, rh = ((w, h) if m <= max_side else
+                  (w * max_side // m, h * max_side // m))
+        small = resize_nn(px, rw, rh).reshape(-1).astype(np.int64)
+        rws[i], rhs[i] = rw, rh
+        ss[i] = small.sum()
+        sq[i] = (small * small).sum()
+    return (batch.drop_columns(["payload"])
+            .append_column("resized_w", pa.array(rws, pa.int32()))
+            .append_column("resized_h", pa.array(rhs, pa.int32()))
+            .append_column("resized_sum", pa.array(ss, pa.int64()))
+            .append_column("resized_sq_sum", pa.array(sq, pa.int64())))
 
 
 def frame_sample_plan(batch: pa.Table, every_ms: int = 1000) -> pa.Table:
     """Video frame-sampling plan: one row per planned frame timestamp
-    (the planning pass; actual frame decode is VideoDecoder).
+    (the planning pass; actual frame decode is decode_video_batch).
     Vectorized explode: per-video frame counts via ceil-div, then one
     np.repeat + offset arange — no per-ref Python loop."""
     mask = pc.equal(batch["media_type"], "video").to_numpy(

@@ -19,6 +19,8 @@ deterministic pure function of (seed, host, path) — FIXTURES.md F4
 
 from __future__ import annotations
 
+from urllib.parse import urlsplit
+
 from ..functions.hashing import stable_hash64
 from ..functions.urltools import parse_host
 
@@ -200,7 +202,10 @@ class RealRobots:
         host = parse_host(url)
         if not host:
             return True, 0
-        path = url.split(host, 1)[-1] or "/"
+        parts = urlsplit(url)
+        path = parts.path or "/"
+        if parts.query:
+            path += "?" + parts.query
         return self._host_rules(host).decision(path)
 
     def allowed(self, url: str) -> bool:

@@ -8,9 +8,9 @@ from crawling_infrastructure_ray.sources.corpus import (
     spans_arrow_type)
 from crawling_infrastructure_ray.functions.hashing import stable_hash64
 from crawling_infrastructure_ray.stages.multimodal import (
-    AudioDecoder, HashFeaturizer, MediaDecoder, MediaResizer, ResizeStub,
-    VideoDecoder, decode_ppm, decode_wav, decode_y4m, frame_sample_plan,
-    media_rows_from_spans)
+    HashFeaturizer, ResizeStub, decode_audio_batch, decode_image_batch,
+    decode_ppm, decode_video_batch, decode_wav, decode_y4m,
+    frame_sample_plan, media_rows_from_spans, resize_image_batch)
 
 
 def _doc_batch():
@@ -59,7 +59,7 @@ def test_decode_ppm_header_handling():
 def test_media_decoder_stage():
     media = media_rows_from_spans(_doc_batch())
     imgs = media.filter(pa.compute.equal(media["media_type"], "image"))
-    out = MediaDecoder()(fetch_media_payloads(imgs))
+    out = decode_image_batch(fetch_media_payloads(imgs))
     assert out.num_rows == imgs.num_rows
     assert "payload" not in out.column_names
     nb = out["n_bytes"].to_numpy()
@@ -112,7 +112,7 @@ def test_decode_wav_chunk_walking():
 def test_audio_decoder_stage():
     media = media_rows_from_spans(_doc_batch())
     auds = media.filter(pa.compute.equal(media["media_type"], "audio"))
-    out = AudioDecoder()(fetch_audio_payloads(auds))
+    out = decode_audio_batch(fetch_audio_payloads(auds))
     assert out.num_rows == auds.num_rows
     for ref, n, ssum, sq in zip(out["media_ref"].to_pylist(),
                                 out["n_samples"].to_pylist(),
@@ -160,7 +160,7 @@ def test_decode_y4m_tag_parsing():
 def test_video_decoder_stage():
     media = media_rows_from_spans(_doc_batch())
     vids = media.filter(pa.compute.equal(media["media_type"], "video"))
-    out = VideoDecoder()(fetch_video_payloads(vids))
+    out = decode_video_batch(fetch_video_payloads(vids))
     assert out.num_rows == vids.num_rows
     for ref, f, bsum, ysum in zip(out["media_ref"].to_pylist(),
                                   out["n_frames"].to_pylist(),
@@ -191,7 +191,7 @@ def test_resize_nn_exact():
 def test_media_resizer_stage():
     media = media_rows_from_spans(_doc_batch())
     imgs = media.filter(pa.compute.equal(media["media_type"], "image"))
-    out = MediaResizer(max_side=16)(fetch_media_payloads(imgs))
+    out = resize_image_batch(fetch_media_payloads(imgs), max_side=16)
     assert out.num_rows == imgs.num_rows
     from crawling_infrastructure_ray.stages.multimodal import resize_nn
     for ref, rw, rh, s, s2 in zip(out["media_ref"].to_pylist(),
@@ -238,3 +238,46 @@ def test_frame_sample_plan():
     if vids.num_rows:
         assert plan.num_rows >= vids.num_rows  # ≥1 frame per video
         assert all(t % 60_000 == 0 for t in plan["frame_ts_ms"].to_pylist())
+
+
+def test_decode_queries_finish_on_one_cpu(tmp_path):
+    """The four decode queries run their stages as tasks, so they must
+    finish on a one-CPU session (an actor pool would take the only CPU
+    before the parquet read feeding it ran) and still match their
+    DuckDB oracles."""
+    import os
+    import subprocess
+    import sys
+
+    import duckdb
+    import pandas as pd
+
+    import __ray_entry__ as entrymod
+    from test_queries_oracle import SF as sf
+    names = ["media_decode_stats", "audio_decode_stats",
+             "video_decode_stats", "media_resize_stats"]
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    code = (
+        "import ray\n"
+        "ray.init(address='local', num_cpus=1, include_dashboard=False,"
+        " logging_level='ERROR')\n"
+        "import __ray_entry__ as e\n"
+        "q = e.queries()\n"
+        f"for n in {names!r}:\n"
+        f"    q[n]({sf!r}).to_parquet({str(tmp_path)!r} + '/' + n + '.parquet')\n"
+        "ray.shutdown()\n")
+    res = subprocess.run([sys.executable, "-c", code], cwd=root,
+                         capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr[-2000:]
+    con = duckdb.connect()
+    con.execute(f"CREATE VIEW documents AS SELECT * FROM "
+                f"read_parquet('{sf}/documents.parquet')")
+    for n in names:
+        want = con.execute(entrymod.oracle_sql()[n]).fetchdf()
+        got = pd.read_parquet(tmp_path / f"{n}.parquet")
+        cols = sorted(want.columns)
+        assert sorted(got.columns) == cols, n
+        got = got[cols].sort_values(cols).reset_index(drop=True)
+        want = want[cols].sort_values(cols).reset_index(drop=True)
+        assert len(got) > 0, n
+        pd.testing.assert_frame_equal(got, want, check_dtype=False)

@@ -49,6 +49,19 @@ def test_pump_kill_and_resume(ray_session, tmp_path):
     assert rows_full == rows_cut         # same document set
 
 
+def test_checkpointed_run_counts_every_lease(ray_session, tmp_path):
+    """Leases collected while draining for a checkpoint are commits
+    too: ``waves`` equals the leases in lineage.parquet, so
+    ``checkpoint_every_commits`` and ``max_commits`` count every one."""
+    seeds = make_seed_urls(600, seed=SEED)["url"].to_pylist()
+    out = str(tmp_path / "ckpt")
+    res = run_crawl_pump(seeds, seed=SEED, num_shards=2, dedup=True,
+                         chunk_size=128, checkpoint_every_commits=2,
+                         out_dir=out)
+    leases = pq.read_table(f"{out}/lineage.parquet").num_rows
+    assert res.waves == leases
+
+
 def test_politeness_overrides(ray_session, tmp_path):
     """F5 per-host budget table: an override makes one host much slower
     than the default."""

@@ -143,3 +143,21 @@ def test_generator_emits_parseable_text():
     assert "User-agent: other-bot" in txt and "Sitemap:" in txt
     r = parse_robots_txt(txt, "graft-crawler")
     assert r.crawl_delay is not None and len(r.rules) >= 3
+
+
+def test_real_robots_path_ignores_port_case_and_userinfo():
+    """The robots path is the URL's path + query, whatever the
+    authority looks like: a port, an upper-case host or userinfo
+    (even userinfo that repeats the host) must not leak into it."""
+    rr = RealRobots(seed=42)
+    want = rr.decision("http://h3.example/p1abc")
+    assert want[0] is False                      # Disallow: /p1
+    for url in ("http://h3.example:8080/p1abc",
+                "http://H3.Example/p1abc",
+                "http://user:pw@h3.example/p1abc",
+                "http://h3.example:pw@h3.example/p1abc"):
+        assert rr.decision(url) == want, url
+    # the query takes part in matching (Disallow: /*2$)
+    assert not rr.allowed("http://h3.example/p3?x=2")
+    assert not rr.allowed("http://H3.example:80/p3?x=2")
+    assert rr.allowed("http://h3.example:80/p3?x=3")
