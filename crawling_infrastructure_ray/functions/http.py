@@ -19,8 +19,9 @@ from __future__ import annotations
 def parse_http_response(raw: bytes) -> tuple[int, dict[str, str], bytes]:
     """Parse one raw HTTP/1.1 response → (status, headers, body).
 
-    Headers: keys lower-cased, values stripped (RFC 9112 OWS); later
-    duplicates overwrite. Body: ``Transfer-Encoding: chunked`` walks
+    Headers: keys lower-cased, values stripped (RFC 9112 OWS), both
+    decoded as ISO-8859-1, which maps every byte (RFC 9110 §5.5
+    obs-text); later duplicates overwrite. Body: ``Transfer-Encoding: chunked`` walks
     the chunk framing (hex size, optional ``;extension``, CRLF, data,
     CRLF, until the 0-chunk); otherwise ``Content-Length`` bytes; no
     framing header → the remainder. Raises ValueError on malformed
@@ -44,8 +45,8 @@ def parse_http_response(raw: bytes) -> tuple[int, dict[str, str], bytes]:
         k, colon, v = line.partition(b":")
         if not colon:
             raise ValueError(f"malformed header line {line!r}")
-        headers[k.strip().lower().decode("ascii")] = \
-            v.strip().decode("ascii")
+        headers[k.strip().lower().decode("latin-1")] = \
+            v.strip().decode("latin-1")
 
     if headers.get("transfer-encoding", "").lower() == "chunked":
         out = []

@@ -52,10 +52,18 @@ def canonicalize_and_host(url: str) -> tuple[str, str]:
         host, path = rest, "/"
     else:
         host, path = rest[:slash], rest[slash:]
-    if "#" in rest or "@" in host or ":" in host or not (host.islower() or host == ""):
+    if "#" in rest or "?" in host or "@" in host or ":" in host \
+            or not (host.islower() or host == ""):
         c = canonicalize_url(url)
         return c, parse_host(c)
     return scheme + host + path, host
+
+
+def url_host(url: str) -> str:
+    """The host a URL is routed by: the host of its canonical form
+    (lowercase, no userinfo, no port). Every shard router calls this,
+    so a canonical URL always lands on the shard that dedups it."""
+    return canonicalize_and_host(url)[1]
 
 
 def parse_host(url: str) -> str:

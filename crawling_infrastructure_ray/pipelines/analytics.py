@@ -2905,7 +2905,7 @@ def q_crawl_direct(sf_dir: str):
     from ..pipelines.crawl import direct_crawl
     from ..sources.corpus import make_seed_urls
     seeds = make_seed_urls(200, seed=42)["url"].to_pylist()
-    out = direct_crawl(seeds, seed=42, fetch_concurrency=2)
+    out = direct_crawl(seeds, seed=42)
     return out.select(["url", "status", "latency_ms", "doc_id"])
 
 

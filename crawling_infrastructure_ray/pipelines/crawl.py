@@ -1,4 +1,4 @@
-"""End-to-end crawl job: frontier → FetchSim actor pool → documents.
+"""End-to-end crawl job: frontier → fetch+store chunk tasks → documents.
 
 Rebuild of the reference's main path (SURVEY.md §3.1): scheduler
 daemon launches waves of ephemeral workers, each worker leases a batch
@@ -6,24 +6,27 @@ from the queue, crawls sequentially, persists blobs to S3, writes back
 statuses, and the daemon heals/retries between waves
 (master/scheduler/daemon.ts:308-391, crawler/src/index.ts:69-173).
 
-Here one **wave** = one synchronized lease across all frontier shards
-→ one ``ray.data.Dataset`` mapped through the FetchSim actor pool
-(``map_batches(FetchSim, concurrency=N, batch_format="pyarrow")``) →
-one parquet fragment of the documents table + per-lease commits +
-discovered-URL tail appends. Waves stream: only one wave's results are
-ever materialized (bounded by ``items_per_wave``); the documents table
-accumulates as one parquet file per wave (resumable layout — a rerun
-skips finished waves).
+Both drivers run one data plane, as every reference worker runs one
+loop (lease, crawl, store, write back): each frontier lease becomes
+one raw Ray task, ``_fetch_store_route_task``, which fetches through
+``FetchSim``, writes the lease's completed documents as one parquet
+fragment, and returns the lease's write-back and discovered children.
+The driver sends the commit.
 
-Ray-level retries are disabled on the fetch stage (``max_retries=0``
+- ``run_crawl`` (conformance mode) runs synchronized **waves**: one
+  lease per shard (or one global-FIFO claim), one chunk task per
+  lease, then a barrier; commits are awaited and the wave's children
+  are appended in parent ``enqueue_seq`` order, so the claim stream,
+  the frontier state and the documents table are independent of Ray's
+  task scheduling. Fragments land under ``documents/wave_XXXXX/``
+  (resumable layout — a rerun drops the waves after the checkpoint).
+- ``run_crawl_pump`` (throughput mode) keeps chunks in flight with no
+  barrier; the tasks route children straight to their shards.
+
+Ray-level retries are disabled on the fetch tasks (``max_retries=0``
 mirror of the reference's deliberate Lambda ``maxRetries: 0``,
 master/scheduler/runner.ts:449-452): the frontier is the single retry
 authority (SURVEY.md §7.4).
-
-Determinism: after each wave the fetched rows are sorted by
-``enqueue_seq`` before commits and discovered-URL appends, so the
-final frontier state, documents table, and crawl order are independent
-of Ray's block scheduling.
 """
 
 from __future__ import annotations
@@ -42,43 +45,38 @@ import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 
+from ..functions.urltools import url_host
 from ..sources.corpus import spans_arrow_type
-from ..stages.fetch import FetchSim, FetchStoreActor, fetch_store_batch
+from ..stages.fetch import fetch_sim_batch, fetch_store_batch
 from ..state.frontier import Frontier
-
-# raw-task form of the fetch+store stage (see run_crawl fetch_via docs).
-# The wave table is ray.put ONCE; each task slices its range zero-copy
-# from the shared object — the driver serializes the wave once instead
-# of once per task.
-@ray.remote(num_cpus=1)
-def _fetch_slice_task(tbl: pa.Table, offset: int, length: int, **kwargs) -> pa.Table:
-    return fetch_store_batch(tbl.slice(offset, length), **kwargs)
-
 
 @ray.remote(num_cpus=1)
 def _fetch_store_route_task(seqs: list, urls: list, hosts: list,
                             depths: list, attempts: list, shard: int,
                             lease_id: int, all_shards=None,
                             route_seed: int = 42, **kwargs):
-    """Pump-mode chunk: fetch + store + route inside the task; the
-    driver commits.
+    """One lease's chunk: fetch + store (+ route) inside the task; the
+    driver commits. Both crawl drivers run it, one task per lease.
 
     The task writes the lease's fragment, then returns the lease's
     write-back as plain lists ``(seqs, statuses, errors)``; the driver
     sends that commit to the owning shard actor when it collects the
-    result (store-then-commit ordering, reference R7) and does not
-    wait for it. The task itself never blocks on another actor: a
-    blocked one-CPU task would lend its CPU to the next queued chunk
-    and make Ray start a new worker process for it. Ray runs one
-    caller's calls to an actor in submission order, so every later
-    driver call to that shard (lease, histogram, retry, checkpoint)
-    sees the commit. A task that dies never commits, and its lease
-    rolls back.
+    result (store-then-commit ordering, reference R7). The task itself
+    never blocks on another actor: a blocked one-CPU task would lend
+    its CPU to the next queued chunk and make Ray start a new worker
+    process for it. Ray runs one caller's calls to an actor in
+    submission order, so every later driver call to that shard (lease,
+    histogram, retry, checkpoint) sees the commit. A task that dies
+    never commits, and its lease rolls back.
 
-    When given the shard handle list, the task routes discovered
-    children DIRECTLY to their host shards (which allocate their own
-    seq blocks) — child URLs never transit the driver, whose loop
-    stays O(chunks).
+    Children come only from rows the task stored and reports as
+    ``completed``: a ``storage_failed`` row rolls back, and its retry
+    discovers them again. Given the shard handle list (the pump), the
+    task routes them DIRECTLY to their host shards (which allocate
+    their own seq blocks) — child URLs never transit the driver, whose
+    loop stays O(chunks). Without it (the wave driver) it returns
+    them as ``(urls, depths, parent_seqs)`` for the driver to append
+    in parent-seq order.
 
     The lease arrives as the shard's RAW column lists and the Arrow
     table is built HERE, in the task: pickling a small pa.Table on the
@@ -108,31 +106,30 @@ def _fetch_store_route_task(seqs: list, urls: list, hosts: list,
     commit = (rep["enqueue_seq"].to_pylist(), statuses,
               rep["error"].to_pylist())
     n_ok = statuses.count("completed")
-    flat = pc.list_flatten(ctl["discovered"])
+    ok = ctl.filter(pc.equal(ctl["status"], "completed"))
+    flat = pc.list_flatten(ok["discovered"])
     # children=None unless the driver must relay them: returning even
     # an EMPTY pa.Table costs the driver ~1 ms of Arrow-IPC
     # deserialization per chunk on ray.get — plain lists (or None)
     # keep the per-chunk result msgpack-cheap
     children = None
     if len(flat):
-        lens = pc.list_value_length(ctl["discovered"]).to_numpy(zero_copy_only=False)
-        depths = np.repeat(ctl["depth"].to_numpy(zero_copy_only=False) + 1,
+        lens = pc.list_value_length(ok["discovered"]).to_numpy(zero_copy_only=False)
+        depths = np.repeat(ok["depth"].to_numpy(zero_copy_only=False) + 1,
                            lens).astype(np.int64)
         if all_shards is None:
-            children = (flat.to_pylist(), depths.tolist())
+            parents = np.repeat(
+                ok["enqueue_seq"].to_numpy(zero_copy_only=False), lens)
+            children = (flat.to_pylist(), depths.tolist(), parents.tolist())
         else:
             k = len(all_shards)
             per: dict[int, tuple[list, list]] = {}
             host_shard: dict[str, int] = {}
             for u, d in zip(flat.to_pylist(), depths.tolist()):
-                # SAME host extraction as Frontier._route (strip
-                # userinfo/port, lowercase BEFORE memoizing) — a
-                # divergent router would send ports/userinfo/uppercase
-                # hosts to the wrong shard, breaking shard-local URL
-                # dedup and splitting per-host politeness state
-                rest = u.split("://", 1)[-1]
-                host = (rest.split("/", 1)[0].rsplit("@", 1)[-1]
-                        .split(":", 1)[0].lower())
+                # the Frontier's host rule: a divergent router would
+                # split one canonical URL or one host across shards,
+                # breaking shard-local URL dedup and per-host politeness
+                host = url_host(u)
                 sh = host_shard.get(host)
                 if sh is None:
                     sh = stable_hash64(host, route_seed) % k
@@ -248,7 +245,6 @@ def run_crawl(seed_urls: list[str] | None = None, *,
               seed: int = 42,
               num_shards: int = 1,
               dedup: bool = True,
-              exact_dedup: bool = False,
               politeness: bool = False,
               politeness_overrides: dict | None = None,
               robots: bool = False,
@@ -258,15 +254,11 @@ def run_crawl(seed_urls: list[str] | None = None, *,
               max_retries: int = 3,
               num_hosts: int = 64,
               items_per_wave: int = 4096,
-              fetch_concurrency: int = 4,
-              batch_size: int = 1024,
               out_dir: str = "/tmp/crawl_out",
               resume: bool = False,
               checkpoint_every: int = 0,
               max_waves: int | None = None,
               now_fn=None,
-              use_actors: bool = False,
-              fetch_via: str = "tasks",
               order: str = "fifo",
               global_order: bool = False,
               storage_policy: str = "merged",
@@ -282,20 +274,10 @@ def run_crawl(seed_urls: list[str] | None = None, *,
     skips waves whose parquet fragments already exist (north rule:
     a killed run resumes exactly).
 
-    ``fetch_via`` selects how a wave's batches reach ``fetch_store_batch``:
-      'tasks'   (default) — raw ``ray.remote`` tasks, one per slice.
-                The crawl is an ITERATIVE feedback loop (each wave's
-                discovered URLs feed the next wave's lease), which the
-                Dataset API cannot express in one pipeline; a fresh
-                Dataset per wave pays ~2s of executor startup/teardown
-                per wave (measured), which dominates at high wave
-                counts. Raw tasks run the SAME batch function with
-                ~ms-level submission cost. Results are identical.
-      'dataset' — one Ray Data pipeline per wave (map_batches tasks);
-                the fully Dataset-native form, used in conformance
-                tests and the right choice when waves are few and big.
-    ``use_actors=True`` additionally routes 'dataset' mode through the
-    FetchStoreActor pool (the stateful-fetcher A1/A2 shape).
+    Each wave submits one ``_fetch_store_route_task`` per lease — the
+    pump's chunk task — and waits for all of them: the crawl is an
+    ITERATIVE feedback loop (each wave's discovered URLs feed the next
+    wave's lease), which a single Dataset pipeline cannot express.
     """
     if config is not None:
         storage_policy = config.storage_policy
@@ -329,7 +311,6 @@ def run_crawl(seed_urls: list[str] | None = None, *,
         os.makedirs(docs_dir, exist_ok=True)
         if frontier is None:
             frontier = Frontier(num_shards, seed=seed, dedup=dedup,
-                                exact_seen=exact_dedup,
                                 politeness=politeness,
                                 politeness_overrides=politeness_overrides,
                                 robots=robots,
@@ -345,6 +326,9 @@ def run_crawl(seed_urls: list[str] | None = None, *,
     docs_written = 0
     lineage = []
     n_per_shard = max(1, items_per_wave // frontier.num_shards)
+    fetch_kwargs = {"seed": seed, "max_depth": max_depth,
+                    "num_hosts": num_hosts, "storage_policy": storage_policy,
+                    "store_fail_marker": store_fail_marker}
 
     while True:
         if max_waves is not None and wave - start_wave >= max_waves:
@@ -367,134 +351,64 @@ def run_crawl(seed_urls: list[str] | None = None, *,
             break
         wave_t0 = time.perf_counter()
         phase = {"lease": lease_sec}
-        # one Arrow table for the wave, tagged with routing metadata
-        parts = []
-        for lease in leases:
-            n = len(lease["seq"])
-            parts.append(pa.table({
-                "enqueue_seq": pa.array(lease["seq"], pa.uint64()),
-                "url": pa.array(lease["url"], pa.string()),
-                "host": pa.array(lease["host"], pa.string()),
-                "depth": pa.array(lease["depth"], pa.int32()),
-                "retries": pa.array(lease["retries"], pa.int32()),
-                "attempt": pa.array(lease["attempt"], pa.int32()),
-                "shard": pa.array([lease["shard"]] * n, pa.int32()),
-                "lease_id": pa.array([lease["lease_id"]] * n, pa.int64()),
-            }))
-        wave_tbl = pa.concat_tables(parts)
         # claims audit log — the engine's crawl order (golden-order test;
         # within a wave, claim order = ascending enqueue_seq, §3.2)
-        claims_tbl = wave_tbl.select(["enqueue_seq", "url", "attempt"]).sort_by("enqueue_seq")
+        claims_tbl = pa.table({
+            "enqueue_seq": pa.array([s for ls in leases for s in ls["seq"]],
+                                    pa.uint64()),
+            "url": pa.array([u for ls in leases for u in ls["url"]],
+                            pa.string()),
+            "attempt": pa.array([a for ls in leases for a in ls["attempt"]],
+                                pa.int32()),
+        }).sort_by("enqueue_seq")
         claims_tbl = claims_tbl.append_column("wave", pa.array([wave] * claims_tbl.num_rows, pa.int32()))
         _atomic_write_parquet(claims_tbl, os.path.join(claims_dir, f"wave_{wave:05d}.parquet"))
-        phase["build"] = round(time.perf_counter() - wave_t0, 3)
 
-        # split the wave into block-sized zero-copy slices BEFORE from_arrow:
-        # a single Arrow table would become one block → one sequential task.
-        # Cap the block count — from_arrow pays a per-block ray.put.
-        # combine_chunks per slice: pickling a lazily-sliced table copies
-        # the FULL parent buffers for every slice (measured 18x slower)
-        t = time.perf_counter()
-        step = max(batch_size, -(-max(1, wave_tbl.num_rows) // 128))
-        if fetch_via != "tasks" or use_actors:
-            slices = [wave_tbl.slice(i, step).combine_chunks()
-                      for i in range(0, wave_tbl.num_rows, step)] or [wave_tbl]
-            ds = rd.from_arrow(slices)
-        phase["mkds"] = round(time.perf_counter() - t, 3)
-        fetch_kwargs = {"seed": seed, "max_depth": max_depth,
-                        "num_hosts": num_hosts, "docs_dir": docs_dir,
-                        "wave": wave, "storage_policy": storage_policy,
-                        "store_fail_marker": store_fail_marker}
         # fetch tasks write their own document fragments (commit-after-
-        # store, reference R7) and return ONLY control columns — span
-        # payloads never cross the driver. The control set is bounded
-        # (items_per_wave) → safe to collect, then sort by enqueue_seq
-        # for scheduling-independent determinism.
+        # store, reference R7) and return ONLY control lists — span
+        # payloads never cross the driver
         t = time.perf_counter()
-        if fetch_via == "tasks" and not use_actors:
-            wave_ref = ray.put(wave_tbl)
-            phase["put"] = round(time.perf_counter() - t, 3)
-            refs = [_fetch_slice_task.options(max_retries=0).remote(
-                        wave_ref, off, step, **fetch_kwargs)
-                    for off in range(0, wave_tbl.num_rows, step)]
-            phase["submit"] = round(time.perf_counter() - t, 3)
-            fetched = pa.concat_tables(ray.get(refs))
-            del wave_ref
-        else:
-            if use_actors:
-                # actor-pool form — what a real stateful fetcher (session /
-                # browser, A1/A2) uses; per-wave pool startup makes it the
-                # slower choice for the stateless simulated fetch
-                fetched_ds = ds.map_batches(
-                    FetchStoreActor, fn_constructor_kwargs=fetch_kwargs,
-                    batch_format="pyarrow", batch_size=batch_size,
-                    concurrency=fetch_concurrency, num_cpus=1,
-                    max_task_retries=0,  # frontier is the single retry authority
-                )
-            else:
-                fetched_ds = ds.map_batches(
-                    fetch_store_batch, fn_kwargs=fetch_kwargs,
-                    batch_format="pyarrow", batch_size=batch_size,
-                    max_retries=0,  # frontier is the single retry authority
-                )
-            fetched = pa.concat_tables(
-                [b for b in fetched_ds.iter_batches(batch_size=batch_size * 8,
-                                                    batch_format="pyarrow")]
-            ) if wave_tbl.num_rows else wave_tbl
-        fetched = fetched.sort_by("enqueue_seq")
-        ok_mask = pc.equal(fetched["status"], "completed")
-        ok = fetched.filter(ok_mask)
-        docs_written += ok.num_rows
+        wave_dir = os.path.join(docs_dir, f"wave_{wave:05d}")
+        refs = [_fetch_store_route_task.options(max_retries=0).remote(
+                    lease["seq"], lease["url"], lease["host"],
+                    lease["depth"], lease["attempt"], lease["shard"],
+                    lease["lease_id"], docs_dir=wave_dir,
+                    part_label=f"{lease['lease_id']:015d}", wave=wave,
+                    **fetch_kwargs)
+                for lease in leases]
+        results = ray.get(refs)
         phase["fetch"] = round(time.perf_counter() - t, 3)
         t = time.perf_counter()
-
-        # 2) commits per (shard, lease) — numpy-grouped, no row loop
-        commit_refs = []
-        seqs_np = fetched["enqueue_seq"].to_numpy(zero_copy_only=False)
-        shard_np = fetched["shard"].to_numpy(zero_copy_only=False)
-        lease_np = fetched["lease_id"].to_numpy(zero_copy_only=False)
-        status_np = np.asarray(fetched["status"].to_pylist(), dtype=object)
-        error_np = np.asarray(fetched["error"].to_pylist(), dtype=object)
-        reported = status_np != "storage_failed"  # itemwise R7: omit →
-        for lid in np.unique(lease_np):           # R5 rollback to initial
-            idx = np.flatnonzero((lease_np == lid) & reported)
-            if idx.size == 0:
-                idx_all = np.flatnonzero(lease_np == lid)
-                commit_refs.append(frontier.commit(
-                    int(shard_np[idx_all[0]]), int(lid), [], [], [], now))
-                continue
-            commit_refs.append(frontier.commit(
-                int(shard_np[idx[0]]), int(lid), seqs_np[idx].tolist(),
-                status_np[idx].tolist(), error_np[idx].tolist(), now))
-        ray.get(commit_refs)
+        ray.get([frontier.commit(lease["shard"], lease["lease_id"], *commit,
+                                 now)
+                 for lease, (_, commit, _) in zip(leases, results)])
         phase["commit"] = round(time.perf_counter() - t, 3)
         t = time.perf_counter()
 
-        # 3) discovered URLs → tail append in enqueue_seq order
-        #    (reference enqueue() appends with fresh _ids, enqueue.ts:71-116)
-        #    — flattened with Arrow list kernels, no Python nesting loop
-        disc_urls: list[str] = []
-        disc_depths: list[int] = []
-        if ok.num_rows:
-            disc_col = ok["discovered"]
-            disc_urls = pc.list_flatten(disc_col).to_pylist()
-            if disc_urls:
-                lens = pc.list_value_length(disc_col).to_numpy(zero_copy_only=False)
-                depths_np = ok["depth"].to_numpy(zero_copy_only=False)
-                disc_depths = np.repeat(depths_np + 1, lens).tolist()
+        # discovered URLs → tail append in parent enqueue_seq order
+        # (reference enqueue() appends with fresh _ids, enqueue.ts:71-116);
+        # the stable sort keeps each parent's children in link order
+        kids = [c for _, _, c in results if c is not None]
+        disc_urls = [u for c in kids for u in c[0]]
         if disc_urls:
-            frontier.enqueue(disc_urls, disc_depths)
+            disc_depths = [d for c in kids for d in c[1]]
+            by_parent = np.argsort([p for c in kids for p in c[2]],
+                                   kind="stable")
+            frontier.enqueue([disc_urls[i] for i in by_parent],
+                             [disc_depths[i] for i in by_parent])
         phase["enqueue"] = round(time.perf_counter() - t, 3)
 
-        urls_processed += fetched.num_rows
-        row = {"wave": wave, "leased": int(wave_tbl.num_rows),
-               "completed": int(ok.num_rows),
-               "failed": int(fetched.num_rows - ok.num_rows),
+        n_leased = sum(r[0]["n"] for r in results)
+        n_ok = sum(r[0]["n_ok"] for r in results)
+        urls_processed += n_leased
+        docs_written += n_ok
+        row = {"wave": wave, "leased": n_leased,
+               "completed": n_ok,
+               "failed": n_leased - n_ok,
                "discovered": len(disc_urls),
                "sec": round(time.perf_counter() - wave_t0, 4),
                "phase": phase,
                "checkpointed": False}
-        # 4) checkpoint
         if checkpoint_every and (wave + 1) % checkpoint_every == 0:
             frontier.checkpoint(ckpt_dir)
             row["checkpointed"] = True
@@ -623,8 +537,6 @@ def run_crawl_pump(seed_urls: list[str] | None = None, *,
     urls_processed = 0
     docs_written = 0
     commits = 0
-    disc_urls: list[str] = []
-    disc_depths: list[int] = []
     # lineage = per-lease worker-meta rows (reference K5/G4,
     # lib/types/workermeta.ts): (lease_id, shard, n, ok, failed,
     # started, ended) — written as out_dir/lineage.parquet
@@ -637,7 +549,7 @@ def run_crawl_pump(seed_urls: list[str] | None = None, *,
                     "fail_marker": fetch_fail_marker,
                     "fail_after_store_marker": fetch_fail_after_store_marker}
 
-    pending_enq: list = list(_seed_tail_refs)
+    pending_enq: list = list(_seed_tail_refs)   # seed inserts in flight
 
     def drop_orphan_fragment(lease_id: int) -> None:
         """A task that died between its fragment write and its commit
@@ -650,15 +562,9 @@ def run_crawl_pump(seed_urls: list[str] | None = None, *,
         if os.path.exists(p):
             os.remove(p)
 
-    def flush_discovered(block: bool = False):
-        nonlocal disc_urls, disc_depths
-        if disc_urls:
-            pending_enq.extend(
-                frontier.enqueue_async(disc_urls, disc_depths))
-            disc_urls, disc_depths = [], []
-        if block and pending_enq:
-            ray.get(pending_enq)
-            pending_enq.clear()
+    def await_enqueues() -> None:
+        ray.get(pending_enq)
+        pending_enq.clear()
 
     def submit(lease: dict, shard: int):
         # raw lists, not a pa.Table — the table is built in the task
@@ -681,7 +587,7 @@ def run_crawl_pump(seed_urls: list[str] | None = None, *,
         nonlocal commits, docs_written, urls_processed, lost_tasks
         shard, lease_id, now_submit = inflight.pop(ref)
         try:
-            counts, commit, children = ray.get(ref)
+            counts, commit, _ = ray.get(ref)
         except Exception:
             # lost worker (reference J5/R3): the lease was never
             # committed — roll it back to INITIAL and delete any
@@ -704,9 +610,6 @@ def run_crawl_pump(seed_urls: list[str] | None = None, *,
         lineage_rows.append((lease_id, shard, counts["n"], counts["n_ok"],
                              counts["n"] - counts["n_ok"],
                              counts["started"], counts["ended"]))
-        if children is not None:
-            disc_urls.extend(children[0])
-            disc_depths.extend(children[1])
         return True
 
     def await_commits() -> None:
@@ -739,7 +642,6 @@ def run_crawl_pump(seed_urls: list[str] | None = None, *,
                     submit(lease, shard)
                     got += 1
         if not lease_pending and len(inflight) + got < target_inflight:
-            flush_discovered()
             want = target_inflight - len(inflight) - got
             per_shard = max(1, -(-want // frontier.num_shards))
             refs = [sh.lease_many.remote(per_shard, chunk_size, now)
@@ -774,7 +676,7 @@ def run_crawl_pump(seed_urls: list[str] | None = None, *,
         got = refill(now)
         if not inflight:
             await_commits()
-            flush_discovered(block=True)  # inserts must land before the
+            await_enqueues()              # inserts must land before the
             if refill(now, block=True):   # drained check can be trusted
                 continue
             if frontier.retry_failed() > 0:
@@ -855,7 +757,7 @@ def run_crawl_pump(seed_urls: list[str] | None = None, *,
                 for ref in done:
                     collect(ref)
             await_commits()
-            flush_discovered(block=True)
+            await_enqueues()
             # settle: fire-and-forget child inserts from the drained
             # tasks must land before the snapshot (histogram stability)
             prev = frontier.status_histogram()
@@ -895,7 +797,7 @@ def read_documents(out_dir: str) -> rd.Dataset:
 
 
 def direct_crawl(items: list[str], *, seed: int = 42,
-                 fetch_concurrency: int = 4, batch_size: int = 1024) -> pa.Table:
+                 batch_size: int = 1024) -> pa.Table:
     """Entry point B — synchronous scatter-gather crawl (no queue, no
     retries): the reference's POST /crawl path chunks items across
     concurrent Lambdas and merges responses
@@ -906,9 +808,8 @@ def direct_crawl(items: list[str], *, seed: int = 42,
                     "depth": pa.array([0] * len(items), pa.int32()),
                     "retries": pa.array([0] * len(items), pa.int32())})
     ds = rd.from_arrow(tbl).map_batches(
-        FetchSim, fn_constructor_kwargs={"seed": seed},
-        batch_format="pyarrow", batch_size=batch_size,
-        concurrency=fetch_concurrency, num_cpus=1, max_task_retries=0)
+        fetch_sim_batch, fn_kwargs={"seed": seed},
+        batch_format="pyarrow", batch_size=batch_size, max_retries=0)
     out = pa.concat_tables(ds.iter_batches(batch_size=batch_size * 8,
                                            batch_format="pyarrow"))
     return out.sort_by("url")

@@ -3,7 +3,7 @@
 The end-to-end training-data story on the engine's own documents
 table, all Ray-Data-native:
 
-  read (prune columns) → flatten span text → text analysis actor pool
+  read (prune columns) → flatten span text → text analysis tasks
   (lang-ID, quality features) → vectorized quality filter → exact
   dedup (content-hash partial-agg) → near-dup removal using the
   simhash computed AT INGEST (no re-shingling pass) → curated parquet.
@@ -40,16 +40,14 @@ def flatten_text_batch(batch: pa.Table) -> pa.Table:
                      "text": pa.array(texts, pa.string())})
 
 
-class CurationAnalyzer:
-    """Actor-pool stage: language-ID + quality features in one pass."""
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        q = quality_score_batch(batch)
-        l = langid_batch(batch)
-        return (batch
-                .append_column("n_chars_q", q["n_chars_q"])
-                .append_column("avg_token_len_e3", q["avg_token_len_e3"])
-                .append_column("lang_pred", l["lang_pred"]))
+def analyze_batch(batch: pa.Table) -> pa.Table:
+    """Language-ID + quality features in one pass."""
+    q = quality_score_batch(batch)
+    l = langid_batch(batch)
+    return (batch
+            .append_column("n_chars_q", q["n_chars_q"])
+            .append_column("avg_token_len_e3", q["avg_token_len_e3"])
+            .append_column("lang_pred", l["lang_pred"]))
 
 
 def quality_filter_batch(batch: pa.Table, *, min_chars: int = 200,
@@ -61,13 +59,11 @@ def quality_filter_batch(batch: pa.Table, *, min_chars: int = 200,
 
 
 def curate_documents(docs: rd.Dataset, out_dir: str, *,
-                     concurrency: int = 4,
                      min_chars: int = 200) -> dict:
     """Run the curation pipeline; returns a summary dict and writes
     the curated table to ``out_dir``."""
     flat = docs.map_batches(flatten_text_batch, batch_format="pyarrow")
-    analyzed = flat.map_batches(CurationAnalyzer, batch_format="pyarrow",
-                                concurrency=concurrency, num_cpus=1)
+    analyzed = flat.map_batches(analyze_batch, batch_format="pyarrow")
     # materialize ONCE: four consumers below (count, exact-hash pass,
     # simhash pass, final semi-join) would otherwise each re-run the
     # analyzer over the corpus. SPILL ASSUMPTION: this pin is

@@ -4996,8 +4996,8 @@ def _media_frame_plan_oracle_sql(seed: int = 42,
 
 def q_media_ann_topk(sf_dir: str):
     """Multimodal → similarity-search END TO END: media spans exploded
-    to typed rows, feature extraction through an ACTOR POOL
-    (HashFeaturizer — the declared-synthetic embedding stand-in; real
+    to typed rows, feature extraction as map_batches TASKS
+    (hash_features_batch — the declared-synthetic embedding stand-in; real
     image DECODE is the separate oracle-gated q_media_decode_stats
     chain), then exact cosine top-5 over the feature column for 3
     deterministic query refs via the partial-top-k ANN stage.
@@ -5012,9 +5012,7 @@ def q_media_ann_topk(sf_dir: str):
         q_crawl_documents(sf_dir)
     docs = read_documents(out)
     media = docs.map_batches(mm.media_rows_from_spans, batch_format="pyarrow")
-    feats = media.map_batches(
-        mm.HashFeaturizer,
-        batch_format="pyarrow", concurrency=(1, 4), num_cpus=1)
+    feats = media.map_batches(mm.hash_features_batch, batch_format="pyarrow")
 
     # query set: the 3 lexicographically-smallest media refs (partial
     # min-3 per batch → tiny driver merge), features recomputed via the
@@ -5024,7 +5022,7 @@ def q_media_ann_topk(sf_dir: str):
 
     refs = sorted(media.map_batches(min3, batch_format="pyarrow")
                   .to_pandas()["media_ref"])[:3]
-    qtbl = mm.HashFeaturizer()(pa.table({"media_ref": pa.array(refs)}))
+    qtbl = mm.hash_features_batch(pa.table({"media_ref": pa.array(refs)}))
     qmat = np.asarray(qtbl["features"].to_pylist(), dtype=np.float64)
     return ss.brute_force_topk(feats, qmat, refs, k=5,
                                id_column="media_ref", column="features")
@@ -5415,29 +5413,26 @@ def _robots_real_oracle_sql(seed: int = 42) -> str:
         "FROM rb_d GROUP BY 1, 2 ORDER BY 1")
 
 
-class _SitemapStage:
-    """Actor-pool sitemap fetch+parse: one generate → parse per host
-    row, entries exploded to output rows."""
-
-    def __init__(self, seed: int = 42):
-        self.seed = seed
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..functions.sitemap import parse_sitemap
-        from ..sources.corpus import make_sitemap_xml
-        hosts, locs, mods, freqs, prios = [], [], [], [], []
-        for host in batch["host"].to_pylist():
-            for e in parse_sitemap(make_sitemap_xml(host, self.seed)):
-                hosts.append(host)
-                locs.append(e["loc"])
-                mods.append(e["lastmod"])
-                freqs.append(e["changefreq"])
-                prios.append(int(round(e["priority"] * 10)))
-        return pa.table({"host": pa.array(hosts, pa.string()),
-                         "loc": pa.array(locs, pa.string()),
-                         "lastmod": pa.array(mods, pa.string()),
-                         "changefreq": pa.array(freqs, pa.string()),
-                         "priority_e1": pa.array(prios, pa.int64())})
+def _sitemap_batch(batch: pa.Table, *, seed: int = 42) -> pa.Table:
+    """Sitemap fetch+parse: one generate → parse per host row, entries
+    exploded to output rows; an entry without ``<priority>`` gets a
+    null ``priority_e1``."""
+    from ..functions.sitemap import parse_sitemap
+    from ..sources.corpus import make_sitemap_xml
+    hosts, locs, mods, freqs, prios = [], [], [], [], []
+    for host in batch["host"].to_pylist():
+        for e in parse_sitemap(make_sitemap_xml(host, seed)):
+            hosts.append(host)
+            locs.append(e["loc"])
+            mods.append(e["lastmod"])
+            freqs.append(e["changefreq"])
+            prios.append(None if e["priority"] is None
+                         else int(round(e["priority"] * 10)))
+    return pa.table({"host": pa.array(hosts, pa.string()),
+                     "loc": pa.array(locs, pa.string()),
+                     "lastmod": pa.array(mods, pa.string()),
+                     "changefreq": pa.array(freqs, pa.string()),
+                     "priority_e1": pa.array(prios, pa.int64())})
 
 
 def q_sitemap_extract(sf_dir: str):
@@ -5449,7 +5444,7 @@ def q_sitemap_extract(sf_dir: str):
     optional fields omitted on every 5th entry) and parsed by the
     streaming scanner (functions.sitemap.parse_sitemap, no XML lib —
     one linear pass, the 100-TB per-fetched-sitemap shape), entries
-    exploded to one row each through an actor-pool stage.
+    exploded to one row each by map_batches tasks.
     ORACLE-CHECKED: the DuckDB twin replays every entry — loc hex
     path, lastmod day, changefreq cycle, priority nibble, and the
     every-5th omission — from the generator's closed form without
@@ -5458,9 +5453,7 @@ def q_sitemap_extract(sf_dir: str):
     tbl = make_seed_urls(ROBOTS_N_URLS, seed=42)
     hosts = sorted(set(tbl["host"].to_pylist()))
     ds = rd.from_arrow(pa.table({"host": pa.array(hosts, pa.string())}))
-    out = ds.map_batches(_SitemapStage,
-                         fn_constructor_kwargs={"seed": 42},
-                         concurrency=(1, 2), num_cpus=1,
+    out = ds.map_batches(_sitemap_batch, fn_kwargs={"seed": 42},
                          batch_format="pyarrow").to_pandas()
     return out.sort_values(["host", "loc"]).reset_index(drop=True)
 
@@ -5502,48 +5495,43 @@ def _sitemap_oracle_sql(seed: int = 42) -> str:
         "FROM sm_e ORDER BY host, loc")
 
 
-class _HttpFetchStage:
-    """Actor-pool raw-HTTP fetch+parse: per URL, the synthetic origin
+def _http_fetch_batch(batch: pa.Table, *, seed: int = 42) -> pa.Table:
+    """Raw-HTTP fetch+parse: per URL, the synthetic origin
     serves real HTTP/1.1 bytes (chunked 200s, 301s with Location,
     error statuses), the wire parser de-frames them, and 301s are
     followed ONE hop (the bounded-redirect policy; the second
     response's status is reported, not chased further)."""
-
-    def __init__(self, seed: int = 42):
-        self.seed = seed
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..functions.http import parse_http_response
-        from ..sources.corpus import make_http_response
-        urls = batch["url"].to_pylist()
-        k = len(urls)
-        st = np.empty(k, np.int64)
-        nh = np.empty(k, np.int64)
-        hops = np.empty(k, np.int64)
-        fin = np.empty(k, np.int64)
-        bl = np.empty(k, np.int64)
-        bs = np.empty(k, np.int64)
-        bq = np.empty(k, np.int64)
-        for i, url in enumerate(urls):
-            status, headers, body = parse_http_response(
-                make_http_response(url, self.seed))
-            arr = np.frombuffer(body, np.uint8).astype(np.int64)
-            st[i], nh[i] = status, len(headers)
-            bl[i], bs[i], bq[i] = arr.size, arr.sum(), (arr * arr).sum()
-            if status == 301:
-                s2, _, _ = parse_http_response(
-                    make_http_response(headers["location"], self.seed))
-                hops[i], fin[i] = 1, s2
-            else:
-                hops[i], fin[i] = 0, status
-        return pa.table({"url": batch["url"],
-                         "status": pa.array(st, pa.int64()),
-                         "n_headers": pa.array(nh, pa.int64()),
-                         "hops": pa.array(hops, pa.int64()),
-                         "final_status": pa.array(fin, pa.int64()),
-                         "body_len": pa.array(bl, pa.int64()),
-                         "body_sum": pa.array(bs, pa.int64()),
-                         "body_sq_sum": pa.array(bq, pa.int64())})
+    from ..functions.http import parse_http_response
+    from ..sources.corpus import make_http_response
+    urls = batch["url"].to_pylist()
+    k = len(urls)
+    st = np.empty(k, np.int64)
+    nh = np.empty(k, np.int64)
+    hops = np.empty(k, np.int64)
+    fin = np.empty(k, np.int64)
+    bl = np.empty(k, np.int64)
+    bs = np.empty(k, np.int64)
+    bq = np.empty(k, np.int64)
+    for i, url in enumerate(urls):
+        status, headers, body = parse_http_response(
+            make_http_response(url, seed))
+        arr = np.frombuffer(body, np.uint8).astype(np.int64)
+        st[i], nh[i] = status, len(headers)
+        bl[i], bs[i], bq[i] = arr.size, arr.sum(), (arr * arr).sum()
+        if status == 301:
+            s2, _, _ = parse_http_response(
+                make_http_response(headers["location"], seed))
+            hops[i], fin[i] = 1, s2
+        else:
+            hops[i], fin[i] = 0, status
+    return pa.table({"url": batch["url"],
+                     "status": pa.array(st, pa.int64()),
+                     "n_headers": pa.array(nh, pa.int64()),
+                     "hops": pa.array(hops, pa.int64()),
+                     "final_status": pa.array(fin, pa.int64()),
+                     "body_len": pa.array(bl, pa.int64()),
+                     "body_sum": pa.array(bs, pa.int64()),
+                     "body_sq_sum": pa.array(bq, pa.int64())})
 
 
 def q_http_fetch_stats(sf_dir: str):
@@ -5565,9 +5553,7 @@ def q_http_fetch_stats(sf_dir: str):
     tbl = make_seed_urls(ROBOTS_N_URLS, seed=42)
     urls = sorted(set(tbl["url"].to_pylist()))
     ds = rd.from_arrow(pa.table({"url": pa.array(urls, pa.string())}))
-    out = ds.map_batches(_HttpFetchStage,
-                         fn_constructor_kwargs={"seed": 42},
-                         concurrency=(1, 2), num_cpus=1,
+    out = ds.map_batches(_http_fetch_batch, fn_kwargs={"seed": 42},
                          batch_format="pyarrow").to_pandas()
     return out.sort_values("url").reset_index(drop=True)
 
@@ -5638,42 +5624,37 @@ def _http_parse_oracle_sql(seed: int = 42) -> str:
     return sql
 
 
-class _HttpRevalidateStage:
-    """Actor-pool conditional-refetch: first GET parses the response
+def _http_revalidate_batch(batch: pa.Table, *, seed: int = 42) -> pa.Table:
+    """Conditional refetch: first GET parses the response
     and captures the ETag; a second GET presents it via
     If-None-Match and must observe the 304 path (empty body, ETag
     echoed) — the recrawl-without-redownload pattern a 100-TB
     refresh crawl lives on."""
-
-    def __init__(self, seed: int = 42):
-        self.seed = seed
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..functions.http import parse_http_response
-        from ..sources.corpus import make_http_response
-        urls = batch["url"].to_pylist()
-        k = len(urls)
-        st = np.empty(k, np.int64)
-        st2 = np.empty(k, np.int64)
-        b2 = np.empty(k, np.int64)
-        etags = []
-        for i, url in enumerate(urls):
-            status, headers, _ = parse_http_response(
-                make_http_response(url, self.seed))
-            st[i] = status
-            if status == 200:
-                s2, h2, body2 = parse_http_response(make_http_response(
-                    url, self.seed, if_none_match=headers["etag"]))
-                st2[i], b2[i] = s2, len(body2)
-                etags.append(h2["etag"].strip('"'))
-            else:
-                st2[i], b2[i] = status, -1
-                etags.append("")
-        return pa.table({"url": batch["url"],
-                         "status": pa.array(st, pa.int64()),
-                         "second_status": pa.array(st2, pa.int64()),
-                         "second_body_len": pa.array(b2, pa.int64()),
-                         "etag_hex": pa.array(etags, pa.string())})
+    from ..functions.http import parse_http_response
+    from ..sources.corpus import make_http_response
+    urls = batch["url"].to_pylist()
+    k = len(urls)
+    st = np.empty(k, np.int64)
+    st2 = np.empty(k, np.int64)
+    b2 = np.empty(k, np.int64)
+    etags = []
+    for i, url in enumerate(urls):
+        status, headers, _ = parse_http_response(
+            make_http_response(url, seed))
+        st[i] = status
+        if status == 200:
+            s2, h2, body2 = parse_http_response(make_http_response(
+                url, seed, if_none_match=headers["etag"]))
+            st2[i], b2[i] = s2, len(body2)
+            etags.append(h2["etag"].strip('"'))
+        else:
+            st2[i], b2[i] = status, -1
+            etags.append("")
+    return pa.table({"url": batch["url"],
+                     "status": pa.array(st, pa.int64()),
+                     "second_status": pa.array(st2, pa.int64()),
+                     "second_body_len": pa.array(b2, pa.int64()),
+                     "etag_hex": pa.array(etags, pa.string())})
 
 
 def q_http_revalidate_stats(sf_dir: str):
@@ -5691,9 +5672,7 @@ def q_http_revalidate_stats(sf_dir: str):
     tbl = make_seed_urls(ROBOTS_N_URLS, seed=42)
     urls = sorted(set(tbl["url"].to_pylist()))
     ds = rd.from_arrow(pa.table({"url": pa.array(urls, pa.string())}))
-    out = ds.map_batches(_HttpRevalidateStage,
-                         fn_constructor_kwargs={"seed": 42},
-                         concurrency=(1, 2), num_cpus=1,
+    out = ds.map_batches(_http_revalidate_batch, fn_kwargs={"seed": 42},
                          batch_format="pyarrow").to_pandas()
     return out.sort_values("url").reset_index(drop=True)
 
@@ -5722,29 +5701,24 @@ def _http_revalidate_oracle_sql(seed: int = 42) -> str:
         "FROM hr_c ORDER BY url")
 
 
-class _IndexabilityStage:
-    """Actor-pool page fetch + indexability parse: the synthetic
+def _indexability_batch(batch: pa.Table, *, seed: int = 42) -> pa.Table:
+    """Page fetch + indexability parse: the synthetic
     origin serves a real HTML page per URL; the stage reads robots
     meta directives (order-independent attribute parsing), the
     canonical link, and the post-clean_html followable link count."""
-
-    def __init__(self, seed: int = 42):
-        self.seed = seed
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..stages.html import page_indexability
-        from ..sources.corpus import make_html_page
-        urls = batch["url"].to_pylist()
-        rows = [page_indexability(make_html_page(u, self.seed))
-                for u in urls]
-        return pa.table({
-            "url": batch["url"],
-            "noindex": pa.array([r["noindex"] for r in rows]),
-            "nofollow": pa.array([r["nofollow"] for r in rows]),
-            "canonical": pa.array([r["canonical"] for r in rows],
-                                  pa.string()),
-            "n_links": pa.array([r["n_links"] for r in rows],
-                                pa.int64())})
+    from ..stages.html import page_indexability
+    from ..sources.corpus import make_html_page
+    urls = batch["url"].to_pylist()
+    rows = [page_indexability(make_html_page(u, seed))
+            for u in urls]
+    return pa.table({
+        "url": batch["url"],
+        "noindex": pa.array([r["noindex"] for r in rows]),
+        "nofollow": pa.array([r["nofollow"] for r in rows]),
+        "canonical": pa.array([r["canonical"] for r in rows],
+                              pa.string()),
+        "n_links": pa.array([r["n_links"] for r in rows],
+                            pa.int64())})
 
 
 def q_indexability_stats(sf_dir: str):
@@ -5762,9 +5736,7 @@ def q_indexability_stats(sf_dir: str):
     tbl = make_seed_urls(ROBOTS_N_URLS, seed=42)
     urls = sorted(set(tbl["url"].to_pylist()))
     ds = rd.from_arrow(pa.table({"url": pa.array(urls, pa.string())}))
-    out = ds.map_batches(_IndexabilityStage,
-                         fn_constructor_kwargs={"seed": 42},
-                         concurrency=(1, 2), num_cpus=1,
+    out = ds.map_batches(_indexability_batch, fn_kwargs={"seed": 42},
                          batch_format="pyarrow").to_pandas()
     return out.sort_values("url").reset_index(drop=True)
 
@@ -6722,7 +6694,7 @@ def _media_spans_oracle_sql(seed: int = 42) -> str:
 def _media_ann_topk_oracle_sql(seed: int = 42, k: int = 5) -> str:
     """DuckDB twin of the multimodal→ANN chain: media refs from the
     crawl mirror, features = bytes of stable_hash64(ref)/255
-    (multimodal.HashFeaturizer), exact cosine top-k. The /255 scaling
+    (multimodal.hash_features_batch), exact cosine top-k. The /255 scaling
     cancels in cosine, so the dot products and norms are computed on
     INTEGER byte values with float entering only at the final
     divide+sqrt. Float-safety is corpus-checked, not hoped: the crawl

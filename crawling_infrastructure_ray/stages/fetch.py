@@ -4,11 +4,11 @@ The reference's fetch is a user-supplied ``crawl(item)`` UDF run
 sequentially per lease inside a Lambda/docker worker
 (crawler/src/handler.ts:83-189) holding per-worker state: a configured
 HTTP client or a headless browser, proxy rotation counters, seeded
-jitter (A1/A2/A4). Here the stage is a callable CLASS for
-``Dataset.map_batches(FetchSim, concurrency=N, batch_format="pyarrow")``
-— an actor pool: per-actor state (RNG, session counters, compiled
-nothing-else) built once in ``__init__``, per-batch work vectorized in
-``__call__``.
+jitter (A1/A2/A4). Here ``FetchSim`` is a callable class holding that
+state (RNG, session counters, proxy claim) with per-batch work in
+``__call__``. The crawl drivers run it inside ``fetch_store_batch``,
+one lease per raw Ray task (``pipelines.crawl``); ``fetch_sim_batch``
+is its stateless form for ``map_batches`` tasks (``direct_crawl``).
 
 The sandbox has no network, so fetching is a deterministic pure
 function of (seed, url, attempt) — ``sources.corpus.fetch_outcome`` —
@@ -38,8 +38,7 @@ def fetch_sim_batch(batch: pa.Table, *, seed: int = 42, max_depth: int = 2,
     """Stateless-function form of FetchSim for ``map_batches`` TASKS.
 
     The simulated fetch holds no session state, so the cheap/elastic
-    task form avoids per-Dataset actor-pool startup (the crawl wave
-    loop creates one Dataset per wave). A real network fetcher holds a
+    task form avoids actor-pool startup. A real network fetcher holds a
     session/browser → use the FetchSim actor class instead (A1/A2).
     """
     return FetchSim(seed=seed, max_depth=max_depth, num_hosts=num_hosts)(batch)
@@ -59,9 +58,10 @@ def fetch_store_batch(batch: pa.Table, *, seed: int = 42, max_depth: int = 2,
     This is the scale-critical shape (each reference worker uploads its
     own results, crawler/src/index.ts:220-276): the driver never holds
     span payloads, only (seq, status, error, discovered). The fragment
-    name is the batch's min enqueue_seq — deterministic, unique within
-    a wave — so resumed runs reproduce the identical file set. Write
-    happens BEFORE the control rows are returned (commit-after-store,
+    is ``docs_dir/part-{part_label}.parquet``; the crawl drivers label
+    it with the lease id, which is unique and survives a checkpoint,
+    so resumed runs reproduce the identical file set. Write happens
+    BEFORE the control rows are returned (commit-after-store,
     reference R7).
 
     ``storage_policy`` selects the reference's failure granularity
@@ -83,8 +83,6 @@ def fetch_store_batch(batch: pa.Table, *, seed: int = 42, max_depth: int = 2,
     ``store_fail_marker`` injects a simulated storage failure for
     matching URLs on their first attempt (tests).
     """
-    import os
-
     from ..functions.hashing import rolling_fingerprint_col
     from .dedup import simhash64_batch
 
@@ -156,14 +154,7 @@ def fetch_store_batch(batch: pa.Table, *, seed: int = 42, max_depth: int = 2,
             "spans": ok["spans"],
         })
         from ..sources.storage import write_fragment
-        if part_label:
-            # async-pump layout: one flat fragment per lease
-            out_dir, fname = docs_dir, f"part-{part_label}"
-        else:
-            min_seq = pa.compute.min(ok["enqueue_seq"]).as_py()
-            out_dir = os.path.join(docs_dir, f"wave_{wave:05d}")
-            fname = f"part-{min_seq:012d}"
-        write_fragment(doc_tbl, out_dir, fname)
+        write_fragment(doc_tbl, docs_dir, f"part-{part_label}")
     if fail_after_store_marker and "attempt" in batch.column_names \
             and any(fail_after_store_marker in u for u in batch["url"].to_pylist()) \
             and min(batch["attempt"].to_pylist() or [1]) == 0:
@@ -175,17 +166,6 @@ def fetch_store_batch(batch: pa.Table, *, seed: int = 42, max_depth: int = 2,
             f"injected post-store crash (marker={fail_after_store_marker!r})")
     return fetched.select(["enqueue_seq", "depth", "shard", "lease_id",
                            "status", "error", "discovered"])
-
-
-class FetchStoreActor:
-    """Actor-pool form of ``fetch_store_batch`` (per-actor session
-    state in __init__ — the A1/A2 stateful-fetcher shape)."""
-
-    def __init__(self, **kwargs):
-        self.kwargs = kwargs
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return fetch_store_batch(batch, **self.kwargs)
 
 
 class FetchSim:

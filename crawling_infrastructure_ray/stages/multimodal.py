@@ -15,7 +15,7 @@ cluster's only CPU before the read runs. Compressed codecs
 swaps decode_ppm for the codec call inside the SAME batch signature
 (an actor class once the codec has load-once state).
 
-``HashFeaturizer`` is the declared-synthetic embedding stand-in for
+``hash_features_batch`` is the declared-synthetic embedding stand-in for
 the media→ANN chain (real image embedders aren't in the container):
 8 bytes of stable_hash64(ref) scaled to [0,1] — not a decode path,
 just a deterministic feature draw the oracle replays.
@@ -303,29 +303,26 @@ def decode_video_batch(batch: pa.Table) -> pa.Table:
             .append_column("y_sum", pa.array(ys, pa.int64())))
 
 
-class HashFeaturizer:
+HASH_FEATURE_DIM = 8
+
+
+def hash_features_batch(batch: pa.Table) -> pa.Table:
     """Deterministic 8-dim feature from the ref hash — the embedding
     stand-in for the media→ANN chain (bytes of stable_hash64(ref),
     scaled /255; the scaling cancels in cosine so the oracle re-ranks
     on integer dots). Declared synthetic: NOT a decode path — see
     decode_image_batch for actual image decode. Vectorized: one
-    stable_hash64_np pass + a byte-plane shift matrix per batch."""
-
-    FEATURE_DIM = 8
-
-    def __init__(self):
-        pass  # real embedder: load model weights ONCE per actor here
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        h = stable_hash64_np(batch["media_ref"])
-        shifts = np.uint64(8) * np.arange(self.FEATURE_DIM, dtype=np.uint64)
-        feats = ((h[:, None] >> shifts[None, :]) & np.uint64(0xFF)) / 255.0
-        offsets = pa.array(
-            np.arange(0, (len(h) + 1) * self.FEATURE_DIM,
-                      self.FEATURE_DIM, dtype=np.int32))
-        col = pa.ListArray.from_arrays(
-            offsets, pa.array(feats.reshape(-1), pa.float64()))
-        return batch.append_column("features", col)
+    stable_hash64_np pass + a byte-plane shift matrix per batch. A
+    real embedder with load-once weights would be an actor class."""
+    h = stable_hash64_np(batch["media_ref"])
+    shifts = np.uint64(8) * np.arange(HASH_FEATURE_DIM, dtype=np.uint64)
+    feats = ((h[:, None] >> shifts[None, :]) & np.uint64(0xFF)) / 255.0
+    offsets = pa.array(
+        np.arange(0, (len(h) + 1) * HASH_FEATURE_DIM,
+                  HASH_FEATURE_DIM, dtype=np.int32))
+    col = pa.ListArray.from_arrays(
+        offsets, pa.array(feats.reshape(-1), pa.float64()))
+    return batch.append_column("features", col)
 
 
 class ResizeStub:

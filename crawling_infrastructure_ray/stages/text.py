@@ -8,8 +8,8 @@ BPE-ish regex), and winnowing document fingerprints.
 
 All are vectorized ``map_batches`` bodies over the ``documents``
 table's ``text`` column; the language model (stopword sets, compiled
-regexes) is module-level state compiled once per worker process —
-or use the ``TextAnalyzer`` class form as an actor pool.
+regexes) is module-level state compiled once per worker process, so
+the stages run as tasks and need no actor pool.
 
 Tokenization contract (INTENDED, documented): counting/splitting uses
 Arrow RE2 kernels, whose ``\\s``/``\\w`` classes are ASCII-only —
@@ -141,24 +141,6 @@ def fingerprint_batch(batch: pa.Table, column: str = "text",
     return pa.table({"doc_id": batch["doc_id"],
                      "fingerprint": rolling_fingerprint_col(
                          batch[column], window, keep)})
-
-
-class TextAnalyzer:
-    """Actor-pool form: all four analyses in one pass (state — compiled
-    regexes + stopword tables — built once per actor)."""
-
-    def __init__(self):
-        self.ws = _WS_RE  # compiled at import; held per actor
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out = token_count_batch(batch)
-        q = quality_score_batch(batch)
-        l = langid_batch(batch)
-        return (batch
-                .append_column("n_tokens", out["n_tokens"])
-                .append_column("avg_token_len_e3", q["avg_token_len_e3"])
-                .append_column("punct_ratio_e4", q["punct_ratio_e4"])
-                .append_column("lang_pred", l["lang_pred"]))
 
 
 # ----------------------------------------------------------------------

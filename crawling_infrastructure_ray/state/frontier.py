@@ -49,7 +49,7 @@ import pyarrow.parquet as pq
 import ray
 
 from ..functions.hashing import stable_hash64
-from ..functions.urltools import canonicalize_and_host
+from ..functions.urltools import canonicalize_and_host, url_host
 from .filters import (BloomFilter, CuckooFilter, ExactSeenSet,
                       ScalableSeenFilter)
 from .politeness import HostPoliteness, RealRobots, RobotsCache
@@ -725,12 +725,9 @@ class Frontier:
         self._host_shard: dict[str, int] = {}
         self._host_shard_cap = 1 << 20
 
-    def _route(self, url: str) -> int:
-        # hot path: cheap host extraction (full canonicalization happens
-        # inside the shard, in parallel); memoized per host — the host
-        # set is tiny relative to the URL stream
-        rest = url.split("://", 1)[-1]
-        host = rest.split("/", 1)[0].rsplit("@", 1)[-1].split(":", 1)[0].lower()
+    def _shard_of_host(self, host: str) -> int:
+        # memoized per host — the host set is tiny relative to the URL
+        # stream
         sh = self._host_shard.get(host)
         if sh is None:
             if len(self._host_shard) >= self._host_shard_cap:
@@ -739,14 +736,17 @@ class Frontier:
             self._host_shard[host] = sh
         return sh
 
+    def _route(self, url: str) -> int:
+        return self._shard_of_host(url_host(url))
+
     def enqueue(self, urls: list[str], depths: list[int] | None = None,
                 priorities: list[int] | None = None) -> int:
         """Assign global seqs in list order and scatter to shards.
 
-        Vectorized routing: hosts extracted with an Arrow C++ regex,
-        dictionary-encoded, and only the (small) distinct-host set is
-        hashed in Python — the driver cost is O(urls) numpy work, not
-        O(urls) Python parsing.
+        Vectorized routing: each URL's ``scheme://netloc`` prefix is
+        extracted with an Arrow C++ regex and dictionary-encoded, and
+        only the (small) distinct-prefix set is routed in Python — the
+        driver cost is O(urls) numpy work, not O(urls) Python parsing.
         """
         n = len(urls)
         if n == 0:
@@ -768,26 +768,19 @@ class Frontier:
         import pyarrow as pa
         import pyarrow.compute as pc
         arr = pa.array(urls, pa.string())
-        hosts = pc.extract_regex(pc.utf8_lower(arr), r"^[a-z0-9+.-]+://(?P<h>[^/?#]+)")
-        host_field = pc.struct_field(hosts, "h")
-        if host_field.null_count:
+        # the "scheme://netloc" prefix, routed once per distinct value
+        prefixes = pc.extract_regex(pc.utf8_lower(arr),
+                                    r"(?P<p>^[a-z0-9+.-]+://[^/?#]+)")
+        prefix_field = pc.struct_field(prefixes, "p")
+        if prefix_field.null_count:
             # rare fallback: synchronous slow path; wrap the count so
             # callers can still sum(ray.get(refs))
             return [ray.put(self._enqueue_slow(urls, depths, priorities))]
-        enc = pc.dictionary_encode(host_field)
-        dictionary = enc.dictionary.to_pylist()
-        shard_list = []
-        for h in dictionary:
-            hh = h.rsplit("@", 1)[-1].split(":", 1)[0]
-            sh = self._host_shard.get(hh)
-            if sh is None:
-                if len(self._host_shard) >= self._host_shard_cap:
-                    self._host_shard.clear()
-                sh = stable_hash64(hh, self.seed) % self.num_shards
-                self._host_shard[hh] = sh
-            shard_list.append(sh)
-        shard_of_host = np.array(shard_list, dtype=np.int64)
-        shard_ids = shard_of_host[enc.indices.to_numpy(zero_copy_only=False)]
+        enc = pc.dictionary_encode(prefix_field)
+        shard_of_prefix = np.array(
+            [self._shard_of_host(url_host(p))
+             for p in enc.dictionary.to_pylist()], dtype=np.int64)
+        shard_ids = shard_of_prefix[enc.indices.to_numpy(zero_copy_only=False)]
         urls_np = np.asarray(urls, dtype=object)
         depths_np = (np.asarray(depths, dtype=np.int64) if depths is not None
                      else np.zeros(n, dtype=np.int64))
@@ -844,9 +837,7 @@ class Frontier:
             per: dict[int, tuple[list, list]] = {}
             memo: dict[str, int] = {}
             for u, d in zip(urls, depths):
-                rest = u.split("://", 1)[-1]
-                host = (rest.split("/", 1)[0].rsplit("@", 1)[-1]
-                        .split(":", 1)[0].lower())
+                host = url_host(u)
                 sh = memo.get(host)
                 if sh is None:
                     sh = stable_hash64(host, seed) % k

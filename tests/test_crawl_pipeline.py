@@ -80,8 +80,7 @@ def test_sharded_mode_matches_seen_set(ray_session, seeds, golden, tmp_path):
     """K=4 shards: per-shard FIFO, same final seen set + histogram
     totals (global claim order differs by design — SURVEY.md §7.4)."""
     res = run_crawl(seeds, seed=SEED, num_shards=4, dedup=True, max_depth=1,
-                    items_per_wave=WAVE, out_dir=str(tmp_path / "sharded"),
-                    fetch_via="dataset")  # covers the Dataset-pipeline fetch path
+                    items_per_wave=WAVE, out_dir=str(tmp_path / "sharded"))
     assert res.histogram["completed"] == golden["histogram"]["completed"]
     assert res.histogram["failed"] == golden["histogram"]["failed"]
     assert res.seen_set_size == len(golden["seen_set"])
@@ -159,16 +158,6 @@ def test_priority_order_engine(ray_session, tmp_path):
     claims = _read_sorted(str(tmp_path / "prio" / "claims" / "*.parquet"),
                           [("wave", "ascending")])
     assert claims["url"].to_pylist()[0] == "http://hp.example/shallow"
-
-
-def test_actor_pool_fetch_mode(ray_session, tmp_path, seeds, golden):
-    """use_actors=True (FetchStoreActor pool — the stateful-fetcher
-    A1/A2 shape) produces the same results as the task paths."""
-    res = run_crawl(seeds, seed=SEED, num_shards=1, dedup=True, max_depth=1,
-                    items_per_wave=WAVE, out_dir=str(tmp_path / "actors"),
-                    use_actors=True, fetch_concurrency=2)
-    assert res.histogram == golden["histogram"]
-    assert res.seen_set_size == len(golden["seen_set"])
 
 
 def test_robots_ordering_matches_oracle(ray_session, seeds, tmp_path):

@@ -272,3 +272,58 @@ def test_enqueue_dataset_distributed_ingest(ray_session, tmp_path):
     h = res.histogram
     assert h["initial"] == 0 and h["running"] == 0
     assert h["completed"] + h["failed"] == n_distinct
+
+
+# ----------------------------------------------------------------------
+# one host rule for routing (functions.urltools.url_host)
+# ----------------------------------------------------------------------
+ROUTING_URLS = ["http://a.com?x=1", "http://a.com#f", "HTTP://A.com:81/p",
+                "http://u@a.com/p", "https://a.com"]
+
+
+@pytest.mark.parametrize("url", ROUTING_URLS)
+def test_canonical_forms_agree_on_host(url):
+    from crawling_infrastructure_ray.functions.urltools import (
+        canonicalize_and_host, canonicalize_url, parse_host, url_host)
+    canon = canonicalize_url(url)
+    assert canonicalize_and_host(url) == (canon, parse_host(canon))
+    assert url_host(url) == parse_host(canon) == "a.com"
+
+
+@pytest.fixture(scope="module")
+def routing_frontier(ray_session):
+    from crawling_infrastructure_ray.state.frontier import Frontier
+    return Frontier(4, seed=42, dedup=True)
+
+
+@pytest.mark.parametrize("url", ROUTING_URLS)
+def test_every_router_sends_url_to_its_host_shard(routing_frontier, url):
+    """The driver's per-URL router, its Arrow batch router (≥256 URLs)
+    and the Dataset ingest router all pick the host's shard, so
+    shard-local dedup sees every later insert of the URL."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from crawling_infrastructure_ray.functions.hashing import stable_hash64
+
+    fr = routing_frontier
+    assert fr._route(url) == stable_hash64("a.com", 42) % 4
+    filler = [f"http://f{i}.example/{ROUTING_URLS.index(url)}"
+              for i in range(300)]
+    assert fr.enqueue([url]) == 1
+    assert fr.enqueue([url] + filler) == len(filler)
+    assert fr.enqueue_dataset(rd.from_arrow(pa.table({"url": [url]}))) == 0
+
+
+def test_url_splitting_has_one_home():
+    """No package module but functions/urltools.py splits a URL on
+    its scheme separator: routers call url_host."""
+    import pathlib
+    pkg = pathlib.Path(__file__).resolve().parents[1] / \
+        "crawling_infrastructure_ray"
+    offenders = [f"{p.relative_to(pkg)}:{i}"
+                 for p in sorted(pkg.rglob("*.py"))
+                 if p.name != "urltools.py"
+                 for i, line in enumerate(p.read_text().splitlines(), 1)
+                 if '.split("://"' in line]
+    assert offenders == []

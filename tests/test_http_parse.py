@@ -98,3 +98,14 @@ def test_origin_roundtrip_closed_form():
         else:
             assert status in (404, 500) and body == b"error"
     assert 200 in seen and 301 in seen  # corpus exercises the classes
+
+
+def test_latin1_header_decodes():
+    """obs-text (RFC 9110 §5.5): a non-ASCII header byte decodes as
+    ISO-8859-1 instead of escaping as UnicodeDecodeError."""
+    raw = (b"HTTP/1.1 200 OK\r\n"
+           b"Content-Length: 2\r\n"
+           b"X-Caf\xe9: na\xefve\r\n\r\nok")
+    status, headers, body = parse_http_response(raw)
+    assert status == 200 and body == b"ok"
+    assert headers["x-café"] == "naïve"

@@ -8,9 +8,10 @@ from crawling_infrastructure_ray.sources.corpus import (
     spans_arrow_type)
 from crawling_infrastructure_ray.functions.hashing import stable_hash64
 from crawling_infrastructure_ray.stages.multimodal import (
-    HashFeaturizer, ResizeStub, decode_audio_batch, decode_image_batch,
+    HASH_FEATURE_DIM, ResizeStub, decode_audio_batch, decode_image_batch,
     decode_ppm, decode_video_batch, decode_wav, decode_y4m,
-    frame_sample_plan, media_rows_from_spans, resize_image_batch)
+    frame_sample_plan, hash_features_batch, media_rows_from_spans,
+    resize_image_batch)
 
 
 def _doc_batch():
@@ -209,9 +210,9 @@ def test_media_resizer_stage():
 
 def test_hash_featurizer():
     media = media_rows_from_spans(_doc_batch())
-    out = HashFeaturizer()(media)
+    out = hash_features_batch(media)
     feats = out["features"].to_pylist()
-    assert all(len(f) == HashFeaturizer.FEATURE_DIM for f in feats)
+    assert all(len(f) == HASH_FEATURE_DIM for f in feats)
     assert all(0.0 <= x <= 1.0 for f in feats for x in f)
     # bit-identical to the scalar definition
     ref = out["media_ref"][0].as_py()
@@ -241,7 +242,8 @@ def test_frame_sample_plan():
 
 
 def test_decode_queries_finish_on_one_cpu(tmp_path):
-    """The four decode queries run their stages as tasks, so they must
+    """The four decode queries and media_ann_topk run their stages as
+    tasks, so they must
     finish on a one-CPU session (an actor pool would take the only CPU
     before the parquet read feeding it ran) and still match their
     DuckDB oracles."""
@@ -255,7 +257,7 @@ def test_decode_queries_finish_on_one_cpu(tmp_path):
     import __ray_entry__ as entrymod
     from test_queries_oracle import SF as sf
     names = ["media_decode_stats", "audio_decode_stats",
-             "video_decode_stats", "media_resize_stats"]
+             "video_decode_stats", "media_resize_stats", "media_ann_topk"]
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     code = (
         "import ray\n"

@@ -60,3 +60,20 @@ def test_generator_closed_form_roundtrip():
                 assert e["changefreq"] == ("daily", "weekly",
                                            "monthly")[k % 3]
         assert "decoy" not in " ".join(e["loc"] for e in es)
+
+
+def test_sitemap_stage_missing_priority_is_null(monkeypatch):
+    """An entry without <priority> becomes a null priority_e1 row
+    instead of a TypeError in the query stage."""
+    import pyarrow as pa
+
+    from crawling_infrastructure_ray.pipelines import training
+    from crawling_infrastructure_ray.sources import corpus
+
+    monkeypatch.setattr(corpus, "make_sitemap_xml", lambda host, seed: (
+        "<urlset><url><loc>http://a/x</loc></url>"
+        "<url><loc>http://a/y</loc><priority>0.3</priority></url>"
+        "</urlset>"))
+    out = training._sitemap_batch(pa.table({"host": ["a"]}))
+    assert out["loc"].to_pylist() == ["http://a/x", "http://a/y"]
+    assert out["priority_e1"].to_pylist() == [None, 3]

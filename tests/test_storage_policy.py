@@ -102,3 +102,31 @@ def test_storage_policies_in_pump_mode(ray_session, tmp_path):
         assert res.counters["rolled_back"] >= min_rb, policy
         docs = read_documents(out).to_pandas()
         assert len(docs) == len(urls) and docs["doc_id"].is_unique, policy
+
+
+def test_unstored_rows_route_no_children_in_either_driver(ray_session,
+                                                          tmp_path):
+    """An itemwise storage failure rolls its row back before any child
+    is enqueued; the retry that stores it enqueues them once. Without
+    URL dedup an early enqueue would crawl those children twice, so
+    both drivers must process the same URLs."""
+    from crawling_infrastructure_ray.pipelines.crawl import run_crawl_pump
+
+    fails, i = [], 0
+    while len(fails) < 6:
+        u = f"http://sp.example/STOREFAIL{i}"
+        if fetch_outcome(u, 0, 42)["status"] == "completed" \
+                and fetch_outcome(u, 1, 42)["status"] == "completed":
+            fails.append(u)
+        i += 1
+    seeds = _urls(20)[:-1] + fails
+    kw = dict(seed=42, num_shards=1, dedup=False, max_depth=1,
+              config=JobConfig(storage_policy="itemwise"),
+              store_fail_marker="STOREFAIL")
+    rw = run_crawl(seeds, items_per_wave=64, out_dir=str(tmp_path / "w"),
+                   **kw)
+    rp = run_crawl_pump(seeds, chunk_size=64, out_dir=str(tmp_path / "p"),
+                        **kw)
+    assert rw.counters["rolled_back"] == rp.counters["rolled_back"] == 6
+    assert rw.histogram == rp.histogram
+    assert rw.urls_processed == rp.urls_processed
