@@ -18,15 +18,21 @@ def canonicalize_url(url: str) -> str:
     """Canonical URL form: lowercase scheme/host, strip fragment,
     strip default port, collapse empty path to '/', drop trailing
     '?' . Query strings are preserved (order untouched — reordering
-    can change semantics)."""
+    can change semantics). A string with neither scheme nor netloc
+    (``a.com/x``) is read as ``http://`` + it; an IPv6 literal host
+    keeps its brackets (``http://[::1]/x``)."""
     url = url.strip()
     try:
         parts = urlsplit(url)
+        if not parts.scheme and not parts.netloc:
+            parts = urlsplit("http://" + url)
     except ValueError:
         return url
     scheme = (parts.scheme or "http").lower()
     host = (parts.hostname or "").lower()
     port = parts.port
+    if ":" in host:
+        host = f"[{host}]"
     netloc = host
     if port is not None and str(port) != _DEFAULT_PORTS.get(scheme, ""):
         netloc = f"{host}:{port}"

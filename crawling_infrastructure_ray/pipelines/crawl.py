@@ -46,7 +46,6 @@ import ray
 import ray.data as rd
 
 from ..functions.urltools import url_host
-from ..sources.corpus import spans_arrow_type
 from ..stages.fetch import fetch_sim_batch, fetch_store_batch
 from ..state.frontier import Frontier
 
@@ -147,19 +146,6 @@ def _fetch_store_route_task(seqs: list, urls: list, hosts: list,
                 all_shards[sh].enqueue_discovered.remote(us, ds)
     return {"n": ctl.num_rows, "n_ok": n_ok,
             "started": t_start, "ended": time.time()}, commit, children
-
-DOCS_SCHEMA = pa.schema([
-    ("doc_id", pa.string()),
-    ("url", pa.string()),
-    ("host", pa.string()),
-    ("depth", pa.int32()),
-    ("enqueue_seq", pa.uint64()),
-    ("url_hash_part", pa.uint16()),  # explicit hash partition key (north rule)
-    ("wave", pa.int32()),
-    ("simhash", pa.uint64()),        # signature-at-ingest (dedup input)
-    ("fingerprint", pa.list_(pa.uint64())),
-    ("spans", spans_arrow_type()),
-])
 
 
 class CrawlQuarantined(RuntimeError):

@@ -27,17 +27,14 @@ from ray.data.aggregate import Count, Min
 from ..functions.bucketing import i64_as_u64, u64_as_i64
 from ..functions.hashing import md5_id
 from ..stages.joins import bucketed_semi_join
-from ..stages.text import langid_batch, quality_score_batch
-
+from ..stages.text import langid_batch, quality_score_batch, span_text
 
 
 def flatten_text_batch(batch: pa.Table) -> pa.Table:
     """doc spans → one text column (text spans joined in order)."""
-    texts = [" ".join(sp["text"] for sp in spans if sp["kind"] == "text")
-             for spans in batch["spans"].to_pylist()]
     return pa.table({"doc_id": batch["doc_id"], "url": batch["url"],
                      "host": batch["host"], "simhash": batch["simhash"],
-                     "text": pa.array(texts, pa.string())})
+                     "text": span_text(batch["spans"])})
 
 
 def analyze_batch(batch: pa.Table) -> pa.Table:

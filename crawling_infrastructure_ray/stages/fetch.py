@@ -32,6 +32,20 @@ from ..functions.scalars import seeded_rng
 from ..sources.corpus import (doc_id_for_url, fetch_outcome, link_children,
                               make_spans, spans_arrow_type)
 
+# one crawled document per row: what fetch_store_batch writes to each
+# ``documents/part-*.parquet`` fragment
+DOCS_SCHEMA = pa.schema([
+    ("doc_id", pa.string()),
+    ("url", pa.string()),
+    ("host", pa.string()),
+    ("depth", pa.int32()),
+    ("enqueue_seq", pa.uint64()),
+    ("url_hash_part", pa.uint16()),  # explicit hash partition key (north rule)
+    ("wave", pa.int32()),
+    ("simhash", pa.uint64()),        # signature-at-ingest (near-dup input)
+    ("spans", spans_arrow_type()),
+])
+
 
 def fetch_sim_batch(batch: pa.Table, *, seed: int = 42, max_depth: int = 2,
                     num_hosts: int = 64) -> pa.Table:
@@ -58,7 +72,8 @@ def fetch_store_batch(batch: pa.Table, *, seed: int = 42, max_depth: int = 2,
     This is the scale-critical shape (each reference worker uploads its
     own results, crawler/src/index.ts:220-276): the driver never holds
     span payloads, only (seq, status, error, discovered). The fragment
-    is ``docs_dir/part-{part_label}.parquet``; the crawl drivers label
+    is ``docs_dir/part-{part_label}.parquet`` with ``DOCS_SCHEMA``
+    (control columns, ingest simhash, spans); the crawl drivers label
     it with the lease id, which is unique and survives a checkpoint,
     so resumed runs reproduce the identical file set. Write happens
     BEFORE the control rows are returned (commit-after-store,
@@ -83,8 +98,8 @@ def fetch_store_batch(batch: pa.Table, *, seed: int = 42, max_depth: int = 2,
     ``store_fail_marker`` injects a simulated storage failure for
     matching URLs on their first attempt (tests).
     """
-    from ..functions.hashing import rolling_fingerprint_col
     from .dedup import simhash64_batch
+    from .text import span_text
 
     if fail_marker and any(fail_marker in u for u in batch["url"].to_pylist()):
         # fault-injection hook (tests): simulates a worker crash mid-lease
@@ -120,39 +135,20 @@ def fetch_store_batch(batch: pa.Table, *, seed: int = 42, max_depth: int = 2,
         part_col = pa.array(
             (stable_hash64_col_np(ok["url"], seed)
              % np.uint64(1024)).astype(np.uint16), pa.uint16())
-        # signature-at-ingest: per-doc simhash + winnowing fingerprint
-        # computed where the text already is (feeds downstream dedup
-        # without a second pass over the corpus). Text assembly is
-        # vectorized: flatten the span structs once, filter text-kind
-        # spans, rebuild per-doc lists and binary_join — no per-doc
-        # Python loop; simhash runs the batch kernel (simhash64_batch).
-        spans_col = ok["spans"]
-        if isinstance(spans_col, pa.ChunkedArray):
-            spans_col = spans_col.combine_chunks()
-        flat_spans = spans_col.flatten()
-        is_text = pa.compute.equal(flat_spans.field("kind"), "text")
-        span_offs = spans_col.offsets.to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        mask_np = np.asarray(is_text.to_numpy(zero_copy_only=False))
-        kept = np.zeros(len(span_offs), dtype=np.int64)
-        if len(mask_np):
-            cum = np.concatenate(([0], np.cumsum(mask_np)))
-            kept = cum[span_offs - span_offs[0]]
-        txt_lists = pa.ListArray.from_arrays(
-            pa.array(kept, pa.int32()),
-            flat_spans.field("text").filter(is_text))
-        texts_arr = pa.compute.binary_join(txt_lists, " ")
-        simhashes = pa.array(simhash64_batch(texts_arr, seed), pa.uint64())
-        fps = rolling_fingerprint_col(texts_arr)
+        # signature-at-ingest: the per-doc simhash the near-dup stages
+        # read, computed where the text already is. No winnowing
+        # fingerprint is stored: a reader that wants one derives it from
+        # ``spans`` (stages.text.span_text, then the hashing kernel)
+        simhashes = pa.array(simhash64_batch(span_text(ok["spans"]), seed),
+                             pa.uint64())
         doc_tbl = pa.table({
             "doc_id": ok["doc_id"], "url": ok["url"], "host": ok["host"],
             "depth": ok["depth"], "enqueue_seq": ok["enqueue_seq"],
             "url_hash_part": part_col,
             "wave": pa.array([wave] * ok.num_rows, pa.int32()),
             "simhash": simhashes,
-            "fingerprint": fps,
             "spans": ok["spans"],
-        })
+        }, schema=DOCS_SCHEMA)
         from ..sources.storage import write_fragment
         write_fragment(doc_tbl, docs_dir, f"part-{part_label}")
     if fail_after_store_marker and "attempt" in batch.column_names \

@@ -27,7 +27,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..functions.hashing import stable_hash64, stable_hash64_np
+from ..functions.hashing import stable_hash64_np
 
 MEDIA_SCHEMA = pa.schema([
     ("media_ref", pa.string()),
@@ -41,28 +41,21 @@ MEDIA_SCHEMA = pa.schema([
 
 def media_rows_from_spans(batch: pa.Table) -> pa.Table:
     """Explode documents' media spans into one row per media_ref with
-    deterministic typed metadata (pure function of the ref)."""
-    doc_ids = batch["doc_id"].to_pylist()
-    spans_col = batch["spans"].to_pylist()
-    docs, refs, types, w, h, dur = [], [], [], [], [], []
-    for doc, spans in zip(doc_ids, spans_col):
-        for s in spans or []:
-            if s["kind"] != "media":
-                continue
-            ref = s["media_ref"]
-            hh = stable_hash64(ref)
-            docs.append(doc)
-            refs.append(ref)
-            types.append(("image", "audio", "video")[hh % 3])
-            w.append(160 + (hh >> 8) % 1920)
-            h.append(120 + (hh >> 16) % 1080)
-            dur.append(int((hh >> 24) % 300_000))
-    return pa.table({"doc_id": pa.array(docs, pa.string()),
-                     "media_ref": pa.array(refs, pa.string()),
-                     "media_type": pa.array(types, pa.string()),
-                     "width": pa.array(w, pa.int32()),
-                     "height": pa.array(h, pa.int32()),
-                     "duration_ms": pa.array(dur, pa.int32())})
+    deterministic typed metadata (pure function of the ref), in one
+    pass of Arrow kernels and one batch hash of the refs."""
+    spans = batch["spans"]
+    flat = pc.list_flatten(spans)
+    media = pc.equal(pc.struct_field(flat, "kind"), "media")
+    refs = pc.struct_field(flat, "media_ref").filter(media)
+    hh = stable_hash64_np(refs)
+    return pa.table({
+        "doc_id": batch["doc_id"].take(
+            pc.list_parent_indices(spans).filter(media)),
+        "media_ref": refs,
+        "media_type": pa.array(["image", "audio", "video"]).take(hh % 3),
+        "width": pa.array(160 + (hh >> 8) % 1920, pa.int32()),
+        "height": pa.array(120 + (hh >> 16) % 1080, pa.int32()),
+        "duration_ms": pa.array((hh >> 24) % 300_000, pa.int32())})
 
 
 def decode_ppm(buf: bytes) -> tuple[int, int, np.ndarray]:

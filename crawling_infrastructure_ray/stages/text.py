@@ -135,6 +135,25 @@ def langid_batch(batch: pa.Table, column: str = "text") -> pa.Table:
                      "lang_score_e4": pa.array(scores, pa.int64())})
 
 
+def span_text(spans) -> pa.Array:
+    """Each document's text spans joined by " " in span order ("" when
+    it has none): the one span→text rule, used by the ingest simhash,
+    curation and on-demand fingerprints. One ``binary_join`` over the
+    flattened text spans, no per-document Python."""
+    if isinstance(spans, pa.ChunkedArray):
+        spans = spans.combine_chunks()
+    offs = spans.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
+    flat = spans.values.slice(offs[0], offs[-1] - offs[0])
+    is_text = pc.equal(flat.field("kind"), "text")
+    # per-document offsets into the kept (text) spans
+    kept = np.concatenate(
+        ([0], np.cumsum(is_text.to_numpy(zero_copy_only=False))))
+    lists = pa.ListArray.from_arrays(
+        pa.array(kept[offs - offs[0]], pa.int32()),
+        flat.field("text").filter(is_text))
+    return pc.binary_join(lists, " ")
+
+
 def fingerprint_batch(batch: pa.Table, column: str = "text",
                       window: int = 16, keep: int = 8) -> pa.Table:
     """(doc_id, fingerprint: list<uint64>) winnowing sketches."""

@@ -1,4 +1,8 @@
+import glob
+import os
+
 import pyarrow as pa
+import pytest
 
 from crawling_infrastructure_ray.sources.corpus import (
     doc_id_for_url, fetch_outcome, link_children, make_seed_urls, make_spans)
@@ -91,3 +95,45 @@ def test_fetchsim_randomize_columns(ray_session):
     # default path emits no randomizer columns (schema unchanged)
     plain = FetchSim(seed=42)(batch)
     assert "user_agent" not in plain.column_names
+
+
+# ----------------------------------------------------------------------
+# the documents table a crawl writes, and fingerprints derived from it
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def pump_docs(ray_session, tmp_path_factory):
+    from crawling_infrastructure_ray.pipelines.crawl import run_crawl_pump
+    out = str(tmp_path_factory.mktemp("pump_docs"))
+    seeds = make_seed_urls(200, seed=7)["url"].to_pylist()
+    res = run_crawl_pump(seeds, seed=7, num_shards=2, max_depth=1,
+                         chunk_size=64, out_dir=out)
+    files = sorted(glob.glob(os.path.join(out, "documents", "part-*.parquet")))
+    assert files and res.docs_written > 0
+    return files
+
+
+def test_crawl_fragments_have_docs_schema(pump_docs):
+    import pyarrow.parquet as pq
+
+    from crawling_infrastructure_ray.stages.fetch import DOCS_SCHEMA
+    assert "fingerprint" not in DOCS_SCHEMA.names
+    for f in pump_docs:
+        assert pq.read_schema(f).equals(DOCS_SCHEMA), f
+
+
+def test_on_demand_fingerprints_match_scalar(pump_docs):
+    """A reader's fingerprints (span_text + rolling_fingerprint_col over
+    the stored spans) are the scalar fingerprint of each document's
+    text spans joined by a space."""
+    import pyarrow.parquet as pq
+
+    from crawling_infrastructure_ray.functions.hashing import (
+        rolling_fingerprint, rolling_fingerprint_col)
+    from crawling_infrastructure_ray.stages.text import span_text
+    docs = pa.concat_tables(pq.read_table(f, columns=["spans"])
+                            for f in pump_docs)
+    got = rolling_fingerprint_col(span_text(docs["spans"])).to_pylist()
+    want = [rolling_fingerprint(" ".join(s["text"] for s in spans
+                                         if s["kind"] == "text"))
+            for spans in docs["spans"].to_pylist()]
+    assert len(got) == docs.num_rows and got == want

@@ -315,6 +315,40 @@ def test_every_router_sends_url_to_its_host_shard(routing_frontier, url):
     assert fr.enqueue_dataset(rd.from_arrow(pa.table({"url": [url]}))) == 0
 
 
+# inputs the synthetic corpus never produces: (url, canonical form, host)
+UNUSUAL_ROUTING_URLS = [
+    ("http://[::1]:80/x", "http://[::1]/x", "::1"),
+    ("http://[2001:db8::1]/p", "http://[2001:db8::1]/p", "2001:db8::1"),
+    ("a.com/x", "http://a.com/x", "a.com"),
+]
+
+
+@pytest.mark.parametrize("url,canon,host", UNUSUAL_ROUTING_URLS)
+def test_unusual_urls_route_by_their_host(routing_frontier, url, canon,
+                                          host):
+    """IPv6 literals keep their brackets and scheme-less URLs read as
+    http://: canonicalize_and_host, the per-URL router, the Arrow batch
+    router (≥256 URLs) and the Dataset ingest router agree on the host."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from crawling_infrastructure_ray.functions.hashing import stable_hash64
+    from crawling_infrastructure_ray.functions.urltools import (
+        canonicalize_and_host, canonicalize_url, url_host)
+
+    assert canonicalize_url(url) == canon
+    assert canonicalize_and_host(url) == (canon, host) == \
+        canonicalize_and_host(canon)
+    assert url_host(url) == host
+    fr = routing_frontier
+    assert fr._route(url) == stable_hash64(host, 42) % 4
+    k = [u for u, _, _ in UNUSUAL_ROUTING_URLS].index(url)
+    filler = [f"http://g{i}.example/{k}" for i in range(300)]
+    assert fr.enqueue([url]) == 1
+    assert fr.enqueue([url] + filler) == len(filler)
+    assert fr.enqueue_dataset(rd.from_arrow(pa.table({"url": [url]}))) == 0
+
+
 def test_url_splitting_has_one_home():
     """No package module but functions/urltools.py splits a URL on
     its scheme separator: routers call url_host."""

@@ -29,6 +29,47 @@ def test_media_rows_from_spans():
     assert out.equals(media_rows_from_spans(_doc_batch()))
 
 
+def _media_rows_loop(batch):
+    """The per-span reference for media_rows_from_spans."""
+    cols = {c: [] for c in ("doc_id", "media_ref", "media_type", "width",
+                            "height", "duration_ms")}
+    for doc, spans in zip(batch["doc_id"].to_pylist(),
+                          batch["spans"].to_pylist()):
+        for s in spans or []:
+            if s["kind"] != "media":
+                continue
+            hh = stable_hash64(s["media_ref"])
+            for c, v in zip(cols, (doc, s["media_ref"],
+                                   ("image", "audio", "video")[hh % 3],
+                                   160 + (hh >> 8) % 1920,
+                                   120 + (hh >> 16) % 1080,
+                                   (hh >> 24) % 300_000)):
+                cols[c].append(v)
+    return pa.table({c: pa.array(v, pa.string() if i < 3 else pa.int32())
+                     for i, (c, v) in enumerate(cols.items())})
+
+
+@pytest.mark.parametrize("n", [0, 5, 150])
+def test_media_rows_from_spans_matches_span_loop(n):
+    """Vectorized explode == the per-span loop, with empty span lists,
+    text-only documents and a multi-chunk column (150 docs take the
+    batch-hash path of stable_hash64_np, 5 the per-row one)."""
+    spans = [make_spans(f"http://h{i % 9}.example/p{i}", seed=42)
+             for i in range(n)]
+    for i in range(0, n, 4):
+        spans[i] = []
+    for i in range(1, n, 4):
+        spans[i] = [s for s in spans[i] if s["kind"] == "text"]
+    batch = pa.table({"doc_id": pa.array([f"d{i}" for i in range(n)],
+                                         pa.string()),
+                      "spans": pa.array(spans, spans_arrow_type())})
+    want = _media_rows_loop(batch)
+    assert media_rows_from_spans(batch).equals(want)
+    chunked = pa.Table.from_batches(batch.to_batches(max_chunksize=3),
+                                    batch.schema)
+    assert media_rows_from_spans(chunked).equals(want)
+
+
 def test_ppm_roundtrip_exact():
     """decode(encode(ref)) recovers the generator's closed form
     pixel-for-pixel — the contract the DuckDB oracle replays."""

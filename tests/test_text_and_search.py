@@ -127,3 +127,24 @@ def test_redact_batch_scrubs_pii_vectorized():
     assert texts[2].startswith("host <IP> responded")
     assert texts[3] == ""
     assert out["n_redactions"].to_pylist() == [1, 2, 1, 0]
+
+
+def test_span_text_joins_text_spans():
+    """span_text == the per-document join of text spans, "" for empty
+    and media-only span lists, on slices and multi-chunk columns."""
+    from crawling_infrastructure_ray.sources.corpus import (make_spans,
+                                                            spans_arrow_type)
+    from crawling_infrastructure_ray.stages.text import span_text
+    spans = [make_spans(f"http://h{i}.example/p{i}", seed=42)
+             for i in range(12)]
+    spans[0] = []
+    spans[5] = [s for s in spans[5] if s["kind"] != "text"]
+    want = [" ".join(s["text"] for s in sp if s["kind"] == "text")
+            for sp in spans]
+    assert want[0] == want[5] == ""
+    col = pa.array(spans, spans_arrow_type())
+    assert span_text(col).to_pylist() == want
+    assert span_text(col.slice(3, 6)).to_pylist() == want[3:9]
+    assert span_text(pa.chunked_array([col.slice(0, 7), col.slice(7)])) \
+        .to_pylist() == want
+    assert span_text(col.slice(0, 0)).to_pylist() == []

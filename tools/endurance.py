@@ -67,18 +67,25 @@ class RssSampler(threading.Thread):
 def doc_table_digest(out_dir: str) -> tuple[str, int]:
     """Order-insensitive digest over every DETERMINISTIC documents
     column (everything except enqueue_seq, which encodes pump
-    completion order): per-row md5 of the canonical row rendering,
-    XOR-free order-independent fold via sorted concat."""
+    completion order) plus each document's winnowing fingerprint,
+    derived from its stored spans: per-row md5 of the canonical row
+    rendering, XOR-free order-independent fold via sorted concat."""
     import pyarrow.parquet as pq
-    cols = ["doc_id", "url", "host", "depth", "url_hash_part",
-            "simhash", "fingerprint"]
+
+    from crawling_infrastructure_ray.functions.hashing import \
+        rolling_fingerprint_col
+    from crawling_infrastructure_ray.stages.text import span_text
+    stored = ["doc_id", "url", "host", "depth", "url_hash_part", "simhash"]
+    cols = stored + ["fingerprint"]
     rows: list[str] = []
     nrows = 0
     for f in sorted(glob.glob(os.path.join(out_dir, "documents",
                                            "part-*.parquet"))):
-        t = pq.read_table(f, columns=cols)
+        t = pq.read_table(f, columns=stored + ["spans"])
         nrows += t.num_rows
-        d = t.to_pydict()
+        d = t.select(stored).to_pydict()
+        d["fingerprint"] = rolling_fingerprint_col(
+            span_text(t["spans"])).to_pylist()
         for i in range(t.num_rows):
             rows.append("|".join(str(d[c][i]) for c in cols))
     rows.sort()
