@@ -16,8 +16,6 @@ from typing import Any
 from crawling_infrastructure_ray.pipelines import analytics as qa
 from crawling_infrastructure_ray.pipelines import curate as qc
 from crawling_infrastructure_ray.pipelines import training as qt
-from crawling_infrastructure_ray.pipelines.crawl import run_crawl, read_documents
-from crawling_infrastructure_ray.sources.corpus import make_seed_urls
 
 
 def entry() -> Any:

@@ -18,14 +18,14 @@ def canonicalize_url(url: str) -> str:
     """Canonical URL form: lowercase scheme/host, strip fragment,
     strip default port, collapse empty path to '/', drop trailing
     '?' . Query strings are preserved (order untouched — reordering
-    can change semantics). A string with neither scheme nor netloc
-    (``a.com/x``) is read as ``http://`` + it; an IPv6 literal host
-    keeps its brackets (``http://[::1]/x``)."""
+    can change semantics). A string without ``://`` (``a.com/x``,
+    ``a.com:81/x``) is read as ``http://`` + it, so a port is never
+    taken for a scheme; an IPv6 literal host keeps its brackets
+    (``http://[::1]/x``)."""
     url = url.strip()
     try:
-        parts = urlsplit(url)
-        if not parts.scheme and not parts.netloc:
-            parts = urlsplit("http://" + url)
+        parts = urlsplit(url if "://" in url else
+                         ("http:" if url.startswith("//") else "http://") + url)
     except ValueError:
         return url
     scheme = (parts.scheme or "http").lower()
@@ -87,9 +87,10 @@ def truncate_host_labels(host: str, keep: int = 3) -> str:
 
 
 def canonicalize_urls_series(urls):
-    """VECTORIZED ``canonicalize_url`` for pandas Series of well-formed
-    ``scheme://netloc[path][?query][#fragment]`` URLs (no userinfo) —
-    the batch path for seed-list / snapshot dedup where per-row
+    """VECTORIZED ``canonicalize_url`` for pandas Series of
+    ``scheme://netloc[path][?query][#fragment]`` URLs (rows without
+    ``://``, or with ``[`` or ``@`` in the netloc, take the scalar
+    parser) — the batch path for seed-list / snapshot dedup where per-row
     urlsplit would dominate (at 10^10 frontier URLs the scalar parser
     is the bottleneck; this is ~40x faster). Semantics are pinned
     equal to the scalar function on the supported shape by
@@ -122,4 +123,10 @@ def canonicalize_urls_series(urls):
     netloc_c = host.where(~keep_port, host + ":" + port)
     path_c = path.where(path != "", "/")
     out = scheme + "://" + netloc_c + path_c
-    return out.where(query == "", out + "?" + query)
+    out = out.where(query == "", out + "?" + query)
+    # off the supported shape (no scheme, IPv6 literal, userinfo): the
+    # scalar parser
+    odd = (trip[1] == "") | netloc.str.contains(r"[\[@]", regex=True)
+    if odd.any():
+        out[odd] = s[odd].map(canonicalize_url)
+    return out

@@ -1,3 +1,3 @@
-from .crawl import run_crawl, run_crawl_pump, direct_crawl, CrawlResult
+from .crawl import run_crawl_pump, direct_crawl, CrawlResult
 
-__all__ = ["run_crawl", "run_crawl_pump", "direct_crawl", "CrawlResult"]
+__all__ = ["run_crawl_pump", "direct_crawl", "CrawlResult"]

@@ -6,22 +6,26 @@ from the queue, crawls sequentially, persists blobs to S3, writes back
 statuses, and the daemon heals/retries between waves
 (master/scheduler/daemon.ts:308-391, crawler/src/index.ts:69-173).
 
-Both drivers run one data plane, as every reference worker runs one
-loop (lease, crawl, store, write back): each frontier lease becomes
-one raw Ray task, ``_fetch_store_route_task``, which fetches through
-``FetchSim``, writes the lease's completed documents as one parquet
-fragment, and returns the lease's write-back and discovered children.
-The driver sends the commit.
+One driver, ``run_crawl_pump``, runs one data plane, as every
+reference worker runs one loop (lease, crawl, store, write back):
+each frontier lease becomes one raw Ray task,
+``_fetch_store_route_task``, which fetches through ``FetchSim``,
+writes the lease's completed documents as one parquet fragment
+(``documents/part-<lease_id>.parquet``), and returns the lease's
+write-back. The driver sends the commit. The loop has two modes:
 
-- ``run_crawl`` (conformance mode) runs synchronized **waves**: one
-  lease per shard (or one global-FIFO claim), one chunk task per
-  lease, then a barrier; commits are awaited and the wave's children
-  are appended in parent ``enqueue_seq`` order, so the claim stream,
-  the frontier state and the documents table are independent of Ray's
-  task scheduling. Fragments land under ``documents/wave_XXXXX/``
-  (resumable layout — a rerun drops the waves after the checkpoint).
-- ``run_crawl_pump`` (throughput mode) keeps chunks in flight with no
-  barrier; the tasks route children straight to their shards.
+- the async pump (``rounds=None``, throughput mode) keeps chunks in
+  flight with no barrier; the tasks route children straight to their
+  shards.
+- round mode (``rounds="shard"`` or ``"global"``, conformance mode)
+  leases one round — one lease per shard, or the globally smallest
+  open seqs — and waits for all of its tasks; commits land, then the
+  round's children are appended in parent ``enqueue_seq`` order, so
+  the claim stream, the frontier state and the documents table are
+  independent of Ray's task scheduling.
+
+Both modes share resume (the lease-id watermark), checkpoints, the
+lineage table and the lost-task rollback.
 
 Ray-level retries are disabled on the fetch tasks (``max_retries=0``
 mirror of the reference's deliberate Lambda ``maxRetries: 0``,
@@ -36,7 +40,7 @@ import os
 import shutil
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import pyarrow as pa
@@ -55,7 +59,8 @@ def _fetch_store_route_task(seqs: list, urls: list, hosts: list,
                             lease_id: int, all_shards=None,
                             route_seed: int = 42, **kwargs):
     """One lease's chunk: fetch + store (+ route) inside the task; the
-    driver commits. Both crawl drivers run it, one task per lease.
+    driver commits. Both modes of the crawl driver run it, one task
+    per lease.
 
     The task writes the lease's fragment, then returns the lease's
     write-back as plain lists ``(seqs, statuses, errors)``; the driver
@@ -73,9 +78,9 @@ def _fetch_store_route_task(seqs: list, urls: list, hosts: list,
     discovers them again. Given the shard handle list (the pump), the
     task routes them DIRECTLY to their host shards (which allocate
     their own seq blocks) — child URLs never transit the driver, whose
-    loop stays O(chunks). Without it (the wave driver) it returns
-    them as ``(urls, depths, parent_seqs)`` for the driver to append
-    in parent-seq order.
+    loop stays O(chunks). Without it (round mode) it returns them as
+    ``(urls, depths, parent_seqs)`` for the driver to append in
+    parent-seq order.
 
     The lease arrives as the shard's RAW column lists and the Arrow
     table is built HERE, in the task: pickling a small pa.Table on the
@@ -177,7 +182,6 @@ class CrawlResult:
     docs_written: int
     elapsed_sec: float
     urls_processed: int = 0
-    lineage: list = field(default_factory=list)
 
     @property
     def throughput(self) -> float:
@@ -226,191 +230,6 @@ def _read_manifest(path: str) -> list[dict]:
         return [json.loads(line) for line in f if line.strip()]
 
 
-def run_crawl(seed_urls: list[str] | None = None, *,
-              frontier: Frontier | None = None,
-              seed: int = 42,
-              num_shards: int = 1,
-              dedup: bool = True,
-              politeness: bool = False,
-              politeness_overrides: dict | None = None,
-              robots: bool = False,
-              default_rate: float = 1.0,
-              default_burst: float = 4.0,
-              max_depth: int = 2,
-              max_retries: int = 3,
-              num_hosts: int = 64,
-              items_per_wave: int = 4096,
-              out_dir: str = "/tmp/crawl_out",
-              resume: bool = False,
-              checkpoint_every: int = 0,
-              max_waves: int | None = None,
-              now_fn=None,
-              order: str = "fifo",
-              global_order: bool = False,
-              storage_policy: str = "merged",
-              store_fail_marker: str = "",
-              config=None) -> CrawlResult:
-    """Run a crawl to drain (or ``max_waves``). Returns CrawlResult.
-
-    ``config`` (a ``JobConfig``) supplies ``storage_policy`` (K1/K2
-    failure granularity — see ``fetch_store_batch``) and
-    ``retry_failed_items`` when given.
-
-    ``resume=True`` restores the frontier from ``out_dir/ckpt`` and
-    skips waves whose parquet fragments already exist (north rule:
-    a killed run resumes exactly).
-
-    Each wave submits one ``_fetch_store_route_task`` per lease — the
-    pump's chunk task — and waits for all of them: the crawl is an
-    ITERATIVE feedback loop (each wave's discovered URLs feed the next
-    wave's lease), which a single Dataset pipeline cannot express.
-    """
-    if config is not None:
-        storage_policy = config.storage_policy
-        max_retries = config.retry_failed_items
-    docs_dir = os.path.join(out_dir, "documents")
-    claims_dir = os.path.join(out_dir, "claims")
-    ckpt_dir = os.path.join(out_dir, "ckpt")
-    manifest = os.path.join(out_dir, "manifest.jsonl")
-
-    start_wave = 0
-    if resume and os.path.exists(os.path.join(ckpt_dir, "frontier.pkl")):
-        frontier = Frontier.restore(ckpt_dir)
-        done = _read_manifest(manifest)
-        ckpt_wave = max((r["wave"] for r in done if r.get("checkpointed")), default=-1)
-        start_wave = ckpt_wave + 1
-        # drop fragments from waves after the checkpoint (uncommitted work)
-        for d in (docs_dir, claims_dir):
-            if os.path.isdir(d):
-                for f in os.listdir(d):
-                    if f.startswith("wave_") and int(f[5:10]) >= start_wave:
-                        p = os.path.join(d, f)
-                        shutil.rmtree(p) if os.path.isdir(p) else os.remove(p)
-        # truncate manifest to the checkpoint
-        kept = [r for r in done if r["wave"] < start_wave]
-        with open(manifest, "w") as fh:
-            for r in kept:
-                fh.write(json.dumps(r) + "\n")
-    else:
-        if os.path.isdir(out_dir):
-            shutil.rmtree(out_dir)
-        os.makedirs(docs_dir, exist_ok=True)
-        if frontier is None:
-            frontier = Frontier(num_shards, seed=seed, dedup=dedup,
-                                politeness=politeness,
-                                politeness_overrides=politeness_overrides,
-                                robots=robots,
-                                default_rate=default_rate,
-                                default_burst=default_burst,
-                                max_retries=max_retries, order=order)
-        if seed_urls:
-            frontier.enqueue(seed_urls)
-
-    t0 = time.perf_counter()
-    wave = start_wave
-    urls_processed = 0
-    docs_written = 0
-    lineage = []
-    n_per_shard = max(1, items_per_wave // frontier.num_shards)
-    fetch_kwargs = {"seed": seed, "max_depth": max_depth,
-                    "num_hosts": num_hosts, "storage_policy": storage_policy,
-                    "store_fail_marker": store_fail_marker}
-
-    while True:
-        if max_waves is not None and wave - start_wave >= max_waves:
-            break
-        now = now_fn() if now_fn else None
-        t_lease = time.perf_counter()
-        # global_order (SURVEY §7.4): cross-shard global-FIFO
-        # interleave — the K>1 conformance mode whose claim stream is
-        # bit-identical to K=1 (same DuckDB replay oracle gates both)
-        leases = (frontier.lease_wave_global(items_per_wave, now)
-                  if global_order
-                  else frontier.lease_wave(n_per_shard, now))
-        lease_sec = round(time.perf_counter() - t_lease, 3)
-        if not leases:
-            # between-wave healing (reference daemon cycle: R1 retry gate)
-            if frontier.retry_failed() > 0:
-                continue
-            if frontier.expire_leases(now) > 0:
-                continue
-            break
-        wave_t0 = time.perf_counter()
-        phase = {"lease": lease_sec}
-        # claims audit log — the engine's crawl order (golden-order test;
-        # within a wave, claim order = ascending enqueue_seq, §3.2)
-        claims_tbl = pa.table({
-            "enqueue_seq": pa.array([s for ls in leases for s in ls["seq"]],
-                                    pa.uint64()),
-            "url": pa.array([u for ls in leases for u in ls["url"]],
-                            pa.string()),
-            "attempt": pa.array([a for ls in leases for a in ls["attempt"]],
-                                pa.int32()),
-        }).sort_by("enqueue_seq")
-        claims_tbl = claims_tbl.append_column("wave", pa.array([wave] * claims_tbl.num_rows, pa.int32()))
-        _atomic_write_parquet(claims_tbl, os.path.join(claims_dir, f"wave_{wave:05d}.parquet"))
-
-        # fetch tasks write their own document fragments (commit-after-
-        # store, reference R7) and return ONLY control lists — span
-        # payloads never cross the driver
-        t = time.perf_counter()
-        wave_dir = os.path.join(docs_dir, f"wave_{wave:05d}")
-        refs = [_fetch_store_route_task.options(max_retries=0).remote(
-                    lease["seq"], lease["url"], lease["host"],
-                    lease["depth"], lease["attempt"], lease["shard"],
-                    lease["lease_id"], docs_dir=wave_dir,
-                    part_label=f"{lease['lease_id']:015d}", wave=wave,
-                    **fetch_kwargs)
-                for lease in leases]
-        results = ray.get(refs)
-        phase["fetch"] = round(time.perf_counter() - t, 3)
-        t = time.perf_counter()
-        ray.get([frontier.commit(lease["shard"], lease["lease_id"], *commit,
-                                 now)
-                 for lease, (_, commit, _) in zip(leases, results)])
-        phase["commit"] = round(time.perf_counter() - t, 3)
-        t = time.perf_counter()
-
-        # discovered URLs → tail append in parent enqueue_seq order
-        # (reference enqueue() appends with fresh _ids, enqueue.ts:71-116);
-        # the stable sort keeps each parent's children in link order
-        kids = [c for _, _, c in results if c is not None]
-        disc_urls = [u for c in kids for u in c[0]]
-        if disc_urls:
-            disc_depths = [d for c in kids for d in c[1]]
-            by_parent = np.argsort([p for c in kids for p in c[2]],
-                                   kind="stable")
-            frontier.enqueue([disc_urls[i] for i in by_parent],
-                             [disc_depths[i] for i in by_parent])
-        phase["enqueue"] = round(time.perf_counter() - t, 3)
-
-        n_leased = sum(r[0]["n"] for r in results)
-        n_ok = sum(r[0]["n_ok"] for r in results)
-        urls_processed += n_leased
-        docs_written += n_ok
-        row = {"wave": wave, "leased": n_leased,
-               "completed": n_ok,
-               "failed": n_leased - n_ok,
-               "discovered": len(disc_urls),
-               "sec": round(time.perf_counter() - wave_t0, 4),
-               "phase": phase,
-               "checkpointed": False}
-        if checkpoint_every and (wave + 1) % checkpoint_every == 0:
-            frontier.checkpoint(ckpt_dir)
-            row["checkpointed"] = True
-        _append_manifest(manifest, row)
-        lineage.append(row)
-        wave += 1
-
-    elapsed = time.perf_counter() - t0
-    return CrawlResult(out_dir=out_dir, waves=wave,
-                       histogram=frontier.status_histogram(),
-                       counters=frontier.counters(),
-                       seen_set_size=len(frontier.seen_set()),
-                       docs_written=docs_written, elapsed_sec=elapsed,
-                       urls_processed=urls_processed, lineage=lineage)
-
-
 def run_crawl_pump(seed_urls: list[str] | None = None, *,
                    frontier: Frontier | None = None,
                    seed: int = 42,
@@ -426,7 +245,7 @@ def run_crawl_pump(seed_urls: list[str] | None = None, *,
                    max_retries: int = 3,
                    num_hosts: int = 64,
                    chunk_size: int = 512,
-                   target_inflight: int | None = None,
+                   rounds: str | None = None,
                    out_dir: str = "/tmp/crawl_pump",
                    resume: bool = False,
                    checkpoint_every_commits: int = 0,
@@ -443,48 +262,79 @@ def run_crawl_pump(seed_urls: list[str] | None = None, *,
                    store_fail_marker: str = "",
                    config=None,
                    now_fn=None) -> CrawlResult:
-    """Asynchronous frontier pump — the throughput mode.
+    """Run a crawl to drain (or to ``max_commits`` committed leases).
 
-    Instead of synchronized waves (``run_crawl``), the driver keeps
-    ``target_inflight`` fetch CHUNKS in flight at all times: each chunk
-    is one frontier lease of ``chunk_size`` items running as one raw
-    Ray task; as chunks complete (``ray.wait``) their statuses are
-    committed, discovered URLs are appended, and fresh leases are
-    issued immediately. No wave barrier → no per-wave straggler tail,
-    CPUs stay saturated — the Ray analog of the reference scheduler's
-    endless launch loop (master/scheduler/daemon.ts:61-79,308-391).
+    ``rounds=None`` is the async pump, the throughput mode. The driver
+    keeps about 3 × CPUs fetch CHUNKS in flight at all times: each
+    chunk is one frontier lease of ``chunk_size`` items running as one
+    raw Ray task; as chunks complete (``ray.wait``) their commits are
+    sent and fresh leases are issued immediately. No barrier → no
+    straggler tail, CPUs stay saturated — the Ray analog of the
+    reference scheduler's endless launch loop
+    (master/scheduler/daemon.ts:61-79,308-391). The tasks route
+    discovered URLs to their shards in task COMPLETION order, so
+    ``enqueue_seq`` assignment (and claim order) is not deterministic
+    across runs; the final seen SET, histogram totals, and
+    per-document contents are (documents are a pure function of
+    (seed, url)).
 
-    Trade-off vs wave mode: discovered URLs are appended in task
-    COMPLETION order, so ``enqueue_seq`` assignment (and claim order)
-    is not deterministic across runs; the final seen SET, histogram
-    totals, and per-document contents are unchanged (documents are a
-    pure function of (seed, url)). Conformance/golden-order runs use
-    ``run_crawl``; checkpointing here happens at soft barriers (drain
-    in-flight → snapshot) every ``checkpoint_every_commits`` chunk
-    commits. On resume, fragments written after the checkpoint
-    (lease_id ≥ the snapshot's per-shard next_lease_id) are deleted
-    before continuing, so the documents table never double-counts.
+    ``rounds="shard"`` or ``"global"`` is round mode, the conformance
+    mode. Each loop iteration reads ``now_fn`` once and leases one
+    round: one ``chunk_size`` lease per shard (``"shard"``,
+    ``Frontier.lease_wave``), or the ``chunk_size`` globally smallest
+    open seqs (``"global"``, ``Frontier.lease_wave_global``: a K>1
+    claim stream equal to K=1's). The round's claims go to
+    ``claims/part-<lease_id>.parquet``; its chunk tasks run and the
+    driver waits for every one (the round barrier). Commits keep the
+    reference retry gate (R1 fires only when a round finds nothing to
+    lease), and once they have landed the round's children are
+    appended in parent ``enqueue_seq`` order, so the claim stream, the
+    frontier state and the documents table do not depend on Ray's
+    task scheduling. An empty round retries failed items, expires
+    stale leases, or ends the crawl (``longliving`` and ``stop_when``
+    apply to the pump only). The round number is the documents' and
+    claims' ``wave`` column and one ``manifest.jsonl`` row.
+
+    Both modes write ``lineage.parquet`` (one row per committed lease;
+    ``CrawlResult.waves`` counts them) and checkpoint at soft
+    barriers (drain in-flight → snapshot) every
+    ``checkpoint_every_commits`` commits. On resume, fragments and
+    claims written after the checkpoint (lease_id ≥ the snapshot's
+    per-shard next_lease_id) are deleted and the manifest is cut back
+    to its last checkpoint row, so the documents table never
+    double-counts. A task that dies has its lease rolled back and
+    its orphan fragment deleted.
     """
+    if rounds not in (None, "shard", "global"):
+        raise ValueError(f"rounds must be None, 'shard' or 'global': {rounds!r}")
     if config is not None:
         storage_policy = config.storage_policy
         max_retries = config.retry_failed_items
         max_lost_leases = config.max_lost_workers
         longliving = longliving or config.longliving
     docs_dir = os.path.join(out_dir, "documents")
+    claims_dir = os.path.join(out_dir, "claims")
     ckpt_dir = os.path.join(out_dir, "ckpt")
     manifest = os.path.join(out_dir, "manifest.jsonl")
-    _seed_tail_refs: list = []
+    pending_enq: list = []     # seed inserts in flight
+    rnd = 0                    # round number (round mode)
 
     if resume and os.path.exists(os.path.join(ckpt_dir, "frontier.pkl")):
         frontier = Frontier.restore(ckpt_dir)
         next_ids = ray.get([sh.get_next_lease_id.remote() for sh in frontier.shards])
-        if os.path.isdir(docs_dir):
-            for f in os.listdir(docs_dir):
+        for d in (docs_dir, claims_dir):
+            for f in os.listdir(d) if os.path.isdir(d) else ():
                 if f.startswith("part-") and f.endswith(".parquet"):
                     lid = int(f[5:-8])
                     sh = lid // 1_000_000_000
                     if sh < len(next_ids) and lid >= next_ids[sh]:
-                        os.remove(os.path.join(docs_dir, f))
+                        os.remove(os.path.join(d, f))
+        rows = _read_manifest(manifest)
+        while rows and not rows[-1].get("checkpointed"):
+            rows.pop()
+        with open(manifest, "w") as fh:
+            fh.writelines(json.dumps(r) + "\n" for r in rows)
+        rnd = rows[-1].get("wave", -1) + 1 if rows else 0
     else:
         if os.path.isdir(out_dir):
             shutil.rmtree(out_dir)
@@ -507,19 +357,23 @@ def run_crawl_pump(seed_urls: list[str] | None = None, *,
         elif seed_urls:
             # ramp overlap: land the first slice synchronously so leasing
             # can start, stream the rest in asynchronously (the refs join
-            # pending_enq below, so drained-ness checks stay correct)
+            # pending_enq, so drained-ness checks stay correct; a shard
+            # runs them before any later lease call from this driver)
             head = min(len(seed_urls), 8192)
             frontier.enqueue(seed_urls[:head])
             if len(seed_urls) > head:
-                _seed_tail_refs.extend(frontier.enqueue_async(seed_urls[head:]))
+                pending_enq.extend(frontier.enqueue_async(seed_urls[head:]))
 
-    if target_inflight is None:
-        ncpu = int(ray.available_resources().get("CPU", 8))
-        target_inflight = max(8, 3 * ncpu)
+    target_inflight = max(8, 3 * int(ray.available_resources().get("CPU", 8)))
+    # the pump's tasks route children to their shards and its commits
+    # retry a failed item at once; round mode relays children through
+    # the driver and keeps the reference retry gate (R1 between rounds)
+    route_to = None if rounds else frontier.shards
 
     t0 = time.perf_counter()
     inflight: dict = {}            # ObjectRef -> (shard, lease_id, now)
     commit_refs: list = []         # commits sent, not yet awaited
+    relay: list = []               # round mode: children of the round
     urls_processed = 0
     docs_written = 0
     commits = 0
@@ -534,8 +388,6 @@ def run_crawl_pump(seed_urls: list[str] | None = None, *,
                     "store_fail_marker": store_fail_marker,
                     "fail_marker": fetch_fail_marker,
                     "fail_after_store_marker": fetch_fail_after_store_marker}
-
-    pending_enq: list = list(_seed_tail_refs)   # seed inserts in flight
 
     def drop_orphan_fragment(lease_id: int) -> None:
         """A task that died between its fragment write and its commit
@@ -552,28 +404,27 @@ def run_crawl_pump(seed_urls: list[str] | None = None, *,
         ray.get(pending_enq)
         pending_enq.clear()
 
-    def submit(lease: dict, shard: int):
+    def submit(lease: dict, shard: int, now) -> None:
         # raw lists, not a pa.Table — the table is built in the task
         # (see _fetch_store_route_task docstring: ~20x cheaper
         # driver-side serialization per chunk)
         ref = _fetch_store_route_task.options(max_retries=0).remote(
             lease["seq"], lease["url"], lease["host"], lease["depth"],
             lease["attempt"], shard, lease["lease_id"],
-            all_shards=frontier.shards, route_seed=frontier.seed,
+            all_shards=route_to, route_seed=frontier.seed,
             part_label=f"{lease['lease_id']:015d}", **fetch_kwargs)
-        # the submit-time clock stamps the commit, as when the task
-        # committed itself
-        inflight[ref] = (shard, lease["lease_id"],
-                         now_fn() if now_fn else None)
+        # the loop iteration's clock stamps the commit
+        inflight[ref] = (shard, lease["lease_id"], now)
 
-    def collect(ref) -> bool:
+    def collect(ref) -> None:
         """Account one finished chunk (one more ``commits``) and send
-        its commit without waiting for it; False when the task died
-        (its lease rolls back, any orphan fragment is deleted)."""
+        its commit without waiting for it. A task that died has its
+        lease rolled back and any orphan fragment deleted, and counts
+        toward the circuit breaker."""
         nonlocal commits, docs_written, urls_processed, lost_tasks
-        shard, lease_id, now_submit = inflight.pop(ref)
+        shard, lease_id, now = inflight.pop(ref)
         try:
-            counts, commit, _ = ray.get(ref)
+            counts, commit, children = ray.get(ref)
         except Exception:
             # lost worker (reference J5/R3): the lease was never
             # committed — roll it back to INITIAL and delete any
@@ -581,26 +432,66 @@ def run_crawl_pump(seed_urls: list[str] | None = None, *,
             frontier.rollback(shard, lease_id)
             drop_orphan_fragment(lease_id)
             lost_tasks += 1
-            return False
+            c = frontier.counters()
+            c["expired_leases"] = c.get("expired_leases", 0) + lost_tasks
+            check_quarantine(c, max_lost_leases=max_lost_leases)
+            return
         commit_refs.append(frontier.commit(shard, lease_id, *commit,
-                                           now_submit, True))
+                                           now, rounds is None))
         if len(commit_refs) > target_inflight:
             # bound the list on long runs; a failed commit still raises
             done_c, rest = ray.wait(commit_refs,
                                     num_returns=len(commit_refs), timeout=0)
             ray.get(done_c)
             commit_refs[:] = rest
+        if children is not None:
+            relay.append(children)
         commits += 1
         docs_written += counts["n_ok"]
         urls_processed += counts["n"]
         lineage_rows.append((lease_id, shard, counts["n"], counts["n_ok"],
                              counts["n"] - counts["n_ok"],
                              counts["started"], counts["ended"]))
-        return True
 
     def await_commits() -> None:
         ray.get(commit_refs)
         commit_refs.clear()
+
+    def run_round(leases: list, now) -> dict:
+        """Claims log, one chunk task per lease, the barrier, the
+        commits, then the children; returns the round's manifest row."""
+        nonlocal rnd
+        n0, ok0 = urls_processed, docs_written
+        fetch_kwargs["wave"] = rnd
+        for lease in leases:
+            # claims audit log — the engine's crawl order (golden-order
+            # test; within a round, claim order = ascending enqueue_seq)
+            _atomic_write_parquet(pa.table({
+                "enqueue_seq": pa.array(lease["seq"], pa.uint64()),
+                "url": pa.array(lease["url"], pa.string()),
+                "attempt": pa.array(lease["attempt"], pa.int32()),
+                "wave": pa.array([rnd] * len(lease["seq"]), pa.int32()),
+            }).sort_by("enqueue_seq"), os.path.join(
+                claims_dir, f"part-{lease['lease_id']:015d}.parquet"))
+            submit(lease, lease["shard"], now)
+        for ref in list(inflight):
+            collect(ref)
+        await_commits()
+        # discovered URLs → tail append in parent enqueue_seq order
+        # (reference enqueue() appends with fresh _ids, enqueue.ts:71-116);
+        # the stable sort keeps each parent's children in link order
+        urls = [u for c in relay for u in c[0]]
+        if urls:
+            depths = [d for c in relay for d in c[1]]
+            by_parent = np.argsort([p for c in relay for p in c[2]],
+                                   kind="stable")
+            frontier.enqueue([urls[i] for i in by_parent],
+                             [depths[i] for i in by_parent])
+        relay.clear()
+        n, ok = urls_processed - n0, docs_written - ok0
+        rnd += 1
+        return {"wave": rnd - 1, "leased": n, "completed": ok,
+                "failed": n - ok, "discovered": len(urls)}
 
     lease_pending: dict = {}   # lease_many ObjectRef -> shard index
     last_ckpt_commits = 0
@@ -625,7 +516,7 @@ def run_crawl_pump(seed_urls: list[str] | None = None, *,
             for ref in ready:
                 shard = lease_pending.pop(ref)
                 for lease in ray.get(ref):
-                    submit(lease, shard)
+                    submit(lease, shard, now)
                     got += 1
         if not lease_pending and len(inflight) + got < target_inflight:
             want = target_inflight - len(inflight) - got
@@ -635,12 +526,46 @@ def run_crawl_pump(seed_urls: list[str] | None = None, *,
             if block and not got:
                 for shard, leases in enumerate(ray.get(refs)):
                     for lease in leases:
-                        submit(lease, shard)
+                        submit(lease, shard, now)
                         got += 1
             else:
                 for i, ref in enumerate(refs):
                     lease_pending[ref] = i
         return got
+
+    def checkpoint() -> None:
+        """Soft barrier: drain, snapshot, continue. The OUTSTANDING
+        lease round must be drained too: its leases are already
+        RUNNING on the shards but no task was ever submitted for them
+        — snapshotting them as phantom RUNNING leases (with
+        next_lease_id already advanced past them) means the original
+        run later writes their fragments BELOW the snapshot's
+        orphan-cleanup watermark, while the resumed run heals and
+        re-crawls the same items → duplicated documents. Roll them
+        back before the snapshot; the next refill re-leases them."""
+        for ref_, shard_i in list(lease_pending.items()):
+            for lease_ in ray.get(ref_):
+                frontier.rollback(shard_i, lease_["lease_id"])
+        lease_pending.clear()
+        while inflight:
+            done, _ = ray.wait(list(inflight.keys()),
+                               num_returns=len(inflight))
+            for ref in done:
+                collect(ref)
+        await_commits()
+        await_enqueues()
+        if route_to is not None:
+            # settle: fire-and-forget child inserts from the drained
+            # tasks must land before the snapshot (histogram stability)
+            prev = frontier.status_histogram()
+            while True:
+                time.sleep(0.05)
+                cur = frontier.status_histogram()
+                if cur == prev:
+                    break
+                prev = cur
+        frontier.checkpoint(ckpt_dir)
+        _write_lineage(out_dir, lineage_rows)
 
     idle_rounds = 0
     while True:
@@ -659,17 +584,29 @@ def run_crawl_pump(seed_urls: list[str] | None = None, *,
                     pass
             break
         now = now_fn() if now_fn else None
-        got = refill(now)
-        if not inflight:
-            await_commits()
-            await_enqueues()              # inserts must land before the
-            if refill(now, block=True):   # drained check can be trusted
-                continue
+        if rounds:
+            leases = (frontier.lease_wave_global(chunk_size, now)
+                      if rounds == "global"
+                      else frontier.lease_wave(chunk_size, now))
+            busy = bool(leases)
+        else:
+            refill(now)
+            busy = bool(inflight)
+        if not busy:
+            if not rounds:
+                await_commits()
+                await_enqueues()              # inserts must land before the
+                if refill(now, block=True):   # drained check can be trusted
+                    continue
+            # healing (reference daemon cycle: R1 retry gate, R3 lease
+            # expiry)
             if frontier.retry_failed() > 0:
                 continue
             if frontier.expire_leases(now) > 0:
                 check_quarantine(frontier.counters())  # daemon.ts:141-149
                 continue
+            if rounds:
+                break
             hist = frontier.status_histogram()
             if hist["initial"] > 0 and idle_rounds < 200:
                 # politeness back-off: eligible items exist but all
@@ -690,26 +627,24 @@ def run_crawl_pump(seed_urls: list[str] | None = None, *,
                     or frontier.status_histogram()["initial"] > 0:
                 continue
             break
-        idle_rounds = 0
-        # event wait: wake on the FIRST completion of either kind —
-        # a fetch task (commit + children) or a lease response (more
-        # tasks to submit). Waiting for a fixed batch of task
-        # completions here (the old num_returns=8) delayed lease
-        # collection by ~8/completion-rate and starved the pool
-        # whenever leases are small (politeness chunk 256).
-        pool = list(inflight.keys()) + list(lease_pending.keys())
-        ray.wait(pool, num_returns=1)
-        # then drain every task that is ready right now (batch commit)
-        done, _ = ray.wait(list(inflight.keys()),
-                           num_returns=len(inflight), timeout=0)
-        for ref in done:
-            if collect(ref):
-                continue
-            # trip the circuit breaker if lost-lease thresholds are
-            # exceeded
-            c = frontier.counters()
-            c["expired_leases"] = c.get("expired_leases", 0) + lost_tasks
-            check_quarantine(c, max_lost_leases=max_lost_leases)
+        row = {}
+        if rounds:
+            row = run_round(leases, now)
+        else:
+            idle_rounds = 0
+            # event wait: wake on the FIRST completion of either kind —
+            # a fetch task (commit) or a lease response (more tasks to
+            # submit). Waiting for a fixed batch of task completions
+            # here (the old num_returns=8) delayed lease collection by
+            # ~8/completion-rate and starved the pool whenever leases
+            # are small (politeness chunk 256).
+            pool = list(inflight.keys()) + list(lease_pending.keys())
+            ray.wait(pool, num_returns=1)
+            # then drain every task that is ready right now (batch commit)
+            done, _ = ray.wait(list(inflight.keys()),
+                               num_returns=len(inflight), timeout=0)
+            for ref in done:
+                collect(ref)
         if evict_every_commits and commits and \
                 commits % evict_every_commits == 0:
             # bound shard memory at scale: terminal items leave the
@@ -718,47 +653,17 @@ def run_crawl_pump(seed_urls: list[str] | None = None, *,
             frontier.evict_terminal()
         if checkpoint_every_commits and \
                 commits - last_ckpt_commits >= checkpoint_every_commits:
-            # soft barrier: drain, snapshot, continue.
-            # (threshold on commits-since-last-checkpoint, NOT
+            # threshold on commits-since-last-checkpoint, NOT
             # ``commits % N == 0``: commits advances by several per
             # pump round, so an exact multiple can be skipped —
-            # observed as an interrupted run with no checkpoint at
-            # all, which a resume then rmtree'd.)
-            # The OUTSTANDING lease round must be drained too: its
-            # leases are already RUNNING on the shards but no task was
-            # ever submitted for them — snapshotting them as phantom
-            # RUNNING leases (with next_lease_id already advanced past
-            # them) means the original run later writes their
-            # fragments BELOW the snapshot's orphan-cleanup watermark,
-            # while the resumed run heals and re-crawls the same items
-            # → duplicated documents. Roll them back before the
-            # snapshot; the next refill re-leases them.
-            for ref_, shard_i in list(lease_pending.items()):
-                for lease_ in ray.get(ref_):
-                    frontier.rollback(shard_i, lease_["lease_id"])
-            lease_pending.clear()
-            while inflight:
-                done, _ = ray.wait(list(inflight.keys()),
-                                   num_returns=len(inflight))
-                for ref in done:
-                    collect(ref)
-            await_commits()
-            await_enqueues()
-            # settle: fire-and-forget child inserts from the drained
-            # tasks must land before the snapshot (histogram stability)
-            prev = frontier.status_histogram()
-            while True:
-                time.sleep(0.05)
-                cur = frontier.status_histogram()
-                if cur == prev:
-                    break
-                prev = cur
-            frontier.checkpoint(ckpt_dir)
-            _write_lineage(out_dir, lineage_rows)
-            _append_manifest(manifest, {"commits": commits,
-                                        "checkpointed": True,
-                                        "docs": docs_written})
+            # observed as an interrupted run with no checkpoint at all,
+            # which a resume then rmtree'd
+            checkpoint()
+            row.update(commits=commits, docs=docs_written,
+                       checkpointed=True)
             last_ckpt_commits = commits
+        if row:
+            _append_manifest(manifest, row)
 
     await_commits()
     _write_lineage(out_dir, lineage_rows)
@@ -769,9 +674,7 @@ def run_crawl_pump(seed_urls: list[str] | None = None, *,
                        seen_set_size=(len(frontier.seen_set())
                                       if track_seen else -1),
                        docs_written=docs_written, elapsed_sec=elapsed,
-                       urls_processed=urls_processed,
-                       lineage=[{"lease_id": r[0], "shard": r[1], "n": r[2],
-                                 "n_ok": r[3]} for r in lineage_rows[:100]])
+                       urls_processed=urls_processed)
 
 
 def read_documents(out_dir: str) -> rd.Dataset:

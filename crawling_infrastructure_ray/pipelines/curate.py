@@ -132,10 +132,8 @@ def q_curate_documents(sf_dir: str):
     """queries() wrapper: curate the flagship crawl's output; returns
     the per-stage funnel counts (rows-only)."""
     from .crawl import read_documents
-    from .training import _crawl_out_dir, q_crawl_documents
-    out = _crawl_out_dir(sf_dir)
-    if not os.path.isdir(os.path.join(out, "documents")):
-        q_crawl_documents(sf_dir)
+    from .training import _flagship_crawl
+    out = _flagship_crawl(sf_dir)
     docs = read_documents(out)
     summary = curate_documents(docs, os.path.join(out, "curated"),
                                min_chars=200)

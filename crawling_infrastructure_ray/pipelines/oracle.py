@@ -3,11 +3,11 @@
 Replays the reference queue semantics (SURVEY.md §3.2) with NO Ray:
 one ``FrontierShardCore`` (global FIFO — the K=1 conformance mode),
 ``fetch_outcome`` / ``make_spans`` / ``link_children`` evaluated
-inline, the same wave structure as ``run_crawl``. Produces the golden
-artifacts of FIXTURES.md: ``golden_crawl_order``, ``golden_seen_set``,
-``golden_status_histogram``, ``golden_spans`` — the engine's
-distributed output must match them exactly (per-row span-sequence
-equality per BASELINE.json input_hint).
+inline, the same round structure as ``run_crawl_pump``'s round mode.
+Produces the golden artifacts of FIXTURES.md: ``golden_crawl_order``,
+``golden_seen_set``, ``golden_status_histogram``, ``golden_spans`` —
+the engine's distributed output must match them exactly (per-row
+span-sequence equality per BASELINE.json input_hint).
 
 This is the analog of the reference's observable-row-count test
 strategy (crawler/test/remote_tests.ts asserts queue row counts and
@@ -33,10 +33,11 @@ def oracle_crawl(seed_urls: list[str], *, seed: int = 42, dedup: bool = True,
                  max_waves: int | None = None) -> dict:
     """``politeness`` + ``now_fn`` let the oracle replay the ordering
     under a host token-bucket budget on a VIRTUAL clock: the loop calls
-    ``now_fn`` once per iteration exactly like ``run_crawl``, so an
-    engine run driven by an identical step clock sees the same token
-    states and must claim in the same order (north rule: identical
-    crawl ordering under the same seed list AND politeness budget)."""
+    ``now_fn`` once per iteration exactly like ``run_crawl_pump``'s
+    round mode, so an engine run driven by an identical step clock
+    sees the same token states and must claim in the same order (north
+    rule: identical crawl ordering under the same seed list AND
+    politeness budget)."""
     shard = FrontierShardCore(0, dedup=dedup, robots=robots,
                               politeness=politeness,
                               default_rate=default_rate,

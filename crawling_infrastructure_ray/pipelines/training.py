@@ -27,7 +27,7 @@ from ..stages import multimodal as mm
 from ..stages import simsearch as ss
 from ..stages.text import (langid_batch, quality_score_batch,
                            token_count_batch)
-from .crawl import read_documents, run_crawl
+from .crawl import read_documents, run_crawl_pump
 from .oracle import oracle_crawl
 
 # ----------------------------------------------------------------------
@@ -4596,6 +4596,9 @@ def q_ann_ivf_full_probe(sf_dir: str):
 # ----------------------------------------------------------------------
 
 _CRAWL_SEEDS = 300
+# crawl mirrors this process wrote: a /tmp directory left by another
+# process (possibly by older code) is rebuilt, never read
+_CRAWLS_BUILT: set[str] = set()
 
 
 def _crawl_out_dir(sf_dir: str) -> str:
@@ -4612,10 +4615,12 @@ def _run_fifo_crawl(sf_dir: str) -> str:
     single Mongo queue, SURVEY.md §3.2): distributed fetch over a
     single-shard frontier, cached per sf_dir."""
     out = _crawl_fifo_out_dir(sf_dir)
-    if not os.path.isdir(os.path.join(out, "documents")):
+    if out not in _CRAWLS_BUILT:
         seeds = make_seed_urls(_CRAWL_SEEDS, seed=42)["url"].to_pylist()
-        run_crawl(seeds, seed=42, num_shards=1, dedup=True, max_depth=1,
-                  items_per_wave=256, out_dir=out)
+        run_crawl_pump(seeds, seed=42, num_shards=1, dedup=True,
+                       max_depth=1, chunk_size=256, rounds="shard",
+                       out_dir=out)
+        _CRAWLS_BUILT.add(out)
     return out
 
 
@@ -4626,10 +4631,12 @@ def _run_fifo_crawl_sharded(sf_dir: str) -> str:
     stream must be bit-identical to K=1's, and the same closed-form
     DuckDB replay gates it."""
     out = _crawl_fifo_out_dir(sf_dir) + "_k8"
-    if not os.path.isdir(os.path.join(out, "documents")):
+    if out not in _CRAWLS_BUILT:
         seeds = make_seed_urls(_CRAWL_SEEDS, seed=42)["url"].to_pylist()
-        run_crawl(seeds, seed=42, num_shards=8, dedup=True, max_depth=1,
-                  items_per_wave=256, global_order=True, out_dir=out)
+        run_crawl_pump(seeds, seed=42, num_shards=8, dedup=True,
+                       max_depth=1, chunk_size=256, rounds="global",
+                       out_dir=out)
+        _CRAWLS_BUILT.add(out)
     return out
 
 
@@ -4643,13 +4650,15 @@ def q_crawl_documents(sf_dir: str):
 
     seeds = make_seed_urls(_CRAWL_SEEDS, seed=42)["url"].to_pylist()
     out = _crawl_out_dir(sf_dir)
-    res = run_crawl(seeds, seed=42, num_shards=2, dedup=True, max_depth=1,
-                    items_per_wave=256, out_dir=out)
+    res = run_crawl_pump(seeds, seed=42, num_shards=2, dedup=True,
+                         max_depth=1, chunk_size=128, rounds="shard",
+                         out_dir=out)
     with open(os.path.join(out, "engine_summary.json"), "w") as fh:
         json.dump({"histogram": res.histogram,
                    "seen_set_size": res.seen_set_size,
                    "docs_written": res.docs_written,
                    "waves": res.waves}, fh)
+    _CRAWLS_BUILT.add(out)
     docs = read_documents(out)
 
     def project(batch: pa.Table) -> pa.Table:
@@ -4665,6 +4674,14 @@ def q_crawl_documents(sf_dir: str):
     return docs.map_batches(project, batch_format="pyarrow")
 
 
+def _flagship_crawl(sf_dir: str) -> str:
+    """The flagship crawl's directory, crawled by this process."""
+    out = _crawl_out_dir(sf_dir)
+    if out not in _CRAWLS_BUILT:
+        q_crawl_documents(sf_dir)
+    return out
+
+
 def q_crawl_doc_stats(sf_dir: str):
     """Flagship crawl output audit, ORACLE-CHECKED end to end: every
     engine-crawled document's (doc_id, url, host, depth, n_spans,
@@ -4676,9 +4693,7 @@ def q_crawl_doc_stats(sf_dir: str):
     or the fetch stage produced wrong document content geometry.
     (enqueue_seq stays in the rows-only crawl_documents query: it
     depends on claim scheduling, which SQL cannot replay.)"""
-    out = _crawl_out_dir(sf_dir)
-    if not os.path.isdir(os.path.join(out, "documents")):
-        q_crawl_documents(sf_dir)
+    out = _flagship_crawl(sf_dir)
     docs = read_documents(out)
 
     def project(batch: pa.Table) -> pa.Table:
@@ -4695,9 +4710,10 @@ def q_crawl_doc_stats(sf_dir: str):
 
 def q_crawl_order(sf_dir: str):
     """The ENGINE's claim stream: the claims audit log the distributed
-    conformance-mode (K=1 FIFO) run itself wrote, one row per lease
-    (wave_*.parquet under <out>/claims — crawl.py:347-351), ordered by
-    (wave, enqueue_seq) = the global claim order (§3.2: within a wave,
+    conformance-mode (K=1 FIFO, ``run_crawl_pump`` round mode) run
+    itself wrote, one ``claims/part-<lease_id>.parquet`` per lease
+    with the round number in its ``wave`` column, ordered by (wave,
+    enqueue_seq) = the global claim order (§3.2: within a round,
     claims run in ascending enqueue_seq).
 
     ORACLE-CHECKED (r03): DuckDB independently replays the whole K=1
@@ -4751,11 +4767,8 @@ def q_crawl_status_histogram(sf_dir: str):
     (_crawl_status_histogram_oracle_sql)."""
     import json
 
-    out = _crawl_out_dir(sf_dir)
-    p = os.path.join(out, "engine_summary.json")
-    if not os.path.exists(p):
-        q_crawl_documents(sf_dir)
-    with open(p) as fh:
+    with open(os.path.join(_flagship_crawl(sf_dir),
+                           "engine_summary.json")) as fh:
         h = json.load(fh)["histogram"]
     return pd.DataFrame([{"status": k, "n_items": v} for k, v in sorted(h.items())])
 
@@ -4767,9 +4780,7 @@ def q_crawl_host_counts(sf_dir: str):
     DuckDB re-runs the deterministic crawl and recomputes the per-host
     counts independently (_crawl_host_counts_oracle_sql)."""
     from ray.data.aggregate import Sum
-    out = _crawl_out_dir(sf_dir)
-    if not os.path.isdir(os.path.join(out, "documents")):
-        q_crawl_documents(sf_dir)
+    out = _flagship_crawl(sf_dir)
     docs = read_documents(out)
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -4787,9 +4798,7 @@ def q_crawl_simhash_audit(sf_dir: str):
     ingest-time signature from the closed-form token stream
     (_crawl_simhash_audit_oracle_sql)."""
     from ray.data.aggregate import Count, Min
-    out = _crawl_out_dir(sf_dir)
-    if not os.path.isdir(os.path.join(out, "documents")):
-        q_crawl_documents(sf_dir)
+    out = _flagship_crawl(sf_dir)
     docs = read_documents(out)
 
     def proj(batch: pa.Table) -> pa.Table:
@@ -4810,9 +4819,7 @@ def q_k7_sample_export(sf_dir: str):
     listing (rows-only — tar side effect + audit record)."""
     from .crawl import read_documents
     from .export import export_sample_tar
-    out = _crawl_out_dir(sf_dir)
-    if not os.path.isdir(os.path.join(out, "documents")):
-        q_crawl_documents(sf_dir)
+    out = _flagship_crawl(sf_dir)
     docs = read_documents(out)
     return export_sample_tar(docs, os.path.join(out, "sample_export.tar.gz"),
                              n=20)
@@ -4953,9 +4960,7 @@ def q_media_spans(sf_dir: str):
     duration_ms) — decode itself is stubbed (no codecs in container).
     ORACLE-CHECKED: DuckDB re-runs the crawl and recomputes every
     media row's ref + hash-derived metadata (_media_spans_oracle_sql)."""
-    out = _crawl_out_dir(sf_dir)
-    if not os.path.isdir(os.path.join(out, "documents")):
-        q_crawl_documents(sf_dir)
+    out = _flagship_crawl(sf_dir)
     docs = read_documents(out)
     return docs.map_batches(mm.media_rows_from_spans, batch_format="pyarrow")
 
@@ -4968,9 +4973,7 @@ def q_media_frame_plan(sf_dir: str):
     explode (stages/multimodal.frame_sample_plan), zero shuffle.
     ORACLE-CHECKED: DuckDB recomputes every video's hash-derived
     duration from the crawl mirror and unrolls generate_series."""
-    out = _crawl_out_dir(sf_dir)
-    if not os.path.isdir(os.path.join(out, "documents")):
-        q_crawl_documents(sf_dir)
+    out = _flagship_crawl(sf_dir)
     docs = read_documents(out)
     media = docs.map_batches(mm.media_rows_from_spans,
                              batch_format="pyarrow")
@@ -5007,9 +5010,7 @@ def q_media_ann_topk(sf_dir: str):
     DuckDB over the crawl mirror's refs)."""
     import numpy as np
     from .crawl import read_documents
-    out = _crawl_out_dir(sf_dir)
-    if not os.path.isdir(os.path.join(out, "documents")):
-        q_crawl_documents(sf_dir)
+    out = _flagship_crawl(sf_dir)
     docs = read_documents(out)
     media = docs.map_batches(mm.media_rows_from_spans, batch_format="pyarrow")
     feats = media.map_batches(mm.hash_features_batch, batch_format="pyarrow")
@@ -5045,9 +5046,7 @@ def q_media_decode_stats(sf_dir: str):
     Reference analog: the browser worker's media fetch+store
     (crawler/src/browser_worker.ts:26-748). batch_size=256: wide
     binary rows (≤ ~2.2 KB/payload) keep task heaps small."""
-    out = _crawl_out_dir(sf_dir)
-    if not os.path.isdir(os.path.join(out, "documents")):
-        q_crawl_documents(sf_dir)
+    out = _flagship_crawl(sf_dir)
     docs = read_documents(out)
     media = docs.map_batches(mm.media_rows_from_spans,
                              batch_format="pyarrow")
@@ -5076,9 +5075,7 @@ def q_audio_decode_stats(sf_dir: str):
     residue walk, so Σs and Σs² are affine in the walk's Σv / Σv²
     (full-cycle constants + ≤255-term enumerated partial) — DuckDB
     never sees a byte. batch_size=256 (≤ ~4 KB/payload)."""
-    out = _crawl_out_dir(sf_dir)
-    if not os.path.isdir(os.path.join(out, "documents")):
-        q_crawl_documents(sf_dir)
+    out = _flagship_crawl(sf_dir)
     docs = read_documents(out)
     media = docs.map_batches(mm.media_rows_from_spans,
                              batch_format="pyarrow")
@@ -5150,9 +5147,7 @@ def q_video_decode_stats(sf_dir: str):
     walk's base by 31·a mod 256 — w·h ≤ 165 < 256, so the per-frame
     luma sum is a fully enumerated partial cycle. DuckDB never sees a
     byte. batch_size=256 (≤ ~3.5 KB/payload)."""
-    out = _crawl_out_dir(sf_dir)
-    if not os.path.isdir(os.path.join(out, "documents")):
-        q_crawl_documents(sf_dir)
+    out = _flagship_crawl(sf_dir)
     docs = read_documents(out)
     media = docs.map_batches(mm.media_rows_from_spans,
                              batch_format="pyarrow")
@@ -5182,9 +5177,7 @@ def q_media_resize_stats(sf_dir: str):
     the gate pins the resample's exact source-pixel selection, not
     just its dimensions. The corpus mixes pass-through (max(w,h)≤16)
     and downscale images, so both branches are exercised."""
-    out = _crawl_out_dir(sf_dir)
-    if not os.path.isdir(os.path.join(out, "documents")):
-        q_crawl_documents(sf_dir)
+    out = _flagship_crawl(sf_dir)
     docs = read_documents(out)
     media = docs.map_batches(mm.media_rows_from_spans,
                              batch_format="pyarrow")
@@ -6217,7 +6210,7 @@ def _crawl_universe_ctes(seed: int = 42, n_seeds: int = _CRAWL_SEEDS,
     (sources/corpus.py fetch_outcome/link_children), so the crawl's
     final URL universe is SQL-computable from the seed list alone:
 
-      seeds (embedded VALUES — the same input run_crawl gets)
+      seeds (embedded VALUES — the same input run_crawl_pump gets)
         → per-URL fetch hash (stable_hash64 recursive-CTE mirror)
         → terminal status: failed iff hash%100 IN (6,7) — transient
           fails (r<6, fail_until≤2<max_retries) and blocked-once
@@ -9508,7 +9501,7 @@ def _run_priority_crawl(sf_dir: str) -> str:
     from ..state.frontier import Frontier
 
     out = _crawl_fifo_out_dir(sf_dir) + "_prio"
-    if not os.path.isdir(os.path.join(out, "claims")):
+    if out not in _CRAWLS_BUILT:
         seeds = make_seed_urls(_CRAWL_SEEDS, seed=42)["url"].to_pylist()
         prios = (splitmix64_np(
             np.arange(len(seeds), dtype=np.int64).view(np.uint64)
@@ -9516,8 +9509,10 @@ def _run_priority_crawl(sf_dir: str) -> str:
         fr = Frontier(1, seed=42, dedup=True, max_retries=3,
                       order="priority")
         fr.enqueue(seeds, priorities=prios.tolist())
-        run_crawl(None, frontier=fr, seed=42, num_shards=1, dedup=True,
-                  max_depth=0, items_per_wave=256, out_dir=out)
+        run_crawl_pump(None, frontier=fr, seed=42, num_shards=1,
+                       dedup=True, max_depth=0, chunk_size=256,
+                       rounds="shard", out_dir=out)
+        _CRAWLS_BUILT.add(out)
     return out
 
 

@@ -14,7 +14,8 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
-from crawling_infrastructure_ray.pipelines.crawl import direct_crawl, run_crawl
+from crawling_infrastructure_ray.pipelines.crawl import (direct_crawl,
+                                                         run_crawl_pump)
 from crawling_infrastructure_ray.pipelines.oracle import oracle_crawl
 from crawling_infrastructure_ray.sources.corpus import make_seed_urls
 from crawling_infrastructure_ray.state.frontier import Frontier
@@ -38,8 +39,9 @@ def golden(seeds):
 @pytest.fixture(scope="module")
 def engine_run(ray_session, seeds, tmp_path_factory):
     out = str(tmp_path_factory.mktemp("crawl") / "run")
-    res = run_crawl(seeds, seed=SEED, num_shards=1, dedup=True, max_depth=1,
-                    items_per_wave=WAVE, out_dir=out)
+    res = run_crawl_pump(seeds, seed=SEED, num_shards=1, dedup=True,
+                         max_depth=1, chunk_size=WAVE, rounds="shard",
+                         out_dir=out)
     return res
 
 
@@ -79,8 +81,9 @@ def test_golden_spans_equality(golden, engine_run):
 def test_sharded_mode_matches_seen_set(ray_session, seeds, golden, tmp_path):
     """K=4 shards: per-shard FIFO, same final seen set + histogram
     totals (global claim order differs by design — SURVEY.md §7.4)."""
-    res = run_crawl(seeds, seed=SEED, num_shards=4, dedup=True, max_depth=1,
-                    items_per_wave=WAVE, out_dir=str(tmp_path / "sharded"))
+    res = run_crawl_pump(seeds, seed=SEED, num_shards=4, dedup=True,
+                         max_depth=1, chunk_size=WAVE // 4, rounds="shard",
+                         out_dir=str(tmp_path / "sharded"))
     assert res.histogram["completed"] == golden["histogram"]["completed"]
     assert res.histogram["failed"] == golden["histogram"]["failed"]
     assert res.seen_set_size == len(golden["seen_set"])
@@ -108,10 +111,12 @@ def test_fidelity_mode_crawls_duplicates(ray_session, tmp_path):
     """FIXTURES duplicate-handling scenario: fidelity mode (dedup=False)
     crawls duplicates twice; dedup mode crawls once."""
     dup_seeds = ["http://hd.example/a", "http://hd.example/a", "http://hd.example/b"]
-    fid = run_crawl(dup_seeds, seed=SEED, num_shards=1, dedup=False, max_depth=0,
-                    items_per_wave=10, out_dir=str(tmp_path / "fid"))
-    ded = run_crawl(dup_seeds, seed=SEED, num_shards=1, dedup=True, max_depth=0,
-                    items_per_wave=10, out_dir=str(tmp_path / "ded"))
+    fid = run_crawl_pump(dup_seeds, seed=SEED, num_shards=1, dedup=False,
+                         max_depth=0, chunk_size=10, rounds="shard",
+                         out_dir=str(tmp_path / "fid"))
+    ded = run_crawl_pump(dup_seeds, seed=SEED, num_shards=1, dedup=True,
+                         max_depth=0, chunk_size=10, rounds="shard",
+                         out_dir=str(tmp_path / "ded"))
     assert fid.urls_processed == 3
     assert ded.urls_processed == 2
     assert ded.counters["deduped"] == 1
@@ -126,17 +131,20 @@ def test_direct_crawl_scatter_gather(ray_session, seeds):
 def test_kill_and_resume_byte_identical(ray_session, seeds, tmp_path):
     """North rule: a killed run resumes exactly — final documents table
     byte-identical to an uninterrupted run."""
-    full = run_crawl(seeds, seed=SEED, num_shards=2, dedup=True, max_depth=1,
-                     items_per_wave=WAVE, checkpoint_every=1,
-                     out_dir=str(tmp_path / "full"))
-    # interrupted: stop after 2 waves (checkpointing every wave)...
-    run_crawl(seeds, seed=SEED, num_shards=2, dedup=True, max_depth=1,
-              items_per_wave=WAVE, checkpoint_every=1, max_waves=2,
-              out_dir=str(tmp_path / "cut"))
+    full = run_crawl_pump(seeds, seed=SEED, num_shards=2, dedup=True,
+                          max_depth=1, chunk_size=WAVE // 2, rounds="shard",
+                          checkpoint_every_commits=1,
+                          out_dir=str(tmp_path / "full"))
+    # interrupted: stop after 2 leases (checkpointing every round)...
+    run_crawl_pump(seeds, seed=SEED, num_shards=2, dedup=True, max_depth=1,
+                   chunk_size=WAVE // 2, rounds="shard",
+                   checkpoint_every_commits=1, max_commits=2,
+                   out_dir=str(tmp_path / "cut"))
     # ...then resume to drain
-    resumed = run_crawl(None, resume=True, seed=SEED, num_shards=2, dedup=True,
-                        max_depth=1, items_per_wave=WAVE, checkpoint_every=1,
-                        out_dir=str(tmp_path / "cut"))
+    resumed = run_crawl_pump(None, resume=True, seed=SEED, num_shards=2,
+                             dedup=True, max_depth=1, chunk_size=WAVE // 2,
+                             rounds="shard", checkpoint_every_commits=1,
+                             out_dir=str(tmp_path / "cut"))
     t_full = _read_sorted(str(tmp_path / "full" / "documents" / "**" / "*.parquet"),
                           "enqueue_seq")
     t_res = _read_sorted(str(tmp_path / "cut" / "documents" / "**" / "*.parquet"),
@@ -152,9 +160,9 @@ def test_priority_order_engine(ray_session, tmp_path):
     fr = Frontier(1, seed=SEED, dedup=True, order="priority")
     fr.enqueue(["http://hp.example/deep1", "http://hp.example/deep2"], [2, 2])
     fr.enqueue(["http://hp.example/shallow"], [0])
-    res = run_crawl(None, frontier=fr, seed=SEED, max_depth=0,
-                    items_per_wave=1, max_waves=3,
-                    out_dir=str(tmp_path / "prio"), order="priority")
+    res = run_crawl_pump(None, frontier=fr, seed=SEED, max_depth=0,
+                         chunk_size=1, rounds="shard", max_commits=3,
+                         out_dir=str(tmp_path / "prio"), order="priority")
     claims = _read_sorted(str(tmp_path / "prio" / "claims" / "*.parquet"),
                           [("wave", "ascending")])
     assert claims["url"].to_pylist()[0] == "http://hp.example/shallow"
@@ -167,8 +175,9 @@ def test_robots_ordering_matches_oracle(ray_session, seeds, tmp_path):
     golden = oracle_crawl(seeds, seed=SEED, dedup=True, robots=True,
                           max_depth=0, items_per_wave=WAVE)
     out = str(tmp_path / "rob_conf")
-    res = run_crawl(seeds, seed=SEED, num_shards=1, dedup=True, robots=True,
-                    max_depth=0, items_per_wave=WAVE, out_dir=out)
+    res = run_crawl_pump(seeds, seed=SEED, num_shards=1, dedup=True,
+                         robots=True, max_depth=0, chunk_size=WAVE,
+                         rounds="shard", out_dir=out)
     claims = _read_sorted(os.path.join(out, "claims", "*.parquet"),
                           [("wave", "ascending"), ("enqueue_seq", "ascending")])
     got = list(zip(claims["enqueue_seq"].to_pylist(),

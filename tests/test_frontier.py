@@ -320,6 +320,7 @@ UNUSUAL_ROUTING_URLS = [
     ("http://[::1]:80/x", "http://[::1]/x", "::1"),
     ("http://[2001:db8::1]/p", "http://[2001:db8::1]/p", "2001:db8::1"),
     ("a.com/x", "http://a.com/x", "a.com"),
+    ("a.com:81/x", "http://a.com:81/x", "a.com"),
 ]
 
 

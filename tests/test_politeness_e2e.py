@@ -71,7 +71,7 @@ def test_politeness_ordering_matches_oracle(ray_session, tmp_path):
     import pyarrow.parquet as pq
 
     from crawling_infrastructure_ray.pipelines.oracle import oracle_crawl
-    from crawling_infrastructure_ray.pipelines.crawl import run_crawl
+    from crawling_infrastructure_ray.pipelines.crawl import run_crawl_pump
 
     urls = [f"http://h{h}.example/q{i}" for i in range(20) for h in range(3)]
     # ASYMMETRIC budget: h0 is slow (1/s, burst 2), others fast — h0's
@@ -82,9 +82,9 @@ def test_politeness_ordering_matches_oracle(ray_session, tmp_path):
     golden = oracle_crawl(urls, seed=42, dedup=True, max_depth=0,
                           items_per_wave=64, now_fn=_step_clock(), **budget)
     out = str(tmp_path / "polconf")
-    res = run_crawl(urls, seed=42, num_shards=1, dedup=True, max_depth=0,
-                    items_per_wave=64, out_dir=out, now_fn=_step_clock(),
-                    **budget)
+    res = run_crawl_pump(urls, seed=42, num_shards=1, dedup=True, max_depth=0,
+                         chunk_size=64, rounds="shard", out_dir=out,
+                         now_fn=_step_clock(), **budget)
 
     files = sorted(glob.glob(os.path.join(out, "claims", "*.parquet")))
     claims = pa.concat_tables([pq.read_table(f) for f in files]) \

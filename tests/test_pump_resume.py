@@ -86,14 +86,13 @@ def test_pump_matches_wave_mode(ray_session, tmp_path):
     histogram, and per-document content — only enqueue_seq assignment
     of discovered children may differ (documented pump trade-off)."""
     from crawling_infrastructure_ray.pipelines.crawl import (read_documents,
-                                                             run_crawl,
                                                              run_crawl_pump)
     from crawling_infrastructure_ray.sources.corpus import make_seed_urls
     seeds = make_seed_urls(120, seed=42)["url"].to_pylist()
     wave_out = str(tmp_path / "wave")
     pump_out = str(tmp_path / "pump")
-    rw = run_crawl(seeds, seed=42, num_shards=2, dedup=True, max_depth=1,
-                   items_per_wave=64, out_dir=wave_out)
+    rw = run_crawl_pump(seeds, seed=42, num_shards=2, dedup=True, max_depth=1,
+                        chunk_size=32, rounds="shard", out_dir=wave_out)
     rp = run_crawl_pump(seeds, seed=42, num_shards=2, dedup=True, max_depth=1,
                         chunk_size=32, out_dir=pump_out)
     assert rw.histogram == rp.histogram

@@ -12,8 +12,7 @@ import pyarrow as pa
 import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
-from crawling_infrastructure_ray.pipelines.crawl import (run_crawl,
-                                                         run_crawl_pump)
+from crawling_infrastructure_ray.pipelines.crawl import run_crawl_pump
 from crawling_infrastructure_ray.sources.corpus import make_seed_urls
 from crawling_infrastructure_ray.state.filters import ExactSeenSet
 from crawling_infrastructure_ray.state.frontier import FrontierShardCore
@@ -69,10 +68,11 @@ def test_global_fifo_k8_matches_k1(ray_session, tmp_path):
     (lease_wave_global peek→merge→claim) makes a K=8 run's claim
     stream bit-identical to the K=1 conformance stream."""
     seeds = make_seed_urls(150, seed=SEED)["url"].to_pylist()
-    kw = dict(seed=SEED, dedup=True, max_depth=1, items_per_wave=64)
-    r1 = run_crawl(seeds, num_shards=1, out_dir=str(tmp_path / "k1"), **kw)
-    r8 = run_crawl(seeds, num_shards=8, global_order=True,
-                   out_dir=str(tmp_path / "k8"), **kw)
+    kw = dict(seed=SEED, dedup=True, max_depth=1, chunk_size=64)
+    r1 = run_crawl_pump(seeds, num_shards=1, rounds="shard",
+                        out_dir=str(tmp_path / "k1"), **kw)
+    r8 = run_crawl_pump(seeds, num_shards=8, rounds="global",
+                        out_dir=str(tmp_path / "k8"), **kw)
     assert r1.histogram == r8.histogram
     c1, c8 = _claims(str(tmp_path / "k1")), _claims(str(tmp_path / "k8"))
     assert len(c1) == len(c8) > 0

@@ -36,10 +36,11 @@ def _write_events(tmp_path, rows):
 
 
 def test_canonicalize_vectorized_matches_scalar():
-    """The batch canonicalizer must equal the scalar urlsplit path on
-    the whole supported shape: the messy synthetic corpus plus
-    handcrafted edges (bare host, bare '?', default/explicit ports,
-    fragments, surrounding whitespace, deep paths)."""
+    """The batch canonicalizer must equal the scalar urlsplit path:
+    the messy synthetic corpus plus handcrafted edges (bare host, bare
+    '?', default/explicit ports, fragments, surrounding whitespace,
+    deep paths) and rows off the vectorized shape (no scheme, IPv6
+    literal, userinfo)."""
     from crawling_infrastructure_ray.functions.urltools import (
         canonicalize_url, canonicalize_urls_series)
     from crawling_infrastructure_ray.pipelines.training import \
@@ -53,6 +54,9 @@ def test_canonicalize_vectorized_matches_scalar():
         "  http://Pad.com/x  ", "https://h.com/#only-frag",
         "http://h.com:8080", "http://h.com:8080/",
         "https://deep.com/a/b/c?q=1&q=2",
+        # off the vectorized shape: the scalar parser takes these rows
+        "http://[::1]:80/x", "a.com/x", "a.com:81/x",
+        "http://User:pw@Edge.com:80/u",
     ]
     got = canonicalize_urls_series(pd.Series(urls, dtype="object"))
     want = [canonicalize_url(u) for u in urls]

@@ -11,7 +11,7 @@ import pyarrow.compute as pc
 
 from crawling_infrastructure_ray.config import JobConfig
 from crawling_infrastructure_ray.pipelines.crawl import (read_documents,
-                                                         run_crawl)
+                                                         run_crawl_pump)
 from crawling_infrastructure_ray.sources.corpus import fetch_outcome
 
 
@@ -36,10 +36,11 @@ def _urls(n):
 
 def test_itemwise_storage_failure_resets_only_that_item(ray_session, tmp_path):
     out = str(tmp_path / "iw")
-    res = run_crawl(_urls(9), seed=42, num_shards=1, dedup=True, max_depth=0,
-                    items_per_wave=64, out_dir=out,
-                    config=JobConfig(storage_policy="itemwise"),
-                    store_fail_marker="STOREFAIL")
+    res = run_crawl_pump(_urls(9), seed=42, num_shards=1, dedup=True,
+                         max_depth=0, chunk_size=64, rounds="shard",
+                         out_dir=out,
+                         config=JobConfig(storage_policy="itemwise"),
+                         store_fail_marker="STOREFAIL")
     # first wave: 9 items commit, 1 rolls back alone; second wave
     # re-leases just that item (attempt=1) and succeeds
     assert res.histogram == {"initial": 0, "running": 0,
@@ -55,10 +56,11 @@ def test_itemwise_storage_failure_resets_only_that_item(ray_session, tmp_path):
 
 def test_merged_storage_failure_resets_whole_lease(ray_session, tmp_path):
     out = str(tmp_path / "mg")
-    res = run_crawl(_urls(9), seed=42, num_shards=1, dedup=True, max_depth=0,
-                    items_per_wave=64, out_dir=out,
-                    config=JobConfig(storage_policy="merged"),
-                    store_fail_marker="STOREFAIL")
+    res = run_crawl_pump(_urls(9), seed=42, num_shards=1, dedup=True,
+                         max_depth=0, chunk_size=64, rounds="shard",
+                         out_dir=out,
+                         config=JobConfig(storage_policy="merged"),
+                         store_fail_marker="STOREFAIL")
     # first wave: the whole 10-item lease rolls back (nothing written);
     # second wave re-leases all 10 (attempt=1) and succeeds
     assert res.histogram == {"initial": 0, "running": 0,
@@ -75,9 +77,9 @@ def test_retries_not_consumed_by_storage_failure(ray_session, tmp_path):
     from crawling_infrastructure_ray.state.frontier import Frontier
     out = str(tmp_path / "rt")
     fr = Frontier(1, seed=42, dedup=True)
-    run_crawl(_urls(4), seed=42, frontier=fr, num_shards=1, max_depth=0,
-              items_per_wave=64, out_dir=out,
-              storage_policy="itemwise", store_fail_marker="STOREFAIL")
+    run_crawl_pump(_urls(4), seed=42, frontier=fr, num_shards=1, max_depth=0,
+                   chunk_size=64, rounds="shard", out_dir=out,
+                   storage_policy="itemwise", store_fail_marker="STOREFAIL")
     tbl = fr.dump_table()
     assert pc.max(tbl["retries"]).as_py() == 0   # R7: no retry consumed
     # the storage-failed item was leased twice (attempt counter)
@@ -123,8 +125,8 @@ def test_unstored_rows_route_no_children_in_either_driver(ray_session,
     kw = dict(seed=42, num_shards=1, dedup=False, max_depth=1,
               config=JobConfig(storage_policy="itemwise"),
               store_fail_marker="STOREFAIL")
-    rw = run_crawl(seeds, items_per_wave=64, out_dir=str(tmp_path / "w"),
-                   **kw)
+    rw = run_crawl_pump(seeds, chunk_size=64, rounds="shard",
+                        out_dir=str(tmp_path / "w"), **kw)
     rp = run_crawl_pump(seeds, chunk_size=64, out_dir=str(tmp_path / "p"),
                         **kw)
     assert rw.counters["rolled_back"] == rp.counters["rolled_back"] == 6
