@@ -15,6 +15,8 @@ seeing a byte).
 
 from __future__ import annotations
 
+_HEX = frozenset(b"0123456789abcdefABCDEF")
+
 
 def parse_http_response(raw: bytes) -> tuple[int, dict[str, str], bytes]:
     """Parse one raw HTTP/1.1 response → (status, headers, body).
@@ -25,7 +27,8 @@ def parse_http_response(raw: bytes) -> tuple[int, dict[str, str], bytes]:
     the chunk framing (hex size, optional ``;extension``, CRLF, data,
     CRLF, until the 0-chunk); otherwise ``Content-Length`` bytes; no
     framing header → the remainder. Raises ValueError on malformed
-    status line, header line, or chunk framing."""
+    status line, header line, chunk framing, ``Content-Length`` (ASCII
+    digits only, RFC 9112 §6.3) or gzip stream."""
     sep = raw.find(b"\r\n\r\n")
     if sep < 0:
         raise ValueError("no header/body separator")
@@ -56,11 +59,10 @@ def parse_http_response(raw: bytes) -> tuple[int, dict[str, str], bytes]:
             if nl < 0:
                 raise ValueError("chunked: missing size line")
             size_tok = body_raw[pos:nl].split(b";", 1)[0].strip()
-            try:
-                size = int(size_tok, 16)
-            except ValueError:
-                raise ValueError(
-                    f"chunked: bad size {size_tok!r}") from None
+            # hex digits only: int(…, 16) also takes a sign, "0x" and "_"
+            if not size_tok or not _HEX.issuperset(size_tok):
+                raise ValueError(f"chunked: bad size {size_tok!r}")
+            size = int(size_tok, 16)
             pos = nl + 2
             if size == 0:
                 break
@@ -72,7 +74,11 @@ def parse_http_response(raw: bytes) -> tuple[int, dict[str, str], bytes]:
             pos = pos + size + 2
         body = b"".join(out)
     elif "content-length" in headers:
-        n = int(headers["content-length"])
+        cl = headers["content-length"]
+        # digits only: int() also takes a sign, "_" and non-ASCII digits
+        if not (cl.isascii() and cl.isdigit()):
+            raise ValueError(f"bad Content-Length {cl!r}")
+        n = int(cl)
         if len(body_raw) < n:
             raise ValueError("short body vs Content-Length")
         body = body_raw[:n]
@@ -84,9 +90,10 @@ def parse_http_response(raw: bytes) -> tuple[int, dict[str, str], bytes]:
     enc = headers.get("content-encoding", "").lower()
     if enc == "gzip":
         import gzip
+        import zlib
         try:
             body = gzip.decompress(body)
-        except OSError as exc:
+        except (OSError, EOFError, zlib.error) as exc:
             raise ValueError(f"gzip body: {exc}") from None
     elif enc and enc != "identity":
         raise ValueError(f"unsupported content-encoding {enc!r}")

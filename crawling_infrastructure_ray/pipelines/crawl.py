@@ -78,9 +78,10 @@ def _fetch_store_route_task(seqs: list, urls: list, hosts: list,
     discovers them again. Given the shard handle list (the pump), the
     task routes them DIRECTLY to their host shards (which allocate
     their own seq blocks) — child URLs never transit the driver, whose
-    loop stays O(chunks). Without it (round mode) it returns them as
-    ``(urls, depths, parent_seqs)`` for the driver to append in
-    parent-seq order.
+    loop stays O(chunks) — and reports the shards it routed to, so the
+    driver can wait for exactly those inserts (``ack_routed``). Without
+    it (round mode) it returns them as ``(urls, depths, parent_seqs)``
+    for the driver to append in parent-seq order.
 
     The lease arrives as the shard's RAW column lists and the Arrow
     table is built HERE, in the task: pickling a small pa.Table on the
@@ -117,6 +118,7 @@ def _fetch_store_route_task(seqs: list, urls: list, hosts: list,
     # deserialization per chunk on ray.get — plain lists (or None)
     # keep the per-chunk result msgpack-cheap
     children = None
+    routed: list[int] = []
     if len(flat):
         lens = pc.list_value_length(ok["discovered"]).to_numpy(zero_copy_only=False)
         depths = np.repeat(ok["depth"].to_numpy(zero_copy_only=False) + 1,
@@ -143,14 +145,15 @@ def _fetch_store_route_task(seqs: list, urls: list, hosts: list,
                     b = per.setdefault(sh, ([], []))
                 b[0].append(u)
                 b[1].append(d)
-            # fire-and-forget: actor calls execute reliably while the
-            # actor lives; the pump's double-check drain (below) covers
-            # the tiny window where an insert lands after this task is
-            # observed complete
+            # fire-and-forget: an insert may land after this task is
+            # observed complete, so each call carries the lease id the
+            # driver's drain waits for (``ack_routed``)
             for sh, (us, ds) in per.items():
-                all_shards[sh].enqueue_discovered.remote(us, ds)
-    return {"n": ctl.num_rows, "n_ok": n_ok,
-            "started": t_start, "ended": time.time()}, commit, children
+                all_shards[sh].enqueue_discovered.remote(us, ds, lease_id)
+            routed = list(per)
+    return {"n": ctl.num_rows, "n_ok": n_ok, "n_children": len(flat),
+            "routed": routed, "started": t_start,
+            "ended": time.time()}, commit, children
 
 
 class CrawlQuarantined(RuntimeError):
@@ -215,6 +218,7 @@ def _write_lineage(out_dir: str, rows: list[tuple]) -> None:
         "n_failed": pa.array([r[4] for r in rows], pa.int64()),
         "started": pa.array([r[5] for r in rows], pa.float64()),
         "ended": pa.array([r[6] for r in rows], pa.float64()),
+        "n_children": pa.array([r[7] for r in rows], pa.int64()),
     })
     _atomic_write_parquet(tbl, os.path.join(out_dir, "lineage.parquet"))
 
@@ -265,18 +269,27 @@ def run_crawl_pump(seed_urls: list[str] | None = None, *,
     """Run a crawl to drain (or to ``max_commits`` committed leases).
 
     ``rounds=None`` is the async pump, the throughput mode. The driver
-    keeps about 3 × CPUs fetch CHUNKS in flight at all times: each
-    chunk is one frontier lease of ``chunk_size`` items running as one
-    raw Ray task; as chunks complete (``ray.wait``) their commits are
-    sent and fresh leases are issued immediately. No barrier → no
-    straggler tail, CPUs stay saturated — the Ray analog of the
+    keeps 3 × the session's CPUs (``ray.cluster_resources``) fetch
+    CHUNKS in flight: each chunk is one frontier lease of
+    ``chunk_size`` items running as one raw Ray task; as chunks
+    complete (``ray.wait``) their commits are sent and fresh leases
+    are issued immediately. There is no floor above that: a deeper
+    queue on a small session only leases whatever is open at that
+    moment and splits supply into more, smaller chunks. No barrier
+    → no straggler tail, CPUs stay saturated — the Ray analog of the
     reference scheduler's endless launch loop
     (master/scheduler/daemon.ts:61-79,308-391). The tasks route
     discovered URLs to their shards in task COMPLETION order, so
     ``enqueue_seq`` assignment (and claim order) is not deterministic
     across runs; the final seen SET, histogram totals, and
     per-document contents are (documents are a pure function of
-    (seed, url)).
+    (seed, url)). Those inserts are fire-and-forget; before its
+    drained check and before a snapshot the driver polls each shard a
+    task routed to until the shard has applied that lease's children
+    (``FrontierShardCore.ack_routed``), so neither rests on a sleep.
+    A busy run acknowledges as it goes, once more than the in-flight
+    depth of lease ids waits, so neither side's bookkeeping grows with
+    the run.
 
     ``rounds="shard"`` or ``"global"`` is round mode, the conformance
     mode. Each loop iteration reads ``now_fn`` once and leases one
@@ -295,8 +308,9 @@ def run_crawl_pump(seed_urls: list[str] | None = None, *,
     apply to the pump only). The round number is the documents' and
     claims' ``wave`` column and one ``manifest.jsonl`` row.
 
-    Both modes write ``lineage.parquet`` (one row per committed lease;
-    ``CrawlResult.waves`` counts them) and checkpoint at soft
+    Both modes write ``lineage.parquet`` (one row per committed lease,
+    with the children it routed or relayed; ``CrawlResult.waves``
+    counts them) and checkpoint at soft
     barriers (drain in-flight → snapshot) every
     ``checkpoint_every_commits`` commits. On resume, fragments and
     claims written after the checkpoint (lease_id ≥ the snapshot's
@@ -364,7 +378,9 @@ def run_crawl_pump(seed_urls: list[str] | None = None, *,
             if len(seed_urls) > head:
                 pending_enq.extend(frontier.enqueue_async(seed_urls[head:]))
 
-    target_inflight = max(8, 3 * int(ray.available_resources().get("CPU", 8)))
+    # three chunks per CPU of the session; no floor above that, which
+    # on one or two CPUs only split supply into more, smaller leases
+    target_inflight = 3 * max(1, int(ray.cluster_resources().get("CPU", 1)))
     # the pump's tasks route children to their shards and its commits
     # retry a failed item at once; round mode relays children through
     # the driver and keeps the reference retry gate (R1 between rounds)
@@ -373,13 +389,15 @@ def run_crawl_pump(seed_urls: list[str] | None = None, *,
     t0 = time.perf_counter()
     inflight: dict = {}            # ObjectRef -> (shard, lease_id, now)
     commit_refs: list = []         # commits sent, not yet awaited
+    unacked: dict = {}             # shard -> lease ids routed, not acked
+    acks: list = []                # (ack_routed ref, shard), not awaited
     relay: list = []               # round mode: children of the round
     urls_processed = 0
     docs_written = 0
     commits = 0
     # lineage = per-lease worker-meta rows (reference K5/G4,
     # lib/types/workermeta.ts): (lease_id, shard, n, ok, failed,
-    # started, ended) — written as out_dir/lineage.parquet
+    # started, ended, children) — written as out_dir/lineage.parquet
     lineage_rows: list[tuple] = []
     lost_tasks = 0
     fetch_kwargs = {"seed": seed, "max_depth": max_depth,
@@ -403,6 +421,30 @@ def run_crawl_pump(seed_urls: list[str] | None = None, *,
     def await_enqueues() -> None:
         ray.get(pending_enq)
         pending_enq.clear()
+
+    def settle_acks(block: bool) -> None:
+        """Send every unacknowledged lease id to its shard, then take
+        back the ids the finished ``ack_routed`` calls report as not
+        yet applied (all calls if ``block``)."""
+        for sh in list(unacked):
+            acks.append((frontier.shards[sh].ack_routed.remote(
+                unacked.pop(sh)), sh))
+        refs = [r for r, _ in acks]
+        done = set(refs if block else ray.wait(
+            refs, num_returns=len(refs), timeout=0)[0])
+        for r, sh in [a for a in acks if a[0] in done]:
+            lids = ray.get(r)
+            if lids:
+                unacked.setdefault(sh, []).extend(lids)
+        acks[:] = [a for a in acks if a[0] not in done]
+
+    def await_children() -> None:
+        """Poll the shards the collected tasks routed to until each has
+        applied those leases' children. A task that died is never
+        waited on: its rolled-back lease is re-crawled, and the retry
+        re-sends the same children under a new lease id."""
+        while unacked or acks:
+            settle_acks(block=True)
 
     def submit(lease: dict, shard: int, now) -> None:
         # raw lists, not a pa.Table — the table is built in the task
@@ -446,12 +488,19 @@ def run_crawl_pump(seed_urls: list[str] | None = None, *,
             commit_refs[:] = rest
         if children is not None:
             relay.append(children)
+        for sh in counts["routed"]:
+            unacked.setdefault(sh, []).append(lease_id)
+        if sum(map(len, unacked.values())) > target_inflight:
+            # bound the ids held here and on the shards on long busy
+            # runs, which reach neither the drained check nor a snapshot
+            settle_acks(block=False)
         commits += 1
         docs_written += counts["n_ok"]
         urls_processed += counts["n"]
         lineage_rows.append((lease_id, shard, counts["n"], counts["n_ok"],
                              counts["n"] - counts["n_ok"],
-                             counts["started"], counts["ended"]))
+                             counts["started"], counts["ended"],
+                             counts["n_children"]))
 
     def await_commits() -> None:
         ray.get(commit_refs)
@@ -554,16 +603,7 @@ def run_crawl_pump(seed_urls: list[str] | None = None, *,
                 collect(ref)
         await_commits()
         await_enqueues()
-        if route_to is not None:
-            # settle: fire-and-forget child inserts from the drained
-            # tasks must land before the snapshot (histogram stability)
-            prev = frontier.status_histogram()
-            while True:
-                time.sleep(0.05)
-                cur = frontier.status_histogram()
-                if cur == prev:
-                    break
-                prev = cur
+        await_children()    # the drained tasks' child inserts
         frontier.checkpoint(ckpt_dir)
         _write_lineage(out_dir, lineage_rows)
 
@@ -596,7 +636,8 @@ def run_crawl_pump(seed_urls: list[str] | None = None, *,
             if not rounds:
                 await_commits()
                 await_enqueues()              # inserts must land before the
-                if refill(now, block=True):   # drained check can be trusted
+                await_children()              # drained check can be trusted
+                if refill(now, block=True):
                     continue
             # healing (reference daemon cycle: R1 retry gate, R3 lease
             # expiry)
@@ -619,12 +660,6 @@ def run_crawl_pump(seed_urls: list[str] | None = None, *,
                 # for externally-enqueued items (crawltask.model.ts:194-196;
                 # finish check skipped, daemon.ts:96-100)
                 time.sleep(0.05)
-                continue
-            # double-check drain: in-flight fire-and-forget child
-            # inserts may land just after their task was observed done
-            time.sleep(0.05)
-            if refill(now, block=True) or frontier.retry_failed() > 0 \
-                    or frontier.status_histogram()["initial"] > 0:
                 continue
             break
         row = {}

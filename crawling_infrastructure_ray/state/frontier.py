@@ -144,6 +144,10 @@ class FrontierShardCore:
         # cuckoo filter + counters.
         self.track_seen_urls = track_seen_urls
         self._terminal_seen: list[str] = []
+        # lease ids whose routed children this shard has inserted and
+        # the pump has not yet acknowledged (``ack_routed``); driver
+        # bookkeeping only, so neither counted nor snapshotted
+        self._routed: set[int] = set()
 
     # ------------------------------------------------------------------
     # ingest (reference S1 insertItems, queue.model.ts:32-68)
@@ -170,16 +174,33 @@ class FrontierShardCore:
         self.counters["enqueued"] += inserted
         return inserted
 
-    def enqueue_discovered(self, urls: list[str], depths: list[int]) -> int:
+    def enqueue_discovered(self, urls: list[str], depths: list[int],
+                           lease_id: int | None = None) -> int:
         """Tail-append discovered URLs with SHARD-ALLOCATED seqs —
         called directly from fetch tasks in the async pump so child
         routing never transits the driver (the reference's worker-side
         enqueue, crawler/src/enqueue.ts:71-116, similarly writes
-        straight to the queue)."""
+        straight to the queue). A call that carries the routing task's
+        ``lease_id`` is remembered until ``ack_routed`` confirms it."""
         n = len(urls)
         seqs = list(range(self.next_local_seq, self.next_local_seq + n))
         self.next_local_seq += n
-        return self.enqueue(seqs, urls, depths)
+        try:
+            return self.enqueue(seqs, urls, depths)
+        finally:
+            # even a failed insert is acknowledged: a waiting drain
+            # must not poll forever for it
+            if lease_id is not None:
+                self._routed.add(lease_id)
+
+    def ack_routed(self, lease_ids: list[int]) -> list[int]:
+        """The ``lease_ids`` whose ``enqueue_discovered`` call has not
+        reached this shard yet; the others are acknowledged and
+        forgotten. The pump polls until the list is empty, so a drained
+        check or a snapshot sees every routed child."""
+        missing = [lid for lid in lease_ids if lid not in self._routed]
+        self._routed.difference_update(lease_ids)
+        return missing
 
     def _key(self, seq: int, depth: int, prio: int) -> tuple:
         if self.order == "priority":
@@ -635,6 +656,7 @@ class FrontierShardCore:
         self._parked = {}
         self._park_heap = []
         self._park_pending = set()
+        self._routed = set()
         self.next_local_seq = ctrl.get("next_local_seq",
                                        (self.shard_id + 1) * 10 ** 12)
         self.counters = ctrl["counters"]

@@ -109,3 +109,43 @@ def test_latin1_header_decodes():
     status, headers, body = parse_http_response(raw)
     assert status == 200 and body == b"ok"
     assert headers["x-café"] == "naïve"
+
+
+def _gzip_response(gz: bytes) -> bytes:
+    return (b"HTTP/1.1 200 OK\r\nContent-Encoding: gzip\r\n"
+            b"Content-Length: " + str(len(gz)).encode() + b"\r\n\r\n" + gz)
+
+
+def test_gzip_corrupt_deflate_raises_valueerror():
+    """A damaged deflate block raises zlib.error inside gzip."""
+    import gzip
+    gz = gzip.compress(bytes(range(200)), mtime=0)
+    with pytest.raises(ValueError):
+        parse_http_response(_gzip_response(gz[:10] + b"\xff" * 5 + gz[15:]))
+
+
+def test_gzip_truncated_stream_raises_valueerror():
+    """A stream cut before its end marker raises EOFError inside gzip."""
+    import gzip
+    gz = gzip.compress(bytes(range(200)), mtime=0)
+    with pytest.raises(ValueError):
+        parse_http_response(_gzip_response(gz[:-12]))
+
+
+@pytest.mark.parametrize("value", [b"-3", b"+3", b"1_0"])
+def test_content_length_digits_only(value):
+    raw = (b"HTTP/1.1 200 OK\r\nContent-Length: " + value
+           + b"\r\n\r\nabcdefghijkl")
+    with pytest.raises(ValueError):
+        parse_http_response(raw)
+
+
+@pytest.mark.parametrize("size", [b"-1", b"-0", b"+a", b"0x1f", b"1_f"])
+def test_chunk_size_hex_digits_only(size):
+    # each token parses under int(…, 16) and the data has that many
+    # bytes, so only the size token itself can reject the frame
+    data = b"y" * max(0, int(size, 16))
+    raw = (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+           b"5\r\nhello\r\n" + size + b"\r\n" + data + b"\r\n0\r\n\r\n")
+    with pytest.raises(ValueError):
+        parse_http_response(raw)

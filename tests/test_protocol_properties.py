@@ -57,3 +57,33 @@ def test_chunked_deframe_any_split(body, sizes, ext_flag):
            + b"".join(chunks) + b"0\r\n\r\n")
     status, headers, got = parse_http_response(raw)
     assert status == 200 and got == body
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(min_value=0, max_value=199),
+       st.lists(st.tuples(st.sampled_from(("overwrite", "insert", "drop")),
+                          st.integers(min_value=0),
+                          st.binary(min_size=1, max_size=3)),
+                min_size=1, max_size=4),
+       st.integers(min_value=0))
+def test_mutated_origin_response_raises_only_valueerror(i, edits, cut):
+    """Overwrite, insert or drop bytes anywhere in a synthetic origin
+    response (chunked framing, gzip bodies, redirects), then truncate
+    it: the parser either succeeds or raises ValueError, never anything
+    else."""
+    from crawling_infrastructure_ray.sources.corpus import make_http_response
+    raw = bytearray(make_http_response(f"http://h{i % 7}.example/p{i:06x}",
+                                       seed=42))
+    for kind, pos, b in edits:
+        pos %= len(raw) + 1
+        if kind == "overwrite":
+            raw[pos:pos + len(b)] = b
+        elif kind == "insert":
+            raw[pos:pos] = b
+        else:
+            del raw[pos:pos + len(b)]
+    raw = bytes(raw[:len(raw) - cut % 8]) if cut % 3 else bytes(raw)
+    try:
+        parse_http_response(raw)
+    except ValueError:
+        pass
