@@ -1,4 +1,5 @@
-"""The engine's ONE bucket tagger and ONE shuffle width.
+"""The engine's ONE bucket tagger, ONE shuffle width and ONE keyed
+reduce.
 
 Every shuffle-by-hash stage (final reduces in pipelines/analytics,
 semi/anti joins in stages/joins, LSH bucket→partition routing in
@@ -6,14 +7,20 @@ stages/dedup) tags rows with the same vectorized batch fn so the
 "key combination → exactly one bucket" invariant is enforced in a
 single place and no shuffle-tag stage ever hashes per row in Python.
 How many partitions such a shuffle uses is ``shuffle_partitions()``.
+Both final merges of a combiner aggregation, ``merge_partials`` on
+the driver and ``merge_partials_ray`` in Ray, reduce with
+``reduce_partials``. They live here, not next to the queries, because
+reduce tasks import their module and this one is cheap to import.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
+import ray.data as rd
 
 from .hashing import stable_hash64
 
@@ -30,27 +37,82 @@ def shuffle_partitions() -> int:
     return max(1, min(32, int(ray.cluster_resources().get("CPU", 1))))
 
 
-def u64_as_i64(batch: pa.Table, cols: list[str]) -> pa.Table:
-    """Bit-cast uint64 columns to int64 before a Ray groupby. Ray
-    Data's sort-based aggregate rebuilds key columns from Python ints;
-    a uint64 key ≥ 2^63 overflows the default int64 array build and
-    the block silently degrades to a pickled-object extension column
-    (seen as 'OverflowError: Python int too large to convert to C
-    long' warnings). The view is value-preserving under i64_as_u64."""
-    for c in cols:
-        v = batch[c].to_numpy(zero_copy_only=False).view(np.int64)
-        batch = batch.set_column(batch.schema.get_field_index(c), c,
-                                 pa.array(v, pa.int64()))
-    return batch
+def reduce_partials(g: pd.DataFrame, keys: list[str],
+                    spec: dict[str, str]) -> pd.DataFrame:
+    """Reduce combiner partials by ``keys``: ``spec`` maps each value
+    column to ``"sum"``, ``"min"`` or ``"max"``. Row order follows
+    block ARRIVAL (scheduling-dependent) and float addition is not
+    associative, so rows are sorted by keys and summed columns first:
+    the reduce is bit-reproducible."""
+    order = keys + [c for c, op in spec.items() if op == "sum"]
+    g = g.sort_values(order).reset_index(drop=True)
+    return g.groupby(keys, as_index=False).agg(spec)
 
 
-def i64_as_u64(batch: pa.Table, cols: list[str]) -> pa.Table:
-    """Inverse bit-cast of u64_as_i64 (after the groupby)."""
-    for c in cols:
-        v = batch[c].to_numpy(zero_copy_only=False).view(np.uint64)
-        batch = batch.set_column(batch.schema.get_field_index(c), c,
-                                 pa.array(v, pa.uint64()))
-    return batch
+def _agg_spec(aggs: list[str] | dict[str, str]) -> dict[str, str]:
+    """A merge's ``aggs``: a list of columns to sum, or the spec itself."""
+    return aggs if isinstance(aggs, dict) else dict.fromkeys(aggs, "sum")
+
+
+def merge_partials(partials: rd.Dataset, keys: list[str],
+                   aggs: list[str] | dict[str, str]) -> pd.DataFrame:
+    """Final reduce of a combiner aggregation with PROVABLY-SMALL key
+    cardinality (enum-like keys: order statuses, return flags, event
+    types — bounded by the schema, not the data): the per-batch
+    partials are already one row per key per batch, so the driver-side
+    merge is O(keys x batches). Anything whose key set grows with the
+    data (hosts, users, parts) must use ``merge_partials_ray``
+    instead — at web scale those keys number 10^7+ and a driver-side
+    pandas merge is a memory cliff. ``aggs`` is as in
+    ``merge_partials_ray``."""
+    pdf = partials.to_pandas()
+    if pdf.empty:
+        return pdf
+    return reduce_partials(pdf, keys, _agg_spec(aggs))
+
+
+def merge_partials_ray(partials: rd.Dataset, keys: list[str],
+                       aggs: list[str] | dict[str, str]) -> rd.Dataset:
+    """Final reduce of a combiner aggregation IN RAY, for
+    data-dependent key sets (per-host counts, per-user stats, per-part
+    counts): the driver never holds the partial set. This is the
+    engine's one keyed reduce; no query runs Ray's native
+    ``groupby(keys).aggregate``.
+
+    ``aggs`` maps each value column to ``"sum"``, ``"min"`` or
+    ``"max"``; a plain list means every column is summed. A count is
+    the sum of per-batch counts.
+
+    Shape, with P = ``shuffle_partitions()``: each row is tagged with
+    an integer bucket = hash(keys) % P inside the partial's own map
+    task (the tag fuses with the partial), one range shuffle on the
+    bucket routes bucket b to output block b, and each block is
+    reduced with one vectorized pandas groupby. That is the plan of
+    Ray's own ``map_groups`` (sort, then whole-block batches), but the
+    sort's boundaries are the bucket numbers, given up front, so Ray
+    runs no sampling pass. Every key lands wholly in one bucket, so
+    per-block results are exact global results whatever P is. On one
+    CPU (P = 1) there is nothing to route: a single map task takes the
+    whole partial set as one batch, so the reduce costs no all-to-all
+    barrier at all.
+
+    Input that filters to zero rows gives zero rows. It carries no
+    schema: Ray skips batch functions on empty blocks, and
+    ``to_pandas`` drops zero-row blocks."""
+    spec = _agg_spec(aggs)
+
+    def reduce_block(g: pd.DataFrame) -> pd.DataFrame:
+        return reduce_partials(g, keys, spec)
+
+    p = shuffle_partitions()
+    if p == 1:
+        return partials.map_batches(reduce_block, batch_size=1 << 62,
+                                    batch_format="pandas")
+    return (partials.map_batches(tag_bucket_fn(keys, p),
+                                 batch_format="pyarrow")
+            .sort("_kb", boundaries=list(range(1, p)))
+            .map_batches(reduce_block, batch_size=None,
+                         batch_format="pandas"))
 
 
 def tag_bucket_fn(keys: list[str], num_buckets: int | None = None,

@@ -12,8 +12,18 @@ Scale notes baked in:
   storage;
 - big groupbys pre-aggregate inside ``map_batches`` (one row per key
   per batch) before the shuffle;
-- small join sides are broadcast via ``ray.put`` and looked up inside
-  ``map_batches`` — no shuffle;
+- data-sized key sets (hosts, parts, content hashes) merge through the
+  one Ray keyed reduce, ``bucketing.merge_partials_ray`` (per-column
+  sum/min/max); no query runs Ray's native ``groupby().aggregate``;
+- partials bounded by the schema or the request (enum keys, top-k
+  rows, ≤ queries × k neighbours per block) merge on the driver
+  (``bucketing.merge_partials``; ``simsearch.merge_topk`` streams the
+  blocks and keeps only the running top k): each Ray Data
+  execution and all-to-all stage costs tens of milliseconds of
+  scheduling, which a few hundred rows never repay;
+- small join sides are read directly on the driver
+  (``sources.readers.read_local``, no Ray Data execution), broadcast
+  via ``ray.put`` and looked up inside ``map_batches`` — no shuffle;
 - the one deliberate large-large join (j2) is an explicit bucketed
   hash join: both sides keyed bucket = hash(key) % B, per-bucket
   pandas merge inside ``map_groups``.
@@ -29,65 +39,17 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 import ray.data as rd
-from ray.data.aggregate import Count, Max, Min, Sum
+from ray.data.aggregate import Count, Sum
 
-# the engine's single vectorized shuffle tagger — shared with
-# stages/joins and stages/dedup so the bucket invariant and the
-# no-per-row-Python rule are enforced in one place
-from ..functions.bucketing import shuffle_partitions
+# the engine's one keyed reduce and single vectorized shuffle tagger —
+# shared with pipelines/training, stages/joins and stages/dedup so the
+# bucket invariant and the no-per-row-Python rule are enforced in one
+# place
+from ..functions.bucketing import (merge_partials, merge_partials_ray,
+                                   shuffle_partitions)
 from ..functions.bucketing import tag_bucket_fn as _tag_bucket
-from ..sources.readers import read_table
+from ..sources.readers import read_local, read_table
 from ..stages.html import clean_html_string
-
-def _merge_partials(partials: rd.Dataset, keys: list[str],
-                    sums: list[str]) -> pd.DataFrame:
-    """Final reduce of a combiner aggregation with PROVABLY-SMALL key
-    cardinality (enum-like keys: order statuses, return flags, event
-    types — bounded by the schema, not the data): the per-batch
-    partials are already one row per key per batch, so the driver-side
-    merge is O(keys x batches). Anything whose key set grows with the
-    data (hosts, users, parts) must use ``_merge_partials_ray``
-    instead — at web scale those keys number 10^7+ and a driver-side
-    pandas merge is a memory cliff."""
-    pdf = partials.to_pandas()
-    if pdf.empty:
-        return pdf
-    # canonical row order before summing: to_pandas row order follows
-    # block ARRIVAL (scheduling-dependent) and float addition is not
-    # associative — sorting makes the reduce bit-reproducible
-    pdf = pdf.sort_values(keys + sums).reset_index(drop=True)
-    return pdf.groupby(keys, as_index=False)[sums].sum()
-
-
-def _merge_partials_ray(partials: rd.Dataset, keys: list[str],
-                        sums: list[str]) -> rd.Dataset:
-    """Final reduce of a combiner aggregation IN RAY, for
-    data-dependent key sets (per-host counts, per-user stats, per-part
-    counts): the driver never holds the partial set.
-
-    Shape: consolidate the fragmented partial blocks into
-    P = ``shuffle_partitions()`` partitions (partials are one small
-    block per input block), tag each row with an integer bucket =
-    hash(keys) % P (vectorized; string keys are dictionary-encoded so
-    only distinct values are hashed), then ``groupby(bucket).map_groups``
-    with a vectorized pandas reduce per bucket. Every key lands wholly
-    in one bucket, so per-bucket sums are exact global sums whatever P
-    is. Measured ~4.5x faster than ``groupby(keys).aggregate(Sum...)``
-    on this Ray version (sorting one small-int column beats sorting
-    composite keys, and a few consolidated partitions beat hundreds of
-    tiny shuffle blocks) — same all-to-all scalability. P follows the
-    cluster's CPUs (32 at 32 CPUs, 1 on one CPU, where each extra
-    partition is only per-task overhead)."""
-    def reduce_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        # canonical order: group row order follows block arrival and
-        # float sums are order-sensitive — sort for bit-reproducibility
-        g = g.sort_values(keys + sums).reset_index(drop=True)
-        return g.groupby(keys, as_index=False)[sums].sum()
-
-    p = shuffle_partitions()
-    return (partials.repartition(p)
-            .map_batches(_tag_bucket(keys, p), batch_format="pyarrow")
-            .groupby("_kb").map_groups(reduce_bucket, batch_format="pandas"))
 
 
 # ----------------------------------------------------------------------
@@ -104,8 +66,8 @@ def q_g1_status_histogram(sf_dir: str):
         g = batch.group_by("o_orderstatus").aggregate([("o_orderstatus", "count")])
         return g.rename_columns(["o_orderstatus", "n_items"])
 
-    df = _merge_partials(ds.map_batches(partial, batch_format="pyarrow"),
-                         ["o_orderstatus"], ["n_items"])
+    df = merge_partials(ds.map_batches(partial, batch_format="pyarrow"),
+                        ["o_orderstatus"], ["n_items"])
     df["n_items"] = df["n_items"].astype("int64")
     return df.reset_index(drop=True)
 
@@ -140,8 +102,8 @@ def q_g3_window_progress(sf_dir: str):
         g = b.group_by("event_type").aggregate([("event_type", "count")])
         return g.rename_columns(["event_type", "n_recent"])
 
-    df = _merge_partials(ds.map_batches(partial, batch_format="pyarrow"),
-                         ["event_type"], ["n_recent"])
+    df = merge_partials(ds.map_batches(partial, batch_format="pyarrow"),
+                        ["event_type"], ["n_recent"])
     df["n_recent"] = df["n_recent"].astype("int64")
     return df.reset_index(drop=True)
 
@@ -167,8 +129,8 @@ def q_g4_fleet_stats(sf_dir: str):
         return g.rename_columns(["user_id", "n_events", "sum_value_c"])
 
     partials = ds.map_batches(partial, batch_format="pyarrow")
-    merged = _merge_partials_ray(partials, ["user_id"],
-                                 ["n_events", "sum_value_c"])
+    merged = merge_partials_ray(partials, ["user_id"],
+                                ["n_events", "sum_value_c"])
 
     def finish(batch: pa.Table) -> pa.Table:
         s = batch["sum_value_c"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -197,8 +159,8 @@ def q_g5_avg_rate(sf_dir: str):
             [("v_c", "sum"), ("v_c", "count")])
         return g.rename_columns(["event_type", "sum_c", "n_v"])
 
-    df = _merge_partials(ds.map_batches(partial, batch_format="pyarrow"),
-                         ["event_type"], ["sum_c", "n_v"])
+    df = merge_partials(ds.map_batches(partial, batch_format="pyarrow"),
+                        ["event_type"], ["sum_c", "n_v"])
     s = df["sum_c"].to_numpy().astype(np.int64)
     n = df["n_v"].to_numpy().astype(np.int64)
     df["avg_value_e3"] = (20 * s + n) // (2 * n)
@@ -240,7 +202,7 @@ def q_g7_host_counts(sf_dir: str):
         g = batch.group_by("source").aggregate([("source", "count")])
         return g.rename_columns(["source", "n_docs"])
 
-    merged = _merge_partials_ray(
+    merged = merge_partials_ray(
         ds.map_batches(partial, batch_format="pyarrow"), ["source"], ["n_docs"])
     return merged.map_batches(
         lambda t: pa.table({"host": t["source"], "n_docs": t["n_docs"]}),
@@ -332,7 +294,7 @@ def q_o6_top35_parts(sf_dir: str):
     # (≤ 35 x blocks tiny rows to the driver; a full distributed sort
     # is never needed for a top-k)
     partials = ds.map_batches(partial, batch_format="pyarrow")
-    merged = _merge_partials_ray(partials, ["l_partkey"], ["n_lines"])
+    merged = merge_partials_ray(partials, ["l_partkey"], ["n_lines"])
 
     def topk_block(batch: pa.Table) -> pa.Table:
         return batch.sort_by([("n_lines", "descending"),
@@ -378,9 +340,9 @@ def q_o7_latency_stats(sf_dir: str):
 
 def q_j1_order_customer_join(sf_dir: str):
     """J1 result↔mapping broadcast hash join
-    (crawltask.service.ts:374-504): small side broadcast via ray.put,
-    dict lookup inside map_batches — no shuffle."""
-    cust = read_table(sf_dir, "customer", columns=["c_custkey", "c_name"]).to_pandas()
+    (crawltask.service.ts:374-504): small side read on the driver and
+    broadcast via ray.put, lookup inside map_batches — no shuffle."""
+    cust = read_local(sf_dir, "customer", columns=["c_custkey", "c_name"])
     # broadcast the small side as SORTED parallel arrays: probe via
     # np.searchsorted (vectorized binary search) instead of a per-row
     # Python dict lookup
@@ -507,8 +469,7 @@ def q_j2_bucketed_join_revenue(sf_dir: str):
     # consolidate the two sides' many small blocks before the sort-based
     # groupby: Ray's sort pays per-block overhead, and 32 consolidated
     # partitions measured ~1.7x faster end-to-end at 32 cpus than
-    # feeding the raw union (same trick as _merge_partials_ray); same
-    # all-to-all volume
+    # feeding the raw union; same all-to-all volume
     both = both.repartition(p)
 
     def join_bucket(group: pd.DataFrame) -> pd.DataFrame:
@@ -522,8 +483,8 @@ def q_j2_bucketed_join_revenue(sf_dir: str):
         return g.rename(columns={"status": "o_orderstatus"})
 
     partials = both.groupby("bucket").map_groups(join_bucket, batch_format="pandas")
-    final = _merge_partials(partials, ["o_orderstatus"],
-                            ["n_lines", "revenue_e4"])
+    final = merge_partials(partials, ["o_orderstatus"],
+                           ["n_lines", "revenue_e4"])
     final["revenue_e4"] = final["revenue_e4"].astype("int64")
     final["n_lines"] = final["n_lines"].astype("int64")
     return final
@@ -590,8 +551,8 @@ def q_q1_pricing_summary(sf_dir: str):
                                  "sum_charge_e6", "sum_disc_c", "count_order"])
 
     partials = ds.map_batches(partial, batch_format="pyarrow")
-    agg = _merge_partials(partials, ["l_returnflag", "l_linestatus"],
-                          ["sum_qty", "sum_base_price_c", "sum_disc_price_e4",
+    agg = merge_partials(partials, ["l_returnflag", "l_linestatus"],
+                         ["sum_qty", "sum_base_price_c", "sum_disc_price_e4",
                            "sum_charge_e6", "sum_disc_c", "count_order"])
     cnt = agg["count_order"].astype("int64")
     agg["avg_qty_e4"] = (agg["sum_qty"].astype("int64") * 10000) // cnt
@@ -677,7 +638,7 @@ def q_q3_shipping_priority(sf_dir: str):
     # final reduce distributed (selected orderkeys are data-sized),
     # then per-block partial top-10 — only ~10 x blocks rows reach the
     # driver, where the (tiny) winner set picks up o_orderdate
-    merged = _merge_partials_ray(
+    merged = merge_partials_ray(
         li.map_batches(li_partial, batch_format="pyarrow"),
         ["l_orderkey"], ["revenue_e4"])
 
@@ -692,12 +653,10 @@ def q_q3_shipping_priority(sf_dir: str):
     # o_orderdate for the ≤10 winners only: predicate-pushdown read
     # (row-group pruning) — the full selected-order set never leaves
     # the cluster
-    import pyarrow.parquet as pq
-    win = pq.read_table(
-        f"{sf_dir.rstrip('/')}/orders.parquet",
+    win = read_local(
+        sf_dir, "orders",
         columns=["o_orderkey", "o_orderdate"],
-        filters=[("o_orderkey", "in", [int(k) for k in agg["l_orderkey"]])]
-    ).to_pandas()
+        filters=[("o_orderkey", "in", [int(k) for k in agg["l_orderkey"]])])
     odate = dict(zip(win["o_orderkey"], win["o_orderdate"]))
     agg["o_orderdate"] = agg["l_orderkey"].map(odate)
     return agg[["l_orderkey", "revenue_e4", "o_orderdate"]].reset_index(drop=True)
@@ -734,8 +693,8 @@ def q_q4_priority_exists(sf_dir: str):
                  .aggregate([("o_orderpriority", "count")])
         return g.rename_columns(["o_orderpriority", "n_orders"])
 
-    df = _merge_partials(sel.map_batches(partial, batch_format="pyarrow"),
-                         ["o_orderpriority"], ["n_orders"])
+    df = merge_partials(sel.map_batches(partial, batch_format="pyarrow"),
+                        ["o_orderpriority"], ["n_orders"])
     df["n_orders"] = df["n_orders"].astype("int64")
     return df.sort_values("o_orderpriority").reset_index(drop=True)
 
@@ -806,8 +765,8 @@ def q_q12_shipmode(sf_dir: str):
         orders.map_batches(ord_side, batch_format="pyarrow"),
         "key", join_bucket)
 
-    df = _merge_partials(fact, ["l_linestatus"],
-                         ["high_line_count", "low_line_count"])
+    df = merge_partials(fact, ["l_linestatus"],
+                        ["high_line_count", "low_line_count"])
     for c in ("high_line_count", "low_line_count"):
         df[c] = df[c].astype("int64")
     return df.sort_values("l_linestatus").reset_index(drop=True)
@@ -918,8 +877,8 @@ def q_value_histogram(sf_dir: str):
             [("n", "sum"), ("sum_value_c", "sum")])
         return g.rename_columns(["event_type", "bin", "n", "sum_value_c"])
 
-    df = _merge_partials(ds.map_batches(partial, batch_format="pyarrow"),
-                         ["event_type", "bin"], ["n", "sum_value_c"])
+    df = merge_partials(ds.map_batches(partial, batch_format="pyarrow"),
+                        ["event_type", "bin"], ["n", "sum_value_c"])
     for c in ("bin", "n", "sum_value_c"):
         df[c] = df[c].astype("int64")
     return df.sort_values(["event_type", "bin"]).reset_index(drop=True)
@@ -995,8 +954,8 @@ def q_crawl_fairness(sf_dir: str):
         g = batch.group_by("source").aggregate([("source", "count")])
         return g.rename_columns(["source", "n"])
 
-    counts = _merge_partials(ds.map_batches(partial, batch_format="pyarrow"),
-                             ["source"], ["n"])
+    counts = merge_partials(ds.map_batches(partial, batch_format="pyarrow"),
+                            ["source"], ["n"])
     x = np.sort(counts["n"].to_numpy().astype(np.int64))
     n, tot = len(x), int(x.sum())
     i = np.arange(1, n + 1, dtype=np.int64)
@@ -1035,7 +994,7 @@ def q_q14_promo_share(sf_dir: str):
     the p_type LIKE 'PROMO%' class; the testdata has no p_type promo
     tags). Part side broadcast as sorted arrays (np.searchsorted
     probe); exact integer units end to end, ratio as an integer e6."""
-    part = read_table(sf_dir, "part", columns=["p_partkey", "p_size"]).to_pandas()
+    part = read_local(sf_dir, "part", columns=["p_partkey", "p_size"])
     order_idx = np.argsort(part["p_partkey"].to_numpy())
     pkeys = part["p_partkey"].to_numpy()[order_idx]
     promo = (part["p_size"].to_numpy()[order_idx] < 25)
@@ -1160,8 +1119,8 @@ def q_events_hourly_window(sf_dir: str):
 
     partials = ds.map_batches(partial, batch_format="pyarrow")
     # (user x hour) is a data-sized key set → final reduce in Ray
-    merged = _merge_partials_ray(partials, ["user_id", "window_start"],
-                                 ["n_events", "sum_value_c"])
+    merged = merge_partials_ray(partials, ["user_id", "window_start"],
+                                ["n_events", "sum_value_c"])
 
     def finish(batch: pa.Table) -> pa.Table:
         return pa.table({
@@ -1351,7 +1310,7 @@ def q_profile_events(sf_dir: str):
         out["n_distinct"] = out["n_distinct"].astype("int64")
         return out
 
-    dist = _merge_partials(
+    dist = merge_partials(
         ds.map_batches(distinct_partial, batch_format="pyarrow")
         .repartition(shuffle_partitions())
         .map_batches(_tag_bucket(["column", "val"], col_name="_kb"),
@@ -1424,7 +1383,7 @@ def q_basket_rules(sf_dir: str):
         return pd.DataFrame({"mask": vals.astype("int64"),
                              "n": cnts.astype("int64")})
 
-    hist = _merge_partials(
+    hist = merge_partials(
         ds.map_batches(mask_partial, batch_format="pandas")
         .repartition(shuffle_partitions())
         .map_batches(_tag_bucket(["user_id", "h"], col_name="_kb"),
@@ -1951,7 +1910,7 @@ def q_hourofday_profile(sf_dir: str):
             df.groupby(["event_type", "hod"], as_index=False).sum(),
             preserve_index=False)
 
-    out = _merge_partials(
+    out = merge_partials(
         ds.map_batches(partial, batch_format="pyarrow"),
         ["event_type", "hod"], ["n", "sum_value_c"])
     tot = out.groupby("event_type")["n"].transform("sum")
@@ -1995,7 +1954,7 @@ def q_trending_types(sf_dir: str):
         g = t.group_by(["event_type", "wk"]).aggregate([("wk", "count")])
         return g.rename_columns(["event_type", "wk", "n"])
 
-    out = _merge_partials(
+    out = merge_partials(
         ds.map_batches(partial, batch_format="pyarrow"),
         ["event_type", "wk"], ["n"])
     maxwk = int(out["wk"].max())
@@ -2075,7 +2034,7 @@ def q_bootstrap_sums(sf_dir: str):
             "sum_value_c": pa.array([sv for _, _, sv in rows],
                                     pa.int64())})
 
-    out = _merge_partials(
+    out = merge_partials(
         ds.map_batches(partial, batch_format="pyarrow"),
         ["replicate"], ["n_effective", "sum_value_c"])
     for c in out.columns:
@@ -2151,7 +2110,7 @@ def q_event_trigrams(sf_dir: str):
              .map_batches(_tag_bucket(["user_id"]), batch_format="pyarrow")
              .groupby("_kb").map_groups(tri_bucket,
                                         batch_format="pandas"))
-    out = _merge_partials(parts, ["t1", "t2", "t3"], ["n"])
+    out = merge_partials(parts, ["t1", "t2", "t3"], ["n"])
     out["n"] = out["n"].astype("int64")
     return (out.sort_values(["n", "t1", "t2", "t3"],
                             ascending=[False, True, True, True])
@@ -2209,7 +2168,7 @@ def q_f2_selfjoin_estimate(sf_dir: str):
         return pa.table({"r": pa.array(rr), "reg": pa.array(gg),
                          "cnt": pa.array(mat.reshape(-1))})
 
-    regs = _merge_partials(
+    regs = merge_partials(
         ds.map_batches(regs_partial, batch_format="pyarrow"),
         ["r", "reg"], ["cnt"])
     table = np.zeros((F2_D, F2_W), dtype=np.int64)
@@ -2227,7 +2186,7 @@ def q_f2_selfjoin_estimate(sf_dir: str):
         return pa.table({"k": pa.array(u),
                          "c": pa.array(c.astype(np.int64))})
 
-    merged = _merge_partials_ray(
+    merged = merge_partials_ray(
         ds.map_batches(key_partial, batch_format="pyarrow"),
         ["k"], ["c"])
 
@@ -2302,7 +2261,7 @@ def q_weekly_growth(sf_dir: str):
         g = t.group_by(["event_type", "wk"]).aggregate([("wk", "count")])
         return g.rename_columns(["event_type", "wk", "n"])
 
-    out = _merge_partials(
+    out = merge_partials(
         ds.map_batches(partial, batch_format="pyarrow"),
         ["event_type", "wk"], ["n"])
     out = out.sort_values(["event_type", "wk"]).reset_index(drop=True)
@@ -2363,7 +2322,7 @@ def q_benford_digits(sf_dir: str):
                                                      dtype=np.int64)),
                          "n": pa.array(cnt)})
 
-    out = _merge_partials(
+    out = merge_partials(
         ds.map_batches(partial, batch_format="pyarrow"),
         ["digit"], ["n"])
     total = int(out["n"].sum())
@@ -2594,8 +2553,8 @@ def q_value_trend_per_user(sf_dir: str):
             preserve_index=False)
 
     parts = ds.map_batches(partial, batch_format="pyarrow")
-    out = _merge_partials_ray(parts, ["user_id"],
-                              ["n", "sx", "sy", "sxy", "sxx"]).to_pandas()
+    out = merge_partials_ray(parts, ["user_id"],
+                             ["n", "sx", "sy", "sxy", "sxx"]).to_pandas()
     n = out["n"].astype("int64")
     sx, sy = out["sx"].astype("int64"), out["sy"].astype("int64")
     sxy, sxx = out["sxy"].astype("int64"), out["sxx"].astype("int64")
@@ -2720,8 +2679,8 @@ def q_pivot_priority_status(sf_dir: str):
             [("f", "sum"), ("o", "sum"), ("p", "sum")])
         return g.rename_columns(["o_orderpriority", "n_f", "n_o", "n_p"])
 
-    df = _merge_partials(ds.map_batches(partial, batch_format="pyarrow"),
-                         ["o_orderpriority"], ["n_f", "n_o", "n_p"])
+    df = merge_partials(ds.map_batches(partial, batch_format="pyarrow"),
+                        ["o_orderpriority"], ["n_f", "n_o", "n_p"])
     for c in ("n_f", "n_o", "n_p"):
         df[c] = df[c].astype("int64")
     df["n_total"] = (df["n_f"] + df["n_o"] + df["n_p"]).astype("int64")
@@ -2754,9 +2713,9 @@ def q_rollup_revenue(sf_dir: str):
         return g.rename_columns(["l_returnflag", "l_linestatus",
                                  "revenue_e4", "n_rows"])
 
-    base = _merge_partials(ds.map_batches(partial, batch_format="pyarrow"),
-                           ["l_returnflag", "l_linestatus"],
-                           ["revenue_e4", "n_rows"])
+    base = merge_partials(ds.map_batches(partial, batch_format="pyarrow"),
+                          ["l_returnflag", "l_linestatus"],
+                          ["revenue_e4", "n_rows"])
     lvl1 = base.groupby("l_returnflag", as_index=False)[
         ["revenue_e4", "n_rows"]].sum()
     lvl1["l_linestatus"] = "ALL"
@@ -2824,7 +2783,7 @@ def q_q13_customer_distribution(sf_dir: str):
         return pa.table({"c_custkey": pa.array(u.astype(np.int64)),
                          "n_orders": pa.array(c.astype(np.int64))})
 
-    counts = _merge_partials_ray(
+    counts = merge_partials_ray(
         ords.map_batches(cnt_partials, batch_format="pyarrow"),
         ["c_custkey"], ["n_orders"])
 
@@ -2957,13 +2916,12 @@ def q_q5_local_supplier_volume(sf_dir: str):
 
     The final group key is n_nationkey (enum-sized) so the last merge
     is driver-side over ≤25 x buckets rows."""
-    import pyarrow.parquet as pq
     lo = pa.scalar(np.datetime64("1996-01-01T00:00:00", "us"))
     hi = pa.scalar(np.datetime64("1997-01-01T00:00:00", "us"))
 
     # config-sized dimension resolve on the driver (25 x 5 rows)
-    nat = pq.read_table(f"{sf_dir.rstrip('/')}/nation.parquet").to_pandas()
-    reg = pq.read_table(f"{sf_dir.rstrip('/')}/region.parquet").to_pandas()
+    nat = read_local(sf_dir, "nation")
+    reg = read_local(sf_dir, "region")
     asia_rk = set(reg.loc[reg["r_name"] == "ASIA", "r_regionkey"])
     nat_asia = nat[nat["n_regionkey"].isin(asia_rk)]
     asia_nk = np.sort(nat_asia["n_nationkey"].to_numpy().astype(np.int64))
@@ -2971,8 +2929,8 @@ def q_q5_local_supplier_volume(sf_dir: str):
 
     # supplier dimension broadcast: sorted (s_suppkey, s_nationkey),
     # pre-filtered to ASIA so non-qualifying rows drop at the probe
-    supp = read_table(sf_dir, "supplier",
-                      columns=["s_suppkey", "s_nationkey"]).to_pandas()
+    supp = read_local(sf_dir, "supplier",
+                      columns=["s_suppkey", "s_nationkey"])
     supp = supp[supp["s_nationkey"].astype(np.int64).isin(asia_nk)]
     order_idx = np.argsort(supp["s_suppkey"].to_numpy())
     sk_sorted = supp["s_suppkey"].to_numpy().astype(np.int64)[order_idx]
@@ -3075,7 +3033,7 @@ def q_q5_local_supplier_volume(sf_dir: str):
         cust.map_batches(cust_side, batch_format="pyarrow"),
         "key", join2)
 
-    final = _merge_partials(parts, ["n_nationkey"], ["revenue_e4"])
+    final = merge_partials(parts, ["n_nationkey"], ["revenue_e4"])
     if final.empty:
         return pd.DataFrame({"n_name": pd.Series([], dtype="object"),
                              "revenue_e4": pd.Series([], dtype="int64")})
@@ -3094,7 +3052,6 @@ def q_q10_returned_items(sf_dir: str, k: int = 20):
     revenue merged IN RAY (custkeys are data-sized), per-block partial
     top-k, and only the ≤k winners pick up c_name through a
     predicate-pushdown read."""
-    import pyarrow.parquet as pq
     lo = pa.scalar(np.datetime64("1996-01-01T00:00:00", "us"))
     hi = pa.scalar(np.datetime64("1996-04-01T00:00:00", "us"))
 
@@ -3135,7 +3092,7 @@ def q_q10_returned_items(sf_dir: str, k: int = 20):
         return pd.DataFrame({"c_custkey": out["o_custkey"].astype("int64"),
                              "revenue_e4": out["revenue_e4"].astype("int64")})
 
-    per_cust = _merge_partials_ray(
+    per_cust = merge_partials_ray(
         _tagged_union_join(li.map_batches(li_side, batch_format="pyarrow"),
                            orders.map_batches(ord_side, batch_format="pyarrow"),
                            "key", join_bucket),
@@ -3154,11 +3111,10 @@ def q_q10_returned_items(sf_dir: str, k: int = 20):
     agg = (agg.sort_values(["revenue_e4", "c_custkey"],
                            ascending=[False, True]).head(k)
            .reset_index(drop=True))
-    win = pq.read_table(
-        f"{sf_dir.rstrip('/')}/customer.parquet",
+    win = read_local(
+        sf_dir, "customer",
         columns=["c_custkey", "c_name"],
-        filters=[("c_custkey", "in", [int(x) for x in agg["c_custkey"]])]
-    ).to_pandas()
+        filters=[("c_custkey", "in", [int(x) for x in agg["c_custkey"]])])
     agg = agg.merge(win, on="c_custkey", how="left")
     return agg[["c_custkey", "c_name", "revenue_e4"]]
 
@@ -3170,7 +3126,6 @@ def q_q15_top_supplier(sf_dir: str):
     driver), winners filtered in the cluster, names via a
     predicate-pushdown read. Returns ALL max-tied suppliers, like the
     spec."""
-    import pyarrow.parquet as pq
     lo = pa.scalar(np.datetime64("1996-01-01T00:00:00", "us"))
     hi = pa.scalar(np.datetime64("1996-04-01T00:00:00", "us"))
 
@@ -3186,7 +3141,7 @@ def q_q15_top_supplier(sf_dir: str):
         g = t.group_by("s_suppkey").aggregate([("total_revenue_e4", "sum")])
         return g.rename_columns(["s_suppkey", "total_revenue_e4"])
 
-    per_supp = _merge_partials_ray(
+    per_supp = merge_partials_ray(
         li.map_batches(partial, batch_format="pyarrow"),
         ["s_suppkey"], ["total_revenue_e4"])
 
@@ -3204,11 +3159,10 @@ def q_q15_top_supplier(sf_dir: str):
     winners = per_supp.map_batches(
         lambda t: t.filter(pc.equal(t["total_revenue_e4"], best)),
         batch_format="pyarrow").to_pandas()
-    win = pq.read_table(
-        f"{sf_dir.rstrip('/')}/supplier.parquet",
+    win = read_local(
+        sf_dir, "supplier",
         columns=["s_suppkey", "s_name"],
-        filters=[("s_suppkey", "in", [int(x) for x in winners["s_suppkey"]])]
-    ).to_pandas()
+        filters=[("s_suppkey", "in", [int(x) for x in winners["s_suppkey"]])])
     out = winners.merge(win, on="s_suppkey", how="left")
     out["total_revenue_e4"] = out["total_revenue_e4"].astype("int64")
     return (out[["s_suppkey", "s_name", "total_revenue_e4"]]
@@ -3222,7 +3176,6 @@ def q_q18_large_volume_customers(sf_dir: str, qty_threshold: int = 300):
     merge (per-bucket groups filter locally before anything reaches
     the driver); only the spec-tiny winner set is collected and both
     back-joins are predicate-pushdown reads over it."""
-    import pyarrow.parquet as pq
     li = read_table(sf_dir, "lineitem", columns=["l_orderkey", "l_quantity"])
 
     def qty_partial(batch: pa.Table) -> pa.Table:
@@ -3232,7 +3185,7 @@ def q_q18_large_volume_customers(sf_dir: str, qty_threshold: int = 300):
         g = t.group_by("o_orderkey").aggregate([("total_qty", "sum")])
         return g.rename_columns(["o_orderkey", "total_qty"])
 
-    merged = _merge_partials_ray(
+    merged = merge_partials_ray(
         li.map_batches(qty_partial, batch_format="pyarrow"),
         ["o_orderkey"], ["total_qty"])
     winners = merged.map_batches(
@@ -3247,16 +3200,14 @@ def q_q18_large_volume_customers(sf_dir: str, qty_threshold: int = 300):
             "o_totalprice_c": pd.Series([], dtype="int64"),
             "total_qty": pd.Series([], dtype="int64")})
 
-    ords = pq.read_table(
-        f"{sf_dir.rstrip('/')}/orders.parquet",
+    ords = read_local(
+        sf_dir, "orders",
         columns=["o_orderkey", "o_custkey", "o_orderdate", "o_totalprice"],
-        filters=[("o_orderkey", "in", [int(x) for x in winners["o_orderkey"]])]
-    ).to_pandas()
-    cust = pq.read_table(
-        f"{sf_dir.rstrip('/')}/customer.parquet",
+        filters=[("o_orderkey", "in", [int(x) for x in winners["o_orderkey"]])])
+    cust = read_local(
+        sf_dir, "customer",
         columns=["c_custkey", "c_name"],
-        filters=[("c_custkey", "in", [int(x) for x in ords["o_custkey"]])]
-    ).to_pandas()
+        filters=[("c_custkey", "in", [int(x) for x in ords["o_custkey"]])])
     out = (winners.merge(ords, on="o_orderkey")
            .merge(cust, left_on="o_custkey", right_on="c_custkey"))
     out["o_totalprice_c"] = (out["o_totalprice"] * 100).round().astype("int64")
@@ -3279,17 +3230,16 @@ def q_q7_volume_shipping(sf_dir: str, nation_a: str = "NATION_11",
     (config dims on the driver, supplier broadcast probe, two chained
     tagged-union bucketed joins) with the cross-nation pair filter in
     the second join and a (2 x 2 x 2)-row enum merge at the end."""
-    import pyarrow.parquet as pq
     lo = pa.scalar(np.datetime64("1996-01-01T00:00:00", "us"))
     hi = pa.scalar(np.datetime64("1998-01-01T00:00:00", "us"))
 
-    nat = pq.read_table(f"{sf_dir.rstrip('/')}/nation.parquet").to_pandas()
+    nat = read_local(sf_dir, "nation")
     sel = nat[nat["n_name"].isin([nation_a, nation_b])]
     nks = np.sort(sel["n_nationkey"].to_numpy().astype(np.int64))
     nk_name = dict(zip(sel["n_nationkey"].astype(int), sel["n_name"]))
 
-    supp = read_table(sf_dir, "supplier",
-                      columns=["s_suppkey", "s_nationkey"]).to_pandas()
+    supp = read_local(sf_dir, "supplier",
+                      columns=["s_suppkey", "s_nationkey"])
     supp = supp[supp["s_nationkey"].astype(np.int64).isin(nks)]
     order_idx = np.argsort(supp["s_suppkey"].to_numpy())
     sk_sorted = supp["s_suppkey"].to_numpy().astype(np.int64)[order_idx]
@@ -3403,8 +3353,8 @@ def q_q7_volume_shipping(sf_dir: str, nation_a: str = "NATION_11",
         fact1.map_batches(fact_side, batch_format="pyarrow"),
         cust.map_batches(cust_side, batch_format="pyarrow"),
         "key", join2)
-    final = _merge_partials(parts, ["s_nationkey", "c_nationkey", "l_year"],
-                            ["revenue_e4"])
+    final = merge_partials(parts, ["s_nationkey", "c_nationkey", "l_year"],
+                           ["revenue_e4"])
     if final.empty:
         return pd.DataFrame({"supp_nation": pd.Series([], dtype="object"),
                              "cust_nation": pd.Series([], dtype="object"),
@@ -3493,8 +3443,8 @@ def q_q17_small_qty_revenue(sf_dir: str):
     sufficient statistic as a combiner aggregation; pass 2 re-probes
     the (slice-sized) stats arrays and keeps qualifying lines. Two
     pruned scans beat one shuffle of the full fact table."""
-    part = read_table(sf_dir, "part",
-                      columns=["p_partkey", "p_brand", "p_type"]).to_pandas()
+    part = read_local(sf_dir, "part",
+                      columns=["p_partkey", "p_brand", "p_type"])
     pk = np.sort(part.loc[(part["p_brand"] == "Brand#3") &
                           (part["p_type"] == "SMALL"),
                           "p_partkey"].to_numpy().astype(np.int64))
@@ -3516,7 +3466,7 @@ def q_q17_small_qty_revenue(sf_dir: str):
 
     # the merged stats table is slice-sized (== the broadcast key set),
     # so collecting it to build the pass-2 broadcast is not a leak
-    stats = _merge_partials_ray(
+    stats = merge_partials_ray(
         li.map_batches(stats_partial, batch_format="pyarrow"),
         ["p_partkey"], ["sum_qty", "n"]).to_pandas()
     if stats.empty:
@@ -3624,8 +3574,8 @@ def q_q22_sales_opportunity(sf_dir: str):
         cust.map_batches(cust_side, batch_format="pyarrow"),
         orders.map_batches(ord_side, batch_format="pyarrow"),
         "key", anti_bucket)
-    final = _merge_partials(parts, ["cntrycode"],
-                            ["numcust", "totacctbal_c"])
+    final = merge_partials(parts, ["cntrycode"],
+                           ["numcust", "totacctbal_c"])
     if final.empty:
         return pd.DataFrame({"cntrycode": pd.Series([], dtype="int64"),
                              "numcust": pd.Series([], dtype="int64"),
@@ -3649,20 +3599,19 @@ def q_q8_market_share(sf_dir: str):
     custkey ⋈ region-filtered customer, each a bucketed join with
     map-side combine shrinking the fact stream before the shuffle;
     final merge is enum-keyed (2 years × 2 flags)."""
-    import pyarrow.parquet as pq
     lo = pa.scalar(np.datetime64("1995-01-01T00:00:00", "us"))
     hi = pa.scalar(np.datetime64("1997-01-01T00:00:00", "us"))
 
-    nat = pq.read_table(f"{sf_dir.rstrip('/')}/nation.parquet").to_pandas()
-    reg = pq.read_table(f"{sf_dir.rstrip('/')}/region.parquet").to_pandas()
+    nat = read_local(sf_dir, "nation")
+    reg = read_local(sf_dir, "region")
     asia_rk = set(reg.loc[reg["r_name"] == "ASIA", "r_regionkey"])
     asia_nk = np.sort(nat.loc[nat["n_regionkey"].isin(asia_rk),
                               "n_nationkey"].to_numpy().astype(np.int64))
     target_nk = int(nat.loc[nat["n_name"] == "NATION_11",
                             "n_nationkey"].iloc[0])
 
-    supp = read_table(sf_dir, "supplier",
-                      columns=["s_suppkey", "s_nationkey"]).to_pandas()
+    supp = read_local(sf_dir, "supplier",
+                      columns=["s_suppkey", "s_nationkey"])
     order_idx = np.argsort(supp["s_suppkey"].to_numpy())
     sk_sorted = supp["s_suppkey"].to_numpy().astype(np.int64)[order_idx]
     s_is_tgt = (supp["s_nationkey"].to_numpy().astype(np.int64)[order_idx]
@@ -3806,7 +3755,7 @@ def q_q8_market_share(sf_dir: str):
         fact2.map_batches(fact2_side, batch_format="pyarrow"),
         cust.map_batches(cust_side, batch_format="pyarrow"),
         "key", join3)
-    final = _merge_partials(parts, ["o_year"], ["target_e4", "total_e4"])
+    final = merge_partials(parts, ["o_year"], ["target_e4", "total_e4"])
     if final.empty:
         return pd.DataFrame({"o_year": pd.Series([], dtype="int64"),
                              "target_e4": pd.Series([], dtype="int64"),
@@ -3829,12 +3778,11 @@ def q_q9_profit_by_nation(sf_dir: str):
     order year via a second bucketed join on orderkey; final group
     key (nationkey, year) is bounded (25 × ~7) so the last merge is
     driver-side."""
-    import pyarrow.parquet as pq
-    nat = pq.read_table(f"{sf_dir.rstrip('/')}/nation.parquet").to_pandas()
+    nat = read_local(sf_dir, "nation")
     nk_name = dict(zip(nat["n_nationkey"].astype(int), nat["n_name"]))
 
-    supp = read_table(sf_dir, "supplier",
-                      columns=["s_suppkey", "s_nationkey"]).to_pandas()
+    supp = read_local(sf_dir, "supplier",
+                      columns=["s_suppkey", "s_nationkey"])
     order_idx = np.argsort(supp["s_suppkey"].to_numpy())
     sk_sorted = supp["s_suppkey"].to_numpy().astype(np.int64)[order_idx]
     snk_sorted = supp["s_nationkey"].to_numpy().astype(np.int64)[order_idx]
@@ -3935,7 +3883,7 @@ def q_q9_profit_by_nation(sf_dir: str):
         fact1.map_batches(fact_side, batch_format="pyarrow"),
         orders.map_batches(ord_side, batch_format="pyarrow"),
         "key", join2)
-    final = _merge_partials(parts, ["s_nationkey", "o_year"], ["profit_e4"])
+    final = merge_partials(parts, ["s_nationkey", "o_year"], ["profit_e4"])
     if final.empty:
         return pd.DataFrame({"n_name": pd.Series([], dtype="object"),
                              "o_year": pd.Series([], dtype="int64"),
@@ -3961,7 +3909,6 @@ def q_q21_waiting_suppliers(sf_dir: str, k: int = 10):
     qualification is a vectorized per-bucket groupby (size + flag
     sum); per-supplier counts merge in Ray; partial top-k; the ≤k
     winners read s_name via predicate pushdown."""
-    import pyarrow.parquet as pq
     li = read_table(sf_dir, "lineitem",
                     columns=["l_orderkey", "l_suppkey", "l_returnflag"])
 
@@ -4009,7 +3956,7 @@ def q_q21_waiting_suppliers(sf_dir: str, k: int = 10):
         return pd.DataFrame({"s_suppkey": out["suppkey"].astype("int64"),
                              "numwait": out["size"].astype("int64")})
 
-    per_supp = _merge_partials_ray(
+    per_supp = merge_partials_ray(
         _tagged_union_join(li.map_batches(li_side, batch_format="pyarrow"),
                            orders.map_batches(ord_side,
                                               batch_format="pyarrow"),
@@ -4029,11 +3976,10 @@ def q_q21_waiting_suppliers(sf_dir: str, k: int = 10):
     agg = (agg.sort_values(["numwait", "s_suppkey"],
                            ascending=[False, True]).head(k)
            .reset_index(drop=True))
-    win = pq.read_table(
-        f"{sf_dir.rstrip('/')}/supplier.parquet",
+    win = read_local(
+        sf_dir, "supplier",
         columns=["s_suppkey", "s_name"],
-        filters=[("s_suppkey", "in", [int(x) for x in agg["s_suppkey"]])]
-    ).to_pandas()
+        filters=[("s_suppkey", "in", [int(x) for x in agg["s_suppkey"]])])
     agg = agg.merge(win, on="s_suppkey", how="left")
     return agg[["s_suppkey", "s_name", "numwait"]]
 
@@ -4061,7 +4007,7 @@ def q_events_hopping_window(sf_dir: str):
         g = t.group_by("w_us").aggregate([("v_c", "count"), ("v_c", "sum")])
         return g.rename_columns(["w_us", "n_events", "sum_value_c"])
 
-    merged = _merge_partials_ray(
+    merged = merge_partials_ray(
         ds.map_batches(partial, batch_format="pyarrow"),
         ["w_us"], ["n_events", "sum_value_c"])
 
@@ -4116,7 +4062,7 @@ def q_hopping_distinct_users(sf_dir: str):
                           batch_format="pyarrow")
              .groupby("_kb").map_groups(count_bucket,
                                         batch_format="pandas"))
-    out = _merge_partials_ray(parts, ["w_us"], ["n_users"]).to_pandas()
+    out = merge_partials_ray(parts, ["w_us"], ["n_users"]).to_pandas()
     out["window_start"] = pd.to_datetime(out.pop("w_us"), unit="us")
     out["n_users"] = out["n_users"].astype("int64")
     return out[["window_start", "n_users"]] \
@@ -4147,9 +4093,9 @@ def q_cube_order_counts(sf_dir: str):
         return g.rename_columns(["o_orderpriority", "o_orderstatus",
                                  "n_orders", "total_c"])
 
-    base = _merge_partials(ds.map_batches(partial, batch_format="pyarrow"),
-                           ["o_orderpriority", "o_orderstatus"],
-                           ["n_orders", "total_c"])
+    base = merge_partials(ds.map_batches(partial, batch_format="pyarrow"),
+                          ["o_orderpriority", "o_orderstatus"],
+                          ["n_orders", "total_c"])
     sums = ["n_orders", "total_c"]
     lvl_p = base.groupby("o_orderpriority", as_index=False)[sums].sum()
     lvl_p["o_orderstatus"] = "ALL"
@@ -4363,7 +4309,7 @@ def q_quantiles_value_per_type(sf_dir: str):
         g = t.group_by(["event_type", "v_c"]).aggregate([("v_c", "count")])
         return g.rename_columns(["event_type", "v_c", "n"])
 
-    merged = _merge_partials_ray(
+    merged = merge_partials_ray(
         ds.map_batches(partial, batch_format="pyarrow"),
         ["event_type", "v_c"], ["n"])
 
@@ -4409,7 +4355,7 @@ def q_winsorize_value(sf_dir: str):
         g = t.group_by(["event_type", "v_c"]).aggregate([("v_c", "count")])
         return g.rename_columns(["event_type", "v_c", "n"])
 
-    merged = _merge_partials_ray(
+    merged = merge_partials_ray(
         ds.map_batches(partial, batch_format="pyarrow"),
         ["event_type", "v_c"], ["n"])
 
@@ -4476,7 +4422,7 @@ def q_distinct_users_per_type(sf_dir: str):
                              batch_format="pyarrow")
                 .groupby("_kb").map_groups(count_bucket,
                                            batch_format="pandas"))
-    out = _merge_partials(partials, ["event_type"], ["n_users"])
+    out = merge_partials(partials, ["event_type"], ["n_users"])
     out["n_users"] = out["n_users"].astype("int64")
     return out.reset_index(drop=True)
 
@@ -4496,7 +4442,7 @@ def q_median_value_per_type(sf_dir: str):
         g = t.group_by(["event_type", "v_c"]).aggregate([("v_c", "count")])
         return g.rename_columns(["event_type", "v_c", "n"])
 
-    merged = _merge_partials_ray(
+    merged = merge_partials_ray(
         ds.map_batches(partial, batch_format="pyarrow"),
         ["event_type", "v_c"], ["n"])
 
@@ -4537,7 +4483,7 @@ def q_median_cont_value_per_type(sf_dir: str):
         g = t.group_by(["event_type", "v_c"]).aggregate([("v_c", "count")])
         return g.rename_columns(["event_type", "v_c", "n"])
 
-    merged = _merge_partials_ray(
+    merged = merge_partials_ray(
         ds.map_batches(partial, batch_format="pyarrow"),
         ["event_type", "v_c"], ["n"])
 
@@ -4582,7 +4528,7 @@ def q_weighted_median_chars(sf_dir: str):
         g = t.group_by(["source", "n_chars"]).aggregate([("w", "sum")])
         return g.rename_columns(["source", "n_chars", "w"])
 
-    merged = _merge_partials_ray(
+    merged = merge_partials_ray(
         ds.map_batches(partial, batch_format="pyarrow"),
         ["source", "n_chars"], ["w"])
 
@@ -4622,7 +4568,7 @@ def q_mode_chars_per_source(sf_dir: str):
             [("n_chars", "count")])
         return g.rename_columns(["source", "n_chars", "n"])
 
-    merged = _merge_partials_ray(
+    merged = merge_partials_ray(
         ds.map_batches(partial, batch_format="pyarrow"),
         ["source", "n_chars"], ["n"])
 
@@ -4670,7 +4616,7 @@ def _set_op_users(sf_dir: str, keep_right: bool, min_cents: int = 9500):
             [("in_click", "max"), ("in_purch", "max")])
         return g.rename_columns(["user_id", "in_click", "in_purch"])
 
-    merged = _merge_partials_ray(
+    merged = merge_partials_ray(
         ds.map_batches(partial, batch_format="pyarrow"),
         ["user_id"], ["in_click", "in_purch"])
 
@@ -4721,7 +4667,7 @@ def q_value_outliers_mad(sf_dir: str):
         g = t.group_by(["event_type", "v_c"]).aggregate([("v_c", "count")])
         return g.rename_columns(["event_type", "v_c", "n"])
 
-    merged = _merge_partials_ray(
+    merged = merge_partials_ray(
         ds.map_batches(partial, batch_format="pyarrow"),
         ["event_type", "v_c"], ["n"])
 
@@ -4995,8 +4941,8 @@ def q_cohort_retention(sf_dir: str):
              .map_batches(_tag_bucket(["user_id"]), batch_format="pyarrow")
              .groupby("_kb").map_groups(cohort_bucket,
                                         batch_format="pandas"))
-    out = _merge_partials_ray(parts, ["cohort_week", "week_offset"],
-                              ["n_users"]).to_pandas()
+    out = merge_partials_ray(parts, ["cohort_week", "week_offset"],
+                             ["n_users"]).to_pandas()
     for c in out.columns:
         out[c] = out[c].astype("int64")
     return out.sort_values(["cohort_week", "week_offset"]) \
@@ -5080,7 +5026,7 @@ def q_value_stats_per_type(sf_dir: str):
         return g.rename_columns(["event_type", "n_events", "sum_value_c",
                                  "sumsq_value_c2"])
 
-    out = _merge_partials(
+    out = merge_partials(
         ds.map_batches(part, batch_format="pyarrow"),
         ["event_type"], ["n_events", "sum_value_c", "sumsq_value_c2"])
     for c in ["n_events", "sum_value_c", "sumsq_value_c2"]:
@@ -5118,7 +5064,7 @@ def q_covar_qty_discount(sf_dir: str):
 
     cols = ["n", "sum_q", "sum_d_e2", "sumsq_q", "sumsq_d_e4",
             "sum_qd_e2"]
-    out = _merge_partials(
+    out = merge_partials(
         ds.map_batches(part, batch_format="pyarrow"),
         ["l_returnflag"], cols)
     for c in cols:
@@ -5411,7 +5357,7 @@ def q_event_transitions(sf_dir: str):
              .map_batches(_tag_bucket(["user_id"]), batch_format="pyarrow")
              .groupby("_kb").map_groups(trans_bucket,
                                         batch_format="pandas"))
-    out = _merge_partials(parts, ["from_type", "to_type"], ["n"])
+    out = merge_partials(parts, ["from_type", "to_type"], ["n"])
     out["n"] = out["n"].astype("int64")
     return out.sort_values(["from_type", "to_type"]).reset_index(drop=True)
 
@@ -5494,8 +5440,8 @@ def q_nation_revenue_share(sf_dir: str):
     integer division for the share."""
     import ray as _ray
 
-    cust = read_table(sf_dir, "customer",
-                      columns=["c_custkey", "c_nationkey"]).to_pandas()
+    cust = read_local(sf_dir, "customer",
+                      columns=["c_custkey", "c_nationkey"])
     order_idx = np.argsort(cust["c_custkey"].to_numpy())
     ck = cust["c_custkey"].to_numpy().astype(np.int64)[order_idx]
     nk = cust["c_nationkey"].to_numpy().astype(np.int64)[order_idx]
@@ -5525,7 +5471,7 @@ def q_nation_revenue_share(sf_dir: str):
         return pa.table({"n_nationkey": pa.array(nz.astype(np.int64)),
                          "rev_c": pa.array(sums[nz])})
 
-    out = _merge_partials(
+    out = merge_partials(
         orders.map_batches(partial, batch_format="pyarrow"),
         ["n_nationkey"], ["rev_c"])
     total = int(out["rev_c"].sum())
@@ -5551,15 +5497,13 @@ def q_q2_min_cost_supplier(sf_dir: str):
     winner filter completes IN-BUCKET (a partkey lands wholly in one
     bucket); winners are output-sized (Q2 returns a top-slice), so the
     dimension decoration is driver-side."""
-    import pyarrow.parquet as pq
-    root = sf_dir.rstrip("/")
-    nat = pq.read_table(f"{root}/nation.parquet").to_pandas()
-    reg = pq.read_table(f"{root}/region.parquet").to_pandas()
+    nat = read_local(sf_dir, "nation")
+    reg = read_local(sf_dir, "region")
     eur_rk = set(reg.loc[reg["r_name"] == "EUROPE", "r_regionkey"])
     nat_eur = nat[nat["n_regionkey"].isin(eur_rk)]
     nk_name = dict(zip(nat_eur["n_nationkey"].astype(int), nat_eur["n_name"]))
 
-    supp = pq.read_table(f"{root}/supplier.parquet").to_pandas()
+    supp = read_local(sf_dir, "supplier")
     supp = supp[supp["s_nationkey"].astype(int).isin(set(nk_name))]
     sk_sorted = np.sort(supp["s_suppkey"].to_numpy().astype(np.int64))
     supp_ref = ray.put(sk_sorted)
@@ -5652,15 +5596,13 @@ def q_q11_important_parts(sf_dir: str):
     pinned ONCE (object-store/spill-resident, not driver heap) because
     it is consumed twice: a tiny total-sum pass, then the share
     filter with the total as a closure constant."""
-    import pyarrow.parquet as pq
-    root = sf_dir.rstrip("/")
-    nat = pq.read_table(f"{root}/nation.parquet").to_pandas()
-    reg = pq.read_table(f"{root}/region.parquet").to_pandas()
+    nat = read_local(sf_dir, "nation")
+    reg = read_local(sf_dir, "region")
     asia_rk = set(reg.loc[reg["r_name"] == "ASIA", "r_regionkey"])
     asia_nk = set(nat.loc[nat["n_regionkey"].isin(asia_rk),
                           "n_nationkey"].astype(int))
-    supp = pq.read_table(f"{root}/supplier.parquet",
-                         columns=["s_suppkey", "s_nationkey"]).to_pandas()
+    supp = read_local(sf_dir, "supplier",
+                      columns=["s_suppkey", "s_nationkey"])
     sk = np.sort(supp.loc[supp["s_nationkey"].astype(int).isin(asia_nk),
                           "s_suppkey"].to_numpy().astype(np.int64))
     supp_ref = ray.put(sk)
@@ -5684,7 +5626,7 @@ def q_q11_important_parts(sf_dir: str):
         g = t.group_by("p_partkey").aggregate([("value_c", "sum")])
         return g.rename_columns(["p_partkey", "value_c"])
 
-    per_part = _merge_partials_ray(
+    per_part = merge_partials_ray(
         li.map_batches(partial, batch_format="pyarrow"),
         ["p_partkey"], ["value_c"])
     # part-cardinality-sized intermediate consumed TWICE (global
@@ -5728,10 +5670,8 @@ def q_q16_supplier_relationship(sf_dir: str):
     dedups pairs IN-BUCKET; the cross-bucket (brand,type,size,suppkey)
     distinct runs in Ray (suppliers × groups is data-sized); the final
     group count merges driver-side (brand×type×size is enum-bounded)."""
-    import pyarrow.parquet as pq
-    root = sf_dir.rstrip("/")
-    supp = pq.read_table(f"{root}/supplier.parquet",
-                         columns=["s_suppkey", "s_acctbal"]).to_pandas()
+    supp = read_local(sf_dir, "supplier",
+                      columns=["s_suppkey", "s_acctbal"])
     bad = np.sort(supp.loc[supp["s_acctbal"] < 0,
                            "s_suppkey"].to_numpy().astype(np.int64))
     bad_ref = ray.put(bad)
@@ -5788,7 +5728,7 @@ def q_q16_supplier_relationship(sf_dir: str):
         return d.assign(one=1).astype({"p_size": "int64",
                                        "suppkey": "int64", "one": "int64"})
 
-    dist = _merge_partials_ray(
+    dist = merge_partials_ray(
         _tagged_union_join(li.map_batches(li_side, batch_format="pyarrow"),
                            part.map_batches(part_side,
                                             batch_format="pyarrow"),
@@ -5803,9 +5743,9 @@ def q_q16_supplier_relationship(sf_dir: str):
         return g.rename_columns(["p_brand", "p_type", "p_size",
                                  "supplier_cnt"])
 
-    df = _merge_partials(dist.map_batches(cnt_partial,
+    df = merge_partials(dist.map_batches(cnt_partial,
                                           batch_format="pyarrow"),
-                         ["p_brand", "p_type", "p_size"], ["supplier_cnt"])
+                        ["p_brand", "p_type", "p_size"], ["supplier_cnt"])
     if df.empty:
         return pd.DataFrame({"p_brand": pd.Series([], dtype="object"),
                              "p_type": pd.Series([], dtype="object"),
@@ -5830,8 +5770,6 @@ def q_q20_potential_promotion(sf_dir: str):
     in the prefix-filtered part keys; the correlated share test
     completes IN-BUCKET; qualifying suppkeys are dimension-bounded so
     the region decoration reads supplier with key pushdown."""
-    import pyarrow.parquet as pq
-    root = sf_dir.rstrip("/")
     lo = pa.scalar(np.datetime64("1996-01-01T00:00:00", "us"))
     hi = pa.scalar(np.datetime64("1997-01-01T00:00:00", "us"))
 
@@ -5883,14 +5821,14 @@ def q_q20_potential_promotion(sf_dir: str):
         return pd.DataFrame({c: pd.Series([], dtype=d)
                              for c, d in cols.items()})
     wk = sorted({int(x) for x in w["suppkey"]})
-    nat = pq.read_table(f"{root}/nation.parquet").to_pandas()
-    reg = pq.read_table(f"{root}/region.parquet").to_pandas()
+    nat = read_local(sf_dir, "nation")
+    reg = read_local(sf_dir, "region")
     am_rk = set(reg.loc[reg["r_name"] == "AMERICA", "r_regionkey"])
     am_nk = set(nat.loc[nat["n_regionkey"].isin(am_rk),
                         "n_nationkey"].astype(int))
-    sp = pq.read_table(f"{root}/supplier.parquet",
-                       columns=["s_suppkey", "s_name", "s_nationkey"],
-                       filters=[("s_suppkey", "in", wk)]).to_pandas()
+    sp = read_local(sf_dir, "supplier",
+                    columns=["s_suppkey", "s_name", "s_nationkey"],
+                    filters=[("s_suppkey", "in", wk)])
     sp = sp[sp["s_nationkey"].astype(int).isin(am_nk)]
     if sp.empty:
         return pd.DataFrame({c: pd.Series([], dtype=d)
@@ -5930,8 +5868,8 @@ def q_cusum_alerts(sf_dir: str, h_mult: int = 8):
             [("window_start", "count")])
         return g.rename_columns(["event_type", "window_start", "n"])
 
-    hc = _merge_partials(ds.map_batches(partial, batch_format="pyarrow"),
-                         ["event_type", "window_start"], ["n"])
+    hc = merge_partials(ds.map_batches(partial, batch_format="pyarrow"),
+                        ["event_type", "window_start"], ["n"])
     hc = hc.sort_values(["event_type", "window_start"]) \
         .reset_index(drop=True)
     out = []
@@ -5990,12 +5928,12 @@ def q_bucket_skew_audit(sf_dir: str, num_buckets: int = 32):
         g = t.group_by("bucket").aggregate([("z", "count"), ("z", "sum")])
         return g.rename_columns(["bucket", "n_rows", "sum_price_c"])
 
-    oa = _merge_partials(orders.map_batches(part_o,
+    oa = merge_partials(orders.map_batches(part_o,
                                             batch_format="pyarrow"),
-                         ["bucket"], ["n_rows", "sum_price_c"])
-    da = _merge_partials(docs.map_batches(part_d,
+                        ["bucket"], ["n_rows", "sum_price_c"])
+    da = merge_partials(docs.map_batches(part_d,
                                           batch_format="pyarrow"),
-                         ["bucket"], ["n_rows", "sum_price_c"])
+                        ["bucket"], ["n_rows", "sum_price_c"])
     oa.insert(0, "key_kind", "orders_custkey")
     da.insert(0, "key_kind", "documents_source")
     out = pd.concat([oa, da], ignore_index=True)
@@ -6177,7 +6115,7 @@ def _value_type_counts(sf_dir: str, type_a: str, type_b: str) -> pd.DataFrame:
             df.groupby("c", as_index=False).sum(), preserve_index=False)
 
     parts = ds.map_batches(partial, batch_format="pyarrow")
-    m = _merge_partials_ray(parts, ["c"], ["n_a", "n_b"]).to_pandas()
+    m = merge_partials_ray(parts, ["c"], ["n_a", "n_b"]).to_pandas()
     return m.sort_values("c").reset_index(drop=True)
 
 
@@ -6305,7 +6243,7 @@ def q_spearman_rank_corr(sf_dir: str):
             df.groupby(["q", "d"], as_index=False).sum(),
             preserve_index=False)
 
-    cells = _merge_partials(
+    cells = merge_partials(
         ds.map_batches(partial, batch_format="pyarrow"),
         ["q", "d"], ["n"])
 
@@ -6385,7 +6323,7 @@ def q_chi2_type_hour(sf_dir: str):
             df.groupby(["event_type", "hour"], as_index=False).sum(),
             preserve_index=False)
 
-    cells = _merge_partials(
+    cells = merge_partials(
         ds.map_batches(partial, batch_format="pyarrow"),
         ["event_type", "hour"], ["o"])
     r = {k: int(v) for k, v in
@@ -6546,7 +6484,7 @@ def q_gini_revenue(sf_dir: str):
             df.groupby("o_custkey", as_index=False).sum(),
             preserve_index=False)
 
-    totals = _merge_partials_ray(
+    totals = merge_partials_ray(
         ds.map_batches(partial, batch_format="pyarrow"),
         ["o_custkey"], ["x"])
 
@@ -6556,7 +6494,7 @@ def q_gini_revenue(sf_dir: str):
         return pa.Table.from_pandas(
             df.groupby("x", as_index=False).sum(), preserve_index=False)
 
-    hist = _merge_partials_ray(
+    hist = merge_partials_ray(
         totals.map_batches(hist_partial, batch_format="pyarrow"),
         ["x"], ["cnt"]).to_pandas().sort_values("x") \
         .reset_index(drop=True)
@@ -6854,9 +6792,9 @@ def q_acf_hourly(sf_dir: str):
         g = t.group_by(["event_type", "h"]).aggregate([("h", "count")])
         return g.rename_columns(["event_type", "h", "n"])
 
-    hc = _merge_partials(ds.map_batches(partial,
+    hc = merge_partials(ds.map_batches(partial,
                                         batch_format="pyarrow"),
-                         ["event_type", "h"], ["n"])
+                        ["event_type", "h"], ["n"])
     h0, h1 = int(hc["h"].min()), int(hc["h"].max())
     grid = np.arange(h0, h1 + 1, dtype=np.int64)
     rows = []
@@ -7074,8 +7012,8 @@ def q_robots_verdict_stats(sf_dir: str):
                                              minlength=k)
                                  .astype(np.int64))})
 
-    agg = _merge_partials(ds.map_batches(part, batch_format="pyarrow"),
-                          ["source"], ["n_urls", "n_denied"])
+    agg = merge_partials(ds.map_batches(part, batch_format="pyarrow"),
+                         ["source"], ["n_urls", "n_denied"])
     agg["host"] = agg["source"].astype(str) + ".example"
     agg["mask"] = masks[np.searchsorted(src_arr,
                                         agg["source"].to_numpy())]
@@ -7160,9 +7098,9 @@ def q_holt_linear(sf_dir: str):
         g = t.group_by(["event_type", "h"]).aggregate([("h", "count")])
         return g.rename_columns(["event_type", "h", "n"])
 
-    hc = _merge_partials(ds.map_batches(partial,
+    hc = merge_partials(ds.map_batches(partial,
                                         batch_format="pyarrow"),
-                         ["event_type", "h"], ["n"])
+                        ["event_type", "h"], ["n"])
     h0, h1 = int(hc["h"].min()), int(hc["h"].max())
     T = h1 - h0  # last t index
     types = sorted(hc["event_type"].unique())
@@ -7517,8 +7455,8 @@ def q_crawl_budget_apportionment(sf_dir: str):
         g = batch.group_by(["source"]).aggregate([("n_chars", "sum")])
         return g.rename_columns(["source", "mass"])
 
-    agg = _merge_partials(ds.map_batches(part, batch_format="pyarrow"),
-                          ["source"], ["mass"])
+    agg = merge_partials(ds.map_batches(part, batch_format="pyarrow"),
+                         ["source"], ["mass"])
     agg = agg.sort_values("source").reset_index(drop=True)
     mass = agg["mass"].to_numpy(np.int64)
     M = int(mass.sum())
@@ -7876,9 +7814,9 @@ def q_kendall_tau(sf_dir: str):
         g = t.group_by(["event_type", "h"]).aggregate([("h", "count")])
         return g.rename_columns(["event_type", "h", "n"])
 
-    hc = _merge_partials(ds.map_batches(partial,
+    hc = merge_partials(ds.map_batches(partial,
                                         batch_format="pyarrow"),
-                         ["event_type", "h"], ["n"])
+                        ["event_type", "h"], ["n"])
     h0, h1 = int(hc["h"].min()), int(hc["h"].max())
     grid_n = h1 - h0 + 1
     rows = []
@@ -7964,8 +7902,8 @@ def q_frontier_shard_balance(sf_dir: str):
             [("n_chars", "sum"), ("n_chars", "count")])
         return g.rename_columns(["source", "mass", "n_docs"])
 
-    agg = _merge_partials(ds.map_batches(part, batch_format="pyarrow"),
-                          ["source"], ["mass", "n_docs"])
+    agg = merge_partials(ds.map_batches(part, batch_format="pyarrow"),
+                         ["source"], ["mass", "n_docs"])
     hosts = pa.array((agg["source"].astype(str) + ".example")
                      .to_numpy())
     shard = (stable_hash64_col_np(hosts, FRONTIER_SEED)

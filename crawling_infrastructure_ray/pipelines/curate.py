@@ -9,7 +9,7 @@ table, all Ray-Data-native:
   simhash computed AT INGEST (no re-shingling pass) → curated parquet.
 
 Every stage is a ``map_batches`` transform; the only shuffles are the
-two dedup groupbys, both over pre-aggregated/sketched rows.
+keyed reduces of the two dedup passes, both over pre-aggregated rows.
 """
 
 from __future__ import annotations
@@ -22,9 +22,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 import ray.data as rd
-from ray.data.aggregate import Count, Min
 
-from ..functions.bucketing import i64_as_u64, u64_as_i64
+from ..functions.bucketing import merge_partials_ray
 from ..functions.hashing import md5_id
 from ..stages.joins import bucketed_semi_join
 from ..stages.text import langid_batch, quality_score_batch, span_text
@@ -81,31 +80,34 @@ def curate_documents(docs: rd.Dataset, out_dir: str, *,
              .aggregate([("doc_id", "min")])
         return g.rename_columns(["content_hash", "keep_doc_id"])
 
-    keep_exact = (filtered.map_batches(hash_partial, batch_format="pyarrow")
-                  .groupby("content_hash")
-                  .aggregate(Min("keep_doc_id", alias_name="keep_doc_id")))
+    keep_exact = merge_partials_ray(
+        filtered.map_batches(hash_partial, batch_format="pyarrow"),
+        ["content_hash"], {"keep_doc_id": "min"})
 
     # near-dup removal via ingest-time simhash: exact-collision groups
     # (hamming 0 — the conservative tier; banded hamming≤k is
     # stages.dedup.simhash_near_pairs)
-    # signed view for the uint64 groupby key (see bucketing.u64_as_i64);
-    # the key column is dropped right after, so no inverse view needed
-    keep_sim = (filtered.map_batches(
-        lambda t: u64_as_i64(t.select(["simhash", "doc_id"]), ["simhash"]),
-        batch_format="pyarrow")
-        .groupby("simhash").aggregate(Min("doc_id", alias_name="keep_doc_id"),
-                                      Count(alias_name="n")))
+    def sim_partial(batch: pa.Table) -> pa.Table:
+        g = batch.select(["simhash", "doc_id"]).group_by("simhash") \
+                 .aggregate([("doc_id", "min")])
+        return g.rename_columns(["simhash", "keep_doc_id"])
+
+    keep_sim = merge_partials_ray(
+        filtered.map_batches(sim_partial, batch_format="pyarrow"),
+        ["simhash"], {"keep_doc_id": "min"})
 
     # keep set = intersection of the two keep sets, computed IN RAY
     # (a doc survives iff it is the representative of BOTH its exact
     # group and its simhash group): union the keep-id streams, count
     # per id, keep n==2 — no driver-side set of O(kept docs)
-    def ids_only(t: pa.Table) -> pa.Table:
-        return pa.table({"keep_doc_id": t["keep_doc_id"]})
+    def id_counts(t: pa.Table) -> pa.Table:
+        g = t.group_by("keep_doc_id").aggregate([("keep_doc_id", "count")])
+        return g.rename_columns(["keep_doc_id", "n_sources"])
 
-    both = (keep_exact.map_batches(ids_only, batch_format="pyarrow")
-            .union(keep_sim.map_batches(ids_only, batch_format="pyarrow"))
-            .groupby("keep_doc_id").aggregate(Count(alias_name="n_sources")))
+    both = merge_partials_ray(
+        keep_exact.map_batches(id_counts, batch_format="pyarrow")
+        .union(keep_sim.map_batches(id_counts, batch_format="pyarrow")),
+        ["keep_doc_id"], ["n_sources"])
 
     # final filter = bucketed SEMI-JOIN of the filtered docs against the
     # keep ids (hash both sides on doc_id into jbuckets, per-bucket

@@ -16,12 +16,12 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..functions.bucketing import (i64_as_u64, shuffle_partitions,
-                                  tag_bucket_fn, u64_as_i64)
+from ..functions.bucketing import (merge_partials, merge_partials_ray,
+                                   shuffle_partitions, tag_bucket_fn)
 from ..functions.tokenize import split_ws
 from ..sources.corpus import (fetch_audio_payloads, fetch_media_payloads,
                               fetch_video_payloads, make_seed_urls)
-from ..sources.readers import read_table
+from ..sources.readers import read_local, read_table
 from ..stages import dedup as dd
 from ..stages import multimodal as mm
 from ..stages import simsearch as ss
@@ -79,7 +79,6 @@ def q_dedup_incremental(sf_dir: str):
     (every hash lives wholly in one bucket)."""
     from ..functions.hashing import md5_id
     from ..stages.joins import bucketed_anti_join, bucketed_semi_join
-    from ray.data.aggregate import Min
 
     ids = read_table(sf_dir, "documents", columns=["doc_id"])
     split = int(ids.max("doc_id")) * 6 // 10  # O(1) scalar to driver
@@ -109,11 +108,11 @@ def q_dedup_incremental(sf_dir: str):
             .group_by("content_hash").aggregate([("doc_id", "min")])
         return g.rename_columns(["content_hash", "keep_doc_id"])
 
-    keep = (survivors.map_batches(min_per_hash, batch_format="pyarrow")
-            .groupby("content_hash")
-            .aggregate(Min("keep_doc_id", alias_name="keep_doc_id"))
-            .map_batches(lambda t: pa.table({"doc_id": t["keep_doc_id"]}),
-                         batch_format="pyarrow"))
+    keep = merge_partials_ray(
+        survivors.map_batches(min_per_hash, batch_format="pyarrow"),
+        ["content_hash"], {"keep_doc_id": "min"}).map_batches(
+        lambda t: pa.table({"doc_id": t["keep_doc_id"]}),
+        batch_format="pyarrow")
     kept = bucketed_semi_join(
         survivors.map_batches(lambda t: t.select(["doc_id", "n_chars"]),
                               batch_format="pyarrow"),
@@ -174,11 +173,11 @@ def q_zorder_layout(sf_dir: str):
 
     Shape: the Morton key is a per-batch vectorized magic-number bit
     spread (no shuffle); shard stats are per-batch partial aggregates
-    over the 16-value shard domain → a 16-row Ray groupby — exchange
-    is O(shards × blocks), never row-sized. At real scale the same
-    zkey feeds ``write_parquet`` partitioned by shard; here the
-    manifest itself is the output (it is what pruning reads)."""
-    from ray.data.aggregate import Max, Min, Sum
+    over the 16-value shard domain → a driver merge of at most 16
+    rows per block — nothing row-sized leaves the map tasks. At real
+    scale the same zkey feeds ``write_parquet`` partitioned by shard;
+    here the manifest itself is the output (it is what pruning
+    reads)."""
 
     ds = read_table(sf_dir, "documents", columns=["doc_id", "n_chars"])
 
@@ -208,14 +207,10 @@ def q_zorder_layout(sf_dir: str):
             ["shard", "n_docs", "min_zkey", "max_zkey",
              "min_chars", "max_chars"])
 
-    out = (ds.map_batches(partial, batch_format="pyarrow")
-           .groupby("shard")
-           .aggregate(Sum("n_docs", alias_name="n_docs"),
-                      Min("min_zkey", alias_name="min_zkey"),
-                      Max("max_zkey", alias_name="max_zkey"),
-                      Min("min_chars", alias_name="min_chars"),
-                      Max("max_chars", alias_name="max_chars"))
-           .to_pandas())
+    out = merge_partials(
+        ds.map_batches(partial, batch_format="pyarrow"), ["shard"],
+        {"n_docs": "sum", "min_zkey": "min", "max_zkey": "max",
+         "min_chars": "min", "max_chars": "max"})
     for c in out.columns:
         out[c] = out[c].astype("int64")
     return out.sort_values("shard").reset_index(drop=True)
@@ -443,11 +438,10 @@ def q_vocab_topk(sf_dir: str):
     bucketed all-to-all carries distinct-token rows only, partial
     top-k per merged block, tiny driver head. ORACLE-CHECKED."""
     from ..stages import sampling as sp
-    from .analytics import _merge_partials_ray
     ds = read_table(sf_dir, "documents", columns=["text"])
     partials = ds.map_batches(sp.vocab_partial_counts,
                               batch_format="pyarrow")
-    merged = _merge_partials_ray(partials, ["token"], ["n"])
+    merged = merge_partials_ray(partials, ["token"], ["n"])
 
     def topk_block(batch: pa.Table) -> pa.Table:
         return batch.sort_by([("n", "descending"),
@@ -477,13 +471,12 @@ def q_bm25_topk(sf_dir: str, k: int = 20):
     the final top-k reduce over that match-sized set (partial top-k
     per block, ≤ k × blocks rows to the driver)."""
     from ..stages import sampling as sp
-    from .analytics import _merge_partials_ray
 
     ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
 
     # pass 1: distributed vocab — query terms (ranks 5/6) + total
     # token count from the same merged result
-    merged = _merge_partials_ray(
+    merged = merge_partials_ray(
         ds.map_batches(sp.vocab_partial_counts, batch_format="pyarrow"),
         ["token"], ["n"])
 
@@ -634,7 +627,6 @@ def q_heavy_hitter_tokens(sf_dir: str, phi_recip: int = 31):
     import ray as _ray
 
     from ..stages import sampling as sp
-    from .analytics import _merge_partials_ray
     ds = read_table(sf_dir, "documents", columns=["text"])
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -661,7 +653,7 @@ def q_heavy_hitter_tokens(sf_dir: str, phi_recip: int = 31):
                         value_set=pa.array(_ray.get(cand_ref)))
         return batch.filter(keep).select(["token", "n"])
 
-    merged = _merge_partials_ray(
+    merged = merge_partials_ray(
         partials.map_batches(keep_candidates, batch_format="pyarrow"),
         ["token"], ["n"])
     df = merged.to_pandas()
@@ -686,7 +678,7 @@ def q_source_vocab_overlap(sf_dir: str):
     domain is config-sized). The inverted-index pairing shape shared
     with dedup_jaccard_exact, one level up (sets are sources, not
     docs)."""
-    from .analytics import _merge_partials, _tag_bucket
+    from .analytics import _tag_bucket
     ds = read_table(sf_dir, "documents", columns=["source", "text"])
 
     def pairs_partial(batch: pa.Table) -> pa.Table:
@@ -735,15 +727,15 @@ def q_source_vocab_overlap(sf_dir: str):
                                   batch_format="pyarrow")
                      .groupby("_kb").map_groups(emit_bucket,
                                                 batch_format="pandas"))
-    out = _merge_partials(pair_partials, ["src_a", "src_b"],
-                          ["n_common"])
+    out = merge_partials(pair_partials, ["src_a", "src_b"],
+                         ["n_common"])
 
     def size_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.drop_duplicates(["source", "token"])
         return g.groupby("source", as_index=False).size() \
             .rename(columns={"size": "n_vocab"})
 
-    sizes = _merge_partials(
+    sizes = merge_partials(
         dedup.map_batches(_tag_bucket(["token"]), batch_format="pyarrow")
         .groupby("_kb").map_groups(size_bucket, batch_format="pandas"),
         ["source"], ["n_vocab"])
@@ -764,11 +756,10 @@ def q_bpe_pair_counts(sf_dir: str, k: int = 20):
     merge on the pair → partial top-k per block → tiny driver head.
     ORACLE-CHECKED (unnest + positional indexing bigrams in SQL)."""
     from ..stages import sampling as sp
-    from .analytics import _merge_partials_ray
     ds = read_table(sf_dir, "documents", columns=["text"])
     partials = ds.map_batches(sp.bpe_pair_partial_counts,
                               batch_format="pyarrow")
-    merged = _merge_partials_ray(partials, ["left_tok", "right_tok"], ["n"])
+    merged = merge_partials_ray(partials, ["left_tok", "right_tok"], ["n"])
 
     def topk_block(batch: pa.Table) -> pa.Table:
         return batch.sort_by([("n", "descending"),
@@ -994,7 +985,6 @@ def q_hierarchy_rollup(sf_dir: str):
     vectorized explode, 7 levels at 1e6 ids), per-batch combine, then
     ONE bucketed merge on node; exchange ≤ depth × docs. SQL twin is
     the textbook WITH RECURSIVE ancestor walk."""
-    from .analytics import _merge_partials_ray
 
     ds = read_table(sf_dir, "documents", columns=["doc_id", "n_chars"])
 
@@ -1021,7 +1011,7 @@ def q_hierarchy_rollup(sf_dir: str):
                                           ("sum_chars", "sum")])
         return g.rename_columns(["node", "n_docs", "sum_chars"])
 
-    out = _merge_partials_ray(
+    out = merge_partials_ray(
         ds.map_batches(explode, batch_format="pyarrow"),
         ["node"], ["n_docs", "sum_chars"]).to_pandas()
     for c in out.columns:
@@ -1042,13 +1032,12 @@ def q_search_phrase(sf_dir: str):
     is complete with no further merge — the second pass ships only
     matching (doc, phrase) rows."""
     from ..stages import sampling as sp
-    from .analytics import _merge_partials_ray
 
     ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
 
     partials = ds.map_batches(sp.bpe_pair_partial_counts,
                               batch_format="pyarrow")
-    merged = _merge_partials_ray(partials, ["left_tok", "right_tok"], ["n"])
+    merged = merge_partials_ray(partials, ["left_tok", "right_tok"], ["n"])
 
     def top1_block(batch: pa.Table) -> pa.Table:
         return batch.sort_by([("n", "descending"), ("left_tok", "ascending"),
@@ -1381,7 +1370,7 @@ def q_boilerplate_stats(sf_dir: str):
 
     Scale shape: pass 1 is the honest all-to-all — per-batch line-hash
     count partials (factorize + bincount, only DISTINCT lines pay the
-    string hash) merged by the bucketed `_merge_partials_ray`; the hot
+    string hash) merged by the bucketed `merge_partials_ray`; the hot
     set (count >= T) is boilerplate-sized BY CONSTRUCTION, collected
     once and broadcast via `ray.put`; pass 2 filters per batch with a
     sorted `np.isin`. The Ray side matches on 64-bit line hashes, the
@@ -1390,7 +1379,6 @@ def q_boilerplate_stats(sf_dir: str):
     import ray as _ray
 
     from ..functions.hashing import stable_hash64_np
-    from .analytics import _merge_partials_ray
 
     ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
 
@@ -1415,7 +1403,7 @@ def q_boilerplate_stats(sf_dir: str):
         return pa.table({"line_hash": pa.array(h),
                          "cnt": pa.array(cnt)})
 
-    counts = _merge_partials_ray(
+    counts = merge_partials_ray(
         ds.map_batches(line_partials, batch_format="pyarrow"),
         ["line_hash"], ["cnt"])
     hot = counts.map_batches(
@@ -1473,13 +1461,13 @@ def q_source_terms(sf_dir: str, k: int = 5):
     token asc).
 
     Scale shape: tf (source×token) and df (token → distinct docs) are
-    combiner-first partials merged through `_merge_partials_ray`; the
+    combiner-first partials merged through `merge_partials_ray`; the
     tf⋈df join is a TAGGED-UNION bucketed hash join on the token
     (both sides data-sized — no broadcast); each token-bucket emits
     its per-source partial top-k (global top-k ⊆ union of bucket
     top-ks), and a final source-bucketed reduce ranks. Never a global
     sort, never a driver-side token table."""
-    from .analytics import _merge_partials_ray, _tag_bucket
+    from .analytics import _tag_bucket
     p = shuffle_partitions()
 
     ds = read_table(sf_dir, "documents",
@@ -1525,10 +1513,10 @@ def q_source_terms(sf_dir: str, k: int = 5):
         return pa.table({"token": pa.array(tuniq),
                          "df": pa.array(df)})
 
-    tf = _merge_partials_ray(
+    tf = merge_partials_ray(
         ds.map_batches(tf_partials, batch_format="pyarrow"),
         ["source", "token"], ["tf"])
-    dfreq = _merge_partials_ray(
+    dfreq = merge_partials_ray(
         ds.map_batches(df_partials, batch_format="pyarrow"),
         ["token"], ["df"])
 
@@ -1938,7 +1926,6 @@ def q_label_centroids(sf_dir: str):
     enter the exchange as enum-sized partials (labels × 64 dims), the
     raw vectors never move."""
     from ..stages.simsearch import _to_matrix, quantize_e3
-    from .analytics import _merge_partials
 
     ds = read_table(sf_dir, "embeddings", columns=["embedding", "label"])
 
@@ -1958,7 +1945,7 @@ def q_label_centroids(sf_dir: str):
             "sum_q_e3": pa.array(sums.reshape(-1)),
             "n_vecs": pa.array(np.repeat(n, dim))})
 
-    out = _merge_partials(
+    out = merge_partials(
         ds.map_batches(part, batch_format="pyarrow"),
         ["label", "dim"], ["sum_q_e3", "n_vecs"])
     for c in out.columns:
@@ -1982,7 +1969,6 @@ def q_centroid_similarity(sf_dir: str):
     (labels² × dims — config-sized BY ASSUMPTION, like
     host_triangles' adjacency). Overflow asserted."""
     from ..stages.simsearch import _to_matrix, quantize_e3
-    from .analytics import _merge_partials
 
     ds = read_table(sf_dir, "embeddings", columns=["embedding", "label"])
 
@@ -2000,7 +1986,7 @@ def q_centroid_similarity(sf_dir: str):
                                     len(uniq))),
             "sum_q_e3": pa.array(sums.reshape(-1))})
 
-    out = _merge_partials(
+    out = merge_partials(
         ds.map_batches(part, batch_format="pyarrow"),
         ["label", "dim"], ["sum_q_e3"])
     piv = out.pivot_table(index="label", columns="dim",
@@ -2068,11 +2054,8 @@ def q_kmeans_lloyd(sf_dir: str):
     against a broadcast centroid matrix; the exchange per pass is
     k×dim integer partials per batch."""
     import ray as _ray
-    import pyarrow.parquet as pq
     from ..stages.simsearch import _to_matrix, quantize_e3
-    from .analytics import _merge_partials
 
-    root = sf_dir.rstrip("/")
     ds = read_table(sf_dir, "embeddings", columns=["vec_id", "embedding"])
 
     def min_ids(batch: pa.Table) -> pa.Table:
@@ -2083,9 +2066,8 @@ def q_kmeans_lloyd(sf_dir: str):
     seed_ids = np.sort(ds.map_batches(min_ids, batch_format="pyarrow")
                        .to_pandas()["vec_id"].to_numpy()
                        .astype(np.int64))[:KM_K]
-    seed = pq.read_table(
-        f"{root}/embeddings.parquet", columns=["vec_id", "embedding"],
-        filters=[("vec_id", "in", [int(x) for x in seed_ids])]).to_pandas()
+    seed = read_local(sf_dir, "embeddings", columns=["vec_id", "embedding"],
+                      filters=[("vec_id", "in", [int(x) for x in seed_ids])])
     seed = seed.sort_values("vec_id").reset_index(drop=True)
     cents = quantize_e3(np.stack([np.asarray(e, np.float64)
                                   for e in seed["embedding"]])
@@ -2124,8 +2106,8 @@ def q_kmeans_lloyd(sf_dir: str):
                 "s": pa.array(sums.reshape(-1)),
                 "n": pa.array(np.repeat(n, dim))})
 
-        st = _merge_partials(ds.map_batches(part, batch_format="pyarrow"),
-                             ["cluster", "dim"], ["s", "n"])
+        st = merge_partials(ds.map_batches(part, batch_format="pyarrow"),
+                            ["cluster", "dim"], ["s", "n"])
         st = st[st["n"] > 0]  # empty clusters drop (as in the SQL twin)
         piv = st.pivot_table(index="cluster", columns="dim", values="s",
                              aggfunc="sum").sort_index()
@@ -2211,10 +2193,8 @@ def q_kcenter_coreset(sf_dir: str):
     to the previously-selected set at selection time (−1 for the
     seed)."""
     import ray as _ray
-    import pyarrow.parquet as pq
     from ..stages.simsearch import _to_matrix, quantize_e3
 
-    root = sf_dir.rstrip("/")
     ds = read_table(sf_dir, "embeddings", columns=["vec_id", "embedding"])
 
     def min_id(batch: pa.Table) -> pa.Table:
@@ -2225,9 +2205,9 @@ def q_kcenter_coreset(sf_dir: str):
                   .to_pandas()["vec_id"].min())
 
     def read_vec(vid: int) -> np.ndarray:
-        t = pq.read_table(f"{root}/embeddings.parquet",
-                          columns=["vec_id", "embedding"],
-                          filters=[("vec_id", "=", vid)]).to_pandas()
+        t = read_local(sf_dir, "embeddings",
+                       columns=["vec_id", "embedding"],
+                       filters=[("vec_id", "=", vid)])
         return quantize_e3(np.asarray(t["embedding"].iloc[0], np.float64)
                            [None, :]).astype(np.int64)[0]
 
@@ -2961,7 +2941,6 @@ def q_lm_bigram_score(sf_dir: str):
     bucketed partial reduce. The model table is never materialized on
     the driver."""
     from ..stages.sampling import doc_bigram_partial_counts
-    from .analytics import _merge_partials_ray
     p = shuffle_partitions()
 
     ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
@@ -2983,8 +2962,8 @@ def q_lm_bigram_score(sf_dir: str):
 
     parts = tagged.groupby("_lb").map_groups(score_bucket,
                                              batch_format="pandas")
-    out = _merge_partials_ray(parts, ["doc_id"],
-                              ["n_bigrams", "lm_score"]).to_pandas()
+    out = merge_partials_ray(parts, ["doc_id"],
+                             ["n_bigrams", "lm_score"]).to_pandas()
     for c in out.columns:
         out[c] = out[c].astype("int64")
     return out.sort_values("doc_id").reset_index(drop=True)
@@ -3034,15 +3013,14 @@ def q_collocation_stats(sf_dir: str):
     The >= COLLOC_MIN_COUNT filter runs before the first join, so the
     joins move only the collocation-candidate pairs."""
     from ..stages import sampling as sp
-    from .analytics import _merge_partials_ray
 
     ds = read_table(sf_dir, "documents", columns=["text"])
-    pair = _merge_partials_ray(
+    pair = merge_partials_ray(
         ds.map_batches(sp.bpe_pair_partial_counts, batch_format="pyarrow"),
         ["left_tok", "right_tok"], ["n"])
     # vocab-sized; feeds BOTH joins — materialize so the corpus
     # combiner runs once, not once per join
-    uni = _merge_partials_ray(
+    uni = merge_partials_ray(
         ds.map_batches(sp.vocab_partial_counts, batch_format="pyarrow"),
         ["token", ], ["n"]).materialize()
 
@@ -3162,7 +3140,7 @@ def q_entity_resolution(sf_dir: str, block: int = 4096):
 
     from ..functions.hashing import stable_hash64_np
     from ..stages.joins import union_find_components
-    from .analytics import _merge_partials, _tag_bucket
+    from .analytics import _tag_bucket
     p = shuffle_partitions()
 
     docs = read_table(sf_dir, "documents", columns=["doc_id", "text",
@@ -3193,7 +3171,7 @@ def q_entity_resolution(sf_dir: str, block: int = 4096):
     # rank offsets need ONLY n_chars — a separate column-pruned read,
     # so the tokenizing feats pass runs exactly once (in the rank
     # shuffle below), never twice
-    counts = _merge_partials(
+    counts = merge_partials(
         read_table(sf_dir, "documents", columns=["n_chars"])
         .map_batches(val_counts, batch_format="pyarrow"),
         ["n_chars"], ["cnt"]).sort_values("n_chars").reset_index(drop=True)
@@ -3341,7 +3319,6 @@ def q_rank_fusion(sf_dir: str):
     import ray as _ray
 
     from ..stages.text import _ws_token_counts
-    from .analytics import _merge_partials
     p = shuffle_partitions()
 
     docs = read_table(sf_dir, "documents",
@@ -3372,7 +3349,7 @@ def q_rank_fusion(sf_dir: str):
             return pa.table({col: pa.array(u.astype(np.int64)),
                              "cnt": pa.array(c.astype(np.int64))})
 
-        counts = _merge_partials(
+        counts = merge_partials(
             fds.map_batches(val_counts, batch_format="pyarrow"),
             [col], ["cnt"]).sort_values(col).reset_index(drop=True)
         vals = counts[col].to_numpy().astype(np.int64)
@@ -3485,7 +3462,6 @@ def q_sorted_neighborhood_pairs(sf_dir: str,
     N + N·w/B rows; never a global all-to-all sort."""
     import ray as _ray
 
-    from .analytics import _merge_partials
     p = shuffle_partitions()
 
     docs = read_table(sf_dir, "documents", columns=["doc_id", "n_chars"])
@@ -3496,7 +3472,7 @@ def q_sorted_neighborhood_pairs(sf_dir: str,
         return pa.table({"n_chars": pa.array(u.astype(np.int64)),
                          "cnt": pa.array(c.astype(np.int64))})
 
-    counts = _merge_partials(
+    counts = merge_partials(
         docs.map_batches(val_counts, batch_format="pyarrow"),
         ["n_chars"], ["cnt"]).sort_values("n_chars").reset_index(drop=True)
     vals = counts["n_chars"].to_numpy().astype(np.int64)
@@ -3601,10 +3577,10 @@ def q_typo_token_pairs(sf_dir: str):
     gate scale only (the engine side is the scale path)."""
     from ..functions.hashing import stable_hash64_np
     from ..stages.sampling import vocab_partial_counts
-    from .analytics import _merge_partials_ray, _tag_bucket
+    from .analytics import _tag_bucket
 
     ds = read_table(sf_dir, "documents", columns=["text"])
-    vocab = _merge_partials_ray(
+    vocab = merge_partials_ray(
         ds.map_batches(vocab_partial_counts, batch_format="pyarrow"),
         ["token"], ["n"])
 
@@ -3622,7 +3598,7 @@ def q_typo_token_pairs(sf_dir: str):
                 [n, np.ones(len(var), np.int64)]))})
 
     # re-merge (an injected variant may collide with a real token)
-    vocab = _merge_partials_ray(
+    vocab = merge_partials_ray(
         vocab.map_batches(inject, batch_format="pyarrow"),
         ["token"], ["n"])
 
@@ -3850,7 +3826,6 @@ def q_cms_token_counts(sf_dir: str):
     FNV CTE + 4 splitmix chains), so the gate verifies the DISTRIBUTED
     register construction bit-for-bit, not just the estimates."""
     from ..functions.hashing import splitmix64_np, stable_hash64_np
-    from .analytics import _merge_partials, _merge_partials_ray
 
     ds = read_table(sf_dir, "documents", columns=["text"])
 
@@ -3874,7 +3849,7 @@ def q_cms_token_counts(sf_dir: str):
         return pa.table({"r": pa.array(rr), "reg": pa.array(gg),
                          "cnt": pa.array(mat.reshape(-1))})
 
-    regs = _merge_partials(
+    regs = merge_partials(
         ds.map_batches(regs_partial, batch_format="pyarrow"),
         ["r", "reg"], ["cnt"])
     table = np.zeros((CMS_D, CMS_W), dtype=np.int64)
@@ -3882,7 +3857,7 @@ def q_cms_token_counts(sf_dir: str):
         regs["cnt"].to_numpy()
 
     from ..stages import sampling as sp
-    vocab = _merge_partials_ray(
+    vocab = merge_partials_ray(
         ds.map_batches(sp.vocab_partial_counts, batch_format="pyarrow"),
         ["token"], ["n"])
 
@@ -3956,13 +3931,12 @@ def q_vocab_coverage_curve(sf_dir: str):
     union of block top-ks), so the driver sees max(VCC_KS) rows plus
     one scalar total — never the vocabulary."""
     from ..stages import sampling as sp
-    from .analytics import _merge_partials_ray
 
     ds = read_table(sf_dir, "documents", columns=["text"])
     # materialize the vocab-sized merge: it feeds BOTH the top-k and
     # the total below — without this the whole corpus combiner would
     # lazily re-execute per consumer
-    vocab = _merge_partials_ray(
+    vocab = merge_partials_ray(
         ds.map_batches(sp.vocab_partial_counts, batch_format="pyarrow"),
         ["token"], ["n"]).materialize()
     kmax = max(VCC_KS)
@@ -4144,7 +4118,6 @@ def q_positional_index(sf_dir: str):
     np.add.at — float64 bincount weights would lose exactness past
     2^53); bucketed merge; partial top-k per block before the tiny
     driver head. One shuffle of vocabulary-sized partials."""
-    from .analytics import _merge_partials_ray
 
     ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
 
@@ -4184,7 +4157,7 @@ def q_positional_index(sf_dir: str):
                          "df": pa.array(df), "cf": pa.array(cf),
                          "poshash": pa.array(poshash)})
 
-    merged = _merge_partials_ray(
+    merged = merge_partials_ray(
         ds.map_batches(postings_partial, batch_format="pyarrow"),
         ["token"], ["df", "cf", "poshash"])
 
@@ -4367,13 +4340,10 @@ def _redact_oracle_sql() -> str:
 # ----------------------------------------------------------------------
 
 def _load_queries(sf_dir: str, n: int = 4) -> tuple[np.ndarray, list[int]]:
-    import pyarrow.parquet as pq
     # predicate pushdown: only the n query rows leave storage (row-group
     # pruning) — never the whole embedding table
-    tbl = pq.read_table(os.path.join(sf_dir, "embeddings.parquet"),
-                        columns=["vec_id", "embedding"],
-                        filters=[("vec_id", "<", n)])
-    df = tbl.to_pandas().sort_values("vec_id")
+    df = read_local(sf_dir, "embeddings", columns=["vec_id", "embedding"],
+                    filters=[("vec_id", "<", n)]).sort_values("vec_id")
     return np.stack(df["embedding"].to_numpy()).astype(np.float64), \
         df["vec_id"].tolist()
 
@@ -4779,7 +4749,6 @@ def q_crawl_host_counts(sf_dir: str):
     (domain_count.js:40-56). Pre-aggregated per batch. ORACLE-CHECKED:
     DuckDB re-runs the deterministic crawl and recomputes the per-host
     counts independently (_crawl_host_counts_oracle_sql)."""
-    from ray.data.aggregate import Sum
     out = _flagship_crawl(sf_dir)
     docs = read_documents(out)
 
@@ -4787,8 +4756,8 @@ def q_crawl_host_counts(sf_dir: str):
         g = batch.select(["host"]).group_by("host").aggregate([("host", "count")])
         return g.rename_columns(["host", "n_docs"])
 
-    return (docs.map_batches(partial, batch_format="pyarrow")
-            .groupby("host").aggregate(Sum("n_docs", alias_name="n_docs")))
+    return merge_partials_ray(docs.map_batches(partial, batch_format="pyarrow"),
+                              ["host"], ["n_docs"])
 
 
 def q_crawl_simhash_audit(sf_dir: str):
@@ -4797,20 +4766,17 @@ def q_crawl_simhash_audit(sf_dir: str):
     ORACLE-CHECKED: DuckDB re-runs the crawl AND recomputes every
     ingest-time signature from the closed-form token stream
     (_crawl_simhash_audit_oracle_sql)."""
-    from ray.data.aggregate import Count, Min
     out = _flagship_crawl(sf_dir)
     docs = read_documents(out)
 
-    def proj(batch: pa.Table) -> pa.Table:
-        # signed view for the groupby key: uint64 keys ≥ 2^63 overflow
-        # Ray's aggregate output build into pickled-object columns
-        return u64_as_i64(batch.select(["doc_id", "simhash"]), ["simhash"])
+    def partial(batch: pa.Table) -> pa.Table:
+        g = batch.select(["simhash", "doc_id"]).group_by("simhash") \
+                 .aggregate([("doc_id", "count"), ("doc_id", "min")])
+        return g.rename_columns(["simhash", "n_docs", "first_doc"])
 
-    return (docs.map_batches(proj, batch_format="pyarrow")
-            .groupby("simhash").aggregate(Count(alias_name="n_docs"),
-                                          Min("doc_id", alias_name="first_doc"))
-            .map_batches(i64_as_u64, fn_kwargs={"cols": ["simhash"]},
-                         batch_format="pyarrow"))
+    return merge_partials_ray(docs.map_batches(partial, batch_format="pyarrow"),
+                              ["simhash"],
+                              {"n_docs": "sum", "first_doc": "min"})
 
 
 def q_k7_sample_export(sf_dir: str):
@@ -6989,13 +6955,14 @@ def q_dsir_importance(sf_dir: str):
     bound asserted: 1e4*(c_t+1)*(N_r+1) must fit int64 (holds to
     ~sf100 on this corpus; beyond, lift w to object ints)."""
     from ..stages.sampling import doc_bigram_partial_counts
-    from .analytics import _merge_partials_ray
     p = shuffle_partitions()
 
     ds = read_table(sf_dir, "documents",
                     columns=["doc_id", "text", "source"])
-    srcs = ds.groupby("source").count().to_pandas()  # config-sized
-    target = srcs["source"].min()
+    # config-sized: per-batch distinct sources, merged on the driver
+    target = ds.map_batches(
+        lambda t: pa.table({"source": pc.unique(t["source"])}),
+        batch_format="pyarrow").to_pandas()["source"].min()
 
     def totals_batch(batch: pa.Table) -> pa.Table:
         stripped = pc.utf8_trim_whitespace(
@@ -7048,8 +7015,8 @@ def q_dsir_importance(sf_dir: str):
 
     parts = tagged.groupby("_bg").map_groups(score_bucket,
                                              batch_format="pandas")
-    out = _merge_partials_ray(parts, ["doc_id"],
-                              ["n_bigrams", "dsir_score"]).to_pandas()
+    out = merge_partials_ray(parts, ["doc_id"],
+                             ["n_bigrams", "dsir_score"]).to_pandas()
     for c in out.columns:
         out[c] = out[c].astype("int64")
     return out.sort_values("doc_id").reset_index(drop=True)
@@ -7235,7 +7202,6 @@ def q_charclass_profile(sf_dir: str):
     Scale shape: vectorized per-batch class counts + one Arrow
     group_by partial per batch → enum-keyed driver merge (sources are
     config-sized). Zero shuffle."""
-    from .analytics import _merge_partials
     ds = read_table(sf_dir, "documents", columns=["source", "text"])
     vals = ["n_docs", "n_chars"] + [n for n, _ in _CHARCLASS_PATTERNS]
 
@@ -7252,8 +7218,8 @@ def q_charclass_profile(sf_dir: str):
         return pa.table({"source": g["source"],
                          **{v: g[f"{v}_sum"] for v in vals}})
 
-    out = _merge_partials(ds.map_batches(partial, batch_format="pyarrow"),
-                          ["source"], vals)
+    out = merge_partials(ds.map_batches(partial, batch_format="pyarrow"),
+                         ["source"], vals)
     for v in vals:
         out[v] = out[v].astype("int64")
     return out.sort_values("source").reset_index(drop=True)
@@ -7269,7 +7235,6 @@ def q_dup_cluster_sizes(sf_dir: str):
     groupby on content_hash), then histogramming n_dups is a per-block
     bincount partial → tiny merge (the size domain is bounded by the
     largest cluster, not the corpus)."""
-    from .analytics import _merge_partials
     ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
     groups = dd.exact_dedup_groups(ds)
 
@@ -7280,8 +7245,8 @@ def q_dup_cluster_sizes(sf_dir: str):
         return pa.table({"cluster_size": pa.array(sizes.astype(np.int64)),
                          "n_clusters": pa.array(cnt[sizes].astype(np.int64))})
 
-    out = _merge_partials(groups.map_batches(hist, batch_format="pyarrow"),
-                          ["cluster_size"], ["n_clusters"])
+    out = merge_partials(groups.map_batches(hist, batch_format="pyarrow"),
+                         ["cluster_size"], ["n_clusters"])
     out = out.astype({"cluster_size": "int64", "n_clusters": "int64"})
     return out.sort_values("cluster_size").reset_index(drop=True)
 
@@ -7297,7 +7262,6 @@ def q_dedup_savings_by_source(sf_dir: str):
     in-bucket (vectorized transform-min) and only per-source partial
     sums leave the bucket → enum-keyed merge. No driver key set."""
     from ..functions.hashing import md5_id
-    from .analytics import _merge_partials
     ds = read_table(sf_dir, "documents",
                     columns=["doc_id", "source", "text", "n_chars"])
     vals = ["n_docs", "n_removed", "chars_removed", "chars_kept"]
@@ -7328,7 +7292,7 @@ def q_dedup_savings_by_source(sf_dir: str):
                              batch_format="pyarrow")
                 .groupby("_kb").map_groups(bucket_stats,
                                            batch_format="pandas"))
-    out = _merge_partials(partials, ["source"], vals)
+    out = merge_partials(partials, ["source"], vals)
     for v in vals:
         out[v] = out[v].astype("int64")
     return out.sort_values("source").reset_index(drop=True)
@@ -7345,7 +7309,7 @@ def q_token_length_histogram(sf_dir: str, cap: int = 20):
     substrate (per-batch distinct tokens → token-bucketed global
     dedup → per-bucket length bincount → tiny merge over the ≤cap
     length domain)."""
-    from .analytics import _merge_partials, _tag_bucket
+    from .analytics import _tag_bucket
     ds = read_table(sf_dir, "documents", columns=["text"])
 
     def _flat_tokens(batch: pa.Table) -> pa.Array:
@@ -7377,10 +7341,10 @@ def q_token_length_histogram(sf_dir: str, cap: int = 20):
         return pd.DataFrame({"token_len": nz.astype(np.int64),
                              "n_distinct": cnt[nz].astype(np.int64)})
 
-    occ = _merge_partials(
+    occ = merge_partials(
         ds.map_batches(occ_partial, batch_format="pyarrow"),
         ["token_len"], ["n_tokens"])
-    dst = _merge_partials(
+    dst = merge_partials(
         ds.map_batches(tok_partial, batch_format="pyarrow")
         .repartition(shuffle_partitions())
         .map_batches(_tag_bucket(["token"]), batch_format="pyarrow")
@@ -7407,7 +7371,7 @@ def q_ngram_novelty_by_source(sf_dir: str):
     shingle-bucketed global dedup; base membership is decided
     IN-BUCKET (bucketing is by shingle, so a shingle's base row lands
     in the same bucket) → per-source partial → enum merge."""
-    from .analytics import _merge_partials, _tag_bucket
+    from .analytics import _tag_bucket
     ds = read_table(sf_dir, "documents", columns=["source", "text"])
 
     def sh_partial(batch: pa.Table) -> pa.Table:
@@ -7473,7 +7437,7 @@ def q_ngram_novelty_by_source(sf_dir: str):
              .map_batches(_tag_bucket(["shingle"]), batch_format="pyarrow")
              .groupby("_kb").map_groups(bucket_novel,
                                         batch_format="pandas"))
-    out = _merge_partials(parts, ["source"], ["n_shingles", "n_new"])
+    out = merge_partials(parts, ["source"], ["n_shingles", "n_new"])
     out = out.astype({"n_shingles": "int64", "n_new": "int64"})
     return out.sort_values("source").reset_index(drop=True)
 
@@ -7510,7 +7474,7 @@ def q_cross_source_dup_matrix(sf_dir: str, prefix_chars: int = 40):
     counts → enum²-keyed driver merge. The corpus never moves; the
     exchange carries distinct (key, source) rows only."""
     from ..functions.hashing import md5_id
-    from .analytics import _merge_partials, _tag_bucket
+    from .analytics import _tag_bucket
     ds = read_table(sf_dir, "documents", columns=["source", "text"])
 
     def tag(batch: pa.Table) -> pa.Table:
@@ -7535,7 +7499,7 @@ def q_cross_source_dup_matrix(sf_dir: str, prefix_chars: int = 40):
              .map_batches(_tag_bucket(["h"]), batch_format="pyarrow")
              .groupby("_kb").map_groups(bucket_pairs,
                                         batch_format="pandas"))
-    out = _merge_partials(parts, ["src_a", "src_b"], ["n_shared"])
+    out = merge_partials(parts, ["src_a", "src_b"], ["n_shared"])
     out["n_shared"] = out["n_shared"].astype("int64")
     return out.sort_values(["src_a", "src_b"]).reset_index(drop=True)
 
@@ -7554,7 +7518,7 @@ def q_hapax_stats(sf_dir: str):
     in one bucket → per-source partial (sum n / count / count n==1)
     → enum-keyed driver merge. Distinct-token rows only in the
     exchange; no per-doc Python."""
-    from .analytics import _merge_partials, _tag_bucket
+    from .analytics import _tag_bucket
     ds = read_table(sf_dir, "documents", columns=["source", "text"])
 
     def part(batch: pa.Table) -> pa.Table:
@@ -7595,8 +7559,8 @@ def q_hapax_stats(sf_dir: str):
                           batch_format="pyarrow")
              .groupby("_kb").map_groups(bucket_stats,
                                         batch_format="pandas"))
-    out = _merge_partials(parts, ["source"],
-                          ["n_tokens", "n_distinct", "n_hapax"])
+    out = merge_partials(parts, ["source"],
+                         ["n_tokens", "n_distinct", "n_hapax"])
     for c in ["n_tokens", "n_distinct", "n_hapax"]:
         out[c] = out[c].astype("int64")
     return out.sort_values("source").reset_index(drop=True)
@@ -7616,9 +7580,8 @@ def q_freq_of_freqs(sf_dir: str):
     merge over the count-value domain (≤ distinct count values —
     O(√occurrences) by Zipf, trivially enum-sized)."""
     from ..stages import sampling as sp
-    from .analytics import _merge_partials, _merge_partials_ray
     ds = read_table(sf_dir, "documents", columns=["text"])
-    merged = _merge_partials_ray(
+    merged = merge_partials_ray(
         ds.map_batches(sp.vocab_partial_counts, batch_format="pyarrow"),
         ["token"], ["n"])
 
@@ -7628,8 +7591,8 @@ def q_freq_of_freqs(sf_dir: str):
         return pa.table({"freq": pa.array(uniq.astype(np.int64)),
                          "n_types": pa.array(cnt.astype(np.int64))})
 
-    out = _merge_partials(merged.map_batches(hist, batch_format="pyarrow"),
-                          ["freq"], ["n_types"])
+    out = merge_partials(merged.map_batches(hist, batch_format="pyarrow"),
+                         ["freq"], ["n_types"])
     out = out.astype({"freq": "int64", "n_types": "int64"})
     return out.sort_values("freq").reset_index(drop=True)
 
@@ -7648,7 +7611,6 @@ def q_embedding_covariance(sf_dir: str):
     partial rows per block (dimension-bounded, NOT corpus-bounded);
     driver merges O(d² × blocks) ints. The vectors never move."""
     from ..stages.simsearch import _to_matrix, quantize_e3
-    from .analytics import _merge_partials
     ds = read_table(sf_dir, "embeddings", columns=["embedding"])
 
     def part(batch: pa.Table) -> pa.Table:
@@ -7666,8 +7628,8 @@ def q_embedding_covariance(sf_dir: str):
                          "j": pa.array(j.astype(np.int64)),
                          "v": pa.array(v.astype(np.int64))})
 
-    m = _merge_partials(ds.map_batches(part, batch_format="pyarrow"),
-                        ["i", "j"], ["v"])
+    m = merge_partials(ds.map_batches(part, batch_format="pyarrow"),
+                       ["i", "j"], ["v"])
     lut = {(int(a), int(b)): int(c)
            for a, b, c in zip(m["i"], m["j"], m["v"])}
     n = lut[(-1, -1)]
@@ -7856,7 +7818,7 @@ def q_source_cosine_matrix(sf_dir: str):
     emits enum²-sized (src_a, src_b, partial_dot) rows (diagonal =
     norm partials) → tiny driver merge. The vocabulary never reaches
     the driver; the exchange is distinct (source, token) rows only."""
-    from .analytics import _merge_partials, _tag_bucket
+    from .analytics import _tag_bucket
     ds = read_table(sf_dir, "documents", columns=["source", "text"])
 
     def part(batch: pa.Table) -> pa.Table:
@@ -7910,7 +7872,7 @@ def q_source_cosine_matrix(sf_dir: str):
                           batch_format="pyarrow")
              .groupby("_kb").map_groups(bucket_dots,
                                         batch_format="pandas"))
-    merged = _merge_partials(parts, ["src_a", "src_b"], ["dot"])
+    merged = merge_partials(parts, ["src_a", "src_b"], ["dot"])
     merged["dot"] = merged["dot"].astype("int64")
     nrm = (merged[merged["src_a"] == merged["src_b"]]
            .set_index("src_a")["dot"])
@@ -8250,14 +8212,13 @@ def q_surprisal_bits(sf_dir: str):
     per-source partials with argmax carried, tiny driver merge. msb
     via float64 frexp, exact for counts < 2^53 (asserted)."""
     from ..stages import sampling as sp
-    from .analytics import (_merge_partials_ray, _tag_bucket,
-                            _tagged_union_join)
+    from .analytics import _tag_bucket, _tagged_union_join
 
     ds = read_table(sf_dir, "documents",
                     columns=["doc_id", "source", "text"])
 
     # pass A: global token counts, merged in Ray; N from bucket sums
-    vc = _merge_partials_ray(
+    vc = merge_partials_ray(
         ds.map_batches(sp.vocab_partial_counts, batch_format="pyarrow"),
         ["token"], ["n"])
 
@@ -8410,7 +8371,6 @@ def q_cdc_merge_stats(sf_dir: str):
     derived in place; a keyed external change feed would route through
     the bucketed semi-join instead (stages/joins)."""
     from ..stages.sampling import row_hash
-    from .analytics import _merge_partials
 
     ds = read_table(sf_dir, "documents",
                     columns=["doc_id", "source", "n_chars"])
@@ -8445,7 +8405,7 @@ def q_cdc_merge_stats(sf_dir: str):
             "n_chars_sum": pa.array(nch_sum),
             "id_sum": pa.array(id_sum)})
 
-    out = _merge_partials(
+    out = merge_partials(
         ds.map_batches(apply_and_stats, batch_format="pyarrow"),
         ["source"], ["n_docs", "n_chars_sum", "id_sum"])
     for c in ["n_docs", "n_chars_sum", "id_sum"]:
@@ -8489,7 +8449,6 @@ def q_gopher_rules(sf_dir: str):
     composite-key unique), flags vectorized, factorize-by-source sums
     → enum-sized partials, tiny driver merge. Zero shuffle; the
     tokens never leave the batch."""
-    from .analytics import _merge_partials
     ds = read_table(sf_dir, "documents", columns=["source", "text"])
     cols = ["n_docs", "n_short", "n_long", "n_wordlen", "n_stop",
             "n_ttr", "n_pass"]
@@ -8536,8 +8495,8 @@ def q_gopher_rules(sf_dir: str):
         return pa.table({"source": pa.array(names.astype(object)),
                          **{c: pa.array(v) for c, v in zip(cols, sums)}})
 
-    out = _merge_partials(ds.map_batches(part, batch_format="pyarrow"),
-                          ["source"], cols)
+    out = merge_partials(ds.map_batches(part, batch_format="pyarrow"),
+                         ["source"], cols)
     for c in cols:
         out[c] = out[c].astype("int64")
     return out.sort_values("source").reset_index(drop=True)
@@ -8585,7 +8544,7 @@ def q_simpson_diversity(sf_dir: str):
     global counts → per-bucket Σn / Σn(n−1) partials → enum-keyed
     driver merge; the final float is computed once per source with
     the identical expression in SQL."""
-    from .analytics import _merge_partials, _tag_bucket
+    from .analytics import _tag_bucket
     ds = read_table(sf_dir, "documents", columns=["source", "text"])
 
     def part(batch: pa.Table) -> pa.Table:
@@ -8625,7 +8584,7 @@ def q_simpson_diversity(sf_dir: str):
                           batch_format="pyarrow")
              .groupby("_kb").map_groups(bucket_stats,
                                         batch_format="pandas"))
-    out = _merge_partials(parts, ["source"], ["n_tokens", "coll"])
+    out = merge_partials(parts, ["source"], ["n_tokens", "coll"])
     out["n_tokens"] = out["n_tokens"].astype("int64")
     out["coll"] = out["coll"].astype("int64")
     nt = out["n_tokens"].to_numpy(dtype=np.int64)
@@ -9157,13 +9116,10 @@ def q_mmr_selection(sf_dir: str):
     round, k config-sized. The SQL twin replays incrementally (the
     newest pick's 64 dim rows joined per round, running greatest()
     max-sim chain)."""
-    import pyarrow.parquet as _pq
-
     import ray as _ray
 
     from ..stages.simsearch import _to_matrix, quantize_e3
 
-    root = sf_dir.rstrip("/")
     ds = read_table(sf_dir, "embeddings",
                     columns=["vec_id", "embedding"])
 
@@ -9177,9 +9133,9 @@ def q_mmr_selection(sf_dir: str):
               .to_pandas()["vec_id"].min())
 
     def read_vec(vid: int) -> np.ndarray:
-        t = _pq.read_table(f"{root}/embeddings.parquet",
-                           columns=["vec_id", "embedding"],
-                           filters=[("vec_id", "=", vid)]).to_pandas()
+        t = read_local(sf_dir, "embeddings",
+                       columns=["vec_id", "embedding"],
+                       filters=[("vec_id", "=", vid)])
         return quantize_e3(np.asarray(t["embedding"].iloc[0],
                                       np.float64)[None, :]) \
             .astype(np.int64)[0]
@@ -9320,8 +9276,7 @@ def q_balanced_label_sample(sf_dir: str):
         g = batch.group_by(["label"]).aggregate([("vec_id", "count")])
         return g.rename_columns(["label", "n"])
 
-    from .analytics import _merge_partials
-    counts = _merge_partials(
+    counts = merge_partials(
         ds.map_batches(cnt, batch_format="pyarrow"), ["label"], ["n"])
     m = int(counts["n"].min())
 
@@ -9619,16 +9574,15 @@ def q_bpe_train_merges(sf_dir: str, rounds: int = BPE_ROUNDS):
 
     Scale shape: the corpus-sized pass is the distributed
     word-frequency combiner (vocab_partial_counts →
-    _merge_partials_ray); the trainer loop runs on the VOCAB-sized
+    merge_partials_ray); the trainer loop runs on the VOCAB-sized
     word table on the driver — the standard BPE shape (every real
     trainer iterates a word-count table, not the corpus). The oracle
     replays the rounds as chained MATERIALIZED CTEs over the same
     unnested token counts."""
     from ..stages import sampling as sp
-    from .analytics import _merge_partials_ray
 
     ds = read_table(sf_dir, "documents", columns=["text"])
-    vc = _merge_partials_ray(
+    vc = merge_partials_ray(
         ds.map_batches(sp.vocab_partial_counts,
                        batch_format="pyarrow"),
         ["token"], ["n"]).to_pandas()

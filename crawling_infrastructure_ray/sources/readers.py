@@ -2,6 +2,9 @@
 
 ``read_table`` is the standard entry: parquet with column pruning
 (prune at the read — only requested columns leave storage).
+``read_local`` reads a small table on the driver, with no Ray Data
+execution: broadcast join sides, config-sized dimensions and
+predicate-pruned lookups.
 ``read_items_file`` replaces the reference's hand-rolled 5 MB chunked
 newline reader (lib/misc/helpers.ts:49-94 chunkRead) with
 ``ray.data.read_text``, which chunks into blocks natively and streams.
@@ -11,6 +14,7 @@ from __future__ import annotations
 
 import os
 
+import pandas as pd
 import ray.data as rd
 
 
@@ -19,6 +23,17 @@ def read_table(sf_dir: str, name: str, columns: list[str] | None = None,
     """Read one synthetic table with column pruning pushed to the scan."""
     path = os.path.join(sf_dir, f"{name}.parquet")
     return rd.read_parquet(path, columns=columns, **kwargs)
+
+
+def read_local(sf_dir: str, name: str, columns: list[str] | None = None,
+               filters: list | None = None) -> pd.DataFrame:
+    """One synthetic table (or the row groups ``filters`` keeps) read
+    straight into driver memory with pyarrow. For sides that are small
+    by construction: a Ray Data read would cost a whole execution
+    (tens of milliseconds of scheduling) to move a few kilobytes."""
+    import pyarrow.parquet as pq
+    return pq.read_table(os.path.join(sf_dir, f"{name}.parquet"),
+                         columns=columns, filters=filters).to_pandas()
 
 
 def read_items_file(path: str, chunk_bytes: int = 5 << 20) -> rd.Dataset:

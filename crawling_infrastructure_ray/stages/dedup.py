@@ -6,9 +6,10 @@ SimHash, n-gram Jaccard, and embedding-cosine near-dup.
 
 Scale shape (the part that matters at 100 TB):
 - exact: content-hash per batch (vectorized) → PARTIAL per-batch
-  combine (one row per hash per batch) → small groupby(Min/Sum)
-  — the pre-aggregate-before-shuffle pattern, so the all-to-all
-  exchange moves one row per distinct hash per batch, not per doc.
+  combine (one row per hash per batch) → the engine's keyed reduce
+  (min id, summed counts) — the pre-aggregate-before-shuffle
+  pattern, so the all-to-all exchange moves one row per distinct
+  hash per batch, not per doc.
 - MinHash/SimHash: sketches computed per batch with numpy; candidates
   via groupby on (band_id, band_hash) — the shuffle key is the band
   bucket, bounded by band width; verification is per-bucket pairwise
@@ -31,7 +32,8 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
-from ..functions.bucketing import shuffle_partitions, tag_bucket_fn
+from ..functions.bucketing import (merge_partials_ray, shuffle_partitions,
+                                   tag_bucket_fn)
 from ..functions.hashing import md5_id, stable_hash64
 from ..functions.tokenize import split_ws
 
@@ -49,7 +51,6 @@ def content_hash_batch(batch: pa.Table, column: str = "text") -> pa.Table:
 def exact_dedup_groups(ds: rd.Dataset, id_column: str = "doc_id",
                        column: str = "text") -> rd.Dataset:
     """(content_hash, keep_doc_id, n_dups): first (min id) per content."""
-    from ray.data.aggregate import Min, Sum
 
     def partial(batch: pa.Table) -> pa.Table:
         # per-batch combine: one row per hash per batch (pre-aggregation
@@ -61,10 +62,9 @@ def exact_dedup_groups(ds: rd.Dataset, id_column: str = "doc_id",
             keep_doc_id=("doc_id", "min"), n_dups=("doc_id", "size"))
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    partials = ds.map_batches(partial, batch_format="pyarrow")
-    return partials.groupby("content_hash").aggregate(
-        Min("keep_doc_id", alias_name="keep_doc_id"),
-        Sum("n_dups", alias_name="n_dups"))
+    return merge_partials_ray(ds.map_batches(partial, batch_format="pyarrow"),
+                              ["content_hash"],
+                              {"keep_doc_id": "min", "n_dups": "sum"})
 
 
 def exact_dedup_keep_first(ds: rd.Dataset, id_column: str = "doc_id",
@@ -318,7 +318,7 @@ def lsh_candidate_pairs_ds(band_rows: rd.Dataset, *,
 
     # consolidate the band stage's many small band-row blocks before
     # the sort-based groupby (per-block sort overhead dominates at
-    # small batch_size; same trick as analytics._merge_partials_ray)
+    # small batch_size)
     p = shuffle_partitions()
     return (band_rows.map_batches(_tag_bucket_partition(2 * p),
                                   batch_format="pyarrow")
@@ -1339,7 +1339,6 @@ def dup_window_stats(ds: rd.Dataset, *, window: int = RK_WINDOW,
     set is computed per hash-bucket (never on the driver) and dup
     membership is the distributed bucketed semi-join; per-doc counts
     merge in Ray."""
-    from ..pipelines.analytics import _merge_partials_ray
     from .joins import bucketed_semi_join
 
     wins = ds.map_batches(window_hash_batch,
@@ -1374,7 +1373,7 @@ def dup_window_stats(ds: rd.Dataset, *, window: int = RK_WINDOW,
     totals = ds.map_batches(window_totals_batch,
                             fn_kwargs={"window": window, "column": column},
                             batch_format="pyarrow")
-    return _merge_partials_ray(
+    return merge_partials_ray(
         totals.union(dup.map_batches(dup_partial, batch_format="pyarrow")),
         ["doc_id"], ["n_windows", "n_dup_windows"])
 

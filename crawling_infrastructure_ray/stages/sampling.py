@@ -15,7 +15,7 @@ Scale notes (100 TB):
   shingle-hash set is `ray.put` once and probed per batch with
   `np.isin` — never a corpus-vs-corpus shuffle.
 - Vocabulary is combiner-first: per-batch token counts (factorize →
-  bincount) before the bucketed all-to-all (`_merge_partials_ray`),
+  bincount) before the bucketed all-to-all (`merge_partials_ray`),
   so the exchange carries distinct-token partials, not the token
   stream.
 - Curriculum binning computes a GLOBAL rank without a global sort:

@@ -2,9 +2,10 @@
 
 Brute-force cosine top-k is the exact baseline: the query matrix is
 broadcast once with ``ray.put`` and every ``map_batches`` task does one
-numpy matmul against its batch, emitting per-batch top-k partials;
-a final small groupby merges partials into global top-k. Shuffle cost:
-one (k × queries) row set per batch — never the full corpus.
+numpy matmul against its batch, emitting per-batch top-k partials
+(``_block_topk``); the driver merges them into the global top-k
+(``merge_topk``). Partials are at most k × queries rows per batch —
+never the full corpus — so no shuffle is needed.
 
 The IVF variant is the scale path: k-means-ish centroids (sampled,
 seeded), each vector assigned to its nearest centroid at index build;
@@ -49,6 +50,49 @@ def _normalize(mat: np.ndarray) -> np.ndarray:
     return mat / norms
 
 
+def _block_topk(sims: np.ndarray, ids: np.ndarray, qids: list,
+                k: int) -> pa.Table:
+    """Per-block partial of the top-k: for each query row of ``sims``
+    (queries × block), its k best finite entries by (cosine desc,
+    neighbor_id asc). Candidates are every entry at or above the k-th
+    best cosine, so ties at the k-th place keep the smallest ids."""
+    out_q, out_n, out_s = [], [], []
+    for qi, s in enumerate(sims):
+        cand = np.flatnonzero(np.isfinite(s))
+        if len(cand) > k:
+            cut = len(cand) - k
+            cand = cand[s[cand] >= np.partition(s[cand], cut)[cut]]
+        top = cand[np.lexsort((ids[cand], -s[cand]))][:k]
+        out_q.extend([qids[qi]] * len(top))
+        out_n.extend(ids[top].tolist())
+        out_s.extend(s[top].tolist())
+    return pa.table({"query_id": pa.array(out_q),
+                     "neighbor_id": pa.array(out_n),
+                     "cosine": pa.array(out_s, pa.float64())})
+
+
+def merge_topk(partials: rd.Dataset, k: int) -> pd.DataFrame:
+    """Driver merge of ``_block_topk`` partials into (query_id,
+    neighbor_id, cosine, rank): rank 1..k per query by (cosine desc,
+    neighbor_id asc), cosine rounded to 4 places. Blocks stream in one
+    at a time and only the running top k per query is kept, so the
+    driver holds queries × k rows plus one block's partial however many
+    blocks the corpus has, and no Ray shuffle runs."""
+    cols = ["query_id", "neighbor_id", "cosine", "rank"]
+    df = None
+    for b in partials.iter_batches(batch_size=None, batch_format="pandas"):
+        if df is not None:
+            b = pd.concat([df, b], ignore_index=True)
+        df = (b.sort_values(["query_id", "cosine", "neighbor_id"],
+                            ascending=[True, False, True])
+              .groupby("query_id").head(k))
+    if df is None or df.empty:
+        return pd.DataFrame({c: [] for c in cols})
+    df["rank"] = df.groupby("query_id").cumcount() + 1
+    df["cosine"] = np.round(df["cosine"], 4)
+    return df[cols].reset_index(drop=True)
+
+
 def brute_force_topk(ds: rd.Dataset, queries: np.ndarray, query_ids: list,
                      k: int = 10, *, id_column: str = "vec_id",
                      column: str = "embedding") -> pd.DataFrame:
@@ -57,39 +101,15 @@ def brute_force_topk(ds: rd.Dataset, queries: np.ndarray, query_ids: list,
     Deterministic tie-break (cosine desc, neighbor_id asc).
     """
     qn = _normalize(np.asarray(queries, dtype=np.float64))
-    q_ref = ray.put(qn)
-    qid_ref = ray.put(list(query_ids))
+    q_ref = ray.put((qn, list(query_ids)))
 
     def partial_topk(batch: pa.Table) -> pa.Table:
-        q = ray.get(q_ref)
-        qids = ray.get(qid_ref)
+        q, qids = ray.get(q_ref)
         ids = np.asarray(batch[id_column].to_pylist())
-        mat = _normalize(_to_matrix(batch[column]))
-        sims = q @ mat.T                       # (nq, batch)
-        nq, nb = sims.shape
-        kk = min(k, nb)
-        out_q, out_n, out_s = [], [], []
-        for qi in range(nq):
-            idx = np.argpartition(-sims[qi], kk - 1)[:kk]
-            out_q.extend([qids[qi]] * kk)
-            out_n.extend(ids[idx].tolist())
-            out_s.extend(sims[qi, idx].tolist())
-        return pa.table({"query_id": pa.array(out_q),
-                         "neighbor_id": pa.array(out_n),
-                         "cosine": pa.array(out_s, pa.float64())})
+        sims = q @ _normalize(_to_matrix(batch[column])).T
+        return _block_topk(sims, ids, qids, k)
 
-    partials = ds.map_batches(partial_topk, batch_format="pyarrow")
-
-    def merge(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values(["cosine", "neighbor_id"],
-                              ascending=[False, True]).head(k).copy()
-        g["rank"] = np.arange(1, len(g) + 1)
-        g["cosine"] = np.round(g["cosine"], 4)
-        return g
-
-    out = partials.groupby("query_id").map_groups(merge, batch_format="pandas")
-    return (out.to_pandas().sort_values(["query_id", "rank"])
-            .reset_index(drop=True))
+    return merge_topk(ds.map_batches(partial_topk, batch_format="pyarrow"), k)
 
 
 class IVFIndex:
@@ -226,9 +246,10 @@ class IVFIndex:
         """Distributed probe: prune to the probed centroid partitions
         with a vectorized ``pc.is_in`` filter (NOT a per-row Python
         lambda), compute per-batch partial top-k for every query in one
-        matmul per batch, and merge partials per query in map_groups —
-        the same partial-top-k shape as ``brute_force_topk``, restricted
-        to the probed partitions. The full index is never collected."""
+        matmul per batch (entries outside a query's probed partitions
+        score -inf), and merge the partials on the driver — the same
+        partial-top-k shape as ``brute_force_topk``, restricted to the
+        probed partitions. The full index is never collected."""
         qn = _normalize(np.asarray(queries, dtype=np.float64))
         probe = np.argsort(-(qn @ self.centroids.T), axis=1)[:, :nprobe]
         wanted_arr = pa.array(sorted({int(c) for row in probe for c in row}),
@@ -250,39 +271,12 @@ class IVFIndex:
             cents = b["centroid"].to_numpy(zero_copy_only=False)
             mat = np.stack([np.asarray(v) for v in b["nvec"].to_pylist()])
             sims = q @ mat.T                      # (nq, batch)
-            out_q, out_n, out_s = [], [], []
             for qi in range(q.shape[0]):
-                m = np.isin(cents, list(psets[qi]))
-                if not m.any():
-                    continue
-                s = sims[qi][m]
-                kk = min(k, s.size)
-                idx = np.argpartition(-s, kk - 1)[:kk]
-                out_q.extend([qids[qi]] * kk)
-                out_n.extend(ids[m][idx].tolist())
-                out_s.extend(s[idx].tolist())
-            return pa.table({"query_id": pa.array(out_q),
-                             "neighbor_id": pa.array(out_n),
-                             "cosine": pa.array(out_s, pa.float64())})
+                sims[qi, ~np.isin(cents, list(psets[qi]))] = -np.inf
+            return _block_topk(sims, ids, qids, k)
 
-        partials = self.assigned.map_batches(partial_topk,
-                                             batch_format="pyarrow")
-
-        def merge(group: pd.DataFrame) -> pd.DataFrame:
-            g = group.sort_values(["cosine", "neighbor_id"],
-                                  ascending=[False, True]).head(k).copy()
-            g["rank"] = np.arange(1, len(g) + 1)
-            g["cosine"] = np.round(g["cosine"], 4)
-            return g
-
-        out = (partials.groupby("query_id")
-               .map_groups(merge, batch_format="pandas").to_pandas())
-        if out.empty:
-            return pd.DataFrame({"query_id": [], "neighbor_id": [],
-                                 "cosine": [], "rank": []})
-        return (out.sort_values(["query_id", "rank"])
-                [["query_id", "neighbor_id", "cosine", "rank"]]
-                .reset_index(drop=True))
+        return merge_topk(self.assigned.map_batches(partial_topk,
+                                                    batch_format="pyarrow"), k)
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,10 @@
 """Local mirror of the driver's correctness gate: every queries()
 entry with an oracle_sql() twin must match DuckDB on the same parquet
-(row count + schema + values), at sf0.001 for speed (the driver runs
-sf0.01)."""
+(column names, row count, and a dtype-exact value hash), at sf0.001
+for speed (the driver runs sf0.01). The hash is the one
+``tools/strict_mirror.py`` uses: values are rendered to strings
+before hashing, so an int64 column that drifts to float64 fails even
+when the numbers match."""
 
 import duckdb
 import pandas as pd
@@ -9,6 +12,7 @@ import pyarrow as pa
 import pytest
 
 import __ray_entry__ as entrymod
+from tools.strict_mirror import norm, strict_hash
 
 SF = "/root/testdata/sf0.001"
 TABLES = ["region", "nation", "customer", "supplier", "part", "orders",
@@ -22,16 +26,6 @@ def con():
         c.execute(f"CREATE VIEW {t} AS SELECT * FROM "
                   f"read_parquet('{SF}/{t}.parquet')")
     return c
-
-
-def _norm(df: pd.DataFrame) -> pd.DataFrame:
-    df = pd.DataFrame(df)
-    df = df[sorted(df.columns)]
-    for c in df.columns:
-        if pd.api.types.is_float_dtype(df[c]):
-            if df[c].abs().max() < 1e9:  # scaling in round() is lossy above
-                df[c] = df[c].round(6)
-    return df.sort_values(list(df.columns)).reset_index(drop=True)
 
 
 _QUERIES = entrymod.queries()
@@ -49,15 +43,19 @@ def _run(name):
     return pd.DataFrame(res)
 
 
-@pytest.mark.parametrize("name", _CHECKED)
-def test_query_matches_oracle(ray_session, con, name):
-    got = _norm(_run(name))
-    want = _norm(con.execute(_SQLS[name]).fetchdf())
+def assert_matches_oracle(con, name: str, result) -> None:
+    got = norm(result)
+    want = norm(con.execute(_SQLS[name]).fetchdf())
     assert list(got.columns) == list(want.columns), \
         f"{name}: columns {list(got.columns)} != {list(want.columns)}"
     assert len(got) == len(want), f"{name}: rows {len(got)} != {len(want)}"
-    pd.testing.assert_frame_equal(got, want, check_dtype=False,
-                                  check_exact=False, rtol=0, atol=1e-9)
+    assert strict_hash(got) == strict_hash(want), \
+        f"{name}: values or dtypes differ\n{got.dtypes}\n{want.dtypes}"
+
+
+@pytest.mark.parametrize("name", _CHECKED)
+def test_query_matches_oracle(ray_session, con, name):
+    assert_matches_oracle(con, name, _run(name))
 
 
 @pytest.mark.parametrize("name", _ROWS_ONLY)

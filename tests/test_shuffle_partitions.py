@@ -8,15 +8,14 @@ import re
 import sys
 
 import duckdb
-import pandas as pd
 import pytest
 
 from crawling_infrastructure_ray.functions import bucketing
-from test_queries_oracle import SF, TABLES, _SQLS, _norm, _run
+from test_queries_oracle import SF, TABLES, _run, assert_matches_oracle
 
 PKG = pathlib.Path(bucketing.__file__).resolve().parents[1]
 
-# one query per shuffle shape: _merge_partials_ray (o6, g4, g6), the
+# one query per shuffle shape: merge_partials_ray (o6, g4, g6), the
 # j2 bucketed join (key % B, B not a power of two at width 5), a
 # windowed per-bucket reduce, a stages/joins semi-join, and the
 # shingle-partitioned exact and prefix-filtered dedup joins
@@ -56,12 +55,7 @@ def test_results_do_not_depend_on_shuffle_width(ray_session, monkeypatch,
                                                 con, width, name):
     _force_width(monkeypatch, width)
     assert bucketing.shuffle_partitions() == width
-    got = _norm(_run(name))
-    want = _norm(con.execute(_SQLS[name]).fetchdf())
-    assert list(got.columns) == list(want.columns)
-    assert len(got) == len(want), f"{name}: rows {len(got)} != {len(want)}"
-    pd.testing.assert_frame_equal(got, want, check_dtype=False,
-                                  check_exact=False, rtol=0, atol=1e-9)
+    assert_matches_oracle(con, name, _run(name))
 
 
 def test_repartition_width_has_one_home():
