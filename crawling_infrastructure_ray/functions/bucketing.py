@@ -1,16 +1,17 @@
-"""The engine's ONE bucket tagger, ONE shuffle width and ONE keyed
-reduce.
+"""The engine's ONE bucket tagger, ONE plan width, ONE bucket exchange
+and ONE keyed reduce.
 
 Every shuffle-by-hash stage (final reduces in pipelines/analytics,
 semi/anti joins in stages/joins, LSH bucket→partition routing in
 stages/dedup) tags rows with the same vectorized batch fn so the
 "key combination → exactly one bucket" invariant is enforced in a
 single place and no shuffle-tag stage ever hashes per row in Python.
-How many partitions such a shuffle uses is ``shuffle_partitions()``.
-Both final merges of a combiner aggregation, ``merge_partials`` on
-the driver and ``merge_partials_ray`` in Ray, reduce with
-``reduce_partials``. They live here, not next to the queries, because
-reduce tasks import their module and this one is cheap to import.
+How wide a plan runs is ``shuffle_partitions()``. Every per-bucket
+stage runs through ``map_buckets``. Both final merges of a combiner
+aggregation, ``merge_partials`` on the driver and
+``merge_partials_ray`` in Ray, reduce with ``reduce_partials``. They
+live here, not next to the queries, because reduce tasks import their
+module and this one is cheap to import.
 """
 
 from __future__ import annotations
@@ -21,19 +22,23 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 import ray.data as rd
+from ray.data.block import BlockAccessor
 
 from .hashing import stable_hash64
 
 
 def shuffle_partitions() -> int:
-    """Width of every hash shuffle: the cluster's CPU count, capped at
-    32. A partition count only sets parallelism (every key lands
-    wholly in one bucket and every per-bucket reduce sorts before it
-    sums), so the width follows the CPUs that run the shuffle's map
-    and reduce tasks: on one CPU a 32-way shuffle is 64 queued tasks
-    of pure per-task overhead. Key-bucket counts are twice this (64
-    at 32 CPUs). Call it on the driver once per query plan, never
-    inside a batch function."""
+    """Width of every Ray Data plan: the cluster's CPU count, capped at
+    32. Table reads ask for this many blocks
+    (``sources.readers.read_table``, ``sources.storage.read_dataset``)
+    and every bucket exchange (``map_buckets``) routes into this many
+    partitions. A width only sets parallelism (every key lands wholly
+    in one bucket and every per-bucket reduce sorts before it sums),
+    so it follows the CPUs that run the tasks: on one CPU a 32-way
+    shuffle is 64 queued tasks of pure per-task overhead, and a read
+    split into 1 MiB blocks is one partial task per block. Key-bucket
+    counts are often twice this (64 at 32 CPUs). Call it on the
+    driver once per query plan, never inside a batch function."""
     return max(1, min(32, int(ray.cluster_resources().get("CPU", 1))))
 
 
@@ -83,36 +88,75 @@ def merge_partials_ray(partials: rd.Dataset, keys: list[str],
     ``"max"``; a plain list means every column is summed. A count is
     the sum of per-batch counts.
 
-    Shape, with P = ``shuffle_partitions()``: each row is tagged with
-    an integer bucket = hash(keys) % P inside the partial's own map
-    task (the tag fuses with the partial), one range shuffle on the
-    bucket routes bucket b to output block b, and each block is
-    reduced with one vectorized pandas groupby. That is the plan of
-    Ray's own ``map_groups`` (sort, then whole-block batches), but the
-    sort's boundaries are the bucket numbers, given up front, so Ray
-    runs no sampling pass. Every key lands wholly in one bucket, so
-    per-block results are exact global results whatever P is. On one
-    CPU (P = 1) there is nothing to route: a single map task takes the
-    whole partial set as one batch, so the reduce costs no all-to-all
-    barrier at all.
+    Shape: ``map_buckets`` over B = P = ``shuffle_partitions()`` key
+    buckets, each reduced with one vectorized pandas groupby. The tag
+    fuses with the partial's own map task. Every key lands wholly in
+    one bucket, so per-bucket results are exact global results
+    whatever P is.
 
     Input that filters to zero rows gives zero rows. It carries no
     schema: Ray skips batch functions on empty blocks, and
     ``to_pandas`` drops zero-row blocks."""
     spec = _agg_spec(aggs)
 
-    def reduce_block(g: pd.DataFrame) -> pd.DataFrame:
+    def reduce_bucket(g: pd.DataFrame) -> pd.DataFrame:
         return reduce_partials(g, keys, spec)
 
-    p = shuffle_partitions()
+    return map_buckets(partials, keys, reduce_bucket)
+
+
+def map_buckets(ds: rd.Dataset, keys_or_tag: list[str] | str, fn,
+                num_buckets: int | None = None,
+                batch_format: str = "pandas") -> rd.Dataset:
+    """The engine's one bucket exchange: call ``fn`` once per bucket
+    with all of that bucket's rows, as ``ds.groupby(tag).map_groups(fn)``
+    would, and return the concatenated results.
+
+    ``keys_or_tag`` is either the key columns, which are tagged here
+    into column ``_kb`` = hash(keys) % B by ``tag_bucket_fn``, or the
+    name of an integer tag column the caller already holds, whose
+    values lie in [0, B). B = ``num_buckets``, by default
+    ``shuffle_partitions()``. ``fn`` sees the tag column, and gets a
+    pandas frame or an Arrow table as ``batch_format`` says.
+
+    Plan, with P = min(B, ``shuffle_partitions()``): at P = 1 there is
+    nothing to route, so one map task takes the whole input as one
+    batch and splits it by bucket. At P > 1, one range sort on the tag
+    with boundaries given up front (no sampling pass, no repartition)
+    sends the buckets [⌈iB/P⌉, ⌈(i+1)B/P⌉) to output block i, and a
+    whole-block map splits each block by bucket. That is the plan of
+    Ray's own ``map_groups``, less the sampling pass, and with one
+    partition per CPU instead of one per input block."""
+    width = shuffle_partitions()
+    b = num_buckets or width
+    p = min(b, width)
+    if isinstance(keys_or_tag, str):
+        tag = keys_or_tag
+    else:
+        tag = "_kb"
+        ds = ds.map_batches(tag_bucket_fn(keys_or_tag, b),
+                            batch_format="pyarrow")
+
+    def split_block(block):
+        acc = BlockAccessor.for_block(block)
+        t = np.asarray(acc.to_numpy(tag))
+        if len(t) == 0:
+            return
+        if (t[1:] < t[:-1]).any():
+            order = np.argsort(t, kind="stable")
+            acc = BlockAccessor.for_block(acc.take(order))
+            t = t[order]
+        cuts = [0, *(np.flatnonzero(t[1:] != t[:-1]) + 1).tolist(), len(t)]
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            group = BlockAccessor.for_block(acc.slice(lo, hi, copy=False))
+            yield fn(group.to_batch_format(batch_format))
+
     if p == 1:
-        return partials.map_batches(reduce_block, batch_size=1 << 62,
-                                    batch_format="pandas")
-    return (partials.map_batches(tag_bucket_fn(keys, p),
-                                 batch_format="pyarrow")
-            .sort("_kb", boundaries=list(range(1, p)))
-            .map_batches(reduce_block, batch_size=None,
-                         batch_format="pandas"))
+        return ds.map_batches(split_block, batch_size=1 << 62,
+                              batch_format=None)
+    bounds = [-(-i * b // p) for i in range(1, p)]
+    return (ds.sort(tag, boundaries=bounds)
+            .map_batches(split_block, batch_size=None, batch_format=None))
 
 
 def tag_bucket_fn(keys: list[str], num_buckets: int | None = None,
@@ -128,6 +172,9 @@ def tag_bucket_fn(keys: list[str], num_buckets: int | None = None,
 
     def tag(batch: pa.Table) -> pa.Table:
         n = batch.num_rows
+        if num_buckets == 1:
+            return batch.append_column(col_name,
+                                       pa.array(np.zeros(n, np.int64)))
         acc = np.zeros(n, dtype=np.uint64)
         with np.errstate(over="ignore"):
             for c in keys:

@@ -12,9 +12,18 @@ Scale notes baked in:
   storage;
 - big groupbys pre-aggregate inside ``map_batches`` (one row per key
   per batch) before the shuffle;
+- every plan is as wide as the session: tables are read into
+  ``shuffle_partitions()`` blocks, one per CPU, so a one-CPU session
+  runs one task per stage;
+- every per-bucket stage (windows, per-key reduces, bucketed joins)
+  runs through the one bucket exchange, ``bucketing.map_buckets``: one
+  map task on one CPU, one boundary sort (no sampling pass, no
+  repartition) on more; only real keys (event types, sources) still
+  group natively;
 - data-sized key sets (hosts, parts, content hashes) merge through the
   one Ray keyed reduce, ``bucketing.merge_partials_ray`` (per-column
-  sum/min/max); no query runs Ray's native ``groupby().aggregate``;
+  sum/min/max, on ``map_buckets``); no query runs Ray's native
+  ``groupby().aggregate``;
 - partials bounded by the schema or the request (enum keys, top-k
   rows, ≤ queries × k neighbours per block) merge on the driver
   (``bucketing.merge_partials``; ``simsearch.merge_topk`` streams the
@@ -25,8 +34,8 @@ Scale notes baked in:
   (``sources.readers.read_local``, no Ray Data execution), broadcast
   via ``ray.put`` and looked up inside ``map_batches`` — no shuffle;
 - the one deliberate large-large join (j2) is an explicit bucketed
-  hash join: both sides keyed bucket = hash(key) % B, per-bucket
-  pandas merge inside ``map_groups``.
+  hash join: both sides keyed bucket = key % B, one Arrow join and
+  group-by per bucket inside ``map_buckets``.
 """
 
 from __future__ import annotations
@@ -45,8 +54,8 @@ from ray.data.aggregate import Count, Sum
 # shared with pipelines/training, stages/joins and stages/dedup so the
 # bucket invariant and the no-per-row-Python rule are enforced in one
 # place
-from ..functions.bucketing import (merge_partials, merge_partials_ray,
-                                   shuffle_partitions)
+from ..functions.bucketing import (map_buckets, merge_partials,
+                                   merge_partials_ray, shuffle_partitions)
 from ..functions.bucketing import tag_bucket_fn as _tag_bucket
 from ..sources.readers import read_local, read_table
 from ..stages.html import clean_html_string
@@ -182,10 +191,8 @@ def q_g6_distinct_users(sf_dir: str):
     def count_bucket(g: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame([{"n": np.int64(g["user_id"].nunique())}])
 
-    counts = (ds.map_batches(partial, batch_format="pyarrow")
-              .repartition(shuffle_partitions())
-              .map_batches(_tag_bucket(["user_id"]), batch_format="pyarrow")
-              .groupby("_kb").map_groups(count_bucket, batch_format="pandas")
+    counts = (map_buckets(ds.map_batches(partial, batch_format="pyarrow"),
+                          ["user_id"], count_bucket)
               .to_pandas())
     return pd.DataFrame([{"n_distinct_users": int(counts["n"].sum())}])
 
@@ -404,20 +411,26 @@ def q_j4_customers_without_p_orders(sf_dir: str, *, broadcast: bool = False):
 
 def q_j2_bucketed_join_revenue(sf_dir: str):
     """Large-large partitioned hash join: lineitem ⋈ orders on
-    orderkey, explicit bucket = key % B on both sides, per-bucket
-    pandas merge in map_groups, then partial-sum + final groupby
-    (the ray_guide portable join pattern; skew-salting would split
-    hot buckets). The union shuffles through P = ``shuffle_partitions()``
-    partitions into B = 2P key buckets, so per-bucket join tasks
-    saturate the CPUs (B = 64 at 32 cpus measured 2x faster than 16
-    buckets, and ~4x faster than this Ray version's native
-    Dataset.join — see q_j3_native_hash_join); on one CPU, P = 1 and
-    B = 2 keep the task count from outgrowing the work."""
-    p = shuffle_partitions()
-    num_buckets = 2 * p
+    orderkey, explicit bucket = key % B on both sides, one Arrow join
+    and status group-by per bucket, then a driver merge of the
+    per-bucket status sums (the ray_guide portable join pattern;
+    skew-salting would split hot buckets). Both sides union into one
+    ``map_buckets`` exchange with B = 2P key buckets,
+    P = ``shuffle_partitions()``: on one CPU that is a single map task,
+    and at P CPUs one boundary sort into P partitions. This Ray
+    version's native Dataset.join measured ~4x slower at 32 CPUs (see
+    q_j3_native_hash_join)."""
+    num_buckets = 2 * shuffle_partitions()
     li = read_table(sf_dir, "lineitem",
                     columns=["l_orderkey", "l_extendedprice", "l_discount"])
     orders = read_table(sf_dir, "orders", columns=["o_orderkey", "o_orderstatus"])
+
+    def side(key: pa.Array, revenue, n_lines, status, is_l: bool) -> pa.Table:
+        b = key.to_numpy(zero_copy_only=False) % num_buckets
+        return pa.table({"key": key, "bucket": pa.array(b.astype(np.int64)),
+                         "revenue_e4": revenue, "n_lines": n_lines,
+                         "status": status,
+                         "is_l": pa.array(np.full(len(b), is_l))})
 
     def tag_li(batch: pa.Table) -> pa.Table:
         # exact integer 1e-4 units (see q_q1 determinism note)
@@ -430,59 +443,28 @@ def q_j2_bucketed_join_revenue(sf_dir: str):
         t = pa.table({"key": batch["l_orderkey"], "revenue_e4": rev})
         g = t.group_by("key").aggregate([("revenue_e4", "sum"),
                                          ("revenue_e4", "count")])
-        g = g.rename_columns(["key", "revenue_e4", "n_lines"])
-        key = g["key"].to_numpy(zero_copy_only=False)
-        b = pa.array((key % num_buckets).astype(np.int32))
-        return pa.table({"key": g["key"], "bucket": b,
-                         "revenue_e4": g["revenue_e4"],
-                         "n_lines": pc.cast(g["n_lines"], pa.int64()),
-                         "side": pa.array(["l"] * g.num_rows)})
+        return side(g["key"], g["revenue_e4_sum"],
+                    pc.cast(g["revenue_e4_count"], pa.int64()),
+                    pa.nulls(g.num_rows, pa.string()), True)
 
     def tag_o(batch: pa.Table) -> pa.Table:
-        key = batch["o_orderkey"].to_numpy(zero_copy_only=False)
-        b = pa.array((key % num_buckets).astype(np.int32))
-        return pa.table({"key": batch["o_orderkey"], "bucket": b,
-                         "status": batch["o_orderstatus"]})
-
-    li_t = li.map_batches(tag_li, batch_format="pyarrow")
-    o_t = orders.map_batches(tag_o, batch_format="pyarrow")
-
-    # union both sides with aligned schemas, group by bucket, join inside
-    def widen_l(batch: pa.Table) -> pa.Table:
         n = batch.num_rows
-        return pa.table({"key": batch["key"], "bucket": batch["bucket"],
-                         "revenue_e4": batch["revenue_e4"],
-                         "n_lines": batch["n_lines"],
-                         "status": pa.array([None] * n, pa.string()),
-                         "side": batch["side"]})
+        return side(batch["o_orderkey"], pa.nulls(n, pa.int64()),
+                    pa.nulls(n, pa.int64()), batch["o_orderstatus"], False)
 
-    def widen_o(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        return pa.table({"key": batch["key"], "bucket": batch["bucket"],
-                         "revenue_e4": pa.array([None] * n, pa.int64()),
-                         "n_lines": pa.array([None] * n, pa.int64()),
-                         "status": batch["status"],
-                         "side": pa.array(["o"] * n)})
+    def join_bucket(g: pa.Table) -> pa.Table:
+        left = g.filter(g["is_l"]).select(["key", "revenue_e4", "n_lines"])
+        right = g.filter(pc.invert(g["is_l"])).select(["key", "status"])
+        m = left.join(right, "key", join_type="inner")
+        out = m.group_by("status").aggregate([("n_lines", "sum"),
+                                              ("revenue_e4", "sum")])
+        return pa.table({"o_orderstatus": out["status"],
+                         "n_lines": out["n_lines_sum"],
+                         "revenue_e4": out["revenue_e4_sum"]})
 
-    both = li_t.map_batches(widen_l, batch_format="pyarrow").union(
-        o_t.map_batches(widen_o, batch_format="pyarrow"))
-    # consolidate the two sides' many small blocks before the sort-based
-    # groupby: Ray's sort pays per-block overhead, and 32 consolidated
-    # partitions measured ~1.7x faster end-to-end at 32 cpus than
-    # feeding the raw union; same all-to-all volume
-    both = both.repartition(p)
-
-    def join_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        left = group[group["side"] == "l"][["key", "revenue_e4", "n_lines"]]
-        right = group[group["side"] == "o"][["key", "status"]]
-        m = left.merge(right, on="key", how="inner")
-        if m.empty:
-            return pd.DataFrame({"o_orderstatus": [], "n_lines": [], "revenue_e4": []})
-        g = m.groupby("status", as_index=False).agg(
-            n_lines=("n_lines", "sum"), revenue_e4=("revenue_e4", "sum"))
-        return g.rename(columns={"status": "o_orderstatus"})
-
-    partials = both.groupby("bucket").map_groups(join_bucket, batch_format="pandas")
+    both = (li.map_batches(tag_li, batch_format="pyarrow")
+            .union(orders.map_batches(tag_o, batch_format="pyarrow")))
+    partials = map_buckets(both, "bucket", join_bucket, num_buckets, "pyarrow")
     final = merge_partials(partials, ["o_orderstatus"],
                            ["n_lines", "revenue_e4"])
     final["revenue_e4"] = final["revenue_e4"].astype("int64")
@@ -786,8 +768,6 @@ def q_part_ntile(sf_dir: str, k: int = 4):
     documented scale path — NTILE needs each partition's total order."""
     part = read_table(sf_dir, "part",
                       columns=["p_partkey", "p_brand", "p_retailprice"])
-    tag = _tag_bucket(["p_brand"], col_name="_nb")
-
     def tile_bucket(g: pd.DataFrame) -> pd.DataFrame:
         outs = []
         for brand, grp in g.groupby("p_brand"):
@@ -811,9 +791,7 @@ def q_part_ntile(sf_dir: str, k: int = 4):
                           "price_c": pd.Series([], dtype="int64"),
                           "tile": pd.Series([], dtype="int64")})
 
-    out = (part.map_batches(tag, batch_format="pyarrow")
-           .groupby("_nb").map_groups(tile_bucket, batch_format="pandas")
-           .to_pandas())
+    out = map_buckets(part, ["p_brand"], tile_bucket).to_pandas()
     return out.sort_values(["p_brand", "p_partkey"]).reset_index(drop=True)
 
 
@@ -827,8 +805,6 @@ def q_percentile_rank_parts(sf_dir: str):
     per-row work, no per-tie grouping."""
     part = read_table(sf_dir, "part",
                       columns=["p_partkey", "p_brand", "p_retailprice"])
-    tag = _tag_bucket(["p_brand"], col_name="_pb")
-
     def rank_bucket(g: pd.DataFrame) -> pd.DataFrame:
         outs = []
         for brand, grp in g.groupby("p_brand"):
@@ -852,9 +828,7 @@ def q_percentile_rank_parts(sf_dir: str):
                           "pr_e6": pd.Series([], dtype="int64"),
                           "cd_e6": pd.Series([], dtype="int64")})
 
-    out = (part.map_batches(tag, batch_format="pyarrow")
-           .groupby("_pb").map_groups(rank_bucket, batch_format="pandas")
-           .to_pandas())
+    out = map_buckets(part, ["p_brand"], rank_bucket).to_pandas()
     return out.sort_values(["p_brand", "p_partkey"]).reset_index(drop=True)
 
 
@@ -916,8 +890,7 @@ def q_user_timeline(sf_dir: str):
                 pa.scalar("order:"), t["o_orderstatus"], "")})
 
     both = (ev.map_batches(ev_side, batch_format="pyarrow")
-            .union(od.map_batches(od_side, batch_format="pyarrow"))
-            .repartition(shuffle_partitions()))
+            .union(od.map_batches(od_side, batch_format="pyarrow")))
 
     def seq_bucket(g: pd.DataFrame) -> pd.DataFrame:
         ts = g["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
@@ -932,9 +905,7 @@ def q_user_timeline(sf_dir: str):
             "item": g["item"],
             "seq": seq.astype(np.int64)})
 
-    return (both.map_batches(_tag_bucket(["user_id"], col_name="_zb"),
-                             batch_format="pyarrow")
-            .groupby("_zb").map_groups(seq_bucket, batch_format="pandas"))
+    return map_buckets(both, ["user_id"], seq_bucket)
 
 
 def q_crawl_fairness(sf_dir: str):
@@ -1163,10 +1134,7 @@ def q_events_session_window(sf_dir: str, gap_minutes: int = 30):
         return out[["user_id", "session_id", "n_events",
                     "session_start", "session_end"]]
 
-    return (ds.repartition(shuffle_partitions())
-            .map_batches(_tag_bucket(["user_id"]), batch_format="pyarrow")
-            .groupby("_kb").map_groups(sessionize_bucket,
-                                       batch_format="pandas"))
+    return map_buckets(ds, ["user_id"], sessionize_bucket)
 
 
 def q_latest_event_per_user(sf_dir: str):
@@ -1189,9 +1157,7 @@ def q_latest_event_per_user(sf_dir: str):
     def reduce_bucket(g: pd.DataFrame) -> pd.DataFrame:
         return latest_in(g)[["user_id", "event_id", "ts", "event_type"]]
 
-    return (partials.repartition(shuffle_partitions())
-            .map_batches(_tag_bucket(["user_id"]), batch_format="pyarrow")
-            .groupby("_kb").map_groups(reduce_bucket, batch_format="pandas"))
+    return map_buckets(partials, ["user_id"], reduce_bucket)
 
 
 def q_events_ffill_daily(sf_dir: str):
@@ -1236,9 +1202,7 @@ def q_events_ffill_daily(sf_dir: str):
                           "value_c": pd.Series([], dtype="int64"),
                           "is_observed": pd.Series([], dtype="int64")})
 
-    return (ds.map_batches(_tag_bucket(["user_id"], col_name="_fb"),
-                           batch_format="pyarrow")
-            .groupby("_fb").map_groups(fill_bucket, batch_format="pandas"))
+    return map_buckets(ds, ["user_id"], fill_bucket)
 
 
 def q_profile_events(sf_dir: str):
@@ -1311,11 +1275,8 @@ def q_profile_events(sf_dir: str):
         return out
 
     dist = merge_partials(
-        ds.map_batches(distinct_partial, batch_format="pyarrow")
-        .repartition(shuffle_partitions())
-        .map_batches(_tag_bucket(["column", "val"], col_name="_kb"),
-                     batch_format="pyarrow")
-        .groupby("_kb").map_groups(count_bucket, batch_format="pandas"),
+        map_buckets(ds.map_batches(distinct_partial, batch_format="pyarrow"),
+                    ["column", "val"], count_bucket),
         ["column"], ["n_distinct"])
 
     st = ds.map_batches(stats_partial, batch_format="pyarrow").to_pandas()
@@ -1384,11 +1345,8 @@ def q_basket_rules(sf_dir: str):
                              "n": cnts.astype("int64")})
 
     hist = merge_partials(
-        ds.map_batches(mask_partial, batch_format="pandas")
-        .repartition(shuffle_partitions())
-        .map_batches(_tag_bucket(["user_id", "h"], col_name="_kb"),
-                     batch_format="pyarrow")
-        .groupby("_kb").map_groups(mask_hist, batch_format="pandas"),
+        map_buckets(ds.map_batches(mask_partial, batch_format="pandas"),
+                    ["user_id", "h"], mask_hist),
         ["mask"], ["n"])
 
     masks = hist["mask"].to_numpy().astype(np.int64)
@@ -1462,11 +1420,7 @@ def q_events_ohlc_hourly(sf_dir: str):
                                   "low_c", "close_c", "n")})
 
     partials = ds.map_batches(partial, batch_format="pandas")
-    return (partials.repartition(shuffle_partitions())
-            .map_batches(_tag_bucket(["user_id", "h"], col_name="_kb"),
-                         batch_format="pyarrow")
-            .groupby("_kb").map_groups(reduce_bucket,
-                                       batch_format="pandas"))
+    return map_buckets(partials, ["user_id", "h"], reduce_bucket)
 
 
 def q_throttle_events(sf_dir: str, gap_hours: int = 24):
@@ -1514,9 +1468,7 @@ def q_throttle_events(sf_dir: str, gap_hours: int = 24):
                           "ts": pd.Series([], dtype="datetime64[us]"),
                           "keep_rank": pd.Series([], dtype="int64")})
 
-    return (ds.map_batches(_tag_bucket(["user_id"], col_name="_tb"),
-                           batch_format="pyarrow")
-            .groupby("_tb").map_groups(chain_bucket, batch_format="pandas"))
+    return map_buckets(ds, ["user_id"], chain_bucket)
 
 
 def q_events_cumsum(sf_dir: str):
@@ -1533,15 +1485,13 @@ def q_events_cumsum(sf_dir: str):
                           .astype("int64") + 1)
         return g[["user_id", "event_id", "running_n"]]
 
-    return (ds.repartition(shuffle_partitions())
-            .map_batches(_tag_bucket(["user_id"]), batch_format="pyarrow")
-            .groupby("_kb").map_groups(cum_bucket, batch_format="pandas"))
+    return map_buckets(ds, ["user_id"], cum_bucket)
 
 
 # ----------------------------------------------------------------------
 # extended joins / windows the Dataset API lacks natively (r03):
 # as-of join, range join, grouped top-k, rolling frame, pivot, rollup.
-# Each is a composition of map_batches + bucketed map_groups (the
+# Each is a composition of map_batches + map_buckets (the
 # partitioning assumption: every key lives wholly in one bucket), per
 # the custom-operator guidance — no raw actors needed.
 # ----------------------------------------------------------------------
@@ -1571,10 +1521,6 @@ def q_asof_last_click(sf_dir: str):
                      value_set=pa.array(["purchase", "click"]))
         return batch.filter(m)
 
-    tagged = (ds.map_batches(keep, batch_format="pyarrow")
-              .repartition(shuffle_partitions())
-              .map_batches(_tag_bucket(["user_id"]), batch_format="pyarrow"))
-
     out_cols = ["event_id", "user_id", "ts", "click_event_id", "click_ts"]
 
     def asof_bucket(g: pd.DataFrame) -> pd.DataFrame:
@@ -1598,8 +1544,8 @@ def q_asof_last_click(sf_dir: str):
         out["click_event_id"] = out["click_event_id"].astype("int64")
         return out[out_cols]
 
-    return tagged.groupby("_kb").map_groups(asof_bucket,
-                                            batch_format="pandas")
+    return map_buckets(ds.map_batches(keep, batch_format="pyarrow"),
+                       ["user_id"], asof_bucket)
 
 
 def q_range_join_click_views(sf_dir: str):
@@ -1627,10 +1573,6 @@ def q_range_join_click_views(sf_dir: str):
                      value_set=pa.array(["click", "view"]))
         return batch.filter(m)
 
-    tagged = (ds.map_batches(keep, batch_format="pyarrow")
-              .repartition(shuffle_partitions())
-              .map_batches(_tag_bucket(["user_id"]), batch_format="pyarrow"))
-
     def count_bucket(g: pd.DataFrame) -> pd.DataFrame:
         is_click = (g["event_type"] == "click").to_numpy()
         ts = g["ts"].to_numpy().astype("datetime64[us]").view("int64")
@@ -1655,8 +1597,8 @@ def q_range_join_click_views(sf_dir: str):
             "user_id": users[is_click],
             "n_views_10m": (hi - lo).astype("int64")})
 
-    return tagged.groupby("_kb").map_groups(count_bucket,
-                                            batch_format="pandas")
+    return map_buckets(ds.map_batches(keep, batch_format="pyarrow"),
+                       ["user_id"], count_bucket)
 
 
 def q_topk_per_group(sf_dir: str, k: int = 3):
@@ -1684,9 +1626,7 @@ def q_topk_per_group(sf_dir: str, k: int = 3):
                      .astype("int64") + 1)
         return g[["source", "doc_id", "n_chars", "rank"]]
 
-    return (partials.repartition(shuffle_partitions())
-            .map_batches(_tag_bucket(["source"]), batch_format="pyarrow")
-            .groupby("_kb").map_groups(reduce_bucket, batch_format="pandas"))
+    return map_buckets(partials, ["source"], reduce_bucket)
 
 
 def q_rolling_window_value(sf_dir: str):
@@ -1712,9 +1652,7 @@ def q_rolling_window_value(sf_dir: str):
         g["n_in_window"] = np.minimum(grp.cumcount() + 1, 3).astype("int64")
         return g[["user_id", "event_id", "rolling_sum_c", "n_in_window"]]
 
-    return (ds.repartition(shuffle_partitions())
-            .map_batches(_tag_bucket(["user_id"]), batch_format="pyarrow")
-            .groupby("_kb").map_groups(roll_bucket, batch_format="pandas"))
+    return map_buckets(ds, ["user_id"], roll_bucket)
 
 
 def q_bloom_semi_orders(sf_dir: str):
@@ -1772,9 +1710,7 @@ def q_scd2_intervals(sf_dir: str):
             "valid_to_us": nxt,
             "value_c": (g["value"] * 100).round().astype("int64")})
 
-    return (ds.repartition(shuffle_partitions())
-            .map_batches(_tag_bucket(["user_id"]), batch_format="pyarrow")
-            .groupby("_kb").map_groups(scd_bucket, batch_format="pandas"))
+    return map_buckets(ds, ["user_id"], scd_bucket)
 
 
 def _scd2_oracle_sql() -> str:
@@ -1802,7 +1738,7 @@ def q_normalize_value_per_user(sf_dir: str):
     re-reads events and probes the per-user bounds via a user-bucketed
     tagged-union join — never a driver-held bounds map (users are
     data-sized)."""
-    p = shuffle_partitions()
+    b = 2 * shuffle_partitions()
     ds = read_table(sf_dir, "events", columns=["user_id", "event_id",
                                                "value"])
 
@@ -1820,12 +1756,9 @@ def q_normalize_value_per_user(sf_dir: str):
         return g.groupby("user_id", as_index=False).agg(
             vmin=("vmin", "min"), vmax=("vmax", "max"))
 
-    tag = _tag_bucket(["user_id"], 2 * p, "_jb")
-    bounds = (ds.map_batches(bounds_partial, batch_format="pyarrow")
-              .repartition(p)
-              .map_batches(tag, batch_format="pyarrow")
-              .groupby("_jb").map_groups(bounds_reduce,
-                                         batch_format="pandas"))
+    bounds = map_buckets(
+        ds.map_batches(bounds_partial, batch_format="pyarrow"),
+        ["user_id"], bounds_reduce, b)
 
     def b_side(batch: pa.Table) -> pa.Table:
         n = batch.num_rows
@@ -1864,12 +1797,9 @@ def q_normalize_value_per_user(sf_dir: str):
                              .astype(np.int64),
                              "norm_e6": norm.astype(np.int64)})
 
-    return (bounds.map_batches(b_side, batch_format="pyarrow")
-            .union(ds.map_batches(e_side, batch_format="pyarrow"))
-            .map_batches(tag, batch_format="pyarrow")
-            .repartition(p)
-            .groupby("_jb").map_groups(norm_bucket,
-                                       batch_format="pandas"))
+    both = (bounds.map_batches(b_side, batch_format="pyarrow")
+            .union(ds.map_batches(e_side, batch_format="pyarrow")))
+    return map_buckets(both, ["user_id"], norm_bucket, b)
 
 
 def _normalize_value_oracle_sql() -> str:
@@ -2106,10 +2036,7 @@ def q_event_trigrams(sf_dir: str):
             "t3": uniq[(vals % k).astype(np.int64)],
             "n": cnts.astype(np.int64)})
 
-    parts = (ds.repartition(shuffle_partitions())
-             .map_batches(_tag_bucket(["user_id"]), batch_format="pyarrow")
-             .groupby("_kb").map_groups(tri_bucket,
-                                        batch_format="pandas"))
+    parts = map_buckets(ds, ["user_id"], tri_bucket)
     out = merge_partials(parts, ["t1", "t2", "t3"], ["n"])
     out["n"] = out["n"].astype("int64")
     return (out.sort_values(["n", "t1", "t2", "t3"],
@@ -2407,18 +2334,10 @@ def q_covisit_user_pairs(sf_dir: str):
             out[c] = out[c].astype("int64")
         return out
 
-    p = shuffle_partitions()
-    ctx_tag = _tag_bucket(["day", "event_type"], 2 * p, "_cb")
-    pair_tag = _tag_bucket(["user_a", "user_b"], 2 * p, "_pb")
-    return (trip.map_batches(ctx_tag, batch_format="pyarrow")
-            .repartition(p)
-            .groupby("_cb").map_groups(
-                lambda g: pairs_in_ctx(dedup_ctx(g)),
-                batch_format="pandas")
-            .map_batches(pair_tag, batch_format="pyarrow")
-            .repartition(p)
-            .groupby("_pb").map_groups(reduce_pairs,
-                                       batch_format="pandas"))
+    b = 2 * shuffle_partitions()
+    pairs = map_buckets(trip, ["day", "event_type"],
+                        lambda g: pairs_in_ctx(dedup_ctx(g)), b)
+    return map_buckets(pairs, ["user_a", "user_b"], reduce_pairs, b)
 
 
 def _covisit_oracle_sql() -> str:
@@ -2470,9 +2389,7 @@ def q_trailing_window_value(sf_dir: str):
         g["n_in_range"] = (hi - lo).astype("int64")
         return g[["user_id", "event_id", "trailing_sum_c", "n_in_range"]]
 
-    return (ds.repartition(shuffle_partitions())
-            .map_batches(_tag_bucket(["user_id"]), batch_format="pyarrow")
-            .groupby("_kb").map_groups(trail_bucket, batch_format="pandas"))
+    return map_buckets(ds, ["user_id"], trail_bucket)
 
 
 EWMA_W = 16  # EWMA window: alpha=1/2 truncated to 16 terms
@@ -2514,9 +2431,7 @@ def q_events_ewma(sf_dir: str):
             "event_id": g["event_id"].astype("int64"),
             "ewma16_c": out.astype("int64")})
 
-    return (ds.repartition(shuffle_partitions())
-            .map_batches(_tag_bucket(["user_id"]), batch_format="pyarrow")
-            .groupby("_kb").map_groups(ewma_bucket, batch_format="pandas"))
+    return map_buckets(ds, ["user_id"], ewma_bucket)
 
 
 REGR_EPOCH_US = 1_704_067_200_000_000  # 2024-01-01, the corpus origin
@@ -2628,9 +2543,7 @@ def q_late_event_flags(sf_dir: str):
             agg[c] = agg[c].astype("int64")
         return agg
 
-    return (ds.repartition(shuffle_partitions())
-            .map_batches(_tag_bucket(["user_id"]), batch_format="pyarrow")
-            .groupby("_kb").map_groups(late_bucket, batch_format="pandas"))
+    return map_buckets(ds, ["user_id"], late_bucket)
 
 
 def _late_events_oracle_sql() -> str:
@@ -2771,8 +2684,7 @@ def q_q13_customer_distribution(sf_dir: str):
     c_count histogram PARTIAL, and the final merge is enum-keyed
     (c_count has a config-sized domain) so the driver reduce is a few
     dozen rows."""
-    from ..functions.bucketing import tag_bucket_fn
-    p = shuffle_partitions()
+    b = 2 * shuffle_partitions()
 
     ords = read_table(sf_dir, "orders", columns=["o_custkey"])
     cust = read_table(sf_dir, "customer", columns=["c_custkey"])
@@ -2787,7 +2699,7 @@ def q_q13_customer_distribution(sf_dir: str):
         ords.map_batches(cnt_partials, batch_format="pyarrow"),
         ["c_custkey"], ["n_orders"])
 
-    tag = tag_bucket_fn(["c_custkey"], 2 * p, "jbucket")
+    tag = _tag_bucket(["c_custkey"], b, "jbucket")
 
     def tag_cust(t: pa.Table) -> pa.Table:
         return tag(pa.table({
@@ -2800,8 +2712,7 @@ def q_q13_customer_distribution(sf_dir: str):
             "n_orders": pc.cast(t["n_orders"], pa.int64())}))
 
     both = (cust.map_batches(tag_cust, batch_format="pyarrow")
-            .union(counts.map_batches(tag_counts, batch_format="pyarrow"))
-            .repartition(p))
+            .union(counts.map_batches(tag_counts, batch_format="pyarrow")))
 
     def hist_bucket(g: pd.DataFrame) -> pd.DataFrame:
         cnt_rows = g[g["n_orders"].notna()]
@@ -2813,8 +2724,7 @@ def q_q13_customer_distribution(sf_dir: str):
         return pd.DataFrame({"c_count": u.astype("int64"),
                              "custdist": n.astype("int64")})
 
-    parts = (both.groupby("jbucket")
-             .map_groups(hist_bucket, batch_format="pandas").to_pandas())
+    parts = map_buckets(both, "jbucket", hist_bucket, b).to_pandas()
     out = (parts.groupby("c_count", as_index=False)["custdist"].sum()
            .sort_values(["custdist", "c_count"],
                         ascending=[False, False])
@@ -2885,15 +2795,14 @@ def _tagged_union_join(left: rd.Dataset, right: rd.Dataset, key: str,
                        join_bucket) -> rd.Dataset:
     """Large-large bucketed hash join core (the j2/q13 shape, shared):
     both sides already carry aligned schemas plus a ``side`` column;
-    tag bucket = hash(key) % B on each, union, consolidate blocks,
-    and run ``join_bucket`` (a pandas group fn) per bucket. Every key
+    tag bucket = hash(key) % B on each, union, and run ``join_bucket``
+    (a pandas group fn) per bucket through ``map_buckets``. Every key
     lands wholly in one bucket, so per-bucket joins are exact."""
-    p = shuffle_partitions()
-    tag = _tag_bucket([key], 2 * p, "_jb")
+    b = 2 * shuffle_partitions()
+    tag = _tag_bucket([key], b, "_jb")
     both = (left.map_batches(tag, batch_format="pyarrow")
-            .union(right.map_batches(tag, batch_format="pyarrow"))
-            .repartition(p))
-    return both.groupby("_jb").map_groups(join_bucket, batch_format="pandas")
+            .union(right.map_batches(tag, batch_format="pyarrow")))
+    return map_buckets(both, "_jb", join_bucket, b)
 
 
 def q_q5_local_supplier_volume(sf_dir: str):
@@ -4056,12 +3965,8 @@ def q_hopping_distinct_users(sf_dir: str):
         return (d.groupby("w_us", as_index=False)
                 .agg(n_users=("user_id", "size")))
 
-    parts = (ds.map_batches(pairs, batch_format="pyarrow")
-             .repartition(shuffle_partitions())
-             .map_batches(_tag_bucket(["w_us", "user_id"]),
-                          batch_format="pyarrow")
-             .groupby("_kb").map_groups(count_bucket,
-                                        batch_format="pandas"))
+    parts = map_buckets(ds.map_batches(pairs, batch_format="pyarrow"),
+                        ["w_us", "user_id"], count_bucket)
     out = merge_partials_ray(parts, ["w_us"], ["n_users"]).to_pandas()
     out["window_start"] = pd.to_datetime(out.pop("w_us"), unit="us")
     out["n_users"] = out["n_users"].astype("int64")
@@ -4163,10 +4068,8 @@ def q_sessionize_events(sf_dir: str, session_gap_us: int = 28_800_000_000):
                            "n_events": "int64", "start_us": "int64",
                            "end_us": "int64"})
 
-    out = (ds.map_batches(to_us, batch_format="pyarrow")
-           .repartition(shuffle_partitions())
-           .map_batches(_tag_bucket(["user_id"]), batch_format="pyarrow")
-           .groupby("_kb").map_groups(sessions_bucket, batch_format="pandas")
+    out = (map_buckets(ds.map_batches(to_us, batch_format="pyarrow"),
+                       ["user_id"], sessions_bucket)
            .to_pandas())
     for c in out.columns:
         out[c] = out[c].astype("int64")
@@ -4207,10 +4110,8 @@ def q_events_lag_gaps(sf_dir: str, long_gap_us: int = 3_600_000_000):
         return res.astype({"user_id": "int64", "n_events": "int64",
                            "max_gap_us": "int64", "n_long_gaps": "int64"})
 
-    out = (ds.map_batches(to_us, batch_format="pyarrow")
-           .repartition(shuffle_partitions())
-           .map_batches(_tag_bucket(["user_id"]), batch_format="pyarrow")
-           .groupby("_kb").map_groups(gaps_bucket, batch_format="pandas")
+    out = (map_buckets(ds.map_batches(to_us, batch_format="pyarrow"),
+                       ["user_id"], gaps_bucket)
            .to_pandas())
     for c in out.columns:
         out[c] = out[c].astype("int64")
@@ -4327,9 +4228,7 @@ def q_quantiles_value_per_type(sf_dir: str):
             rows.append(row)
         return pd.DataFrame(rows)
 
-    out = (merged.map_batches(_tag_bucket(["event_type"]),
-                              batch_format="pyarrow")
-           .groupby("_kb").map_groups(quant_bucket, batch_format="pandas")
+    out = (map_buckets(merged, ["event_type"], quant_bucket)
            .to_pandas())
     for c in ["n_events"] + [q[0] for q in _QUANTILES]:
         out[c] = out[c].astype("int64")
@@ -4372,10 +4271,7 @@ def q_winsorize_value(sf_dir: str):
                          "lo": pick(1, 20), "hi": pick(19, 20)})
         return pd.DataFrame(rows)
 
-    bounds = (merged.map_batches(_tag_bucket(["event_type"]),
-                                 batch_format="pyarrow")
-              .groupby("_kb").map_groups(bounds_bucket,
-                                         batch_format="pandas")
+    bounds = (map_buckets(merged, ["event_type"], bounds_bucket)
               .to_pandas())  # enum-sized: one row per event type
     bmap = {r.event_type: (int(r.lo), int(r.hi))
             for r in bounds.itertuples()}
@@ -4416,12 +4312,8 @@ def q_distinct_users_per_type(sf_dir: str):
         out = g.groupby("event_type", as_index=False).size()
         return out.rename(columns={"size": "n_users"})
 
-    partials = (ds.map_batches(pair_dedup, batch_format="pyarrow")
-                .repartition(shuffle_partitions())
-                .map_batches(_tag_bucket(["event_type", "user_id"]),
-                             batch_format="pyarrow")
-                .groupby("_kb").map_groups(count_bucket,
-                                           batch_format="pandas"))
+    partials = map_buckets(ds.map_batches(pair_dedup, batch_format="pyarrow"),
+                           ["event_type", "user_id"], count_bucket)
     out = merge_partials(partials, ["event_type"], ["n_users"])
     out["n_users"] = out["n_users"].astype("int64")
     return out.reset_index(drop=True)
@@ -4458,9 +4350,7 @@ def q_median_value_per_type(sf_dir: str):
                          "median_value_c": med})
         return pd.DataFrame(rows)
 
-    out = (merged.map_batches(_tag_bucket(["event_type"]),
-                              batch_format="pyarrow")
-           .groupby("_kb").map_groups(median_bucket, batch_format="pandas")
+    out = (map_buckets(merged, ["event_type"], median_bucket)
            .to_pandas())
     for c in ("n_events", "median_value_c"):
         out[c] = out[c].astype("int64")
@@ -4500,9 +4390,7 @@ def q_median_cont_value_per_type(sf_dir: str):
                          "med2x_c": lo + hi})
         return pd.DataFrame(rows)
 
-    out = (merged.map_batches(_tag_bucket(["event_type"]),
-                              batch_format="pyarrow")
-           .groupby("_kb").map_groups(pick_bucket, batch_format="pandas")
+    out = (map_buckets(merged, ["event_type"], pick_bucket)
            .to_pandas())
     for c in ("n_events", "med2x_c"):
         out[c] = out[c].astype("int64")
@@ -4545,10 +4433,7 @@ def q_weighted_median_chars(sf_dir: str):
                              int(grp["n_chars"].to_numpy()[idx])})
         return pd.DataFrame(rows)
 
-    out = (merged.map_batches(_tag_bucket(["source"]),
-                              batch_format="pyarrow")
-           .groupby("_kb").map_groups(wmedian_bucket,
-                                      batch_format="pandas")
+    out = (map_buckets(merged, ["source"], wmedian_bucket)
            .to_pandas())
     out["wmedian_chars"] = out["wmedian_chars"].astype("int64")
     return out.sort_values("source").reset_index(drop=True)
@@ -4580,9 +4465,7 @@ def q_mode_chars_per_source(sf_dir: str):
                                    "n": "n_mode"})[
             ["source", "mode_chars", "n_mode"]]
 
-    out = (merged.map_batches(_tag_bucket(["source"]),
-                              batch_format="pyarrow")
-           .groupby("_kb").map_groups(mode_bucket, batch_format="pandas")
+    out = (map_buckets(merged, ["source"], mode_bucket)
            .to_pandas())
     for c in ("mode_chars", "n_mode"):
         out[c] = out[c].astype("int64")
@@ -4693,9 +4576,7 @@ def q_value_outliers_mad(sf_dir: str):
                          "n_outliers": int(n_[ad > 3 * mad].sum())})
         return pd.DataFrame(rows)
 
-    out = (merged.map_batches(_tag_bucket(["event_type"]),
-                              batch_format="pyarrow")
-           .groupby("_kb").map_groups(mad_bucket, batch_format="pandas")
+    out = (map_buckets(merged, ["event_type"], mad_bucket)
            .to_pandas())
     for c in ("n_events", "median_value_c", "mad_c", "n_outliers"):
         out[c] = out[c].astype("int64")
@@ -4748,11 +4629,8 @@ def q_part_pareto_frontier(sf_dir: str):
                   | dominated_cheaper.to_numpy())]
         return out[["p_partkey", "p_brand", "price_c", "p_size"]]
 
-    out = (ds.map_batches(to_c, batch_format="pyarrow")
-           .repartition(shuffle_partitions())
-           .map_batches(_tag_bucket(["p_brand"]), batch_format="pyarrow")
-           .groupby("_kb").map_groups(skyline_bucket,
-                                      batch_format="pandas")
+    out = (map_buckets(ds.map_batches(to_c, batch_format="pyarrow"),
+                       ["p_brand"], skyline_bucket)
            .to_pandas())
     for c in ["p_partkey", "price_c", "p_size"]:
         out[c] = out[c].astype("int64")
@@ -4854,10 +4732,8 @@ def q_events_funnel(sf_dir: str):
         return out[["user_id", "view_us", "click_us", "purchase_us"]] \
             .astype("int64")
 
-    out = (ds.map_batches(to_us, batch_format="pyarrow")
-           .repartition(shuffle_partitions())
-           .map_batches(_tag_bucket(["user_id"]), batch_format="pyarrow")
-           .groupby("_kb").map_groups(funnel_bucket, batch_format="pandas")
+    out = (map_buckets(ds.map_batches(to_us, batch_format="pyarrow"),
+                       ["user_id"], funnel_bucket)
            .to_pandas())
     for c in out.columns:
         out[c] = out[c].astype("int64")
@@ -4899,10 +4775,8 @@ def q_interval_coverage(sf_dir: str):
         return (islands.groupby("user_id", as_index=False)
                 .agg(n_intervals=("isl", "size"), covered_us=("cov", "sum")))
 
-    out = (ds.map_batches(to_iv, batch_format="pyarrow")
-           .repartition(shuffle_partitions())
-           .map_batches(_tag_bucket(["user_id"]), batch_format="pyarrow")
-           .groupby("_kb").map_groups(merge_bucket, batch_format="pandas")
+    out = (map_buckets(ds.map_batches(to_iv, batch_format="pyarrow"),
+                       ["user_id"], merge_bucket)
            .to_pandas())
     for c in out.columns:
         out[c] = out[c].astype("int64")
@@ -4936,11 +4810,8 @@ def q_cohort_retention(sf_dir: str):
         return (d.groupby(["cohort_week", "week_offset"], as_index=False)
                 .agg(n_users=("user_id", "size")))
 
-    parts = (ds.map_batches(to_wk, batch_format="pyarrow")
-             .repartition(shuffle_partitions())
-             .map_batches(_tag_bucket(["user_id"]), batch_format="pyarrow")
-             .groupby("_kb").map_groups(cohort_bucket,
-                                        batch_format="pandas"))
+    parts = map_buckets(ds.map_batches(to_wk, batch_format="pyarrow"),
+                        ["user_id"], cohort_bucket)
     out = merge_partials_ray(parts, ["cohort_week", "week_offset"],
                              ["n_users"]).to_pandas()
     for c in out.columns:
@@ -4991,10 +4862,8 @@ def q_time_weighted_value(sf_dir: str):
                             "tw_value_c_us": gap * v})
         return out.groupby("user_id", as_index=False).sum()
 
-    out = (ds.map_batches(to_us, batch_format="pyarrow")
-           .repartition(shuffle_partitions())
-           .map_batches(_tag_bucket(["user_id"]), batch_format="pyarrow")
-           .groupby("_kb").map_groups(tw_bucket, batch_format="pandas")
+    out = (map_buckets(ds.map_batches(to_us, batch_format="pyarrow"),
+                       ["user_id"], tw_bucket)
            .to_pandas())
     for c in out.columns:
         out[c] = out[c].astype("int64")
@@ -5250,12 +5119,8 @@ def q_activity_islands(sf_dir: str):
             last_day=("end", "max"))
         return out.astype("int64")
 
-    res = (ds.map_batches(part, batch_format="pyarrow")
-           .repartition(shuffle_partitions())
-           .map_batches(_tag_bucket(["user_id"]),
-                        batch_format="pyarrow")
-           .groupby("_kb").map_groups(island_stats,
-                                      batch_format="pandas"))
+    res = map_buckets(ds.map_batches(part, batch_format="pyarrow"),
+                      ["user_id"], island_stats)
     out = res.to_pandas()
     for c in out.columns:
         out[c] = out[c].astype("int64")
@@ -5284,7 +5149,7 @@ def q_conversion_lag(sf_dir: str):
     their first 'purchase' (users with both; negative = purchased
     before ever viewing). A MIN-merge aggregation — the non-additive
     counterpart of the sum combiners: per-batch min-ts per (user,
-    side), user-bucketed global min in one map_groups, vectorized
+    side), user-bucketed global min in one map_buckets, vectorized
     diff. Only (user, 2 timestamps) partials cross the exchange."""
     ds = read_table(sf_dir, "events",
                     columns=["user_id", "event_type", "ts"])
@@ -5313,9 +5178,7 @@ def q_conversion_lag(sf_dir: str):
         return m[["user_id", "lag_us"]]
 
     partials = ds.map_batches(part, batch_format="pyarrow")
-    out = (partials.repartition(shuffle_partitions())
-           .map_batches(_tag_bucket(["user_id"]), batch_format="pyarrow")
-           .groupby("_kb").map_groups(min_bucket, batch_format="pandas")
+    out = (map_buckets(partials, ["user_id"], min_bucket)
            .to_pandas())
     if out.empty:
         out = pd.DataFrame({"user_id": pd.Series([], dtype="int64"),
@@ -5352,11 +5215,8 @@ def q_event_transitions(sf_dir: str):
         return d.groupby(["from_type", "to_type"], as_index=False) \
             .agg(n=("to_type", "size"))
 
-    parts = (ds.map_batches(to_us, batch_format="pyarrow")
-             .repartition(shuffle_partitions())
-             .map_batches(_tag_bucket(["user_id"]), batch_format="pyarrow")
-             .groupby("_kb").map_groups(trans_bucket,
-                                        batch_format="pandas"))
+    parts = map_buckets(ds.map_batches(to_us, batch_format="pyarrow"),
+                        ["user_id"], trans_bucket)
     out = merge_partials(parts, ["from_type", "to_type"], ["n"])
     out["n"] = out["n"].astype("int64")
     return out.sort_values(["from_type", "to_type"]).reset_index(drop=True)
@@ -5386,10 +5246,8 @@ def q_part_price_rank_dense(sf_dir: str):
                            .astype("int64"))
         return g[["p_partkey", "p_brand", "price_c", "rank_dense"]]
 
-    out = (ds.map_batches(to_c, batch_format="pyarrow")
-           .repartition(shuffle_partitions())
-           .map_batches(_tag_bucket(["p_brand"]), batch_format="pyarrow")
-           .groupby("_kb").map_groups(rank_bucket, batch_format="pandas")
+    out = (map_buckets(ds.map_batches(to_c, batch_format="pyarrow"),
+                       ["p_brand"], rank_bucket)
            .to_pandas())
     for c in ["p_partkey", "price_c", "rank_dense"]:
         out[c] = out[c].astype("int64")
@@ -5420,10 +5278,8 @@ def q_part_price_rank(sf_dir: str):
                           .astype("int64"))
         return g[["p_partkey", "p_brand", "price_c", "rank_gaps"]]
 
-    out = (ds.map_batches(to_c, batch_format="pyarrow")
-           .repartition(shuffle_partitions())
-           .map_batches(_tag_bucket(["p_brand"]), batch_format="pyarrow")
-           .groupby("_kb").map_groups(rank_bucket, batch_format="pandas")
+    out = (map_buckets(ds.map_batches(to_c, batch_format="pyarrow"),
+                       ["p_brand"], rank_bucket)
            .to_pandas())
     for c in ["p_partkey", "price_c", "rank_gaps"]:
         out[c] = out[c].astype("int64")
@@ -5856,7 +5712,7 @@ def q_cusum_alerts(sf_dir: str, h_mult: int = 8):
     Scale shape: per-batch (type, hour) count partials → enum×time-
     bounded driver merge (the same bounded-domain contract as the
     hourly/OHLC windows) → vectorized per-type cumsum / running-min.
-    At web scale the per-type series scan is a tiny map_groups over
+    At web scale the per-type series scan is a tiny map_buckets over
     a type-bucketed exchange; the data-sized pass stays the combiner."""
     ds = read_table(sf_dir, "events", columns=["event_type", "ts"])
 
@@ -6036,12 +5892,7 @@ def q_recrawl_backoff(sf_dir: str):
             "final_interval": iv, "interval_sum": tot})
         return out
 
-    res = ds.map_batches(_tag_bucket(["user_id"], col_name="_rb"),
-                         batch_format="pyarrow") \
-        .groupby("_rb").map_groups(fold, batch_format="pandas") \
-        .to_pandas()
-    if "_rb" in res.columns:
-        res = res.drop(columns=["_rb"])
+    res = map_buckets(ds, ["user_id"], fold).to_pandas()
     for c in res.columns:
         res[c] = res[c].astype("int64")
     return res.sort_values("url_id").reset_index(drop=True)
@@ -6381,7 +6232,7 @@ def q_theil_sen_trend(sf_dir: str):
     three keys emit identical values. Pairs at equal x (vertical) are
     excluded, per the standard estimator.
 
-    Scale shape: user-bucketed map_groups; the per-user pair
+    Scale shape: user-bucketed map_buckets; the per-user pair
     enumeration is quadratic in that user's PURCHASE count, which the
     event stream bounds at ~tens per user (documented per-group
     bound — a pathological power user is capped by the groupby
@@ -6424,10 +6275,8 @@ def q_theil_sen_trend(sf_dir: str):
                 "med_num": pd.Series([], dtype="int64"),
                 "med_den": pd.Series([], dtype="int64")})
 
-    out = (ds.map_batches(to_xy, batch_format="pyarrow")
-           .map_batches(_tag_bucket(["user_id"], col_name="_tsb"),
-                        batch_format="pyarrow")
-           .groupby("_tsb").map_groups(med_bucket, batch_format="pandas")
+    out = (map_buckets(ds.map_batches(to_xy, batch_format="pyarrow"),
+                       ["user_id"], med_bucket)
            .to_pandas())
     cols = ["user_id", "n_pairs", "med_num", "med_den"]
     if out.empty or "user_id" not in out.columns:
@@ -6550,7 +6399,7 @@ def q_politeness_wait_replay(sf_dir: str):
     the schedule end, all exact int64 µs.
 
     Scale shape: claims are host-bucketed (tag_bucket_fn) so each
-    map_groups bucket holds whole hosts; inside a bucket the fold is
+    map_buckets bucket holds whole hosts; inside a bucket the fold is
     a vectorized pandas groupby cummax, never a Python loop."""
     T = POLITE_REPLAY_T_US
     ds = read_table(sf_dir, "events",
@@ -6585,11 +6434,8 @@ def q_politeness_wait_replay(sf_dir: str):
             r[c] = r[c].astype("int64")
         return r
 
-    out = (ds.map_batches(to_claims, batch_format="pyarrow")
-           .map_batches(_tag_bucket(["host"], col_name="_pwb"),
-                        batch_format="pyarrow")
-           .groupby("_pwb").map_groups(sched_bucket,
-                                       batch_format="pandas")
+    out = (map_buckets(ds.map_batches(to_claims, batch_format="pyarrow"),
+                       ["host"], sched_bucket)
            .to_pandas())
     cols = ["host", "n_claims", "total_wait_us", "max_wait_us",
             "last_sched_us"]
@@ -6712,11 +6558,7 @@ def q_lru_cache_stats(sf_dir: str):
         return pa.table({k2: pa.array(v, pa.int64())
                          for k2, v in row.items()})
 
-    partials = (claims
-                .map_batches(_tag_bucket(["k"], col_name="_lrb"),
-                             batch_format="pyarrow")
-                .groupby("_lrb").map_groups(prev_bucket,
-                                            batch_format="pandas")
+    partials = (map_buckets(claims, ["k"], prev_bucket)
                 .map_batches(count_batch, batch_format="pyarrow")
                 .to_pandas())
     comp = int(partials["compulsory"].sum())
@@ -8023,7 +7865,7 @@ def q_interval_scheduling(sf_dir: str):
     p(i) = last interval ending ≤ start_i. All arithmetic exact
     int64. Output: (user_id, n_intervals, best_weight_c).
 
-    Scale shape: user-bucketed map_groups; inside a bucket the DP is
+    Scale shape: user-bucketed map_buckets; inside a bucket the DP is
     vectorized ACROSS users — a (users × 12 × 12) broadcast computes
     every p(i), then 12 DP steps of take_along_axis/maximum advance
     all users at once (the loop is over the CONFIG cap, not rows).
@@ -8081,11 +7923,8 @@ def q_interval_scheduling(sf_dir: str):
         return pd.DataFrame({"user_id": uid, "n_intervals": n_iv,
                              "best_weight_c": M[np.arange(nu), n_iv]})
 
-    out = (ds.map_batches(to_iv, batch_format="pyarrow")
-           .map_batches(_tag_bucket(["user_id"], col_name="_wsb"),
-                        batch_format="pyarrow")
-           .groupby("_wsb").map_groups(dp_bucket,
-                                       batch_format="pandas")
+    out = (map_buckets(ds.map_batches(to_iv, batch_format="pyarrow"),
+                       ["user_id"], dp_bucket)
            .to_pandas())
     cols = ["user_id", "n_intervals", "best_weight_c"]
     if out.empty or "user_id" not in out.columns:
@@ -8149,7 +7988,7 @@ def q_lis_per_user(sf_dir: str):
     L(k) = 1 + max{L(j) : j < k, v_j < v_k} with cent-exact values.
     Output: (user_id, n_items, lis_len).
 
-    Scale shape: user-bucketed map_groups; inside a bucket the DP is
+    Scale shape: user-bucketed map_buckets; inside a bucket the DP is
     vectorized ACROSS users — one (users × 12 × 12) strict-less mask,
     then 12 steps of masked column-max (the loop is over the CONFIG
     cap). The oracle unrolls the same 12 steps as chained
@@ -8194,11 +8033,8 @@ def q_lis_per_user(sf_dir: str):
             "n_items": ok.sum(axis=1).astype(np.int64),
             "lis_len": L.max(axis=1)})
 
-    out = (ds.map_batches(to_v, batch_format="pyarrow")
-           .map_batches(_tag_bucket(["user_id"], col_name="_lsb"),
-                        batch_format="pyarrow")
-           .groupby("_lsb").map_groups(lis_bucket,
-                                       batch_format="pandas")
+    out = (map_buckets(ds.map_batches(to_v, batch_format="pyarrow"),
+                       ["user_id"], lis_bucket)
            .to_pandas())
     cols = ["user_id", "n_items", "lis_len"]
     if out.empty or "user_id" not in out.columns:

@@ -111,7 +111,7 @@ def curate_documents(docs: rd.Dataset, out_dir: str, *,
 
     # final filter = bucketed SEMI-JOIN of the filtered docs against the
     # keep ids (hash both sides on doc_id into jbuckets, per-bucket
-    # vectorized isin inside map_groups) — the scale path; a broadcast
+    # vectorized isin inside map_buckets) — the scale path; a broadcast
     # keep-set would be O(all kept doc ids) driver memory
     # materialize ONCE: the semi-join would otherwise re-execute for
     # the write AND the count (lazy Dataset re-run). SPILL ASSUMPTION:

@@ -16,8 +16,9 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..functions.bucketing import (merge_partials, merge_partials_ray,
-                                   shuffle_partitions, tag_bucket_fn)
+from ..functions.bucketing import (map_buckets, merge_partials,
+                                   merge_partials_ray, shuffle_partitions,
+                                   tag_bucket_fn)
 from ..functions.tokenize import split_ws
 from ..sources.corpus import (fetch_audio_payloads, fetch_media_payloads,
                               fetch_video_payloads, make_seed_urls)
@@ -269,9 +270,7 @@ def q_pack_sequences(sf_dir: str, budget: int = 2048):
         g["pack_id"] = (cum_before // budget).astype("int64")
         return g[["source", "doc_id", "n_tokens", "pack_id"]]
 
-    return (counted.repartition(shuffle_partitions())
-            .map_batches(tag_bucket_fn(["source"]), batch_format="pyarrow")
-            .groupby("_kb").map_groups(pack_bucket, batch_format="pandas"))
+    return map_buckets(counted, ["source"], pack_bucket)
 
 
 def q_stratified_split(sf_dir: str):
@@ -678,7 +677,6 @@ def q_source_vocab_overlap(sf_dir: str):
     domain is config-sized). The inverted-index pairing shape shared
     with dedup_jaccard_exact, one level up (sets are sources, not
     docs)."""
-    from .analytics import _tag_bucket
     ds = read_table(sf_dir, "documents", columns=["source", "text"])
 
     def pairs_partial(batch: pa.Table) -> pa.Table:
@@ -720,13 +718,8 @@ def q_source_vocab_overlap(sf_dir: str):
 
     # distinct (source, token) partials are vocab-x-sources-sized —
     # materialized once so pairs and sizes share a single corpus pass
-    dedup = (ds.map_batches(pairs_partial, batch_format="pyarrow")
-             .repartition(shuffle_partitions()).materialize())
-    pair_partials = (dedup
-                     .map_batches(_tag_bucket(["token"]),
-                                  batch_format="pyarrow")
-                     .groupby("_kb").map_groups(emit_bucket,
-                                                batch_format="pandas"))
+    dedup = ds.map_batches(pairs_partial, batch_format="pyarrow").materialize()
+    pair_partials = map_buckets(dedup, ["token"], emit_bucket)
     out = merge_partials(pair_partials, ["src_a", "src_b"],
                          ["n_common"])
 
@@ -736,8 +729,7 @@ def q_source_vocab_overlap(sf_dir: str):
             .rename(columns={"size": "n_vocab"})
 
     sizes = merge_partials(
-        dedup.map_batches(_tag_bucket(["token"]), batch_format="pyarrow")
-        .groupby("_kb").map_groups(size_bucket, batch_format="pandas"),
+        map_buckets(dedup, ["token"], size_bucket),
         ["source"], ["n_vocab"])
     sz = dict(zip(sizes["source"], sizes["n_vocab"].astype("int64")))
     out["n_a"] = out["src_a"].map(sz).astype("int64")
@@ -804,7 +796,7 @@ def q_contrastive_pairs(sf_dir: str, negs: int = 2):
         return pa.table({"content_hash": key,
                          "doc_id": pc.cast(batch["doc_id"], pa.int64())})
 
-    htag = tag_bucket_fn(["content_hash"], 2 * shuffle_partitions(), "_cb")
+    b = 2 * shuffle_partitions()
 
     def pairs_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["content_hash", "doc_id"])
@@ -816,11 +808,8 @@ def q_contrastive_pairs(sf_dir: str, negs: int = 2):
 
     # output-sized (one row per duplicate member): safe to pin so the
     # content-hash shuffle runs once for both consumers below
-    pairs = (ds.map_batches(hash_rows, batch_format="pyarrow")
-             .map_batches(htag, batch_format="pyarrow")
-             .groupby("_cb").map_groups(pairs_bucket,
-                                        batch_format="pandas")
-             .materialize())
+    pairs = map_buckets(ds.map_batches(hash_rows, batch_format="pyarrow"),
+                        ["content_hash"], pairs_bucket, b).materialize()
 
     def draw(t: pa.Table) -> pa.Table:
         a = t["anchor"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -849,11 +838,8 @@ def q_contrastive_pairs(sf_dir: str, negs: int = 2):
                          "is_member": pa.array(np.ones(n, np.int64)),
                          "side": pa.array(["m"] * n)})
 
-    ntag = tag_bucket_fn(["neg_id"], 2 * shuffle_partitions(), "_nb")
     both = (pairs.map_batches(draw, batch_format="pyarrow")
-            .union(pairs.map_batches(member_side, batch_format="pyarrow"))
-            .map_batches(ntag, batch_format="pyarrow")
-            .repartition(shuffle_partitions()))
+            .union(pairs.map_batches(member_side, batch_format="pyarrow")))
 
     def flag_bucket(g: pd.DataFrame) -> pd.DataFrame:
         mem = set(g.loc[g["side"] == "m", "neg_id"])
@@ -866,9 +852,7 @@ def q_contrastive_pairs(sf_dir: str, negs: int = 2):
             "neg_clean": (~d["neg_id"].isin(mem)).to_numpy()
             .astype("int64")})
 
-    out = (both.groupby("_nb").map_groups(flag_bucket,
-                                          batch_format="pandas")
-           .to_pandas())
+    out = map_buckets(both, ["neg_id"], flag_bucket, b).to_pandas()
     return out.sort_values(["anchor", "positive", "neg_slot"]) \
         .reset_index(drop=True)
 
@@ -1174,7 +1158,6 @@ def q_sample_per_source(sf_dir: str, k: int = 5):
     per group (≤ k rows per group per batch enter the exchange) →
     bucketed re-reduce, like topk_per_group. ORACLE-CHECKED
     bit-for-bit (splitmix mirror + row_number per source)."""
-    from .analytics import _tag_bucket
     from ..stages.sampling import SAMPLE_SALT, row_hash
 
     ds = read_table(sf_dir, "documents", columns=["doc_id", "source"])
@@ -1197,10 +1180,7 @@ def q_sample_per_source(sf_dir: str, k: int = 5):
                             .astype("int64") + 1)
         return g[["source", "doc_id", "draw", "sample_rank"]]
 
-    return (partials.repartition(shuffle_partitions())
-            .map_batches(_tag_bucket(["source"]), batch_format="pyarrow")
-            .groupby("_kb").map_groups(reduce_bucket,
-                                       batch_format="pandas"))
+    return map_buckets(partials, ["source"], reduce_bucket)
 
 
 def _sample_per_source_oracle_sql(k: int = 5) -> str:
@@ -1288,7 +1268,7 @@ def q_export_shards(sf_dir: str, num_shards: int = 16):
     ``shard=N`` directory per shard via
     ``storage.export_partitioned_resumable`` (atomic fragment +
     _SUCCESS marker per partition), RE-READ the exported tree with
-    ``read_parquet`` (hive discovery restores the shard column), and
+    ``read_dataset`` (hive discovery restores the shard column), and
     return per-shard doc counts + doc_id sums — so the gate pins
     assignment, write, marker commit, AND read-back. The export root
     is a fresh ``mkdtemp``, removed once the counts materialize
@@ -1296,9 +1276,7 @@ def q_export_shards(sf_dir: str, num_shards: int = 16):
     import shutil
     import tempfile
 
-    import ray.data as rd
-
-    from ..sources.storage import export_partitioned_resumable
+    from ..sources.storage import export_partitioned_resumable, read_dataset
     from ..stages.sampling import SHUF_SALT, row_hash
 
     ds = read_table(sf_dir, "documents", columns=["doc_id"])
@@ -1314,7 +1292,7 @@ def q_export_shards(sf_dir: str, num_shards: int = 16):
     try:
         export_partitioned_resumable(
             ds.map_batches(assign, batch_format="pyarrow"), out, "shard")
-        back = rd.read_parquet(out)
+        back = read_dataset(out)
 
         def partial(batch: pa.Table) -> pa.Table:
             sh = np.asarray(batch["shard"].to_numpy(zero_copy_only=False),
@@ -1467,7 +1445,6 @@ def q_source_terms(sf_dir: str, k: int = 5):
     its per-source partial top-k (global top-k ⊆ union of bucket
     top-ks), and a final source-bucketed reduce ranks. Never a global
     sort, never a driver-side token table."""
-    from .analytics import _tag_bucket
     p = shuffle_partitions()
 
     ds = read_table(sf_dir, "documents",
@@ -1534,8 +1511,7 @@ def q_source_terms(sf_dir: str, k: int = 5):
             .append_column("df", pc.cast(t["df"], pa.int64()))
 
     both = (tf.map_batches(tag_tf, batch_format="pyarrow")
-            .union(dfreq.map_batches(tag_df, batch_format="pyarrow"))
-            .repartition(p))
+            .union(dfreq.map_batches(tag_df, batch_format="pyarrow")))
 
     def score_bucket(g: pd.DataFrame) -> pd.DataFrame:
         dfs = g[g["tf"].isna()]
@@ -1553,8 +1529,7 @@ def q_source_terms(sf_dir: str, k: int = 5):
         return (rows.groupby("source", sort=False).head(k)
                 [["source", "token", "tf", "df", "score"]])
 
-    cands = both.groupby("jbucket").map_groups(score_bucket,
-                                               batch_format="pandas")
+    cands = map_buckets(both, "jbucket", score_bucket, 2 * p)
 
     def final_rank(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["score", "token"], ascending=[False, True])
@@ -1563,9 +1538,7 @@ def q_source_terms(sf_dir: str, k: int = 5):
                           .astype("int64") + 1)
         return g[["source", "token", "tf", "df", "score", "term_rank"]]
 
-    return (cands.repartition(p)
-            .map_batches(_tag_bucket(["source"]), batch_format="pyarrow")
-            .groupby("_kb").map_groups(final_rank, batch_format="pandas"))
+    return map_buckets(cands, ["source"], final_rank)
 
 
 def _source_terms_oracle_sql(k: int = 5) -> str:
@@ -2946,10 +2919,6 @@ def q_lm_bigram_score(sf_dir: str):
     ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
     partials = ds.map_batches(doc_bigram_partial_counts,
                               batch_format="pyarrow")
-    tag = tag_bucket_fn(["left_tok"], 2 * p, "_lb")
-    tagged = partials.map_batches(tag, batch_format="pyarrow") \
-        .repartition(p)
-
     def score_bucket(g: pd.DataFrame) -> pd.DataFrame:
         pair_n = g.groupby(["left_tok", "right_tok"], sort=False)["occ"] \
             .transform("sum")
@@ -2960,8 +2929,7 @@ def q_lm_bigram_score(sf_dir: str):
                              "lm_score": (g["occ"] * score).astype("int64")})
         return part.groupby("doc_id", as_index=False).sum()
 
-    parts = tagged.groupby("_lb").map_groups(score_bucket,
-                                             batch_format="pandas")
+    parts = map_buckets(partials, ["left_tok"], score_bucket, 2 * p)
     out = merge_partials_ray(parts, ["doc_id"],
                              ["n_bigrams", "lm_score"]).to_pandas()
     for c in out.columns:
@@ -3059,15 +3027,13 @@ def q_collocation_stats(sf_dir: str):
                      [c for c in carry if c in p.columns]]
         return join_bucket
 
-    tag = tag_bucket_fn(["key"], 2 * shuffle_partitions(), "_jb")
+    b = 2 * shuffle_partitions()
 
     # join 1: attach c_a, keyed on the left token
-    j1 = (pair.map_batches(pair_side, batch_format="pyarrow")
-          .union(uni.map_batches(uni_side(False), batch_format="pyarrow"))
-          .map_batches(tag, batch_format="pyarrow")
-          .repartition(shuffle_partitions())
-          .groupby("_jb").map_groups(attach("c_first", []),
-                                     batch_format="pandas"))
+    j1 = map_buckets(
+        pair.map_batches(pair_side, batch_format="pyarrow")
+        .union(uni.map_batches(uni_side(False), batch_format="pyarrow")),
+        ["key"], attach("c_first", []), b)
 
     # re-key on the right token for join 2 (sides realigned)
     def rekey(batch: pa.Table) -> pa.Table:
@@ -3077,12 +3043,10 @@ def q_collocation_stats(sf_dir: str):
                          "side": pa.array(["p"] * batch.num_rows),
                          "c_first": batch["c_first"]})
 
-    j2 = (j1.map_batches(rekey, batch_format="pyarrow")
-          .union(uni.map_batches(uni_side(True), batch_format="pyarrow"))
-          .map_batches(tag, batch_format="pyarrow")
-          .repartition(shuffle_partitions())
-          .groupby("_jb").map_groups(attach("c_second", ["c_first"]),
-                                     batch_format="pandas"))
+    j2 = map_buckets(
+        j1.map_batches(rekey, batch_format="pyarrow")
+        .union(uni.map_batches(uni_side(True), batch_format="pyarrow")),
+        ["key"], attach("c_second", ["c_first"]), b)
 
     def finish(batch: pa.Table) -> pa.Table:
         c_ab = batch["c_ab"].to_numpy(zero_copy_only=False)
@@ -3140,7 +3104,6 @@ def q_entity_resolution(sf_dir: str, block: int = 4096):
 
     from ..functions.hashing import stable_hash64_np
     from ..stages.joins import union_find_components
-    from .analytics import _tag_bucket
     p = shuffle_partitions()
 
     docs = read_table(sf_dir, "documents", columns=["doc_id", "text",
@@ -3196,11 +3159,7 @@ def q_entity_resolution(sf_dir: str, block: int = 4096):
                              "rank": rank.astype(np.int64),
                              "toks": g["toks"]})
 
-    ranked = (fds.repartition(p)
-              .map_batches(_tag_bucket(["n_chars"], 2 * p, "_kb"),
-                           batch_format="pyarrow")
-              .groupby("_kb").map_groups(rank_bucket,
-                                         batch_format="pandas"))
+    ranked = map_buckets(fds, ["n_chars"], rank_bucket, 2 * p)
 
     def to_blocks(batch: pa.Table) -> pa.Table:
         r = batch["rank"].to_numpy(zero_copy_only=False)
@@ -3239,11 +3198,9 @@ def q_entity_resolution(sf_dir: str, block: int = 4096):
                     out.append((ids[i], ids[j[i]]))
         return pd.DataFrame(out, columns=["a", "b"]).astype("int64")
 
-    edges = (ranked.map_batches(to_blocks, batch_format="pyarrow")
-             .repartition(p)
-             .groupby("blk").map_groups(match_in_block,
-                                        batch_format="pandas")
-             .to_pandas())
+    n_blocks = max(1, -(-int(counts["cnt"].sum()) // block))
+    edges = map_buckets(ranked.map_batches(to_blocks, batch_format="pyarrow"),
+                        "blk", match_in_block, n_blocks).to_pandas()
     if edges.empty:
         return pd.DataFrame({"doc_id": pd.Series([], dtype=np.int64),
                              "canon_id": pd.Series([], dtype=np.int64),
@@ -3373,11 +3330,7 @@ def q_rank_fusion(sf_dir: str):
             return pd.DataFrame({"doc_id": g["doc_id"].astype("int64"),
                                  "rank": rank.astype(np.int64)})
 
-        return (fds.repartition(p)
-                .map_batches(tag_bucket_fn([col], 2 * p, "_kb"),
-                             batch_format="pyarrow")
-                .groupby("_kb").map_groups(rank_bucket,
-                                           batch_format="pandas"))
+        return map_buckets(fds, [col], rank_bucket, 2 * p)
 
     r1 = desc_ranks("n_chars")
     r2 = desc_ranks("n_toks")
@@ -3388,8 +3341,6 @@ def q_rank_fusion(sf_dir: str):
                              "rank": batch["rank"],
                              "side": pa.array([tagval] * batch.num_rows)})
         return fn
-
-    tag = tag_bucket_fn(["doc_id"], 2 * p, "_jb")
 
     def fuse_bucket(g: pd.DataFrame) -> pd.DataFrame:
         a = g[g["side"] == "1"].set_index("doc_id")["rank"]
@@ -3406,12 +3357,10 @@ def q_rank_fusion(sf_dir: str):
                               ascending=[False, True]).head(RRF_TOPK)
                 [["doc_id", "r1", "r2", "rrf_e9"]])
 
-    fused = (r1.map_batches(side("1"), batch_format="pyarrow")
-             .union(r2.map_batches(side("2"), batch_format="pyarrow"))
-             .map_batches(tag, batch_format="pyarrow")
-             .repartition(p)
-             .groupby("_jb").map_groups(fuse_bucket,
-                                        batch_format="pandas"))
+    fused = map_buckets(
+        r1.map_batches(side("1"), batch_format="pyarrow")
+        .union(r2.map_batches(side("2"), batch_format="pyarrow")),
+        ["doc_id"], fuse_bucket, 2 * p)
     out = fused.to_pandas()
     return (out.sort_values(["rrf_e9", "doc_id"],
                             ascending=[False, True])
@@ -3497,11 +3446,7 @@ def q_sorted_neighborhood_pairs(sf_dir: str,
                              "n_chars": v,
                              "rank": rank.astype(np.int64)})
 
-    ranked = (docs.repartition(p)
-              .map_batches(tag_bucket_fn(["n_chars"], 2 * p, "_kb"),
-                           batch_format="pyarrow")
-              .groupby("_kb").map_groups(rank_bucket,
-                                         batch_format="pandas"))
+    ranked = map_buckets(docs, ["n_chars"], rank_bucket, 2 * p)
 
     def to_blocks(batch: pa.Table) -> pa.Table:
         r = batch["rank"].to_numpy(zero_copy_only=False)
@@ -3540,10 +3485,9 @@ def q_sorted_neighborhood_pairs(sf_dir: str,
             out[c] = out[c].astype("int64")
         return out
 
-    return (ranked.map_batches(to_blocks, batch_format="pyarrow")
-            .repartition(p)
-            .groupby("blk").map_groups(pairs_in_block,
-                                       batch_format="pandas"))
+    n_blocks = max(1, -(-int(counts["cnt"].sum()) // block))
+    return map_buckets(ranked.map_batches(to_blocks, batch_format="pyarrow"),
+                       "blk", pairs_in_block, n_blocks)
 
 
 def _snb_oracle_sql() -> str:
@@ -3577,7 +3521,6 @@ def q_typo_token_pairs(sf_dir: str):
     gate scale only (the engine side is the scale path)."""
     from ..functions.hashing import stable_hash64_np
     from ..stages.sampling import vocab_partial_counts
-    from .analytics import _tag_bucket
 
     ds = read_table(sf_dir, "documents", columns=["text"])
     vocab = merge_partials_ray(
@@ -3621,8 +3564,6 @@ def q_typo_token_pairs(sf_dir: str):
                          "token": pa.array(toks[owner]),
                          "n": pa.array(n[owner])})
 
-    tag = tag_bucket_fn(["vkey"], 2 * shuffle_partitions(), "_vb")
-
     def pairs_bucket(g: pd.DataFrame) -> pd.DataFrame:
         m = g.merge(g, on="vkey", suffixes=("_a", "_b"))
         m = m[m["token_a"] < m["token_b"]]
@@ -3649,16 +3590,9 @@ def q_typo_token_pairs(sf_dir: str):
             columns={"token_a": "tok_a", "token_b": "tok_b"})
         return out[["tok_a", "tok_b", "n_a", "n_b"]]
 
-    cands = (vocab.map_batches(variants, batch_format="pyarrow")
-             .map_batches(tag, batch_format="pyarrow")
-             .repartition(shuffle_partitions())
-             .groupby("_vb").map_groups(pairs_bucket,
-                                        batch_format="pandas"))
-    out = (cands.repartition(shuffle_partitions())
-           .map_batches(_tag_bucket(["token_a", "token_b"]),
-                        batch_format="pyarrow")
-           .groupby("_kb").map_groups(verify_bucket,
-                                      batch_format="pandas")
+    cands = map_buckets(vocab.map_batches(variants, batch_format="pyarrow"),
+                        ["vkey"], pairs_bucket, 2 * shuffle_partitions())
+    out = (map_buckets(cands, ["token_a", "token_b"], verify_bucket)
            .to_pandas())
     out["n_a"] = out["n_a"].astype("int64")
     out["n_b"] = out["n_b"].astype("int64")
@@ -6995,10 +6929,6 @@ def q_dsir_importance(sf_dir: str):
         return part.append_column("is_t", pa.array(flags, pa.int64()))
 
     partials = ds.map_batches(pair_partials, batch_format="pyarrow")
-    tag = tag_bucket_fn(["left_tok", "right_tok"], 2 * p, "_bg")
-    tagged = partials.map_batches(tag, batch_format="pyarrow") \
-        .repartition(p)
-
     def score_bucket(g: pd.DataFrame) -> pd.DataFrame:
         grp = g.groupby(["left_tok", "right_tok"], sort=False)
         c_r = grp["occ"].transform("sum").to_numpy()
@@ -7013,8 +6943,8 @@ def q_dsir_importance(sf_dir: str):
             "dsir_score": (g["occ"].to_numpy() * w).astype("int64")})
         return part.groupby("doc_id", as_index=False).sum()
 
-    parts = tagged.groupby("_bg").map_groups(score_bucket,
-                                             batch_format="pandas")
+    parts = map_buckets(partials, ["left_tok", "right_tok"], score_bucket,
+                        2 * p)
     out = merge_partials_ray(parts, ["doc_id"],
                              ["n_bigrams", "dsir_score"]).to_pandas()
     for c in out.columns:
@@ -7106,11 +7036,6 @@ def q_url_canonical_dedup(sf_dir: str):
                          "messy_url": pa.array(messy, pa.string()),
                          "canonical_url": pa.array(canon, pa.string())})
 
-    tagged = ds.map_batches(canon_batch, batch_format="pyarrow") \
-        .map_batches(tag_bucket_fn(["canonical_url"], 2 * p, "_cu"),
-                     batch_format="pyarrow") \
-        .repartition(p)
-
     def reduce_bucket(g: pd.DataFrame) -> pd.DataFrame:
         grp = g.groupby("canonical_url", as_index=False)
         out = grp.agg(n_urls=("doc_id", "size"),
@@ -7120,8 +7045,8 @@ def q_url_canonical_dedup(sf_dir: str):
             out[c] = out[c].astype("int64")
         return out
 
-    return tagged.groupby("_cu").map_groups(reduce_bucket,
-                                            batch_format="pandas")
+    return map_buckets(ds.map_batches(canon_batch, batch_format="pyarrow"),
+                       ["canonical_url"], reduce_bucket, 2 * p)
 
 
 def _url_canonical_oracle_sql() -> str:
@@ -7286,12 +7211,8 @@ def q_dedup_savings_by_source(sf_dir: str):
             "chars_kept": np.where(kept, nch, 0)})
         return out.groupby("source", as_index=False)[vals].sum()
 
-    partials = (ds.map_batches(tag, batch_format="pyarrow")
-                .repartition(shuffle_partitions())
-                .map_batches(tag_bucket_fn(["content_hash"]),
-                             batch_format="pyarrow")
-                .groupby("_kb").map_groups(bucket_stats,
-                                           batch_format="pandas"))
+    partials = map_buckets(ds.map_batches(tag, batch_format="pyarrow"),
+                           ["content_hash"], bucket_stats)
     out = merge_partials(partials, ["source"], vals)
     for v in vals:
         out[v] = out[v].astype("int64")
@@ -7309,7 +7230,6 @@ def q_token_length_histogram(sf_dir: str, cap: int = 20):
     substrate (per-batch distinct tokens → token-bucketed global
     dedup → per-bucket length bincount → tiny merge over the ≤cap
     length domain)."""
-    from .analytics import _tag_bucket
     ds = read_table(sf_dir, "documents", columns=["text"])
 
     def _flat_tokens(batch: pa.Table) -> pa.Array:
@@ -7345,10 +7265,8 @@ def q_token_length_histogram(sf_dir: str, cap: int = 20):
         ds.map_batches(occ_partial, batch_format="pyarrow"),
         ["token_len"], ["n_tokens"])
     dst = merge_partials(
-        ds.map_batches(tok_partial, batch_format="pyarrow")
-        .repartition(shuffle_partitions())
-        .map_batches(_tag_bucket(["token"]), batch_format="pyarrow")
-        .groupby("_kb").map_groups(bucket_hist, batch_format="pandas"),
+        map_buckets(ds.map_batches(tok_partial, batch_format="pyarrow"),
+                    ["token"], bucket_hist),
         ["token_len"], ["n_distinct"])
     out = occ.merge(dst, on="token_len", how="outer").fillna(0)
     out = out.astype({"token_len": "int64", "n_tokens": "int64",
@@ -7371,7 +7289,6 @@ def q_ngram_novelty_by_source(sf_dir: str):
     shingle-bucketed global dedup; base membership is decided
     IN-BUCKET (bucketing is by shingle, so a shingle's base row lands
     in the same bucket) → per-source partial → enum merge."""
-    from .analytics import _tag_bucket
     ds = read_table(sf_dir, "documents", columns=["source", "text"])
 
     def sh_partial(batch: pa.Table) -> pa.Table:
@@ -7432,11 +7349,8 @@ def q_ngram_novelty_by_source(sf_dir: str):
         return out.groupby("source", as_index=False)[
             ["n_shingles", "n_new"]].sum()
 
-    parts = (ds.map_batches(sh_partial, batch_format="pyarrow")
-             .repartition(shuffle_partitions())
-             .map_batches(_tag_bucket(["shingle"]), batch_format="pyarrow")
-             .groupby("_kb").map_groups(bucket_novel,
-                                        batch_format="pandas"))
+    parts = map_buckets(ds.map_batches(sh_partial, batch_format="pyarrow"),
+                        ["shingle"], bucket_novel)
     out = merge_partials(parts, ["source"], ["n_shingles", "n_new"])
     out = out.astype({"n_shingles": "int64", "n_new": "int64"})
     return out.sort_values("source").reset_index(drop=True)
@@ -7474,7 +7388,6 @@ def q_cross_source_dup_matrix(sf_dir: str, prefix_chars: int = 40):
     counts → enum²-keyed driver merge. The corpus never moves; the
     exchange carries distinct (key, source) rows only."""
     from ..functions.hashing import md5_id
-    from .analytics import _tag_bucket
     ds = read_table(sf_dir, "documents", columns=["source", "text"])
 
     def tag(batch: pa.Table) -> pa.Table:
@@ -7494,11 +7407,8 @@ def q_cross_source_dup_matrix(sf_dir: str, prefix_chars: int = 40):
         return out.groupby(["src_a", "src_b"], as_index=False)[
             "n_shared"].sum()
 
-    parts = (ds.map_batches(tag, batch_format="pyarrow")
-             .repartition(shuffle_partitions())
-             .map_batches(_tag_bucket(["h"]), batch_format="pyarrow")
-             .groupby("_kb").map_groups(bucket_pairs,
-                                        batch_format="pandas"))
+    parts = map_buckets(ds.map_batches(tag, batch_format="pyarrow"), ["h"],
+                        bucket_pairs)
     out = merge_partials(parts, ["src_a", "src_b"], ["n_shared"])
     out["n_shared"] = out["n_shared"].astype("int64")
     return out.sort_values(["src_a", "src_b"]).reset_index(drop=True)
@@ -7518,7 +7428,6 @@ def q_hapax_stats(sf_dir: str):
     in one bucket → per-source partial (sum n / count / count n==1)
     → enum-keyed driver merge. Distinct-token rows only in the
     exchange; no per-doc Python."""
-    from .analytics import _tag_bucket
     ds = read_table(sf_dir, "documents", columns=["source", "text"])
 
     def part(batch: pa.Table) -> pa.Table:
@@ -7553,12 +7462,8 @@ def q_hapax_stats(sf_dir: str):
         return out.groupby("source", as_index=False)[
             ["n_tokens", "n_distinct", "n_hapax"]].sum()
 
-    parts = (ds.map_batches(part, batch_format="pyarrow")
-             .repartition(shuffle_partitions())
-             .map_batches(_tag_bucket(["source", "token"]),
-                          batch_format="pyarrow")
-             .groupby("_kb").map_groups(bucket_stats,
-                                        batch_format="pandas"))
+    parts = map_buckets(ds.map_batches(part, batch_format="pyarrow"),
+                        ["source", "token"], bucket_stats)
     out = merge_partials(parts, ["source"],
                          ["n_tokens", "n_distinct", "n_hapax"])
     for c in ["n_tokens", "n_distinct", "n_hapax"]:
@@ -7818,7 +7723,6 @@ def q_source_cosine_matrix(sf_dir: str):
     emits enum²-sized (src_a, src_b, partial_dot) rows (diagonal =
     norm partials) → tiny driver merge. The vocabulary never reaches
     the driver; the exchange is distinct (source, token) rows only."""
-    from .analytics import _tag_bucket
     ds = read_table(sf_dir, "documents", columns=["source", "text"])
 
     def part(batch: pa.Table) -> pa.Table:
@@ -7866,12 +7770,8 @@ def q_source_cosine_matrix(sf_dir: str):
                              "src_b": names[hi[keep]],
                              "dot": d[keep].astype(np.int64)})
 
-    parts = (ds.map_batches(part, batch_format="pyarrow")
-             .repartition(shuffle_partitions())
-             .map_batches(_tag_bucket(["token"]),
-                          batch_format="pyarrow")
-             .groupby("_kb").map_groups(bucket_dots,
-                                        batch_format="pandas"))
+    parts = map_buckets(ds.map_batches(part, batch_format="pyarrow"),
+                        ["token"], bucket_dots)
     merged = merge_partials(parts, ["src_a", "src_b"], ["dot"])
     merged["dot"] = merged["dot"].astype("int64")
     nrm = (merged[merged["src_a"] == merged["src_b"]]
@@ -8212,7 +8112,7 @@ def q_surprisal_bits(sf_dir: str):
     per-source partials with argmax carried, tiny driver merge. msb
     via float64 frexp, exact for counts < 2^53 (asserted)."""
     from ..stages import sampling as sp
-    from .analytics import _tag_bucket, _tagged_union_join
+    from .analytics import _tagged_union_join
 
     ds = read_table(sf_dir, "documents",
                     columns=["doc_id", "source", "text"])
@@ -8309,10 +8209,7 @@ def q_surprisal_bits(sf_dir: str):
                         on="source")
         return out[["source", "sum_bits", "max_bits", "top_doc_id"]]
 
-    parts = (per_doc_parts
-             .map_batches(_tag_bucket(["doc_id"]), batch_format="pyarrow")
-             .groupby("_kb").map_groups(source_partial,
-                                        batch_format="pandas"))
+    parts = map_buckets(per_doc_parts, ["doc_id"], source_partial)
     pdf = parts.to_pandas()
     pdf = pdf.sort_values(["source", "max_bits", "top_doc_id"]) \
         .reset_index(drop=True)
@@ -8544,7 +8441,6 @@ def q_simpson_diversity(sf_dir: str):
     global counts → per-bucket Σn / Σn(n−1) partials → enum-keyed
     driver merge; the final float is computed once per source with
     the identical expression in SQL."""
-    from .analytics import _tag_bucket
     ds = read_table(sf_dir, "documents", columns=["source", "text"])
 
     def part(batch: pa.Table) -> pa.Table:
@@ -8578,12 +8474,8 @@ def q_simpson_diversity(sf_dir: str):
         return out.groupby("source", as_index=False)[
             ["n_tokens", "coll"]].sum()
 
-    parts = (ds.map_batches(part, batch_format="pyarrow")
-             .repartition(shuffle_partitions())
-             .map_batches(_tag_bucket(["source", "token"]),
-                          batch_format="pyarrow")
-             .groupby("_kb").map_groups(bucket_stats,
-                                        batch_format="pandas"))
+    parts = map_buckets(ds.map_batches(part, batch_format="pyarrow"),
+                        ["source", "token"], bucket_stats)
     out = merge_partials(parts, ["source"], ["n_tokens", "coll"])
     out["n_tokens"] = out["n_tokens"].astype("int64")
     out["coll"] = out["coll"].astype("int64")
@@ -8915,17 +8807,10 @@ def q_url_edit_pairs(sf_dir: str):
         return _ed1_verify(g.drop_duplicates(["url_a", "url_b"]))
 
     sigs = ds.map_batches(sig_batch, batch_format="pyarrow")
-    cand = sigs.map_batches(tag_bucket_fn(["sig"], 2 * shuffle_partitions(),
-                                          "_sg"),
-                            batch_format="pyarrow") \
-        .groupby("_sg").map_groups(emit_pairs, batch_format="pandas")
-    verified = cand.map_batches(
-        tag_bucket_fn(["url_a", "url_b"], col_name="_pg"),
-        batch_format="pyarrow") \
-        .groupby("_pg").map_groups(verify_group, batch_format="pandas")
-    pdf = verified.to_pandas()
-    if "_pg" in pdf.columns:
-        pdf = pdf.drop(columns=["_pg"])
+    cand = map_buckets(sigs, ["sig"], emit_pairs, 2 * shuffle_partitions())
+    pdf = map_buckets(cand, ["url_a", "url_b"], verify_group).to_pandas()
+    if "_kb" in pdf.columns:
+        pdf = pdf.drop(columns=["_kb"])
     pdf["ed"] = pdf["ed"].astype("int64") if len(pdf) else \
         pd.Series([], dtype="int64")
     return pdf.sort_values(["url_a", "url_b"]).reset_index(drop=True)
@@ -9264,7 +9149,7 @@ def q_balanced_label_sample(sf_dir: str):
 
     Scale shape: label counts via a per-batch Arrow group_by combiner
     (labels are enum-sized) → the driver takes one min; the selection
-    pass is a label-bucketed map_groups doing one vectorized sort +
+    pass is a label-bucketed map_buckets doing one vectorized sort +
     grouped cumcount cut — the per-label top-m, never a global sort.
     The oracle replays the same draw (shared splitmix mirror) with a
     row_number window."""
@@ -9290,10 +9175,7 @@ def q_balanced_label_sample(sf_dir: str):
         out["vec_id"] = out["vec_id"].astype("int64")
         return out
 
-    out = (ds.map_batches(tag_bucket_fn(["label"], col_name="_blb"),
-                          batch_format="pyarrow")
-           .groupby("_blb").map_groups(pick_bucket,
-                                       batch_format="pandas")
+    out = (map_buckets(ds, ["label"], pick_bucket)
            .to_pandas())
     out = out[["label", "vec_id"]]
     for c in out.columns:
@@ -9853,11 +9735,8 @@ def q_url_levenshtein_pairs(sf_dir: str):
         out["ed"] = out["ed"].astype("int64")
         return out
 
-    out = (ds.map_batches(to_urls, batch_format="pyarrow")
-           .map_batches(tag_bucket_fn(["grp"], col_name="_lvb"),
-                        batch_format="pyarrow")
-           .groupby("_lvb").map_groups(pair_bucket,
-                                       batch_format="pandas")
+    out = (map_buckets(ds.map_batches(to_urls, batch_format="pyarrow"),
+                       ["grp"], pair_bucket)
            .to_pandas())
     cols = ["url_a", "url_b", "ed"]
     if out.empty or "url_a" not in out.columns:

@@ -26,6 +26,8 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import ray.data as rd
 
+from ..functions.bucketing import shuffle_partitions
+
 try:  # pragma: no cover - lance is absent in this container
     import lance  # type: ignore
 
@@ -65,11 +67,13 @@ def write_fragment(tbl: pa.Table, out_dir: str, name: str,
 
 def read_dataset(path: str, backend: str | None = None, *,
                  columns: list[str] | None = None) -> rd.Dataset:
-    """The stored table as a streaming ``ray.data.Dataset``."""
+    """The stored table as a streaming ``ray.data.Dataset`` of
+    ``shuffle_partitions()`` blocks, one per CPU."""
     backend = backend or DEFAULT_BACKEND
+    n = shuffle_partitions()
     if backend == "lance":  # pragma: no cover - env-blocked
-        return rd.read_lance(path, columns=columns)
-    return rd.read_parquet(path, columns=columns)
+        return rd.read_lance(path, columns=columns, override_num_blocks=n)
+    return rd.read_parquet(path, columns=columns, override_num_blocks=n)
 
 
 def export_partitioned_resumable(ds: rd.Dataset, out_root: str,

@@ -32,8 +32,8 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
-from ..functions.bucketing import (merge_partials_ray, shuffle_partitions,
-                                   tag_bucket_fn)
+from ..functions.bucketing import (map_buckets, merge_partials_ray,
+                                   shuffle_partitions, tag_bucket_fn)
 from ..functions.hashing import md5_id, stable_hash64
 from ..functions.tokenize import split_ws
 
@@ -73,7 +73,7 @@ def exact_dedup_keep_first(ds: rd.Dataset, id_column: str = "doc_id",
 
     The keep-id side stays a Dataset end to end: a bucketed semi-join
     (stages.joins) resolves membership per hash bucket inside
-    map_groups — no O(distinct hashes) driver set."""
+    map_buckets — no O(distinct hashes) driver set."""
     from .joins import bucketed_semi_join
     groups = exact_dedup_groups(ds, id_column, column)
     keep = groups.map_batches(
@@ -272,7 +272,7 @@ def _tag_bucket_partition(num_parts: int):
     """Batch fn: append ``part = hash(band_id, band_hash) % num_parts``
     — the coarse shuffle key that co-locates every row of an LSH bucket
     (same (band_id, band_hash)) in one partition while keeping the
-    number of map_groups Python invocations at O(num_parts), not
+    number of per-bucket Python calls at O(num_parts), not
     O(buckets). This is the partitioning assumption the distributed
     pairing relies on: bucket → exactly one partition. Delegates to
     the engine's single vectorized tagger (functions/bucketing)."""
@@ -287,7 +287,7 @@ def lsh_candidate_pairs_ds(band_rows: rd.Dataset, *,
     Shape: hash-partition band rows on the bucket key (twice
     ``shuffle_partitions()`` coarse partitions so the per-group Python
     cost is O(partitions), not O(buckets)) → build pairs inside
-    ``map_groups`` with a vectorized pandas groupby per partition,
+    ``map_buckets`` with a vectorized pandas groupby per partition,
     deduped WITHIN the partition. The driver never materializes
     bucket counts or band rows — only pair rows leave the cluster.
     Cross-partition duplicates (a pair found by several bands)
@@ -316,15 +316,10 @@ def lsh_candidate_pairs_ds(band_rows: rd.Dataset, *,
                                  "b": pd.Series([], dtype=g["doc_id"].dtype)})
         return pd.concat(frames, ignore_index=True).drop_duplicates()
 
-    # consolidate the band stage's many small band-row blocks before
-    # the sort-based groupby (per-block sort overhead dominates at
-    # small batch_size)
-    p = shuffle_partitions()
-    return (band_rows.map_batches(_tag_bucket_partition(2 * p),
-                                  batch_format="pyarrow")
-            .repartition(p)
-            .groupby("part").map_groups(pairs_in_partition,
-                                        batch_format="pandas"))
+    num_parts = 2 * shuffle_partitions()
+    return map_buckets(band_rows.map_batches(_tag_bucket_partition(num_parts),
+                                             batch_format="pyarrow"),
+                       "part", pairs_in_partition, num_parts)
 
 
 def verify_jaccard_ds(ds: rd.Dataset, cand_pairs: pd.DataFrame, *,
@@ -339,7 +334,7 @@ def verify_jaccard_ds(ds: rd.Dataset, cand_pairs: pd.DataFrame, *,
     docs table is semi-join-filtered to candidate ids (broadcast
     ``pc.is_in`` — O(pairs) driver memory, never O(corpus)) and each
     candidate text is routed to the buckets of the pairs that need it.
-    Verification runs per-bucket inside ``map_groups`` with a local
+    Verification runs per-bucket inside ``map_buckets`` with a local
     shingle cache. No whole-corpus dict ever exists anywhere.
     """
     if cand_pairs.empty:
@@ -411,11 +406,8 @@ def verify_jaccard_ds(ds: rd.Dataset, cand_pairs: pd.DataFrame, *,
         return pd.DataFrame(rows, columns=["a", "b", "jaccard",
                                            "jaccard_e6"])
 
-    out = (text_rows.union(pair_rows)
-           # consolidate before the sort-based groupby
-           .repartition(shuffle_partitions())
-           .groupby("vbucket").map_groups(verify_group, batch_format="pandas")
-           .to_pandas())
+    out = map_buckets(text_rows.union(pair_rows), "vbucket", verify_group,
+                      num_vbuckets).to_pandas()
     if out.empty:
         return pd.DataFrame({"a": [], "b": [], "jaccard": [],
                              "jaccard_e6": []})
@@ -434,7 +426,7 @@ def jaccard_exact_pairs_ds(ds: rd.Dataset, *, shingle_k: int = 3,
 
     Shape: (1) explode each doc into (shingle-hash, id, n_shingles)
     rows partitioned by shingle hash — the inverted index; (2) per
-    shingle-partition ``map_groups`` emits one (a, b, na, nb) row per
+    shingle-partition ``map_buckets`` emits one (a, b, na, nb) row per
     co-occurrence (each pair of docs sharing that shingle); (3)
     per-block partial count, then a bucketed Ray reduce sums
     co-occurrences into |A ∩ B| — the per-doc set sizes ride along in
@@ -518,8 +510,7 @@ def jaccard_exact_pairs_ds(ds: rd.Dataset, *, shingle_k: int = 3,
                                  "nb": pd.Series([], dtype=np.int64)})
         return pd.concat(frames, ignore_index=True)
 
-    co = (rows.repartition(p)
-          .groupby("part").map_groups(pairs_in_part, batch_format="pandas"))
+    co = map_buckets(rows, "part", pairs_in_part, num_parts)
 
     def combine(batch: pa.Table) -> pa.Table:
         g = batch.group_by(["a", "b", "na", "nb"]).aggregate(
@@ -548,11 +539,7 @@ def jaccard_exact_pairs_ds(ds: rd.Dataset, *, shingle_k: int = 3,
         out[score_col] = score[keep]
         return out[["a", "b", "inter", score_col]]
 
-    return (partials.repartition(p)
-            .map_batches(tag_bucket_fn(["a", "b"], p),
-                         batch_format="pyarrow")
-            .groupby("_kb").map_groups(reduce_bucket,
-                                       batch_format="pandas"))
+    return map_buckets(partials, ["a", "b"], reduce_bucket, p)
 
 
 def ppjoin_pairs_ds(ds: rd.Dataset, *, shingle_k: int = 3,
@@ -616,15 +603,11 @@ def ppjoin_pairs_ds(ds: rd.Dataset, *, shingle_k: int = 3,
         return pa.table({"shingle": pa.array(u.astype(np.int64)),
                          "df": pa.array(c.astype(np.int64))})
 
-    tag_sh = tag_bucket_fn(["shingle"], num_buckets, "_kb")
-
     def df_reduce(g: pd.DataFrame) -> pd.DataFrame:
         return g.groupby("shingle", as_index=False)["df"].sum()
 
-    dfm = (rows.map_batches(df_partial, batch_format="pyarrow")
-           .repartition(p)
-           .map_batches(tag_sh, batch_format="pyarrow")
-           .groupby("_kb").map_groups(df_reduce, batch_format="pandas"))
+    dfm = map_buckets(rows.map_batches(df_partial, batch_format="pyarrow"),
+                      ["shingle"], df_reduce, num_buckets)
 
     # --- attach df to each (doc, shingle) row: tagged-union join ---
     def row_side(batch: pa.Table) -> pa.Table:
@@ -652,12 +635,10 @@ def ppjoin_pairs_ds(ds: rd.Dataset, *, shingle_k: int = 3,
             r[c] = r[c].astype("int64")
         return r[["shingle", id_column, "n_sh", "df"]]
 
-    tag_j = tag_bucket_fn(["shingle"], num_buckets, "_jb")
-    rows_df = (rows.map_batches(row_side, batch_format="pyarrow")
-               .union(dfm.map_batches(df_side, batch_format="pyarrow"))
-               .map_batches(tag_j, batch_format="pyarrow").repartition(p)
-               .groupby("_jb").map_groups(attach_df,
-                                          batch_format="pandas"))
+    rows_df = map_buckets(
+        rows.map_batches(row_side, batch_format="pyarrow")
+        .union(dfm.map_batches(df_side, batch_format="pyarrow")),
+        ["shingle"], attach_df, num_buckets)
 
     # --- per-doc prefix selection ---
     def prefix_rows(g: pd.DataFrame) -> pd.DataFrame:
@@ -669,11 +650,7 @@ def ppjoin_pairs_ds(ds: rd.Dataset, *, shingle_k: int = 3,
         keep = pos < (n - ceil_tn + 1)
         return g.loc[keep, ["shingle", id_column, "n_sh"]]
 
-    tag_doc = tag_bucket_fn([id_column], num_buckets, "_db")
-    pref = (rows_df.map_batches(tag_doc, batch_format="pyarrow")
-            .repartition(p)
-            .groupby("_db").map_groups(prefix_rows,
-                                       batch_format="pandas"))
+    pref = map_buckets(rows_df, [id_column], prefix_rows, num_buckets)
 
     # --- candidate pairs from prefix-shingle groups (+ size filter) ---
     def cand_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
@@ -703,16 +680,9 @@ def ppjoin_pairs_ds(ds: rd.Dataset, *, shingle_k: int = 3,
     def cand_dedup(g: pd.DataFrame) -> pd.DataFrame:
         return g.drop_duplicates(["a", "b"])[["a", "b", "na", "nb"]]
 
-    tag_pair = tag_bucket_fn(["a", "b"], num_buckets, "_pb")
-    cand = (pref.map_batches(tag_sh, batch_format="pyarrow")
-            .repartition(p)
-            .groupby("_kb").map_groups(cand_in_bucket,
-                                       batch_format="pandas")
-            .map_batches(tag_pair, batch_format="pyarrow")
-            .repartition(p)
-            .groupby("_pb").map_groups(cand_dedup,
-                                       batch_format="pandas")
-            .to_pandas())
+    cand = map_buckets(map_buckets(pref, ["shingle"], cand_in_bucket,
+                                   num_buckets),
+                       ["a", "b"], cand_dedup, num_buckets).to_pandas()
     if cand.empty:
         return pd.DataFrame({"a": pd.Series([], dtype=np.int64),
                              "b": pd.Series([], dtype=np.int64),
@@ -781,11 +751,8 @@ def ppjoin_pairs_ds(ds: rd.Dataset, *, shingle_k: int = 3,
                                           "jaccard_e6"]) \
             .astype("int64")
 
-    verified = (rows.map_batches(route, batch_format="pyarrow")
-                .repartition(p)
-                .groupby("vb").map_groups(verify_bucket,
-                                          batch_format="pandas")
-                .to_pandas())
+    verified = map_buckets(rows.map_batches(route, batch_format="pyarrow"),
+                           "vb", verify_bucket, num_buckets).to_pandas()
     if verified.empty:
         return pd.DataFrame({"a": pd.Series([], dtype=np.int64),
                              "b": pd.Series([], dtype=np.int64),
@@ -1035,7 +1002,7 @@ def simhash_near_pairs(ds: rd.Dataset, *, seed: int = 42, max_hamming: int = 3,
 
     # distributed bucket pairing (same shape as lsh_candidate_pairs_ds):
     # coarse-partition on the block key, vectorized pairwise hamming
-    # inside map_groups; cross-block pair dedup happens driver-side on
+    # inside map_buckets; cross-block pair dedup happens driver-side on
     # the OUTPUT-sized pair stream — nothing corpus-sized touches the
     # driver
     def pairs_in_partition(g: pd.DataFrame) -> pd.DataFrame:
@@ -1060,13 +1027,9 @@ def simhash_near_pairs(ds: rd.Dataset, *, seed: int = 42, max_hamming: int = 3,
                              "b": pd.Series(rows_b, dtype=object),
                              "hamming": pd.Series(rows_h, dtype="int64")})
 
-    pdf = (blocks.map_batches(_tag_bucket_partition(64),
-                              batch_format="pyarrow")
-           # consolidate before the sort-based groupby
-           .repartition(shuffle_partitions())
-           .groupby("part").map_groups(pairs_in_partition,
-                                       batch_format="pandas")
-           .to_pandas())
+    pdf = map_buckets(blocks.map_batches(_tag_bucket_partition(64),
+                                         batch_format="pyarrow"),
+                      "part", pairs_in_partition, 64).to_pandas()
     if pdf.empty:
         return pd.DataFrame({"a": [], "b": [], "hamming": []})
     # a pair found via several blocks has the SAME hamming everywhere —
@@ -1091,7 +1054,7 @@ def embedding_near_dup_pairs(ds: rd.Dataset, *, threshold: float = 0.95,
     lsh_bits>0 → multi-table random-hyperplane LSH, the scale path:
     each vector emits one (table_id, bucket) row per table; shuffle
     key = bucket, exact pairwise cosine only in-bucket inside
-    ``map_groups``, cross-table pair dedup via a Ray groupby. Recall
+    ``map_buckets``, cross-table pair dedup via a Ray groupby. Recall
     for a pair at angle θ is 1-(1-(1-θ/π)^bits)^tables (Charikar 2002
     hyperplane LSH; tune bits↑ for tighter thresholds, tables↑ for
     recall). The driver only ever holds the final pair set.
@@ -1222,11 +1185,8 @@ def verify_cosine_ds(norm_ds: rd.Dataset, cand_pairs: pd.DataFrame, *,
                              "b": p["b"].to_numpy()[mask],
                              "cosine": np.round(sims[mask], 4)})
 
-    out = (vec_rows.union(pair_rows)
-           # consolidate before the sort-based groupby
-           .repartition(shuffle_partitions())
-           .groupby("vbucket").map_groups(verify_group, batch_format="pandas")
-           .to_pandas())
+    out = map_buckets(vec_rows.union(pair_rows), "vbucket", verify_group,
+                      num_vbuckets).to_pandas()
     if out.empty:
         return pd.DataFrame({"a": [], "b": [], "cosine": []})
     return out.sort_values(["a", "b"]).reset_index(drop=True)
@@ -1354,10 +1314,8 @@ def dup_window_stats(ds: rd.Dataset, *, window: int = RK_WINDOW,
         hot = cnt[cnt >= 2].index.to_numpy()
         return pd.DataFrame({"whash": hot})
 
-    hot = (wins.map_batches(pair_dedup, batch_format="pyarrow")
-           .repartition(shuffle_partitions())
-           .map_batches(tag_bucket_fn(["whash"]), batch_format="pyarrow")
-           .groupby("_kb").map_groups(hot_bucket, batch_format="pandas"))
+    hot = map_buckets(wins.map_batches(pair_dedup, batch_format="pyarrow"),
+                      ["whash"], hot_bucket)
 
     dup = bucketed_semi_join(wins, hot, on="whash")
 
@@ -1398,8 +1356,6 @@ def dup_window_remove_stats(ds: rd.Dataset, *, window: int = RK_WINDOW,
 
     from ..functions.hashing import stable_hash64_np
     from .joins import bucketed_semi_join
-    p = shuffle_partitions()
-
     wins = ds.map_batches(window_hash_batch,
                           fn_kwargs={"window": window, "column": column,
                                      "emit_pos": True},
@@ -1415,14 +1371,10 @@ def dup_window_remove_stats(ds: rd.Dataset, *, window: int = RK_WINDOW,
         hot = cnt[cnt >= 2].index.to_numpy()
         return pd.DataFrame({"whash": hot})
 
-    hot = (wins.map_batches(pair_dedup, batch_format="pyarrow")
-           .repartition(p)
-           .map_batches(tag_bucket_fn(["whash"]), batch_format="pyarrow")
-           .groupby("_kb").map_groups(hot_bucket, batch_format="pandas"))
+    hot = map_buckets(wins.map_batches(pair_dedup, batch_format="pyarrow"),
+                      ["whash"], hot_bucket)
 
     dup = bucketed_semi_join(wins, hot, on="whash")
-
-    tag = tag_bucket_fn(["doc_id"], col_name="_db")
 
     def doc_side(batch: pa.Table) -> pa.Table:
         return pa.table({"doc_id": pc.cast(batch["doc_id"], pa.int64()),
@@ -1487,10 +1439,6 @@ def dup_window_remove_stats(ds: rd.Dataset, *, window: int = RK_WINDOW,
                              "kept_sum": kept_sum})
 
     both = (ds.map_batches(doc_side, batch_format="pyarrow")
-            .map_batches(tag, batch_format="pyarrow")
-            .union(dup.map_batches(dup_side, batch_format="pyarrow")
-                   .map_batches(tag, batch_format="pyarrow"))
-            .repartition(p))
-    return both.groupby("_db").map_groups(strip_bucket,
-                                          batch_format="pandas")
+            .union(dup.map_batches(dup_side, batch_format="pyarrow")))
+    return map_buckets(both, ["doc_id"], strip_bucket)
 

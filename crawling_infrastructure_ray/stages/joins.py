@@ -6,8 +6,8 @@ native ``Dataset.join`` measured slower and hang-prone at low CPU
 explicit bucketed shapes the engine standardizes on (SURVEY.md §2.5
 J1/J4 RD mapping): hash both sides on the join key into a bounded
 number of buckets, resolve membership per bucket inside
-``map_groups`` with vectorized pandas — one shuffle, zero driver-side
-key sets.
+``bucketing.map_buckets`` with vectorized pandas — one exchange, zero
+driver-side key sets.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ import pandas as pd
 import pyarrow as pa
 import ray.data as rd
 
-from ..functions.bucketing import shuffle_partitions, tag_bucket_fn
+from ..functions.bucketing import (map_buckets, shuffle_partitions,
+                                   tag_bucket_fn)
 
 
 def _int_casts(schema: pa.Schema) -> dict:
@@ -30,13 +31,13 @@ def _int_casts(schema: pa.Schema) -> dict:
 
 
 def _tagged_union(data: rd.Dataset, keys: rd.Dataset, on: str,
-                  num_buckets: int | None, salt: int = 1) -> rd.Dataset:
+                  num_buckets: int, salt: int = 1) -> rd.Dataset:
     """Shared front half of the bucketed semi/anti joins: tag both
     sides with the engine's vectorized bucket tagger
     (functions/bucketing — dictionary-encoded string hashing, no
     per-row Python), pad the key side to the data schema with nulls,
-    and union into ONE shuffle stream keyed on ``jbucket``, hashed into
-    ``num_buckets`` buckets (default: twice ``shuffle_partitions()``).
+    and union into ONE stream keyed on ``jbucket``, hashed into
+    ``num_buckets`` buckets (``num_buckets * salt`` tags).
 
     ``salt > 1`` is the HOT-KEY SKEW path (the north rule's salted
     repartitioning): each data row lands in one of ``salt``
@@ -50,8 +51,7 @@ def _tagged_union(data: rd.Dataset, keys: rd.Dataset, on: str,
     the key side is the small one."""
     schema = data.schema()
     names, types = list(schema.names), list(schema.types)
-    p = shuffle_partitions()
-    tag = tag_bucket_fn([on], num_buckets or 2 * p, "jbucket")
+    tag = tag_bucket_fn([on], num_buckets, "jbucket")
 
     def _subsplit(t: pa.Table, s) -> pa.Table:
         b = t["jbucket"].to_numpy(zero_copy_only=False)
@@ -76,12 +76,28 @@ def _tagged_union(data: rd.Dataset, keys: rd.Dataset, on: str,
             out = pa.concat_tables([_subsplit(out, s) for s in range(salt)])
         return out
 
-    # consolidate before the sort-based groupby: Ray's sort pays
-    # per-block overhead and the union of two map stages yields many
-    # small blocks (measured ~1.7x on the j2-shaped join at sf0.1)
+    # no consolidating repartition: the exchange's boundary sort (or,
+    # on one CPU, its single map task) already gathers the union's
+    # small blocks into one block per partition
     return (data.map_batches(tag_data, batch_format="pyarrow")
-            .union(keys.map_batches(tag_keys, batch_format="pyarrow"))
-            .repartition(p))
+            .union(keys.map_batches(tag_keys, batch_format="pyarrow")))
+
+
+def _membership_join(data: rd.Dataset, keys: rd.Dataset, on: str,
+                     num_buckets: int | None, salt: int,
+                     keep_hits: bool) -> rd.Dataset:
+    """Semi (``keep_hits``) or anti join: resolve each bucket of the
+    tagged union in one ``map_buckets`` call."""
+    num_buckets = num_buckets or 2 * shuffle_partitions()
+    both = _tagged_union(data, keys, on, num_buckets, salt)
+    casts = _int_casts(data.schema())
+
+    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
+        hit = g[on].isin(set(g.loc[g["is_key"], on]))
+        out = g[~g["is_key"] & (hit if keep_hits else ~hit)]
+        return out.drop(columns=["jbucket", "is_key"]).astype(casts)
+
+    return map_buckets(both, "jbucket", per_bucket, num_buckets * salt)
 
 
 def bucketed_semi_join(data: rd.Dataset, keys: rd.Dataset, *, on: str,
@@ -93,19 +109,11 @@ def bucketed_semi_join(data: rd.Dataset, keys: rd.Dataset, *, on: str,
     Both sides are hash-bucketed on the join key; the key side is
     padded to the data schema with nulls so the union shuffles one
     stream; per-bucket membership is a vectorized pandas ``isin``
-    inside ``map_groups``. One shuffle of the (already filtered) data,
+    inside ``map_buckets``. One exchange of the (already filtered) data,
     zero driver-side key sets — the portable semi-join shape for
     data-sized key sets (same family as q_j2's bucketed hash join).
     """
-    both = _tagged_union(data, keys, on, num_buckets, salt)
-    casts = _int_casts(data.schema())
-
-    def semi(g: pd.DataFrame) -> pd.DataFrame:
-        ks = set(g.loc[g["is_key"], on])
-        out = g[~g["is_key"] & g[on].isin(ks)]
-        return out.drop(columns=["jbucket", "is_key"]).astype(casts)
-
-    return both.groupby("jbucket").map_groups(semi, batch_format="pandas")
+    return _membership_join(data, keys, on, num_buckets, salt, True)
 
 
 def bucketed_anti_join(data: rd.Dataset, keys: rd.Dataset, *, on: str,
@@ -115,15 +123,7 @@ def bucketed_anti_join(data: rd.Dataset, keys: rd.Dataset, *, on: str,
     does NOT appear in ``keys`` — same bucketed shape as
     ``bucketed_semi_join`` with the membership inverted (the J4
     truly-failed-audit shape at data-sized key cardinality)."""
-    both = _tagged_union(data, keys, on, num_buckets, salt)
-    casts = _int_casts(data.schema())
-
-    def anti(g: pd.DataFrame) -> pd.DataFrame:
-        ks = set(g.loc[g["is_key"], on])
-        out = g[~g["is_key"] & ~g[on].isin(ks)]
-        return out.drop(columns=["jbucket", "is_key"]).astype(casts)
-
-    return both.groupby("jbucket").map_groups(anti, batch_format="pandas")
+    return _membership_join(data, keys, on, num_buckets, salt, False)
 
 
 def union_find_components(pairs) -> dict:
@@ -235,7 +235,7 @@ def snapshot_diff(snap_a: rd.Dataset, snap_b: rd.Dataset, *, on: str,
     sentinel for the absent side so the schema stays non-null int64).
     Unchanged keys are dropped.
 
-    Shape: ONE hash shuffle — both snapshots are tagged with the
+    Shape: ONE bucket exchange — both snapshots are tagged with the
     shared vectorized bucket tagger, unioned into a single stream
     (side flag 0/1), and each bucket resolves its keys with ONE
     vectorized pandas outer merge. No driver-side key sets; exchange
@@ -243,8 +243,8 @@ def snapshot_diff(snap_a: rd.Dataset, snap_b: rd.Dataset, *, on: str,
     arbitrary two-snapshot diff."""
     import numpy as np
 
-    p = shuffle_partitions()
-    tag = tag_bucket_fn([on], 2 * p, "jbucket")
+    num_buckets = 2 * shuffle_partitions()
+    tag = tag_bucket_fn([on], num_buckets, "jbucket")
 
     def tag_side(side: int):
         def fn(t: pa.Table) -> pa.Table:
@@ -255,8 +255,7 @@ def snapshot_diff(snap_a: rd.Dataset, snap_b: rd.Dataset, *, on: str,
         return fn
 
     both = (snap_a.map_batches(tag_side(0), batch_format="pyarrow")
-            .union(snap_b.map_batches(tag_side(1), batch_format="pyarrow"))
-            .repartition(p))
+            .union(snap_b.map_batches(tag_side(1), batch_format="pyarrow")))
 
     def diff_bucket(g: pd.DataFrame) -> pd.DataFrame:
         import numpy as np
@@ -276,5 +275,4 @@ def snapshot_diff(snap_a: rd.Dataset, snap_b: rd.Dataset, *, on: str,
             "old": m["old"].fillna(-1).to_numpy().astype("int64"),
             "new": m["new"].fillna(-1).to_numpy().astype("int64")})
 
-    return both.groupby("jbucket").map_groups(diff_bucket,
-                                              batch_format="pandas")
+    return map_buckets(both, "jbucket", diff_bucket, num_buckets)

@@ -35,6 +35,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
+from ..functions.bucketing import map_buckets
 from ..functions.hashing import splitmix64_np
 from ..functions.tokenize import split_ws
 
@@ -421,7 +422,7 @@ def shuffle_shards_ds(docs: rd.Dataset,
 
     Scale shape: shard assignment is one vectorized hash (zero
     shuffle); the rank needs only a PER-SHARD sort — num_shards
-    independent map_groups sorts of ~N/num_shards keys each, never a
+    independent per-shard sorts of ~N/num_shards keys each, never a
     global sort. Partitioning assumption: num_shards is a CONFIG that
     must scale with the corpus (pick ≈ corpus_rows / rows-per-shard
     so one shard's keys fit a worker; at 100 TB that is 10⁴-10⁵
@@ -448,9 +449,8 @@ def shuffle_shards_ds(docs: rd.Dataset,
             "shuffle_key": pd.array(k, dtype="UInt64"),
             "pos_in_shard": pos})
 
-    return (docs.map_batches(assign, batch_format="pyarrow")
-            .groupby("shard")
-            .map_groups(rank_group, batch_format="pandas"))
+    return map_buckets(docs.map_batches(assign, batch_format="pyarrow"),
+                       "shard", rank_group, num_shards)
 
 
 # deterministic per-group reservoir: keep the k docs with the

@@ -21,6 +21,8 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
+from ..sources.storage import read_dataset
+
 
 def _to_matrix(col) -> np.ndarray:
     """(n, dim) float64 matrix from a list<float> column. Zero-copy
@@ -231,9 +233,8 @@ class IVFIndex:
             return t.set_column(i, "centroid",
                                 pc.cast(t["centroid"], pa.int32()))
 
-        parts = [rd.read_parquet(p).map_batches(fix_types,
-                                                batch_format="pyarrow")
-                 for p in paths]
+        parts = [read_dataset(p, "parquet").map_batches(
+                     fix_types, batch_format="pyarrow") for p in paths]
         part = parts[0] if len(parts) == 1 else parts[0].union(*parts[1:])
         saved_assigned, self.assigned = self.assigned, part
         try:

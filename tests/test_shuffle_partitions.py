@@ -3,8 +3,13 @@
 that count — only row order does, which the oracle comparison
 normalises."""
 
+import ast
+import json
+import os
 import pathlib
 import re
+import signal
+import subprocess
 import sys
 
 import duckdb
@@ -15,14 +20,31 @@ from test_queries_oracle import SF, TABLES, _run, assert_matches_oracle
 
 PKG = pathlib.Path(bucketing.__file__).resolve().parents[1]
 
+REPO = PKG.parent
+
 # one query per shuffle shape: merge_partials_ray (o6, g4, g6), the
 # j2 bucketed join (key % B, B not a power of two at width 5), a
-# windowed per-bucket reduce, a stages/joins semi-join, and the
-# shingle-partitioned exact and prefix-filtered dedup joins
+# windowed per-bucket reduce, the stages/joins semi- and anti-joins,
+# the shingle-partitioned exact and prefix-filtered dedup joins, the
+# LSH band-partition join, the training token packer, and the
+# two-exchange bounds join of normalize_value_per_user
 QUERIES = ["o6_top35_parts", "events_hourly_window",
            "j2_bucketed_join_revenue", "g4_fleet_stats",
            "g6_distinct_users", "q4_priority_exists",
-           "dedup_jaccard_exact", "ppjoin_pairs"]
+           "j4_customers_without_p_orders",
+           "dedup_jaccard_exact", "ppjoin_pairs", "dedup_minhash_pairs",
+           "pack_sequences", "normalize_value_per_user"]
+
+# groupby(...).map_groups sites that group by a real key, or by a tag
+# whose range is not known when the plan is built: every other
+# per-bucket stage goes through bucketing.map_buckets
+REAL_KEY_GROUPBYS = {
+    ("pipelines/analytics.py", "event_type"),     # per-type quantiles
+    ("pipelines/analytics.py", "bkt"),            # id >> 12 ranges
+    ("pipelines/training.py", "source"),          # per-source KMV merge
+    ("stages/sampling.py", "n_chars"),            # within-value rank
+    ("sources/storage.py", "partition_col"),      # one dir per value
+}
 
 
 @pytest.fixture(scope="module")
@@ -69,3 +91,59 @@ def test_repartition_width_has_one_home():
                  for i, line in enumerate(p.read_text().splitlines(), 1)
                  if literal.search(line)]
     assert offenders == []
+
+
+def _calls(attr: str):
+    """(module path, call node) for every ``<x>.<attr>(...)`` call in
+    the package."""
+    for p in sorted(PKG.rglob("*.py")):
+        for node in ast.walk(ast.parse(p.read_text())):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == attr):
+                yield str(p.relative_to(PKG)), node
+
+
+def test_bucket_exchange_has_one_home():
+    """No package module but functions/bucketing.py runs
+    ``groupby(<bucket tag>).map_groups``: bucket exchanges go through
+    ``map_buckets``, and only the real-key sites group natively."""
+    sites = set()
+    for path, node in _calls("map_groups"):
+        gb = node.func.value
+        assert (isinstance(gb, ast.Call) and isinstance(gb.func, ast.Attribute)
+                and gb.func.attr == "groupby"), f"{path}:{node.lineno}"
+        key = gb.args[0]
+        sites.add((path, key.value if isinstance(key, ast.Constant)
+                   else ast.unparse(key)))
+    assert sites == REAL_KEY_GROUPBYS
+
+
+def test_reads_go_through_the_sized_readers():
+    """Every parquet read is ``readers.read_table`` or
+    ``storage.read_dataset``, so every read is as wide as the session."""
+    readers = sorted(path for path, node in _calls("read_parquet")
+                     if ast.unparse(node.func.value) in ("rd", "ray.data"))
+    assert readers == ["sources/readers.py", "sources/storage.py"]
+
+
+def test_one_cpu_session_finishes():
+    """On a one-CPU Ray session (the benchmark's), the two-exchange
+    normalize query and the j2 join finish and match their oracles.
+    Before the bucket exchange, normalize_value_per_user never
+    finished there."""
+    proc = subprocess.Popen(
+        [sys.executable, "tools/strict_mirror.py", SF,
+         "normalize_value_per_user", "j2_bucketed_join_revenue"],
+        cwd=REPO, env={**os.environ, "RAY_GRAFT_CPUS": "1"},
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+        start_new_session=True)
+    try:
+        out, _ = proc.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("one-CPU strict mirror did not finish in 120 s")
+    summary = json.loads(out.strip().splitlines()[-1])
+    assert proc.returncode == 0, out
+    assert (summary["cpus"], summary["oracle_ok"]) == (1, 2), out

@@ -8,8 +8,9 @@ dtype drift in round 3). Rows-only queries are executed and must
 return a non-empty schema.
 
 Usage: python tools/strict_mirror.py [sf_dir] [query ...]
-Prints one line per query and a JSON summary; non-zero exit on any
-failure.
+Prints one line per query (with the seconds the query itself took)
+and a JSON summary with the total wall time and the session's Ray CPU
+count (``RAY_GRAFT_CPUS``, default 8); non-zero exit on any failure.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import hashlib
 import json
 import os
 import sys
+import time
 import warnings
 
 warnings.filterwarnings("ignore")
@@ -47,8 +49,8 @@ def main() -> int:
     only = set(sys.argv[2:])
 
     import ray
-    ray.init(address="local",
-             num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", "8")),
+    cpus = int(os.environ.get("RAY_GRAFT_CPUS", "8"))
+    ray.init(address="local", num_cpus=cpus,
              include_dashboard=False, logging_level="ERROR")
     from ray.data import DataContext
     DataContext.get_current().enable_progress_bars = False
@@ -68,14 +70,18 @@ def main() -> int:
     names = [n for n in qs if not only or n in only]
     ok = bad = rows_only = 0
     failed = []
+    t_all = time.perf_counter()
     for name in names:
+        t0 = time.perf_counter()
         res = qs[name](sf)
         if hasattr(res, "to_pandas"):
             res = res.to_pandas()
+        secs = time.perf_counter() - t0
         got = norm(pd.DataFrame(res))
         if name not in sqls:
             rows_only += 1
-            print(f"{name}: ROWS_ONLY rows={len(got)}")
+            print(f"{name}: ROWS_ONLY rows={len(got)} s={secs:.3f}",
+                  flush=True)
             continue
         want = norm(con.execute(sqls[name]).fetchdf())
         good = (list(got.columns) == list(want.columns)
@@ -86,9 +92,12 @@ def main() -> int:
         else:
             bad += 1
             failed.append(name)
-        print(f"{name}: {'OK' if good else 'FAIL'} rows={len(got)}")
+        print(f"{name}: {'OK' if good else 'FAIL'} rows={len(got)} "
+              f"s={secs:.3f}", flush=True)
+    wall = time.perf_counter() - t_all
     ray.shutdown()
-    print(json.dumps({"metric": "strict_mirror", "sf": sf,
+    print(json.dumps({"metric": "strict_mirror", "sf": sf, "cpus": cpus,
+                      "wall_s": round(wall, 3),
                       "oracle_ok": ok, "oracle_fail": bad,
                       "rows_only": rows_only, "failed": failed}))
     return 1 if bad else 0
