@@ -439,7 +439,9 @@ def q_j2_bucketed_join_revenue(sf_dir: str):
         rev = pa.array(price_c * (100 - disc_c), pa.int64())
         # map-side combine BEFORE the shuffle: lineitem has ~4 rows per
         # orderkey, so pre-summing (revenue, n_lines) per key per batch
-        # shrinks the bucket exchange ~4x
+        # shrinks the bucket exchange ~4x when a batch is a whole row
+        # group (the scan's batches): 120,000 -> 29,428 rows at sf0.02
+        # on one CPU, against 101,983 from 10,000-row batches
         t = pa.table({"key": batch["l_orderkey"], "revenue_e4": rev})
         g = t.group_by("key").aggregate([("revenue_e4", "sum"),
                                          ("revenue_e4", "count")])

@@ -1,8 +1,9 @@
 """Input readers (reference S1-S6 ingest surface, SURVEY.md §2.1).
 
 ``read_table`` is the standard entry: parquet with column pruning
-(prune at the read — only requested columns leave storage), read into
-``shuffle_partitions()`` blocks, one per CPU.
+(prune at the read — only requested columns leave storage), read by
+``storage.scan_parquet`` into ``shuffle_partitions()`` blocks, one per
+CPU.
 ``read_local`` reads a small table on the driver, with no Ray Data
 execution: broadcast join sides, config-sized dimensions and
 predicate-pruned lookups.
@@ -18,17 +19,15 @@ import os
 import pandas as pd
 import ray.data as rd
 
-from ..functions.bucketing import shuffle_partitions
+from .storage import scan_parquet
 
 
 def read_table(sf_dir: str, name: str,
                columns: list[str] | None = None) -> rd.Dataset:
     """Read one synthetic table with column pruning pushed to the scan,
-    as wide as the session: Ray's own heuristic splits a file into
-    ~1 MiB blocks, each a task of its own downstream."""
-    path = os.path.join(sf_dir, f"{name}.parquet")
-    return rd.read_parquet(path, columns=columns,
-                           override_num_blocks=shuffle_partitions())
+    as wide as the session: ``storage.scan_parquet`` plans
+    ``shuffle_partitions()`` tasks of whole row groups from the footer."""
+    return scan_parquet(os.path.join(sf_dir, f"{name}.parquet"), columns)
 
 
 def read_local(sf_dir: str, name: str, columns: list[str] | None = None,

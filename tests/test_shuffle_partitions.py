@@ -119,22 +119,49 @@ def test_bucket_exchange_has_one_home():
     assert sites == REAL_KEY_GROUPBYS
 
 
+def _function(path: str, name: str) -> ast.FunctionDef:
+    tree = ast.parse((PKG / path).read_text())
+    return next(n for n in ast.walk(tree)
+                if isinstance(n, ast.FunctionDef) and n.name == name)
+
+
+def _called(fn: ast.FunctionDef) -> set[str]:
+    return {n.func.id if isinstance(n.func, ast.Name) else n.func.attr
+            for n in ast.walk(fn) if isinstance(n, ast.Call)
+            and isinstance(n.func, (ast.Name, ast.Attribute))}
+
+
 def test_reads_go_through_the_sized_readers():
     """Every parquet read is ``readers.read_table`` or
-    ``storage.read_dataset``, so every read is as wide as the session."""
-    readers = sorted(path for path, node in _calls("read_parquet")
-                     if ast.unparse(node.func.value) in ("rd", "ray.data"))
-    assert readers == ["sources/readers.py", "sources/storage.py"]
+    ``storage.read_dataset``, both run ``storage.scan_parquet``, and
+    that scan asks for ``shuffle_partitions()`` blocks, so every read
+    is as wide as the session. No ``read_parquet`` is left in the
+    package, and the scan is the one ``read_datasource`` call."""
+    assert [path for path, _ in _calls("read_parquet")] == []
+    sources = list(_calls("read_datasource"))
+    assert [path for path, _ in sources] == ["sources/storage.py"]
+    widths = {k.arg: ast.unparse(k.value) for k in sources[0][1].keywords}
+    assert widths["override_num_blocks"] == "shuffle_partitions()"
+    assert "read_datasource" in _called(_function("sources/storage.py",
+                                                  "scan_parquet"))
+    assert "scan_parquet" in _called(_function("sources/readers.py",
+                                               "read_table"))
+    assert "scan_parquet" in _called(_function("sources/storage.py",
+                                               "read_dataset"))
 
 
 def test_one_cpu_session_finishes():
     """On a one-CPU Ray session (the benchmark's), the two-exchange
     normalize query and the j2 join finish and match their oracles.
     Before the bucket exchange, normalize_value_per_user never
-    finished there."""
+    finished there. The other three read the scan's other input
+    shapes: a hive ``shard=K/`` tree (export_shards), hive
+    ``centroid=C/`` directories (ann_ivf_full_probe) and a crawl's
+    fragment directory (crawl_doc_stats)."""
+    names = ["normalize_value_per_user", "j2_bucketed_join_revenue",
+             "export_shards", "ann_ivf_full_probe", "crawl_doc_stats"]
     proc = subprocess.Popen(
-        [sys.executable, "tools/strict_mirror.py", SF,
-         "normalize_value_per_user", "j2_bucketed_join_revenue"],
+        [sys.executable, "tools/strict_mirror.py", SF, *names],
         cwd=REPO, env={**os.environ, "RAY_GRAFT_CPUS": "1"},
         stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
         start_new_session=True)
@@ -146,4 +173,4 @@ def test_one_cpu_session_finishes():
         pytest.fail("one-CPU strict mirror did not finish in 120 s")
     summary = json.loads(out.strip().splitlines()[-1])
     assert proc.returncode == 0, out
-    assert (summary["cpus"], summary["oracle_ok"]) == (1, 2), out
+    assert (summary["cpus"], summary["oracle_ok"]) == (1, len(names)), out
