@@ -1,31 +1,22 @@
 """End-to-end crawl job: frontier → fetch+store chunk tasks → documents.
 
-Rebuild of the reference's main path (SURVEY.md §3.1): scheduler
+Rebuild of the reference's main path (SURVEY.md §3.1): the scheduler
 daemon launches waves of ephemeral workers, each worker leases a batch
-from the queue, crawls sequentially, persists blobs to S3, writes back
-statuses, and the daemon heals/retries between waves
+from the queue, crawls sequentially, persists blobs to S3 and writes
+back statuses, and the daemon heals and retries between waves
 (master/scheduler/daemon.ts:308-391, crawler/src/index.ts:69-173).
 
-One driver, ``run_crawl_pump``, runs one data plane, as every
-reference worker runs one loop (lease, crawl, store, write back):
-each frontier lease becomes one raw Ray task,
-``_fetch_store_route_task``, which fetches through ``FetchSim``,
-writes the lease's completed documents as one parquet fragment
-(``documents/part-<lease_id>.parquet``), and returns the lease's
-write-back. The driver sends the commit. The loop has two modes:
-
-- the async pump (``rounds=None``, throughput mode) keeps chunks in
-  flight with no barrier; the tasks route children straight to their
-  shards.
-- round mode (``rounds="shard"`` or ``"global"``, conformance mode)
-  leases one round — one lease per shard, or the globally smallest
-  open seqs — and waits for all of its tasks; commits land, then the
-  round's children are appended in parent ``enqueue_seq`` order, so
-  the claim stream, the frontier state and the documents table are
-  independent of Ray's task scheduling.
-
-Both modes share resume (the lease-id watermark), checkpoints, the
-lineage table and the lost-task rollback.
+Every reference worker runs one loop (lease, crawl, store, write
+back); here one ``LeaseRunner`` runs it for every crawl loop. Each
+lease becomes one raw Ray task, ``_fetch_store_route_task``, which
+fetches through ``FetchSim``, writes the lease's completed documents
+as one fragment (``documents/part-<lease_id>.parquet``) and returns
+the write-back; the runner sends the commit, keeps ``lineage.parquet``
+and rolls back a lost task (orphan fragment, circuit breaker). Two
+loops drive it: ``run_crawl_pump`` over one frontier (the async pump
+or deterministic rounds, with resume and checkpoints) and
+``pipelines.scheduler.run_multi_task``, the multi-task daemon cycle
+reduced to its allocation policy, one runner per task.
 
 Ray-level retries are disabled on the fetch tasks (``max_retries=0``
 mirror of the reference's deliberate Lambda ``maxRetries: 0``,
@@ -59,8 +50,8 @@ def _fetch_store_route_task(seqs: list, urls: list, hosts: list,
                             lease_id: int, all_shards=None,
                             route_seed: int = 42, **kwargs):
     """One lease's chunk: fetch + store (+ route) inside the task; the
-    driver commits. Both modes of the crawl driver run it, one task
-    per lease.
+    driver commits. ``LeaseRunner.submit`` is its one submission site,
+    so every crawl loop runs it, one task per lease.
 
     The task writes the lease's fragment, then returns the lease's
     write-back as plain lists ``(seqs, statuses, errors)``; the driver
@@ -75,7 +66,7 @@ def _fetch_store_route_task(seqs: list, urls: list, hosts: list,
 
     Children come only from rows the task stored and reports as
     ``completed``: a ``storage_failed`` row rolls back, and its retry
-    discovers them again. Given the shard handle list (the pump), the
+    discovers them again. Given the shard handle list, the
     task routes them DIRECTLY to their host shards (which allocate
     their own seq blocks) — child URLs never transit the driver, whose
     loop stays O(chunks) — and reports the shards it routed to, so the
@@ -175,6 +166,13 @@ def check_quarantine(counters: dict, max_lost_leases: int = 10,
             f"(max_lost_leases={max_lost_leases}, ratio≥{max_lost_ratio})")
 
 
+def job_limits(config) -> tuple[str, int, int]:
+    """What a ``JobConfig`` sets for a crawl loop: its storage policy,
+    its retry budget per item and its lost-lease breaker threshold."""
+    return (config.storage_policy, config.retry_failed_items,
+            config.max_lost_workers)
+
+
 @dataclass
 class CrawlResult:
     out_dir: str
@@ -206,21 +204,18 @@ def _append_manifest(path: str, row: dict) -> None:
         f.write(json.dumps(row) + "\n")
 
 
+_LINEAGE = pa.schema([
+    ("lease_id", pa.int64()), ("shard", pa.int32()), ("n_items", pa.int64()),
+    ("n_ok", pa.int64()), ("n_failed", pa.int64()), ("started", pa.float64()),
+    ("ended", pa.float64()), ("n_children", pa.int64())])
+
+
 def _write_lineage(out_dir: str, rows: list[tuple]) -> None:
     """Per-lease lineage table (reference worker_meta analog)."""
-    if not rows:
-        return
-    tbl = pa.table({
-        "lease_id": pa.array([r[0] for r in rows], pa.int64()),
-        "shard": pa.array([r[1] for r in rows], pa.int32()),
-        "n_items": pa.array([r[2] for r in rows], pa.int64()),
-        "n_ok": pa.array([r[3] for r in rows], pa.int64()),
-        "n_failed": pa.array([r[4] for r in rows], pa.int64()),
-        "started": pa.array([r[5] for r in rows], pa.float64()),
-        "ended": pa.array([r[6] for r in rows], pa.float64()),
-        "n_children": pa.array([r[7] for r in rows], pa.int64()),
-    })
-    _atomic_write_parquet(tbl, os.path.join(out_dir, "lineage.parquet"))
+    if rows:
+        _atomic_write_parquet(pa.Table.from_arrays(
+            [pa.array(c, f.type) for c, f in zip(zip(*rows), _LINEAGE)],
+            schema=_LINEAGE), os.path.join(out_dir, "lineage.parquet"))
 
 
 def read_lineage(out_dir: str) -> pa.Table:
@@ -232,6 +227,130 @@ def _read_manifest(path: str) -> list[dict]:
         return []
     with open(path) as f:
         return [json.loads(line) for line in f if line.strip()]
+
+
+class LeaseRunner:
+    """One frontier's lease lifecycle, the part every crawl loop shares:
+    ``submit`` runs a lease as one ``_fetch_store_route_task``,
+    ``collect`` sends its commit without waiting for it and keeps its
+    lineage row (reference worker meta, K5/G4, lib/types/workermeta.ts).
+    A task that dies (reference J5/R3) has its lease rolled back and its
+    orphan fragment deleted, and counts toward the circuit breaker.
+
+    ``relay_children`` is round mode: the tasks return their children
+    for the driver to append, and commits keep the reference retry gate
+    (R1 between rounds). Otherwise the tasks route children straight to
+    their shards and a commit retries a failed item at once. At most
+    ``window`` commits go unawaited."""
+
+    def __init__(self, frontier: Frontier, out_dir: str, fetch_kwargs: dict,
+                 *, window: int, max_lost_leases: int,
+                 relay_children: bool = False):
+        self.frontier = frontier
+        self.out_dir = out_dir
+        self.docs_dir = os.path.join(out_dir, "documents")
+        os.makedirs(self.docs_dir, exist_ok=True)
+        self.fetch_kwargs = dict(fetch_kwargs, docs_dir=self.docs_dir)
+        self.window = window
+        self.max_lost_leases = max_lost_leases
+        self.relay = relay_children
+        self.inflight: dict = {}      # ObjectRef -> (shard, lease_id, now)
+        self.commit_refs: list = []   # commits sent, not yet awaited
+        # (lease_id, shard, n, ok, failed, started, ended, children)
+        self.lineage: list[tuple] = []
+        self.lost = 0
+        self.urls = 0
+        self.docs = 0
+
+    @property
+    def commits(self) -> int:
+        return len(self.lineage)
+
+    def submit(self, lease: dict, shard: int, now) -> None:
+        # raw lists, not a pa.Table — the table is built in the task
+        # (see _fetch_store_route_task docstring: ~20x cheaper
+        # driver-side serialization per chunk)
+        ref = _fetch_store_route_task.options(max_retries=0).remote(
+            lease["seq"], lease["url"], lease["host"], lease["depth"],
+            lease["attempt"], shard, lease["lease_id"],
+            all_shards=None if self.relay else self.frontier.shards,
+            route_seed=self.frontier.seed,
+            part_label=f"{lease['lease_id']:015d}", **self.fetch_kwargs)
+        # the loop iteration's clock stamps the commit
+        self.inflight[ref] = (shard, lease["lease_id"], now)
+
+    def collect(self, ref):
+        """Account one finished chunk and send its commit; returns
+        ``(lease_id, counts, children)``, or None for a lost task."""
+        shard, lease_id, now = self.inflight.pop(ref)
+        try:
+            counts, commit, children = ray.get(ref)
+        except Exception:
+            # the lease was never committed: back to INITIAL. A task
+            # that died after its fragment write leaves an orphan
+            # part-<lease_id>; the retry writes a new one under a new
+            # lease id, so the orphan would double-count its documents
+            # (the reference analog is the merged-sink all-or-nothing
+            # rollback, crawler/src/index.ts:237-243)
+            self.frontier.rollback(shard, lease_id)
+            orphan = os.path.join(self.docs_dir, f"part-{lease_id:015d}.parquet")
+            if os.path.exists(orphan):
+                os.remove(orphan)
+            self.lost += 1
+            self.check_breaker()
+            return None
+        self.commit_refs.append(self.frontier.commit(
+            shard, lease_id, *commit, now, not self.relay))
+        if len(self.commit_refs) > self.window:
+            # bound the list on long runs; a failed commit still raises
+            done, self.commit_refs = ray.wait(
+                self.commit_refs, num_returns=len(self.commit_refs),
+                timeout=0)
+            ray.get(done)
+        self.urls += counts["n"]
+        self.docs += counts["n_ok"]
+        self.lineage.append((lease_id, shard, counts["n"], counts["n_ok"],
+                             counts["n"] - counts["n_ok"], counts["started"],
+                             counts["ended"], counts["n_children"]))
+        return lease_id, counts, children
+
+    def drain(self) -> list:
+        """Collect every chunk in flight, in submission order, then await
+        every commit sent; returns the collected results."""
+        out = [self.collect(ref) for ref in list(self.inflight)]
+        ray.get(self.commit_refs)
+        self.commit_refs.clear()
+        return out
+
+    def cancel(self) -> None:
+        """Cancel the chunks in flight the way a driver death would (Ray
+        reclaims the tasks a dead driver owns); their leases TTL-heal."""
+        for ref in self.inflight:
+            try:
+                ray.cancel(ref, force=True)
+            except Exception:
+                pass
+        self.inflight.clear()
+
+    def check_breaker(self) -> None:
+        """The job's circuit breaker over expired leases plus lost tasks."""
+        c = self.frontier.counters()
+        c["expired_leases"] = c.get("expired_leases", 0) + self.lost
+        check_quarantine(c, max_lost_leases=self.max_lost_leases)
+
+    def heal(self, now) -> bool:
+        """The reference daemon cycle's healing: the R1 retry gate, then
+        R3 lease expiry (daemon.ts:141-149,188-194). True if any item
+        went back to INITIAL."""
+        if self.frontier.retry_failed() > 0:
+            return True
+        if self.frontier.expire_leases(now) > 0:
+            self.check_breaker()
+            return True
+        return False
+
+    def write_lineage(self) -> None:
+        _write_lineage(self.out_dir, self.lineage)
 
 
 def run_crawl_pump(seed_urls: list[str] | None = None, *,
@@ -269,64 +388,48 @@ def run_crawl_pump(seed_urls: list[str] | None = None, *,
     """Run a crawl to drain (or to ``max_commits`` committed leases).
 
     ``rounds=None`` is the async pump, the throughput mode. The driver
-    keeps 3 × the session's CPUs (``ray.cluster_resources``) fetch
-    CHUNKS in flight: each chunk is one frontier lease of
-    ``chunk_size`` items running as one raw Ray task; as chunks
-    complete (``ray.wait``) their commits are sent and fresh leases
-    are issued immediately. There is no floor above that: a deeper
-    queue on a small session only leases whatever is open at that
-    moment and splits supply into more, smaller chunks. No barrier
-    → no straggler tail, CPUs stay saturated — the Ray analog of the
-    reference scheduler's endless launch loop
-    (master/scheduler/daemon.ts:61-79,308-391). The tasks route
-    discovered URLs to their shards in task COMPLETION order, so
-    ``enqueue_seq`` assignment (and claim order) is not deterministic
-    across runs; the final seen SET, histogram totals, and
-    per-document contents are (documents are a pure function of
-    (seed, url)). Those inserts are fire-and-forget; before its
+    keeps 3 × the session's CPUs (``ray.cluster_resources``) chunks of
+    ``chunk_size`` items in flight, and as chunks complete
+    (``ray.wait``) sends their commits and leases afresh: no barrier,
+    no straggler tail — the analog of the reference scheduler's endless
+    launch loop (master/scheduler/daemon.ts:61-79,308-391). The tasks
+    route children to their shards in completion order, so
+    ``enqueue_seq`` assignment and claim order vary across runs; the
+    final seen SET, histogram and documents (a pure function of
+    (seed, url)) do not. Those inserts are fire-and-forget; before its
     drained check and before a snapshot the driver polls each shard a
-    task routed to until the shard has applied that lease's children
-    (``FrontierShardCore.ack_routed``), so neither rests on a sleep.
-    A busy run acknowledges as it goes, once more than the in-flight
-    depth of lease ids waits, so neither side's bookkeeping grows with
+    task routed to until it has applied that lease's children
+    (``FrontierShardCore.ack_routed``), and a busy run acknowledges as
+    it goes, so no wait rests on a sleep and no bookkeeping grows with
     the run.
 
     ``rounds="shard"`` or ``"global"`` is round mode, the conformance
-    mode. Each loop iteration reads ``now_fn`` once and leases one
-    round: one ``chunk_size`` lease per shard (``"shard"``,
-    ``Frontier.lease_wave``), or the ``chunk_size`` globally smallest
-    open seqs (``"global"``, ``Frontier.lease_wave_global``: a K>1
-    claim stream equal to K=1's). The round's claims go to
-    ``claims/part-<lease_id>.parquet``; its chunk tasks run and the
-    driver waits for every one (the round barrier). Commits keep the
-    reference retry gate (R1 fires only when a round finds nothing to
-    lease), and once they have landed the round's children are
-    appended in parent ``enqueue_seq`` order, so the claim stream, the
-    frontier state and the documents table do not depend on Ray's
-    task scheduling. An empty round retries failed items, expires
-    stale leases, or ends the crawl (``longliving`` and ``stop_when``
-    apply to the pump only). The round number is the documents' and
-    claims' ``wave`` column and one ``manifest.jsonl`` row.
+    mode. Each iteration reads ``now_fn`` once and leases one round:
+    one ``chunk_size`` lease per shard (``Frontier.lease_wave``), or the
+    ``chunk_size`` globally smallest open seqs
+    (``Frontier.lease_wave_global``: a K>1 claim stream equal to K=1's).
+    Its claims go to ``claims/part-<lease_id>.parquet``, the driver waits
+    for all of its tasks, commits keep the reference retry gate (R1
+    fires only when a round finds nothing to lease), and then the
+    round's children are appended in parent ``enqueue_seq`` order, so
+    the claim stream, frontier state and documents do not depend on
+    Ray's scheduling. An empty round heals or ends the crawl
+    (``longliving`` and ``stop_when`` apply to the pump only). The round
+    number is the ``wave`` column and one ``manifest.jsonl`` row.
 
-    Both modes write ``lineage.parquet`` (one row per committed lease,
-    with the children it routed or relayed; ``CrawlResult.waves``
-    counts them) and checkpoint at soft
-    barriers (drain in-flight → snapshot) every
+    Both modes drive one ``LeaseRunner`` (lineage, lost-task rollback;
+    ``CrawlResult.waves`` counts committed leases) and checkpoint at
+    soft barriers (drain in flight → snapshot) every
     ``checkpoint_every_commits`` commits. On resume, fragments and
-    claims written after the checkpoint (lease_id ≥ the snapshot's
-    per-shard next_lease_id) are deleted and the manifest is cut back
-    to its last checkpoint row, so the documents table never
-    double-counts. A task that dies has its lease rolled back and
-    its orphan fragment deleted.
+    claims at or above the snapshot's per-shard next_lease_id are
+    deleted and the manifest is cut back to its last checkpoint row, so
+    the documents table never double-counts.
     """
     if rounds not in (None, "shard", "global"):
         raise ValueError(f"rounds must be None, 'shard' or 'global': {rounds!r}")
     if config is not None:
-        storage_policy = config.storage_policy
-        max_retries = config.retry_failed_items
-        max_lost_leases = config.max_lost_workers
+        storage_policy, max_retries, max_lost_leases = job_limits(config)
         longliving = longliving or config.longliving
-    docs_dir = os.path.join(out_dir, "documents")
     claims_dir = os.path.join(out_dir, "claims")
     ckpt_dir = os.path.join(out_dir, "ckpt")
     manifest = os.path.join(out_dir, "manifest.jsonl")
@@ -336,7 +439,7 @@ def run_crawl_pump(seed_urls: list[str] | None = None, *,
     if resume and os.path.exists(os.path.join(ckpt_dir, "frontier.pkl")):
         frontier = Frontier.restore(ckpt_dir)
         next_ids = ray.get([sh.get_next_lease_id.remote() for sh in frontier.shards])
-        for d in (docs_dir, claims_dir):
+        for d in (os.path.join(out_dir, "documents"), claims_dir):
             for f in os.listdir(d) if os.path.isdir(d) else ():
                 if f.startswith("part-") and f.endswith(".parquet"):
                     lid = int(f[5:-8])
@@ -352,7 +455,6 @@ def run_crawl_pump(seed_urls: list[str] | None = None, *,
     else:
         if os.path.isdir(out_dir):
             shutil.rmtree(out_dir)
-        os.makedirs(docs_dir, exist_ok=True)
         if frontier is None:
             frontier = Frontier(num_shards, seed=seed, dedup=dedup,
                                 exact_seen=exact_dedup,
@@ -381,46 +483,19 @@ def run_crawl_pump(seed_urls: list[str] | None = None, *,
     # three chunks per CPU of the session; no floor above that, which
     # on one or two CPUs only split supply into more, smaller leases
     target_inflight = 3 * max(1, int(ray.cluster_resources().get("CPU", 1)))
-    # the pump's tasks route children to their shards and its commits
-    # retry a failed item at once; round mode relays children through
-    # the driver and keeps the reference retry gate (R1 between rounds)
-    route_to = None if rounds else frontier.shards
+    run = LeaseRunner(frontier, out_dir,
+                      {"seed": seed, "max_depth": max_depth,
+                       "num_hosts": num_hosts,
+                       "storage_policy": storage_policy,
+                       "store_fail_marker": store_fail_marker,
+                       "fail_marker": fetch_fail_marker,
+                       "fail_after_store_marker": fetch_fail_after_store_marker},
+                      window=target_inflight, max_lost_leases=max_lost_leases,
+                      relay_children=rounds is not None)
 
     t0 = time.perf_counter()
-    inflight: dict = {}            # ObjectRef -> (shard, lease_id, now)
-    commit_refs: list = []         # commits sent, not yet awaited
     unacked: dict = {}             # shard -> lease ids routed, not acked
     acks: list = []                # (ack_routed ref, shard), not awaited
-    relay: list = []               # round mode: children of the round
-    urls_processed = 0
-    docs_written = 0
-    commits = 0
-    # lineage = per-lease worker-meta rows (reference K5/G4,
-    # lib/types/workermeta.ts): (lease_id, shard, n, ok, failed,
-    # started, ended, children) — written as out_dir/lineage.parquet
-    lineage_rows: list[tuple] = []
-    lost_tasks = 0
-    fetch_kwargs = {"seed": seed, "max_depth": max_depth,
-                    "num_hosts": num_hosts, "docs_dir": docs_dir,
-                    "storage_policy": storage_policy,
-                    "store_fail_marker": store_fail_marker,
-                    "fail_marker": fetch_fail_marker,
-                    "fail_after_store_marker": fetch_fail_after_store_marker}
-
-    def drop_orphan_fragment(lease_id: int) -> None:
-        """A task that died between its fragment write and its commit
-        leaves an orphan part-<lease_id>.parquet; the lease rolls back
-        and the retry writes a NEW part-<new_lease_id> fragment, so the
-        orphan would double-count those docs within the run. Delete it
-        on the rollback path (the reference analog is the merged-sink
-        all-or-nothing rollback, crawler/src/index.ts:237-243)."""
-        p = os.path.join(docs_dir, f"part-{lease_id:015d}.parquet")
-        if os.path.exists(p):
-            os.remove(p)
-
-    def await_enqueues() -> None:
-        ray.get(pending_enq)
-        pending_enq.clear()
 
     def settle_acks(block: bool) -> None:
         """Send every unacknowledged lease id to its shard, then take
@@ -446,72 +521,24 @@ def run_crawl_pump(seed_urls: list[str] | None = None, *,
         while unacked or acks:
             settle_acks(block=True)
 
-    def submit(lease: dict, shard: int, now) -> None:
-        # raw lists, not a pa.Table — the table is built in the task
-        # (see _fetch_store_route_task docstring: ~20x cheaper
-        # driver-side serialization per chunk)
-        ref = _fetch_store_route_task.options(max_retries=0).remote(
-            lease["seq"], lease["url"], lease["host"], lease["depth"],
-            lease["attempt"], shard, lease["lease_id"],
-            all_shards=route_to, route_seed=frontier.seed,
-            part_label=f"{lease['lease_id']:015d}", **fetch_kwargs)
-        # the loop iteration's clock stamps the commit
-        inflight[ref] = (shard, lease["lease_id"], now)
-
-    def collect(ref) -> None:
-        """Account one finished chunk (one more ``commits``) and send
-        its commit without waiting for it. A task that died has its
-        lease rolled back and any orphan fragment deleted, and counts
-        toward the circuit breaker."""
-        nonlocal commits, docs_written, urls_processed, lost_tasks
-        shard, lease_id, now = inflight.pop(ref)
-        try:
-            counts, commit, children = ray.get(ref)
-        except Exception:
-            # lost worker (reference J5/R3): the lease was never
-            # committed — roll it back to INITIAL and delete any
-            # orphan fragment the task wrote before it died
-            frontier.rollback(shard, lease_id)
-            drop_orphan_fragment(lease_id)
-            lost_tasks += 1
-            c = frontier.counters()
-            c["expired_leases"] = c.get("expired_leases", 0) + lost_tasks
-            check_quarantine(c, max_lost_leases=max_lost_leases)
+    def note_routed(result) -> None:
+        """Note the shards a collected chunk routed its children to."""
+        if result is None:
             return
-        commit_refs.append(frontier.commit(shard, lease_id, *commit,
-                                           now, rounds is None))
-        if len(commit_refs) > target_inflight:
-            # bound the list on long runs; a failed commit still raises
-            done_c, rest = ray.wait(commit_refs,
-                                    num_returns=len(commit_refs), timeout=0)
-            ray.get(done_c)
-            commit_refs[:] = rest
-        if children is not None:
-            relay.append(children)
+        lease_id, counts, _ = result
         for sh in counts["routed"]:
             unacked.setdefault(sh, []).append(lease_id)
         if sum(map(len, unacked.values())) > target_inflight:
             # bound the ids held here and on the shards on long busy
             # runs, which reach neither the drained check nor a snapshot
             settle_acks(block=False)
-        commits += 1
-        docs_written += counts["n_ok"]
-        urls_processed += counts["n"]
-        lineage_rows.append((lease_id, shard, counts["n"], counts["n_ok"],
-                             counts["n"] - counts["n_ok"],
-                             counts["started"], counts["ended"],
-                             counts["n_children"]))
-
-    def await_commits() -> None:
-        ray.get(commit_refs)
-        commit_refs.clear()
 
     def run_round(leases: list, now) -> dict:
         """Claims log, one chunk task per lease, the barrier, the
         commits, then the children; returns the round's manifest row."""
         nonlocal rnd
-        n0, ok0 = urls_processed, docs_written
-        fetch_kwargs["wave"] = rnd
+        n0, ok0 = run.urls, run.docs
+        run.fetch_kwargs["wave"] = rnd
         for lease in leases:
             # claims audit log — the engine's crawl order (golden-order
             # test; within a round, claim order = ascending enqueue_seq)
@@ -522,10 +549,8 @@ def run_crawl_pump(seed_urls: list[str] | None = None, *,
                 "wave": pa.array([rnd] * len(lease["seq"]), pa.int32()),
             }).sort_by("enqueue_seq"), os.path.join(
                 claims_dir, f"part-{lease['lease_id']:015d}.parquet"))
-            submit(lease, lease["shard"], now)
-        for ref in list(inflight):
-            collect(ref)
-        await_commits()
+            run.submit(lease, lease["shard"], now)
+        relay = [r[2] for r in run.drain() if r and r[2]]
         # discovered URLs → tail append in parent enqueue_seq order
         # (reference enqueue() appends with fresh _ids, enqueue.ts:71-116);
         # the stable sort keeps each parent's children in link order
@@ -536,8 +561,7 @@ def run_crawl_pump(seed_urls: list[str] | None = None, *,
                                    kind="stable")
             frontier.enqueue([urls[i] for i in by_parent],
                              [depths[i] for i in by_parent])
-        relay.clear()
-        n, ok = urls_processed - n0, docs_written - ok0
+        n, ok = run.urls - n0, run.docs - ok0
         rnd += 1
         return {"wave": rnd - 1, "leased": n, "completed": ok,
                 "failed": n - ok, "discovered": len(urls)}
@@ -547,13 +571,10 @@ def run_crawl_pump(seed_urls: list[str] | None = None, *,
 
     def refill(now, block: bool = False):
         """Overlapped refill: lease_many rounds run while fetch tasks
-        compute. Responses are collected PER SHARD as each becomes
-        ready (no all-8-shards barrier — one slow shard, e.g. one
-        mid-enqueue, must not delay the other seven's leases; measured
-        on the polite 32-cpu pump this barrier plus the 8-completion
-        main-loop wait capped lease supply at ~105 leases/s and
-        starved a third of the CPUs). ``block`` awaits everything —
-        the drained-ness path needs a definite answer."""
+        compute, and each shard's response is taken as it arrives (an
+        all-shards barrier capped the polite 32-cpu pump's lease supply
+        at ~105 leases/s). ``block`` awaits everything — the
+        drained-ness path needs a definite answer."""
         got = 0
         if lease_pending:
             if block:
@@ -565,17 +586,17 @@ def run_crawl_pump(seed_urls: list[str] | None = None, *,
             for ref in ready:
                 shard = lease_pending.pop(ref)
                 for lease in ray.get(ref):
-                    submit(lease, shard, now)
+                    run.submit(lease, shard, now)
                     got += 1
-        if not lease_pending and len(inflight) + got < target_inflight:
-            want = target_inflight - len(inflight) - got
+        if not lease_pending and len(run.inflight) + got < target_inflight:
+            want = target_inflight - len(run.inflight) - got
             per_shard = max(1, -(-want // frontier.num_shards))
             refs = [sh.lease_many.remote(per_shard, chunk_size, now)
                     for sh in frontier.shards]
             if block and not got:
                 for shard, leases in enumerate(ray.get(refs)):
                     for lease in leases:
-                        submit(lease, shard, now)
+                        run.submit(lease, shard, now)
                         got += 1
             else:
                 for i, ref in enumerate(refs):
@@ -583,45 +604,31 @@ def run_crawl_pump(seed_urls: list[str] | None = None, *,
         return got
 
     def checkpoint() -> None:
-        """Soft barrier: drain, snapshot, continue. The OUTSTANDING
-        lease round must be drained too: its leases are already
-        RUNNING on the shards but no task was ever submitted for them
-        — snapshotting them as phantom RUNNING leases (with
-        next_lease_id already advanced past them) means the original
-        run later writes their fragments BELOW the snapshot's
-        orphan-cleanup watermark, while the resumed run heals and
-        re-crawls the same items → duplicated documents. Roll them
-        back before the snapshot; the next refill re-leases them."""
+        """Soft barrier: drain, snapshot, continue. The outstanding
+        lease round is rolled back first (the next refill re-leases
+        it): snapshotted as phantom RUNNING leases below the resume
+        watermark, its fragments would survive a resume that re-crawls
+        the same items → duplicated documents."""
         for ref_, shard_i in list(lease_pending.items()):
             for lease_ in ray.get(ref_):
                 frontier.rollback(shard_i, lease_["lease_id"])
         lease_pending.clear()
-        while inflight:
-            done, _ = ray.wait(list(inflight.keys()),
-                               num_returns=len(inflight))
-            for ref in done:
-                collect(ref)
-        await_commits()
-        await_enqueues()
+        for result in run.drain():
+            note_routed(result)
+        ray.get(pending_enq)
         await_children()    # the drained tasks' child inserts
         frontier.checkpoint(ckpt_dir)
-        _write_lineage(out_dir, lineage_rows)
+        run.write_lineage()
 
     idle_rounds = 0
     while True:
-        if max_commits is not None and commits >= max_commits:
-            # interrupt point (kill simulation / bounded runs): cancel
-            # in-flight tasks the way a real driver death would (Ray
-            # reclaims tasks owned by a dead driver) — a straggler
-            # finishing AFTER a resume's orphan-fragment cleanup would
-            # otherwise re-insert its fragment and double-count docs.
-            # Their leases TTL-heal; a resume restores from the last
+        if max_commits is not None and run.commits >= max_commits:
+            # interrupt point (kill simulation / bounded runs): a
+            # straggler finishing AFTER a resume's orphan-fragment
+            # cleanup would otherwise re-insert its fragment and
+            # double-count docs. A resume restores from the last
             # checkpoint anyway.
-            for ref in inflight:
-                try:
-                    ray.cancel(ref, force=True)
-                except Exception:
-                    pass
+            run.cancel()
             break
         now = now_fn() if now_fn else None
         if rounds:
@@ -631,20 +638,17 @@ def run_crawl_pump(seed_urls: list[str] | None = None, *,
             busy = bool(leases)
         else:
             refill(now)
-            busy = bool(inflight)
+            busy = bool(run.inflight)
         if not busy:
             if not rounds:
-                await_commits()
-                await_enqueues()              # inserts must land before the
-                await_children()              # drained check can be trusted
+                run.drain()                   # the commits sent so far,
+                ray.get(pending_enq)          # and inserts must land before
+                await_children()              # the drained check is trusted
                 if refill(now, block=True):
                     continue
             # healing (reference daemon cycle: R1 retry gate, R3 lease
             # expiry)
-            if frontier.retry_failed() > 0:
-                continue
-            if frontier.expire_leases(now) > 0:
-                check_quarantine(frontier.counters())  # daemon.ts:141-149
+            if run.heal(now):
                 continue
             if rounds:
                 break
@@ -673,43 +677,42 @@ def run_crawl_pump(seed_urls: list[str] | None = None, *,
             # here (the old num_returns=8) delayed lease collection by
             # ~8/completion-rate and starved the pool whenever leases
             # are small (politeness chunk 256).
-            pool = list(inflight.keys()) + list(lease_pending.keys())
-            ray.wait(pool, num_returns=1)
+            ray.wait(list(run.inflight) + list(lease_pending), num_returns=1)
             # then drain every task that is ready right now (batch commit)
-            done, _ = ray.wait(list(inflight.keys()),
-                               num_returns=len(inflight), timeout=0)
+            done, _ = ray.wait(list(run.inflight),
+                               num_returns=len(run.inflight), timeout=0)
             for ref in done:
-                collect(ref)
-        if evict_every_commits and commits and \
-                commits % evict_every_commits == 0:
+                note_routed(run.collect(ref))
+        if evict_every_commits and run.commits and \
+                run.commits % evict_every_commits == 0:
             # bound shard memory at scale: terminal items leave the
             # actors (histogram counts preserved; docs/lineage tables
             # are the durable record)
             frontier.evict_terminal()
         if checkpoint_every_commits and \
-                commits - last_ckpt_commits >= checkpoint_every_commits:
+                run.commits - last_ckpt_commits >= checkpoint_every_commits:
             # threshold on commits-since-last-checkpoint, NOT
             # ``commits % N == 0``: commits advances by several per
             # pump round, so an exact multiple can be skipped —
             # observed as an interrupted run with no checkpoint at all,
             # which a resume then rmtree'd
             checkpoint()
-            row.update(commits=commits, docs=docs_written,
+            row.update(commits=run.commits, docs=run.docs,
                        checkpointed=True)
-            last_ckpt_commits = commits
+            last_ckpt_commits = run.commits
         if row:
             _append_manifest(manifest, row)
 
-    await_commits()
-    _write_lineage(out_dir, lineage_rows)
+    run.drain()
+    run.write_lineage()
     elapsed = time.perf_counter() - t0
-    return CrawlResult(out_dir=out_dir, waves=commits,
+    return CrawlResult(out_dir=out_dir, waves=run.commits,
                        histogram=frontier.status_histogram(),
                        counters=frontier.counters(),
                        seen_set_size=(len(frontier.seen_set())
                                       if track_seen else -1),
-                       docs_written=docs_written, elapsed_sec=elapsed,
-                       urls_processed=urls_processed)
+                       docs_written=run.docs, elapsed_sec=elapsed,
+                       urls_processed=run.urls)
 
 
 def read_documents(out_dir: str) -> rd.Dataset:

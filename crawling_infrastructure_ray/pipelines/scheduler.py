@@ -6,9 +6,9 @@ sorts by priority and serves all (master/scheduler/daemon.ts:220-241).
 Here tasks are (JobConfig, Frontier) pairs; the scheduler selects which
 frontiers get fetch capacity this cycle and splits the chunk budget by
 priority weight. ``run_multi_task`` is the end-to-end daemon-cycle
-analog (daemon.ts:308-391): per cycle it re-evaluates runnability
-(G1/G2), allocates capacity, launches fetch workers per task, and
-heals/retries between cycles.
+analog (daemon.ts:308-391) and holds only that allocation policy; each
+task's leases run through its own ``pipelines.crawl.LeaseRunner``, the
+one lease lifecycle the crawl pump drives too.
 """
 
 from __future__ import annotations
@@ -53,73 +53,64 @@ def capacity_shares(tasks: list[JobConfig], total_chunks: int,
 def run_multi_task(tasks, *, seed: int = 42, num_shards: int = 1,
                    chunk_size: int = 32, total_chunks_per_cycle: int = 8,
                    out_root: str = "/tmp/multi_task",
-                   max_cycles: int = 200) -> dict:
+                   max_cycles: int = 200, faults: dict | None = None) -> dict:
     """End-to-end daemon cycle over several tasks (daemon.ts:308-391).
 
     ``tasks`` is a list of ``(JobConfig, seed_urls)``. Each task gets
-    its own Frontier (its own queue — one collection per task in the
-    reference) and documents directory. Per cycle: drop finished tasks
-    (G2), select runnable ones by priority policy (O4), split the
-    chunk budget by ``capacity_shares``, lease+fetch+store each
-    task's allocation as chunk tasks and commit their results from
-    here, then heal/retry (R1). Returns per-task histograms plus the
-    allocation log [(cycle, task, n_chunks)] — the observable the
-    priority-policy conformance test asserts on.
+    its own Frontier (one collection per task in the reference), runner
+    and ``out_root/<name>`` directory, with the limits of its JobConfig
+    (``job_limits``). Per cycle: drop finished tasks (G2: nothing
+    open, nothing to heal), select runnable ones by priority policy
+    (O4), split the chunk budget by ``capacity_shares``, lease each
+    task's share shard by shard into its runner, then drain every
+    runner. ``faults`` passes ``fetch_store_batch`` fault markers to
+    every chunk task (tests; off by default). Returns per-task
+    histograms plus the allocation log [(cycle, task, n_chunks)] — the
+    observable the priority-policy conformance test asserts on.
     """
     import ray
 
     from ..state.frontier import Frontier
-    from .crawl import _fetch_store_route_task
+    from .crawl import LeaseRunner, job_limits
 
-    frontiers: dict[str, Frontier] = {}
-    configs: dict[str, JobConfig] = {}
+    runners: dict[str, tuple[JobConfig, LeaseRunner]] = {}
     for cfg, urls in tasks:
+        storage_policy, max_retries, max_lost = job_limits(cfg)
         fr = Frontier(num_shards, seed=seed, dedup=True,
-                      max_retries=cfg.retry_failed_items)
+                      max_retries=max_retries)
         fr.enqueue(list(urls))
-        frontiers[cfg.name] = fr
-        configs[cfg.name] = cfg
-        os.makedirs(os.path.join(out_root, cfg.name, "documents"),
-                    exist_ok=True)
+        runners[cfg.name] = cfg, LeaseRunner(
+            fr, os.path.join(out_root, cfg.name),
+            {"seed": seed, "max_depth": 0, "storage_policy": storage_policy,
+             **(faults or {})},
+            window=total_chunks_per_cycle, max_lost_leases=max_lost)
 
     alloc_log: list[tuple[int, str, int]] = []
     for cycle in range(max_cycles):
         runnable = []
-        for name, fr in frontiers.items():
-            h = fr.status_histogram()
-            if h["initial"] > 0 or h["running"] > 0 or fr.retry_failed() > 0:
-                runnable.append(configs[name])
+        for cfg, run in runners.values():
+            h = run.frontier.status_histogram()
+            if h["initial"] > 0 or h["running"] > 0 or run.heal(None):
+                runnable.append(cfg)
         if not runnable:
             break
         shares = capacity_shares(runnable, total_chunks_per_cycle)
-        refs, owners = [], []
         for name, n_chunks in shares.items():
-            fr = frontiers[name]
-            docs_dir = os.path.join(out_root, name, "documents")
+            run = runners[name][1]
             got = 0
-            for sh_i, sh in enumerate(fr.shards):
+            for sh_i, sh in enumerate(run.frontier.shards):
                 for lease in ray.get(sh.lease_many.remote(n_chunks - got,
                                                           chunk_size, None)):
-                    # raw lease lists — the task builds the Arrow table
-                    # (same contract as the pump's submit)
-                    refs.append(_fetch_store_route_task.options(max_retries=0)
-                                .remote(lease["seq"], lease["url"],
-                                        lease["host"], lease["depth"],
-                                        lease["attempt"], sh_i,
-                                        lease["lease_id"],
-                                        seed=seed, max_depth=0,
-                                        docs_dir=docs_dir,
-                                        part_label=f"{lease['lease_id']:015d}"))
-                    owners.append((fr, sh_i, lease["lease_id"]))
+                    run.submit(lease, sh_i, None)
                     got += 1
                 if got >= n_chunks:
                     break
             if got:
                 alloc_log.append((cycle, name, got))
-        if refs:
-            ray.get([fr.commit(sh_i, lease_id, *commit, None, True)
-                     for (fr, sh_i, lease_id), (_, commit, _) in
-                     zip(owners, ray.get(refs))])
-    return {"histograms": {n: fr.status_histogram()
-                           for n, fr in frontiers.items()},
+        for _, run in runners.values():
+            run.drain()
+    for _, run in runners.values():
+        run.write_lineage()
+    return {"histograms": {n: run.frontier.status_histogram()
+                           for n, (_, run) in runners.items()},
             "alloc_log": alloc_log}

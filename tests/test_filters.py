@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from crawling_infrastructure_ray.state.filters import BloomFilter, CuckooFilter
+from crawling_infrastructure_ray.state.filters import (BloomFilter, CuckooFilter,
+                                                        ExactSeenSet)
 
 
 @pytest.mark.parametrize("cls", [BloomFilter, CuckooFilter])
@@ -51,3 +52,19 @@ def test_cuckoo_capacity_error():
     with pytest.raises(RuntimeError):
         for i in range(10_000):
             f.add(f"k{i}")
+
+
+def test_exact_seen_set_basic():
+    s = ExactSeenSet(seed=7)
+    assert s.add("http://a.example/x") is True
+    assert s.add("http://a.example/x") is False      # duplicate
+    assert s.add("http://a.example/y") is True
+    assert s.contains("http://a.example/x")
+    assert not s.contains("http://a.example/z")
+    assert len(s) == 2
+    # state round-trip (checkpoint format)
+    st = s.state()
+    assert st["kind"] == "exact"
+    r = ExactSeenSet.from_state(st)
+    assert len(r) == 2 and r.contains("http://a.example/y")
+    assert r.add("http://a.example/y") is False

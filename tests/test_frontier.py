@@ -9,8 +9,11 @@ core IS the semantics; the actor wrapper adds only message passing.
 
 import pytest
 
+from crawling_infrastructure_ray.state.filters import ExactSeenSet
 from crawling_infrastructure_ray.state.frontier import (
     COMPLETED, FAILED, INITIAL, RUNNING, FrontierShardCore)
+
+SEED = 42
 
 
 def make_shard(**kw):
@@ -362,3 +365,23 @@ def test_url_splitting_has_one_home():
                  for i, line in enumerate(p.read_text().splitlines(), 1)
                  if '.split("://"' in line]
     assert offenders == []
+
+
+def test_exact_seen_shard_snapshot_roundtrip(tmp_path):
+    """exact_seen threads through FrontierShardCore and survives
+    snapshot/restore (the soak's kill/resume relies on this)."""
+    core = FrontierShardCore(dedup=True, exact_seen=True, seed=SEED)
+    assert isinstance(core.seen, ExactSeenSet)
+    urls = [f"http://h{i % 5}.example/p{i}" for i in range(40)]
+    core.enqueue(list(range(40)), urls, [0] * 40)
+    n_seen = len(core.seen)
+    assert n_seen == 40
+    core.snapshot(str(tmp_path / "snap"))
+    fresh = FrontierShardCore()
+    fresh.restore(str(tmp_path / "snap"))
+    assert isinstance(fresh.seen, ExactSeenSet)
+    assert len(fresh.seen) == n_seen
+    # restored set still deduplicates the same URLs
+    before = fresh.status_histogram()["initial"]
+    fresh.enqueue([100, 101], [urls[0], urls[1]], [0, 0])
+    assert fresh.status_histogram()["initial"] == before

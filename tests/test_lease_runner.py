@@ -1,0 +1,90 @@
+"""One lease runner serves every crawl loop: the chunk task has one
+submission site, and the multi-task daemon cycle gets the pump's
+lost-task rollback, orphan-fragment cleanup, circuit breaker and
+lineage through it."""
+
+import os
+import pathlib
+import re
+
+import pytest
+
+from crawling_infrastructure_ray.config import JobConfig
+from crawling_infrastructure_ray.pipelines.crawl import (CrawlQuarantined,
+                                                         read_documents,
+                                                         read_lineage)
+from crawling_infrastructure_ray.pipelines.scheduler import run_multi_task
+
+
+def test_chunk_task_has_one_submission_site():
+    """No package module but pipelines/crawl.py names the chunk task,
+    and crawl.py submits it from one line (``LeaseRunner.submit``)."""
+    pkg = pathlib.Path(__file__).resolve().parents[1] / \
+        "crawling_infrastructure_ray"
+    mentions, submits = [], []
+    for p in sorted(pkg.rglob("*.py")):
+        for i, line in enumerate(p.read_text().splitlines(), 1):
+            site = f"{p.relative_to(pkg)}:{i}"
+            if "_fetch_store_route_task" in line and \
+                    p.relative_to(pkg) != pathlib.Path("pipelines/crawl.py"):
+                mentions.append(site)
+            if re.search(r"_fetch_store_route_task\s*\.\s*(options|remote)\b",
+                         line):
+                submits.append(site)
+    assert mentions == []
+    assert len(submits) == 1 and \
+        submits[0].startswith("pipelines/crawl.py:"), submits
+
+
+def _tasks(max_lost_workers: int = 10):
+    return [
+        (JobConfig(name="hi", priority=5, priority_policy="absolute",
+                   max_lost_workers=max_lost_workers),
+         [f"http://mt-hi.example/a{i}" for i in range(40)] +
+         ["http://mt-hi.example/POISON"]),
+        (JobConfig(name="lo", priority=2, priority_policy="absolute"),
+         [f"http://mt-lo.example/b{i}" for i in range(20)]),
+    ]
+
+
+def _run(out_root, **kw):
+    return run_multi_task(_tasks(), seed=42, chunk_size=8,
+                          total_chunks_per_cycle=4, out_root=out_root, **kw)
+
+
+def test_multi_task_post_store_crash_matches_clean_run(ray_session, tmp_path):
+    """A chunk task of the high-priority task dies after writing its
+    fragment: its lease rolls back, the orphan fragment is deleted, and
+    each task ends with a clean run's histogram and documents, and one
+    lineage row per committed lease."""
+    clean_root, crash_root = str(tmp_path / "clean"), str(tmp_path / "crash")
+    clean = _run(clean_root)
+    crash = _run(crash_root, faults={"fail_after_store_marker": "POISON"})
+    assert crash["histograms"] == clean["histograms"]
+    for name in ("hi", "lo"):
+        out = os.path.join(crash_root, name)
+        docs = read_documents(out).to_pandas()
+        want = read_documents(os.path.join(clean_root, name)).to_pandas()
+        assert docs["doc_id"].is_unique
+        assert len(docs) == len(want) > 0
+        lin = read_lineage(out).to_pydict()
+        ids = lin["lease_id"]
+        assert len(set(ids)) == len(ids)
+        assert sum(lin["n_ok"]) == len(docs)
+        frags = {int(f[5:-8]) for f in os.listdir(os.path.join(out, "documents"))
+                 if f.startswith("part-")}
+        assert frags == {i for i, ok in zip(ids, lin["n_ok"]) if ok}
+    # the lost lease is the one id missing from the high task's lineage
+    ids = read_lineage(os.path.join(crash_root, "hi"))["lease_id"].to_pylist()
+    assert max(ids) - min(ids) + 1 == len(ids) + 1
+
+
+def test_multi_task_poisoned_task_trips_quarantine(ray_session, tmp_path):
+    """A URL whose chunk crashes on every attempt trips the task's
+    JobConfig breaker (``max_lost_workers``) instead of raising the
+    task's RayTaskError out of the run."""
+    with pytest.raises(CrawlQuarantined):
+        run_multi_task(_tasks(max_lost_workers=3), seed=42, chunk_size=8,
+                       total_chunks_per_cycle=4,
+                       out_root=str(tmp_path / "q"),
+                       faults={"fail_marker": "POISON"})
