@@ -22,6 +22,8 @@ UNHEALTHY_RUNNING_WORKERS = 200
 WORKER_TYPES = ("http", "browser")
 STORAGE_POLICIES = ("itemwise", "merged")
 PRIORITY_POLICIES = ("absolute", "relative")
+MAX_LOST_RATIO = 0.01      # lost-lease breaker ratio (models/config.ts:23)
+LEASE_TTL_S = 600.0        # a lease older than this is lost (lost-worker analog)
 
 
 @dataclass
@@ -54,12 +56,12 @@ class JobConfig:
     max_items_per_worker: int | None = None
     retry_failed_items: int = 3               # crawltask.model.ts:399-403
     max_lost_workers: int = 10                # crawltask.model.ts:323-327
-    max_lost_workers_ratio: float = 0.01      # models/config.ts:23
+    max_lost_workers_ratio: float = MAX_LOST_RATIO
     longliving: bool = False                  # crawltask.model.ts:194-196
     num_items_browser: int = 15               # scheduler.conf.json:6
     num_items_http: int = 30                  # scheduler.conf.json:7
     max_crawling_time_s: int = 240            # scheduler.conf.json:19
-    lease_ttl_s: float = 600.0                # lost-worker threshold analog
+    lease_ttl_s: float = LEASE_TTL_S
     crawl_options: CrawlOptions = field(default_factory=CrawlOptions)
     extra: dict = field(default_factory=dict)  # schema passthrough
 

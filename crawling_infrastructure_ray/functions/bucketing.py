@@ -1,5 +1,5 @@
-"""The engine's ONE bucket tagger, ONE plan width, ONE bucket exchange
-and ONE keyed reduce.
+"""The engine's ONE bucket tagger, ONE plan width, ONE bucket exchange,
+ONE keyed reduce, ONE keyed aggregate and ONE bounded top-k.
 
 Every shuffle-by-hash stage (final reduces in pipelines/analytics,
 semi/anti joins in stages/joins, LSH bucket→partition routing in
@@ -7,11 +7,16 @@ stages/dedup) tags rows with the same vectorized batch fn so the
 "key combination → exactly one bucket" invariant is enforced in a
 single place and no shuffle-tag stage ever hashes per row in Python.
 How wide a plan runs is ``shuffle_partitions()``. Every per-bucket
-stage runs through ``map_buckets``. Both final merges of a combiner
-aggregation, ``merge_partials`` on the driver and
-``merge_partials_ray`` in Ray, reduce with ``reduce_partials``. They
-live here, not next to the queries, because reduce tasks import their
-module and this one is cheap to import.
+stage runs through ``map_buckets``. A query whose plan is read →
+per-batch keyed partial → keyed merge calls ``aggregate``: one fused
+map per batch (``prep``, the Arrow group-by, the renaming), then the
+merge on the driver or in Ray, typed from the zero-row partial. A
+top-k over any Dataset is ``top_k``. Both merges, ``merge_partials``
+on the driver and ``merge_partials_ray`` in Ray, reduce with
+``reduce_partials``; only partials of a join, a bucket exchange or a
+union call them directly. They live here, not next to the queries,
+because reduce tasks import their module and this one is cheap to
+import.
 """
 
 from __future__ import annotations
@@ -54,55 +59,98 @@ def reduce_partials(g: pd.DataFrame, keys: list[str],
     return g.groupby(keys, as_index=False).agg(spec)
 
 
-def _agg_spec(aggs: list[str] | dict[str, str]) -> dict[str, str]:
-    """A merge's ``aggs``: a list of columns to sum, or the spec itself."""
-    return aggs if isinstance(aggs, dict) else dict.fromkeys(aggs, "sum")
-
-
 def merge_partials(partials: rd.Dataset, keys: list[str],
-                   aggs: list[str] | dict[str, str]) -> pd.DataFrame:
-    """Final reduce of a combiner aggregation with PROVABLY-SMALL key
-    cardinality (enum-like keys: order statuses, return flags, event
-    types — bounded by the schema, not the data): the per-batch
-    partials are already one row per key per batch, so the driver-side
-    merge is O(keys x batches). Anything whose key set grows with the
-    data (hosts, users, parts) must use ``merge_partials_ray``
-    instead — at web scale those keys number 10^7+ and a driver-side
-    pandas merge is a memory cliff. ``aggs`` is as in
-    ``merge_partials_ray``."""
+                   aggs: dict[str, str]) -> pd.DataFrame:
+    """Final reduce of per-batch partials on the driver: ``aggs`` maps
+    each value column to ``"sum"``, ``"min"`` or ``"max"``. For
+    partial sets bounded by the schema (enum keys: order statuses,
+    event types), where the driver merge is O(keys x batches).
+    ``aggregate`` covers the partials of a read; a query calls this
+    directly only for partials of a join, a bucket exchange or a
+    union."""
     pdf = partials.to_pandas()
     if pdf.empty:
         return pdf
-    return reduce_partials(pdf, keys, _agg_spec(aggs))
+    return reduce_partials(pdf, keys, aggs)
 
 
 def merge_partials_ray(partials: rd.Dataset, keys: list[str],
-                       aggs: list[str] | dict[str, str]) -> rd.Dataset:
-    """Final reduce of a combiner aggregation IN RAY, for
-    data-dependent key sets (per-host counts, per-user stats, per-part
-    counts): the driver never holds the partial set. This is the
-    engine's one keyed reduce; no query runs Ray's native
-    ``groupby(keys).aggregate``.
+                       aggs: dict[str, str]) -> rd.Dataset:
+    """``merge_partials`` IN RAY, for data-dependent key sets (hosts,
+    users, parts): the driver never holds the partial set. Shape:
+    ``map_buckets`` over ``shuffle_partitions()`` key buckets, each
+    reduced with ``reduce_partials``. Every key lands wholly in one
+    bucket, so per-bucket results are exact global results whatever
+    the width. No query runs Ray's native ``groupby(keys).aggregate``.
 
-    ``aggs`` maps each value column to ``"sum"``, ``"min"`` or
-    ``"max"``; a plain list means every column is summed. A count is
-    the sum of per-batch counts.
+    Input that filters to zero rows gives zero rows and no schema: Ray
+    2.49 skips batch functions on empty blocks, and ``to_pandas``
+    drops zero-row blocks."""
+    return map_buckets(partials, keys,
+                       lambda g: reduce_partials(g, keys, aggs))
 
-    Shape: ``map_buckets`` over B = P = ``shuffle_partitions()`` key
-    buckets, each reduced with one vectorized pandas groupby. The tag
-    fuses with the partial's own map task. Every key lands wholly in
-    one bucket, so per-bucket results are exact global results
-    whatever P is.
 
-    Input that filters to zero rows gives zero rows. It carries no
-    schema: Ray skips batch functions on empty blocks, and
-    ``to_pandas`` drops zero-row blocks."""
-    spec = _agg_spec(aggs)
+def aggregate(ds: rd.Dataset, keys: list[str],
+              aggs: dict[str, tuple[str, str]], prep=None,
+              in_ray: bool = False):
+    """The engine's one keyed aggregate: per-batch partial, then final
+    merge. ``aggs`` maps each output column to ``(source column, op)``
+    with op ``count``, ``sum``, ``min`` or ``max``; ``prep`` is an
+    optional Arrow batch function that filters rows or derives the
+    source columns.
 
-    def reduce_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        return reduce_partials(g, keys, spec)
+    Each batch runs one fused map: ``prep``, the Arrow
+    ``group_by(keys).aggregate``, the renaming. The merge reduces the
+    partials with ``reduce_partials`` (a count merges as a sum) on the
+    driver, which returns a pandas frame, or with ``in_ray=True`` in
+    Ray over ``map_buckets``, which returns a Dataset. Use the driver
+    for key sets bounded by the schema (enum keys) and Ray for key
+    sets that grow with the data (hosts, users, parts).
 
-    return map_buckets(partials, keys, reduce_bucket)
+    Output types come from running ``prep`` and the partial once on
+    the driver, on a zero-row table of ``ds.schema()``: free for a
+    table read (the footer scan knows it), one ``limit(1)`` execution
+    for any other plan. Every merged column is cast to its partial's
+    type, and a driver merge of zero rows returns a typed empty frame.
+    A Ray merge of zero rows returns zero blocks, with no schema: Ray
+    2.49 drops zero-row blocks."""
+    names = keys + list(aggs)
+    cols = list(aggs.values())
+    spec = {c: "sum" if op == "count" else op for c, (_, op) in aggs.items()}
+
+    def partial(batch: pa.Table) -> pa.Table:
+        if prep is not None:
+            batch = prep(batch)
+        return batch.group_by(keys).aggregate(cols).rename_columns(names)
+
+    empty = partial(ds.schema().base_schema.empty_table()).to_pandas()
+    dtypes = empty.dtypes
+
+    def reduce(g: pd.DataFrame) -> pd.DataFrame:
+        return reduce_partials(g, keys, spec).astype(dtypes)
+
+    partials = ds.map_batches(partial, batch_format="pyarrow")
+    if in_ray:
+        return map_buckets(partials, keys, reduce)
+    pdf = partials.to_pandas()
+    return reduce(pdf) if len(pdf) else empty
+
+
+def top_k(ds: rd.Dataset, by: list[tuple[str, str]], k: int) -> pd.DataFrame:
+    """The first ``k`` rows of ``ds`` in ``by`` order (``(column,
+    "ascending" | "descending")`` pairs): sort and slice inside each
+    block, then sort the ≤ k x blocks survivors and take ``head(k)``
+    on the driver. A top-k never needs the distributed sort. Zero rows
+    give an empty frame with no columns (see ``merge_partials_ray``)."""
+    def block_top(batch: pa.Table) -> pa.Table:
+        return batch.sort_by(by).slice(0, k)
+
+    df = ds.map_batches(block_top, batch_format="pyarrow").to_pandas()
+    if df.empty:
+        return df
+    return (df.sort_values([c for c, _ in by],
+                           ascending=[o == "ascending" for _, o in by])
+            .head(k).reset_index(drop=True))
 
 
 def map_buckets(ds: rd.Dataset, keys_or_tag: list[str] | str, fn,

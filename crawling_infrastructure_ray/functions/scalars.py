@@ -66,15 +66,6 @@ def chunk(seq, size: int):
     return [seq[i:i + size] for i in range(0, len(seq), size)]
 
 
-def round_half_away(x, decimals: int = 0):
-    """Round half away from zero (DuckDB round() semantics; numpy's
-    np.round is half-to-even, which disagrees with SQL oracles at
-    binary-exact midpoints like x.0625)."""
-    x = np.asarray(x, dtype=np.float64)
-    factor = 10.0 ** decimals
-    return np.sign(x) * np.floor(np.abs(x) * factor + 0.5) / factor
-
-
 def seeded_rng(seed: int, *streams) -> np.random.Generator:
     """Deterministic per-partition RNG.
 

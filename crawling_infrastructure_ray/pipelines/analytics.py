@@ -10,8 +10,11 @@ gate (__ray_entry__.oracle_sql).
 Scale notes baked in:
 - reads prune columns (``columns=[...]``) — only needed columns leave
   storage;
-- big groupbys pre-aggregate inside ``map_batches`` (one row per key
-  per batch) before the shuffle;
+- every read → per-batch keyed partial → keyed merge runs through
+  ``bucketing.aggregate`` (``prep`` + Arrow group-by fused in one map,
+  one row per key per batch crosses the merge, columns typed from the
+  zero-row partial), and every top-k through ``bucketing.top_k``
+  (per-block sort + slice, then a driver merge of ≤ k x blocks rows);
 - every plan is as wide as the session: tables are read into
   ``shuffle_partitions()`` blocks, one per CPU, so a one-CPU session
   runs one task per stage;
@@ -20,16 +23,17 @@ Scale notes baked in:
   map task on one CPU, one boundary sort (no sampling pass, no
   repartition) on more; only real keys (event types, sources) still
   group natively;
-- data-sized key sets (hosts, parts, content hashes) merge through the
-  one Ray keyed reduce, ``bucketing.merge_partials_ray`` (per-column
-  sum/min/max, on ``map_buckets``); no query runs Ray's native
-  ``groupby().aggregate``;
+- data-sized key sets (hosts, parts, content hashes) merge in Ray
+  (``aggregate(..., in_ray=True)``: per-column sum/min/max on
+  ``map_buckets``); no query runs Ray's native ``groupby().aggregate``;
 - partials bounded by the schema or the request (enum keys, top-k
   rows, ≤ queries × k neighbours per block) merge on the driver
-  (``bucketing.merge_partials``; ``simsearch.merge_topk`` streams the
+  (``aggregate`` by default; ``simsearch.merge_topk`` streams the
   blocks and keeps only the running top k): each Ray Data
   execution and all-to-all stage costs tens of milliseconds of
-  scheduling, which a few hundred rows never repay;
+  scheduling, which a few hundred rows never repay. Only partials
+  of a join, a bucket exchange or a union call
+  ``merge_partials``/``merge_partials_ray`` themselves;
 - small join sides are read directly on the driver
   (``sources.readers.read_local``, no Ray Data execution), broadcast
   via ``ray.put`` and looked up inside ``map_batches`` — no shuffle;
@@ -54,8 +58,9 @@ from ray.data.aggregate import Count, Sum
 # shared with pipelines/training, stages/joins and stages/dedup so the
 # bucket invariant and the no-per-row-Python rule are enforced in one
 # place
-from ..functions.bucketing import (map_buckets, merge_partials,
-                                   merge_partials_ray, shuffle_partitions)
+from ..functions.bucketing import (aggregate, map_buckets, merge_partials,
+                                   merge_partials_ray, shuffle_partitions,
+                                   top_k)
 from ..functions.bucketing import tag_bucket_fn as _tag_bucket
 from ..sources.readers import read_local, read_table
 from ..stages.html import clean_html_string
@@ -70,15 +75,8 @@ def q_g1_status_histogram(sf_dir: str):
     per-batch status counts → tiny enum-keyed driver merge (3 statuses;
     no all-to-all needed for a histogram)."""
     ds = read_table(sf_dir, "orders", columns=["o_orderstatus"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        g = batch.group_by("o_orderstatus").aggregate([("o_orderstatus", "count")])
-        return g.rename_columns(["o_orderstatus", "n_items"])
-
-    df = merge_partials(ds.map_batches(partial, batch_format="pyarrow"),
-                        ["o_orderstatus"], ["n_items"])
-    df["n_items"] = df["n_items"].astype("int64")
-    return df.reset_index(drop=True)
+    return aggregate(ds, ["o_orderstatus"],
+                     {"n_items": ("o_orderstatus", "count")})
 
 
 def q_g2_task_finished(sf_dir: str):
@@ -105,16 +103,9 @@ def q_g3_window_progress(sf_dir: str):
     enum-keyed merge."""
     ds = read_table(sf_dir, "events", columns=["event_type", "ts"])
     cutoff = pa.scalar(np.datetime64("2024-01-24T00:00:00", "us"))
-
-    def partial(batch: pa.Table) -> pa.Table:
-        b = batch.filter(pc.greater_equal(batch["ts"], cutoff))
-        g = b.group_by("event_type").aggregate([("event_type", "count")])
-        return g.rename_columns(["event_type", "n_recent"])
-
-    df = merge_partials(ds.map_batches(partial, batch_format="pyarrow"),
-                        ["event_type"], ["n_recent"])
-    df["n_recent"] = df["n_recent"].astype("int64")
-    return df.reset_index(drop=True)
+    return aggregate(
+        ds, ["event_type"], {"n_recent": ("event_type", "count")},
+        lambda b: b.filter(pc.greater_equal(b["ts"], cutoff)))
 
 
 def q_g4_fleet_stats(sf_dir: str):
@@ -131,25 +122,20 @@ def q_g4_fleet_stats(sf_dir: str):
     # integer arithmetic — no float-sum order sensitivity, so the
     # reduce is bit-identical to DuckDB on ANY data, not just data
     # whose averages dodge the .0005 rounding midpoints
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         v_c = pc.cast(pc.round(pc.multiply(batch["value"], 100.0)), pa.int64())
-        t = pa.table({"user_id": batch["user_id"], "v_c": v_c})
-        g = t.group_by("user_id").aggregate([("v_c", "count"), ("v_c", "sum")])
-        return g.rename_columns(["user_id", "n_events", "sum_value_c"])
+        return pa.table({"user_id": batch["user_id"], "v_c": v_c})
 
-    partials = ds.map_batches(partial, batch_format="pyarrow")
-    merged = merge_partials_ray(partials, ["user_id"],
-                                ["n_events", "sum_value_c"])
+    merged = aggregate(ds, ["user_id"], {"n_events": ("v_c", "count"),
+                                         "sum_value_c": ("v_c", "sum")},
+                       prep, in_ray=True)
 
     def finish(batch: pa.Table) -> pa.Table:
-        s = batch["sum_value_c"].to_numpy(zero_copy_only=False).astype(np.int64)
-        n = batch["n_events"].to_numpy(zero_copy_only=False).astype(np.int64)
+        s = batch["sum_value_c"].to_numpy()
+        n = batch["n_events"].to_numpy()
         # avg_value_e3 = round-half-away(1000 * (s/100) / n), in integers
-        return pa.table({
-            "user_id": batch["user_id"],
-            "n_events": pa.array(n, pa.int64()),
-            "sum_value_c": pa.array(s, pa.int64()),
-            "avg_value_e3": pa.array((20 * s + n) // (2 * n), pa.int64())})
+        return batch.append_column("avg_value_e3",
+                                   pa.array((20 * s + n) // (2 * n)))
 
     return merged.map_batches(finish, batch_format="pyarrow")
 
@@ -161,18 +147,10 @@ def q_g5_avg_rate(sf_dir: str):
 
     # exact-integer cents (see q_g4_fleet_stats): integer sums +
     # integer half-away average — order-insensitive, hash-stable
-    def partial(batch: pa.Table) -> pa.Table:
-        v_c = pc.cast(pc.round(pc.multiply(batch["value"], 100.0)), pa.int64())
-        t = pa.table({"event_type": batch["event_type"], "v_c": v_c})
-        g = t.group_by("event_type").aggregate(
-            [("v_c", "sum"), ("v_c", "count")])
-        return g.rename_columns(["event_type", "sum_c", "n_v"])
-
-    df = merge_partials(ds.map_batches(partial, batch_format="pyarrow"),
-                        ["event_type"], ["sum_c", "n_v"])
-    s = df["sum_c"].to_numpy().astype(np.int64)
-    n = df["n_v"].to_numpy().astype(np.int64)
-    df["avg_value_e3"] = (20 * s + n) // (2 * n)
+    df = aggregate(ds, ["event_type"],
+                   {"sum_c": ("v_c", "sum"), "n_v": ("v_c", "count")},
+                   _type_cents)
+    df["avg_value_e3"] = (20 * df["sum_c"] + df["n_v"]) // (2 * df["n_v"])
     return df[["event_type", "avg_value_e3"]]
 
 
@@ -204,16 +182,8 @@ def q_g7_host_counts(sf_dir: str):
     over the per-batch partials — the driver never materializes the
     partial set."""
     ds = read_table(sf_dir, "documents", columns=["source"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        g = batch.group_by("source").aggregate([("source", "count")])
-        return g.rename_columns(["source", "n_docs"])
-
-    merged = merge_partials_ray(
-        ds.map_batches(partial, batch_format="pyarrow"), ["source"], ["n_docs"])
-    return merged.map_batches(
-        lambda t: pa.table({"host": t["source"], "n_docs": t["n_docs"]}),
-        batch_format="pyarrow")
+    return aggregate(ds, ["host"], {"n_docs": ("host", "count")},
+                     lambda b: b.rename_columns(["host"]), in_ray=True)
 
 
 def q_g8_totals(sf_dir: str):
@@ -260,14 +230,7 @@ def q_o3_recent_topk(sf_dir: str):
     top-k never needs the full distributed sort; ≤100 x blocks rows
     reach the driver)."""
     ds = read_table(sf_dir, "events", columns=["event_id", "ts", "event_type"])
-
-    def topk(batch: pa.Table) -> pa.Table:
-        return batch.sort_by([("ts", "descending"),
-                              ("event_id", "ascending")]).slice(0, 100)
-
-    df = ds.map_batches(topk, batch_format="pyarrow").to_pandas()
-    return (df.sort_values(["ts", "event_id"], ascending=[False, True])
-            .head(100).reset_index(drop=True))
+    return top_k(ds, [("ts", "descending"), ("event_id", "ascending")], 100)
 
 
 def q_o5_sample_topk_docs(sf_dir: str):
@@ -275,42 +238,21 @@ def q_o5_sample_topk_docs(sf_dir: str):
     (crawltask.service.ts:564-601): partial top-k per batch + tiny
     driver merge (same shape as o3)."""
     ds = read_table(sf_dir, "documents", columns=["doc_id", "n_chars"])
-
-    def topk(batch: pa.Table) -> pa.Table:
-        return batch.sort_by([("n_chars", "descending"),
-                              ("doc_id", "ascending")]).slice(0, 50)
-
-    df = ds.map_batches(topk, batch_format="pyarrow").to_pandas()
-    return (df.sort_values(["n_chars", "doc_id"], ascending=[False, True])
-            .head(50).reset_index(drop=True))
+    return top_k(ds, [("n_chars", "descending"), ("doc_id", "ascending")], 50)
 
 
 def q_o6_top35_parts(sf_dir: str):
     """O6 domain-count top-35 (domain_count.js:57-61): group, count,
     sort desc, limit 35 with deterministic tie-break."""
     ds = read_table(sf_dir, "lineitem", columns=["l_partkey"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        g = batch.group_by("l_partkey").aggregate([("l_partkey", "count")])
-        return g.rename_columns(["l_partkey", "n_lines"])
-
     # pre-aggregate per batch; final reduce as a distributed bucketed
     # merge (partkeys are a data-sized key set), then PARTIAL top-35
     # per block — each key lives in exactly one block after the merge,
     # so the global top-35 is within the union of per-block top-35s
-    # (≤ 35 x blocks tiny rows to the driver; a full distributed sort
-    # is never needed for a top-k)
-    partials = ds.map_batches(partial, batch_format="pyarrow")
-    merged = merge_partials_ray(partials, ["l_partkey"], ["n_lines"])
-
-    def topk_block(batch: pa.Table) -> pa.Table:
-        return batch.sort_by([("n_lines", "descending"),
-                              ("l_partkey", "ascending")]).slice(0, 35)
-
-    df = merged.map_batches(topk_block, batch_format="pyarrow").to_pandas()
-    df["n_lines"] = df["n_lines"].astype("int64")
-    return (df.sort_values(["n_lines", "l_partkey"], ascending=[False, True])
-            .head(35).reset_index(drop=True))
+    merged = aggregate(ds, ["l_partkey"], {"n_lines": ("l_partkey", "count")},
+                       in_ray=True)
+    return top_k(merged, [("n_lines", "descending"),
+                          ("l_partkey", "ascending")], 35)
 
 
 def q_o7_latency_stats(sf_dir: str):
@@ -468,7 +410,7 @@ def q_j2_bucketed_join_revenue(sf_dir: str):
             .union(orders.map_batches(tag_o, batch_format="pyarrow")))
     partials = map_buckets(both, "bucket", join_bucket, num_buckets, "pyarrow")
     final = merge_partials(partials, ["o_orderstatus"],
-                           ["n_lines", "revenue_e4"])
+                           {"n_lines": "sum", "revenue_e4": "sum"})
     final["revenue_e4"] = final["revenue_e4"].astype("int64")
     final["n_lines"] = final["n_lines"].astype("int64")
     return final
@@ -512,7 +454,7 @@ def q_q1_pricing_summary(sf_dir: str):
                              "l_shipdate"])
     cutoff = pa.scalar(np.datetime64("1998-09-02T00:00:00", "us"))
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         batch = batch.filter(pc.less_equal(batch["l_shipdate"], cutoff))
         # exact integer units, all-arrow kernels (no pandas, no pylist)
         qty = pc.cast(pc.round(batch["l_quantity"]), pa.int64())
@@ -521,30 +463,20 @@ def q_q1_pricing_summary(sf_dir: str):
         tax_c = pc.cast(pc.round(pc.multiply(batch["l_tax"], 100.0)), pa.int64())
         dp_e4 = pc.multiply(price_c, pc.subtract(pa.scalar(100, pa.int64()), disc_c))
         ch_e6 = pc.multiply(dp_e4, pc.add(pa.scalar(100, pa.int64()), tax_c))
-        t = pa.table({"l_returnflag": batch["l_returnflag"],
-                      "l_linestatus": batch["l_linestatus"],
-                      "sum_qty": qty, "sum_base_price_c": price_c,
-                      "sum_disc_price_e4": dp_e4, "sum_charge_e6": ch_e6,
-                      "sum_disc_c": disc_c})
-        g = t.group_by(["l_returnflag", "l_linestatus"]).aggregate(
-            [("sum_qty", "sum"), ("sum_base_price_c", "sum"),
-             ("sum_disc_price_e4", "sum"), ("sum_charge_e6", "sum"),
-             ("sum_disc_c", "sum"), ("sum_qty", "count")])
-        return g.rename_columns(["l_returnflag", "l_linestatus", "sum_qty",
-                                 "sum_base_price_c", "sum_disc_price_e4",
-                                 "sum_charge_e6", "sum_disc_c", "count_order"])
+        return pa.table({"l_returnflag": batch["l_returnflag"],
+                         "l_linestatus": batch["l_linestatus"],
+                         "qty": qty, "price_c": price_c, "dp_e4": dp_e4,
+                         "ch_e6": ch_e6, "disc_c": disc_c})
 
-    partials = ds.map_batches(partial, batch_format="pyarrow")
-    agg = merge_partials(partials, ["l_returnflag", "l_linestatus"],
-                         ["sum_qty", "sum_base_price_c", "sum_disc_price_e4",
-                           "sum_charge_e6", "sum_disc_c", "count_order"])
-    cnt = agg["count_order"].astype("int64")
-    agg["avg_qty_e4"] = (agg["sum_qty"].astype("int64") * 10000) // cnt
-    agg["avg_price_e4"] = (agg["sum_base_price_c"].astype("int64") * 100) // cnt
-    agg["avg_disc_e4"] = (agg["sum_disc_c"].astype("int64") * 100) // cnt
-    for c in ("sum_qty", "sum_base_price_c", "sum_disc_price_e4",
-              "sum_charge_e6", "count_order"):
-        agg[c] = agg[c].astype("int64")
+    agg = aggregate(ds, ["l_returnflag", "l_linestatus"], {
+        "sum_qty": ("qty", "sum"), "sum_base_price_c": ("price_c", "sum"),
+        "sum_disc_price_e4": ("dp_e4", "sum"),
+        "sum_charge_e6": ("ch_e6", "sum"), "sum_disc_c": ("disc_c", "sum"),
+        "count_order": ("qty", "count")}, prep)
+    cnt = agg["count_order"]
+    agg["avg_qty_e4"] = agg["sum_qty"] * 10000 // cnt
+    agg["avg_price_e4"] = agg["sum_base_price_c"] * 100 // cnt
+    agg["avg_disc_e4"] = agg["sum_disc_c"] * 100 // cnt
     return agg[["l_returnflag", "l_linestatus", "sum_qty", "sum_base_price_c",
                 "sum_disc_price_e4", "sum_charge_e6", "avg_qty_e4",
                 "avg_price_e4", "avg_disc_e4", "count_order"]]
@@ -607,33 +539,21 @@ def q_q3_shipping_priority(sf_dir: str):
                     columns=["l_orderkey", "l_extendedprice", "l_discount",
                              "l_shipdate"])
 
-    def li_partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         ks = ray.get(okeys_ref)
         m = pc.and_(pc.greater(batch["l_shipdate"], cutoff),
                     pc.is_in(batch["l_orderkey"], value_set=ks))
         b = batch.filter(m)
-        price_c = pc.cast(pc.round(pc.multiply(b["l_extendedprice"], 100.0)), pa.int64())
-        disc_c = pc.cast(pc.round(pc.multiply(b["l_discount"], 100.0)), pa.int64())
-        rev = pc.multiply(price_c, pc.subtract(pa.scalar(100, pa.int64()), disc_c))
-        t = pa.table({"l_orderkey": b["l_orderkey"], "revenue_e4": rev})
-        g = t.group_by("l_orderkey").aggregate([("revenue_e4", "sum")])
-        return g.rename_columns(["l_orderkey", "revenue_e4"])
+        return pa.table({"l_orderkey": b["l_orderkey"],
+                         "revenue_e4": _rev_e4(b)})
 
     # final reduce distributed (selected orderkeys are data-sized),
     # then per-block partial top-10 — only ~10 x blocks rows reach the
     # driver, where the (tiny) winner set picks up o_orderdate
-    merged = merge_partials_ray(
-        li.map_batches(li_partial, batch_format="pyarrow"),
-        ["l_orderkey"], ["revenue_e4"])
-
-    def topk_block(batch: pa.Table) -> pa.Table:
-        return batch.sort_by([("revenue_e4", "descending"),
-                              ("l_orderkey", "ascending")]).slice(0, 10)
-
-    agg = merged.map_batches(topk_block, batch_format="pyarrow").to_pandas()
-    agg["revenue_e4"] = agg["revenue_e4"].astype("int64")
-    agg = agg.sort_values(["revenue_e4", "l_orderkey"],
-                          ascending=[False, True]).head(10)
+    merged = aggregate(li, ["l_orderkey"], {"revenue_e4": ("revenue_e4", "sum")},
+                       prep, in_ray=True)
+    agg = top_k(merged, [("revenue_e4", "descending"),
+                         ("l_orderkey", "ascending")], 10)
     # o_orderdate for the ≤10 winners only: predicate-pushdown read
     # (row-group pruning) — the full selected-order set never leaves
     # the cluster
@@ -643,7 +563,7 @@ def q_q3_shipping_priority(sf_dir: str):
         filters=[("o_orderkey", "in", [int(k) for k in agg["l_orderkey"]])])
     odate = dict(zip(win["o_orderkey"], win["o_orderdate"]))
     agg["o_orderdate"] = agg["l_orderkey"].map(odate)
-    return agg[["l_orderkey", "revenue_e4", "o_orderdate"]].reset_index(drop=True)
+    return agg[["l_orderkey", "revenue_e4", "o_orderdate"]]
 
 
 def q_q4_priority_exists(sf_dir: str):
@@ -678,7 +598,7 @@ def q_q4_priority_exists(sf_dir: str):
         return g.rename_columns(["o_orderpriority", "n_orders"])
 
     df = merge_partials(sel.map_batches(partial, batch_format="pyarrow"),
-                        ["o_orderpriority"], ["n_orders"])
+                        ["o_orderpriority"], {"n_orders": "sum"})
     df["n_orders"] = df["n_orders"].astype("int64")
     return df.sort_values("o_orderpriority").reset_index(drop=True)
 
@@ -750,7 +670,7 @@ def q_q12_shipmode(sf_dir: str):
         "key", join_bucket)
 
     df = merge_partials(fact, ["l_linestatus"],
-                        ["high_line_count", "low_line_count"])
+                        {"high_line_count": "sum", "low_line_count": "sum"})
     for c in ("high_line_count", "low_line_count"):
         df[c] = df[c].astype("int64")
     return df.sort_values("l_linestatus").reset_index(drop=True)
@@ -841,22 +761,15 @@ def q_value_histogram(sf_dir: str):
     complement for distribution shape."""
     ds = read_table(sf_dir, "events", columns=["event_type", "value"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         vc = np.round(batch["value"].to_numpy(zero_copy_only=False)
                       * 100).astype(np.int64)
-        b = np.clip(vc // 1000, 0, 19)
-        t = pa.table({"event_type": batch["event_type"],
-                      "bin": pa.array(b, pa.int64()),
-                      "n": pa.array(np.ones(len(b), np.int64)),
-                      "sum_value_c": pa.array(vc)})
-        g = t.group_by(["event_type", "bin"]).aggregate(
-            [("n", "sum"), ("sum_value_c", "sum")])
-        return g.rename_columns(["event_type", "bin", "n", "sum_value_c"])
+        return pa.table({"event_type": batch["event_type"],
+                         "bin": pa.array(np.clip(vc // 1000, 0, 19)),
+                         "vc": pa.array(vc)})
 
-    df = merge_partials(ds.map_batches(partial, batch_format="pyarrow"),
-                        ["event_type", "bin"], ["n", "sum_value_c"])
-    for c in ("bin", "n", "sum_value_c"):
-        df[c] = df[c].astype("int64")
+    df = aggregate(ds, ["event_type", "bin"],
+                   {"n": ("vc", "count"), "sum_value_c": ("vc", "sum")}, prep)
     return df.sort_values(["event_type", "bin"]).reset_index(drop=True)
 
 
@@ -922,14 +835,8 @@ def q_crawl_fairness(sf_dir: str):
     merge (host domain is config-sized here; the g7 Ray-side reduce
     is the data-sized path)."""
     ds = read_table(sf_dir, "documents", columns=["source"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        g = batch.group_by("source").aggregate([("source", "count")])
-        return g.rename_columns(["source", "n"])
-
-    counts = merge_partials(ds.map_batches(partial, batch_format="pyarrow"),
-                            ["source"], ["n"])
-    x = np.sort(counts["n"].to_numpy().astype(np.int64))
+    counts = aggregate(ds, ["source"], {"n": ("source", "count")})
+    x = np.sort(counts["n"].to_numpy())
     n, tot = len(x), int(x.sum())
     i = np.arange(1, n + 1, dtype=np.int64)
     gini_e6 = int((2 * int((i * x).sum()) - (n + 1) * tot) * 1_000_000
@@ -1080,29 +987,16 @@ def q_events_hourly_window(sf_dir: str):
 
     # exact-integer cents (see q_g4_fleet_stats): the partial sums are
     # integers, so the two-level reduce is order-insensitive
-    def partial(batch: pa.Table) -> pa.Table:
-        win = pc.floor_temporal(batch["ts"], unit="hour")
+    def prep(batch: pa.Table) -> pa.Table:
         v_c = pc.cast(pc.round(pc.multiply(batch["value"], 100.0)), pa.int64())
-        t = pa.table({"user_id": batch["user_id"], "window_start": win,
-                      "v_c": v_c})
-        g = t.group_by(["user_id", "window_start"]).aggregate(
-            [("v_c", "count"), ("v_c", "sum")])
-        return g.rename_columns(["user_id", "window_start", "n_events",
-                                 "sum_value_c"])
+        return pa.table({"user_id": batch["user_id"],
+                         "window_start": pc.floor_temporal(batch["ts"], unit="hour"),
+                         "v_c": v_c})
 
-    partials = ds.map_batches(partial, batch_format="pyarrow")
     # (user x hour) is a data-sized key set → final reduce in Ray
-    merged = merge_partials_ray(partials, ["user_id", "window_start"],
-                                ["n_events", "sum_value_c"])
-
-    def finish(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "user_id": batch["user_id"],
-            "window_start": batch["window_start"],
-            "n_events": pc.cast(batch["n_events"], pa.int64()),
-            "sum_value_c": pc.cast(batch["sum_value_c"], pa.int64())})
-
-    return merged.map_batches(finish, batch_format="pyarrow")
+    return aggregate(ds, ["user_id", "window_start"],
+                     {"n_events": ("v_c", "count"),
+                      "sum_value_c": ("v_c", "sum")}, prep, in_ray=True)
 
 
 # ----------------------------------------------------------------------
@@ -1279,7 +1173,7 @@ def q_profile_events(sf_dir: str):
     dist = merge_partials(
         map_buckets(ds.map_batches(distinct_partial, batch_format="pyarrow"),
                     ["column", "val"], count_bucket),
-        ["column"], ["n_distinct"])
+        ["column"], {"n_distinct": "sum"})
 
     st = ds.map_batches(stats_partial, batch_format="pyarrow").to_pandas()
     base = st.groupby("column", as_index=False).agg(
@@ -1349,7 +1243,7 @@ def q_basket_rules(sf_dir: str):
     hist = merge_partials(
         map_buckets(ds.map_batches(mask_partial, batch_format="pandas"),
                     ["user_id", "h"], mask_hist),
-        ["mask"], ["n"])
+        ["mask"], {"n": "sum"})
 
     masks = hist["mask"].to_numpy().astype(np.int64)
     cnt = hist["n"].to_numpy().astype(np.int64)
@@ -1828,27 +1722,17 @@ def q_hourofday_profile(sf_dir: str):
     ds = read_table(sf_dir, "events", columns=["event_type", "ts",
                                                "value"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         tsu = batch["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
-        hod = (tsu // 3_600_000_000) % 24
-        vc = pc.cast(pc.round(pc.multiply(batch["value"],
-                                          pa.scalar(100.0))),
-                     pa.int64()).to_numpy(zero_copy_only=False)
-        df = pd.DataFrame({"event_type": batch["event_type"]
-                           .to_numpy(zero_copy_only=False),
-                           "hod": hod.astype(np.int64), "n": 1,
-                           "sum_value_c": vc})
-        return pa.Table.from_pandas(
-            df.groupby(["event_type", "hod"], as_index=False).sum(),
-            preserve_index=False)
+        vc = pc.cast(pc.round(pc.multiply(batch["value"], 100.0)), pa.int64())
+        return pa.table({"event_type": batch["event_type"],
+                         "hod": pa.array((tsu // 3_600_000_000) % 24),
+                         "vc": vc})
 
-    out = merge_partials(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "hod"], ["n", "sum_value_c"])
+    out = aggregate(ds, ["event_type", "hod"],
+                    {"n": ("vc", "count"), "sum_value_c": ("vc", "sum")}, prep)
     tot = out.groupby("event_type")["n"].transform("sum")
-    out["share_e6"] = (out["n"] * 1_000_000 // tot).astype("int64")
-    for c in ("hod", "n", "sum_value_c"):
-        out[c] = out[c].astype("int64")
+    out["share_e6"] = out["n"] * 1_000_000 // tot
     return out.sort_values(["event_type", "hod"]).reset_index(drop=True)
 
 
@@ -1867,6 +1751,13 @@ def _hourofday_oracle_sql() -> str:
 TREND_WEEKS = 8  # decay horizon (weights 2^7 .. 2^0)
 
 
+def _week_of(batch: pa.Table) -> pa.Table:
+    """``prep``: each event's type and week number since the epoch."""
+    wk = pc.cast(pc.divide(batch["ts"].cast(pa.int64()),
+                           pa.scalar(604_800_000_000, pa.int64())), pa.int64())
+    return pa.table({"event_type": batch["event_type"], "wk": wk})
+
+
 def q_trending_types(sf_dir: str):
     """TRENDING SCORE (decayed counting — the 'hot items' ranking):
     per event_type, score = Σ_{j=0..7} n(maxwk − j) · 2^(7−j) over the
@@ -1877,24 +1768,12 @@ def q_trending_types(sf_dir: str):
     into the enum×weeks domain; the decay fold runs on the tiny
     merged series."""
     ds = read_table(sf_dir, "events", columns=["event_type", "ts"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        wk = pc.cast(pc.divide(batch["ts"].cast(pa.int64()),
-                               pa.scalar(604_800_000_000, pa.int64())),
-                     pa.int64())
-        t = pa.table({"event_type": batch["event_type"], "wk": wk})
-        g = t.group_by(["event_type", "wk"]).aggregate([("wk", "count")])
-        return g.rename_columns(["event_type", "wk", "n"])
-
-    out = merge_partials(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "wk"], ["n"])
+    out = aggregate(ds, ["event_type", "wk"], {"n": ("wk", "count")},
+                    _week_of)
     maxwk = int(out["wk"].max())
     recent = out[out["wk"] > maxwk - TREND_WEEKS].copy()
-    exp = (TREND_WEEKS - 1
-           - (maxwk - recent["wk"].astype("int64"))).to_numpy()
-    recent["score"] = recent["n"].astype("int64").to_numpy() \
-        * np.left_shift(np.int64(1), exp)
+    exp = (TREND_WEEKS - 1 - (maxwk - recent["wk"])).to_numpy()
+    recent["score"] = recent["n"].to_numpy() * np.left_shift(np.int64(1), exp)
     res = recent.groupby("event_type", as_index=False).agg(
         score=("score", "sum"))
     last = out[out["wk"] == maxwk][["event_type", "n"]] \
@@ -1946,7 +1825,7 @@ def q_bootstrap_sums(sf_dir: str):
 
     ds = read_table(sf_dir, "events", columns=["event_id", "value"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         eid = batch["event_id"].to_numpy(zero_copy_only=False) \
             .astype(np.int64).astype(np.uint64)
         v = pc.cast(pc.round(pc.multiply(batch["value"],
@@ -1966,11 +1845,9 @@ def q_bootstrap_sums(sf_dir: str):
             "sum_value_c": pa.array([sv for _, _, sv in rows],
                                     pa.int64())})
 
-    out = merge_partials(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["replicate"], ["n_effective", "sum_value_c"])
-    for c in out.columns:
-        out[c] = out[c].astype("int64")
+    out = aggregate(ds, ["replicate"],
+                    {"n_effective": ("n_effective", "sum"),
+                     "sum_value_c": ("sum_value_c", "sum")}, prep)
     return out.sort_values("replicate").reset_index(drop=True)
 
 
@@ -2039,7 +1916,7 @@ def q_event_trigrams(sf_dir: str):
             "n": cnts.astype(np.int64)})
 
     parts = map_buckets(ds, ["user_id"], tri_bucket)
-    out = merge_partials(parts, ["t1", "t2", "t3"], ["n"])
+    out = merge_partials(parts, ["t1", "t2", "t3"], {"n": "sum"})
     out["n"] = out["n"].astype("int64")
     return (out.sort_values(["n", "t1", "t2", "t3"],
                             ascending=[False, True, True, True])
@@ -2097,9 +1974,7 @@ def q_f2_selfjoin_estimate(sf_dir: str):
         return pa.table({"r": pa.array(rr), "reg": pa.array(gg),
                          "cnt": pa.array(mat.reshape(-1))})
 
-    regs = merge_partials(
-        ds.map_batches(regs_partial, batch_format="pyarrow"),
-        ["r", "reg"], ["cnt"])
+    regs = aggregate(ds, ["r", "reg"], {"cnt": ("cnt", "sum")}, regs_partial)
     table = np.zeros((F2_D, F2_W), dtype=np.int64)
     table[regs["r"].to_numpy(), regs["reg"].to_numpy()] = \
         regs["cnt"].to_numpy()
@@ -2108,16 +1983,8 @@ def q_f2_selfjoin_estimate(sf_dir: str):
 
     # exact side: per-key counts (combiner → bucketed merge) → Σ c²
     # reduced per bucket, so the key set never centralizes
-    def key_partial(batch: pa.Table) -> pa.Table:
-        k = batch["l_partkey"].to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        u, c = np.unique(k, return_counts=True)
-        return pa.table({"k": pa.array(u),
-                         "c": pa.array(c.astype(np.int64))})
-
-    merged = merge_partials_ray(
-        ds.map_batches(key_partial, batch_format="pyarrow"),
-        ["k"], ["c"])
+    merged = aggregate(ds, ["k"], {"c": ("k", "count")},
+                       lambda t: t.rename_columns(["k"]), in_ray=True)
 
     def moment_partial(batch: pa.Table) -> pa.Table:
         c = batch["c"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -2135,8 +2002,6 @@ def q_f2_selfjoin_estimate(sf_dir: str):
         "est_f2": est_f2}])
     assert int(res["est_f2"].iloc[0]) >= int(res["exact_f2"].iloc[0]), \
         "CMS F2 invariant violated: estimate below exact moment"
-    for c in res.columns:
-        res[c] = res[c].astype("int64")
     return res
 
 
@@ -2181,20 +2046,10 @@ def q_weekly_growth(sf_dir: str):
     over the aggregated series is a vectorized shift on the tiny
     result."""
     ds = read_table(sf_dir, "events", columns=["event_type", "ts"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        wk = pc.cast(pc.divide(batch["ts"].cast(pa.int64()),
-                               pa.scalar(604_800_000_000, pa.int64())),
-                     pa.int64())
-        t = pa.table({"event_type": batch["event_type"], "wk": wk})
-        g = t.group_by(["event_type", "wk"]).aggregate([("wk", "count")])
-        return g.rename_columns(["event_type", "wk", "n"])
-
-    out = merge_partials(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "wk"], ["n"])
+    out = aggregate(ds, ["event_type", "wk"], {"n": ("wk", "count")},
+                    _week_of)
     out = out.sort_values(["event_type", "wk"]).reset_index(drop=True)
-    n = out["n"].astype("int64").to_numpy()
+    n = out["n"].to_numpy()
     prev = np.empty_like(n)
     prev[1:] = n[:-1]
     prev[0] = -1
@@ -2210,11 +2065,9 @@ def q_weekly_growth(sf_dir: str):
     growth = np.where(prev > 0,
                       np.sign(d6) * (np.abs(d6) // np.maximum(prev, 1)),
                       0)
-    res = pd.DataFrame({"event_type": out["event_type"],
-                        "wk": out["wk"].astype("int64"),
-                        "n": n, "prev_n": prev.astype(np.int64),
-                        "growth_e6": growth.astype(np.int64)})
-    return res
+    return pd.DataFrame({"event_type": out["event_type"], "wk": out["wk"],
+                         "n": n, "prev_n": prev,
+                         "growth_e6": growth.astype(np.int64)})
 
 
 def _weekly_growth_oracle_sql() -> str:
@@ -2239,7 +2092,7 @@ def q_benford_digits(sf_dir: str):
     log10-free: repeated integer division by 10), 9-row enum merge."""
     ds = read_table(sf_dir, "events", columns=["value"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         v = pc.cast(pc.round(pc.multiply(batch["value"],
                                          pa.scalar(100.0))),
                     pa.int64()).to_numpy(zero_copy_only=False).copy()
@@ -2251,14 +2104,8 @@ def q_benford_digits(sf_dir: str):
                                                      dtype=np.int64)),
                          "n": pa.array(cnt)})
 
-    out = merge_partials(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["digit"], ["n"])
-    total = int(out["n"].sum())
-    out["n"] = out["n"].astype("int64")
-    out["share_e6"] = (out["n"] * 1_000_000 // max(total, 1)) \
-        .astype("int64")
-    out["digit"] = out["digit"].astype("int64")
+    out = aggregate(ds, ["digit"], {"n": ("n", "sum")}, prep)
+    out["share_e6"] = out["n"] * 1_000_000 // max(int(out["n"].sum()), 1)
     return out.sort_values("digit").reset_index(drop=True)
 
 
@@ -2455,33 +2302,25 @@ def q_value_trend_per_user(sf_dir: str):
     merged sums."""
     ds = read_table(sf_dir, "events", columns=["user_id", "ts", "value"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         ts = batch["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
         x = (ts - REGR_EPOCH_US) // 3_600_000_000
         y = pc.cast(pc.round(pc.multiply(batch["value"],
                                          pa.scalar(100.0))),
                     pa.int64()).to_numpy(zero_copy_only=False)
-        df = pd.DataFrame({"user_id": batch["user_id"]
-                           .to_numpy(zero_copy_only=False),
-                           "n": 1, "sx": x, "sy": y,
-                           "sxy": x * y, "sxx": x * x})
-        return pa.Table.from_pandas(
-            df.groupby("user_id", as_index=False).sum(),
-            preserve_index=False)
+        return pa.table({"user_id": batch["user_id"], "x": x, "y": y,
+                         "xy": x * y, "xx": x * x})
 
-    parts = ds.map_batches(partial, batch_format="pyarrow")
-    out = merge_partials_ray(parts, ["user_id"],
-                             ["n", "sx", "sy", "sxy", "sxx"]).to_pandas()
-    n = out["n"].astype("int64")
-    sx, sy = out["sx"].astype("int64"), out["sy"].astype("int64")
-    sxy, sxx = out["sxy"].astype("int64"), out["sxx"].astype("int64")
+    out = aggregate(ds, ["user_id"], {
+        "n": ("x", "count"), "sx": ("x", "sum"), "sy": ("y", "sum"),
+        "sxy": ("xy", "sum"), "sxx": ("xx", "sum")},
+        prep, in_ray=True).to_pandas()
+    n, sx, sy, sxy, sxx = (out[c] for c in ("n", "sx", "sy", "sxy", "sxx"))
     assert int((n * sxx).abs().max()) < 2 ** 62, \
         "regression moment overflow: coarsen x granularity"
-    res = pd.DataFrame({
-        "user_id": out["user_id"].astype("int64"),
-        "n": n,
-        "slope_num": (n * sxy - sx * sy).astype("int64"),
-        "slope_den": (n * sxx - sx * sx).astype("int64")})
+    res = pd.DataFrame({"user_id": out["user_id"], "n": n,
+                        "slope_num": n * sxy - sx * sy,
+                        "slope_den": n * sxx - sx * sx})
     return res.sort_values("user_id").reset_index(drop=True)
 
 
@@ -2584,22 +2423,16 @@ def q_pivot_priority_status(sf_dir: str):
     ds = read_table(sf_dir, "orders", columns=["o_orderpriority",
                                                "o_orderstatus"])
 
-    def partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({
+    def prep(batch: pa.Table) -> pa.Table:
+        return pa.table({
             "o_orderpriority": batch["o_orderpriority"],
-            "f": pc.cast(pc.equal(batch["o_orderstatus"], "F"), pa.int64()),
-            "o": pc.cast(pc.equal(batch["o_orderstatus"], "O"), pa.int64()),
-            "p": pc.cast(pc.equal(batch["o_orderstatus"], "P"), pa.int64())})
-        g = t.group_by("o_orderpriority").aggregate(
-            [("f", "sum"), ("o", "sum"), ("p", "sum")])
-        return g.rename_columns(["o_orderpriority", "n_f", "n_o", "n_p"])
+            **{s: pc.cast(pc.equal(batch["o_orderstatus"], s), pa.int64())
+               for s in "FOP"}})
 
-    df = merge_partials(ds.map_batches(partial, batch_format="pyarrow"),
-                        ["o_orderpriority"], ["n_f", "n_o", "n_p"])
-    for c in ("n_f", "n_o", "n_p"):
-        df[c] = df[c].astype("int64")
-    df["n_total"] = (df["n_f"] + df["n_o"] + df["n_p"]).astype("int64")
-    return df.reset_index(drop=True)
+    df = aggregate(ds, ["o_orderpriority"], {
+        "n_f": ("F", "sum"), "n_o": ("O", "sum"), "n_p": ("P", "sum")}, prep)
+    df["n_total"] = df["n_f"] + df["n_o"] + df["n_p"]
+    return df
 
 
 def q_rollup_revenue(sf_dir: str):
@@ -2612,25 +2445,20 @@ def q_rollup_revenue(sf_dir: str):
     ds = read_table(sf_dir, "lineitem", columns=[
         "l_returnflag", "l_linestatus", "l_extendedprice", "l_discount"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         price_c = pc.cast(pc.round(pc.multiply(batch["l_extendedprice"],
                                                pa.scalar(100.0))), pa.int64())
         disc_c = pc.cast(pc.round(pc.multiply(batch["l_discount"],
                                               pa.scalar(100.0))), pa.int64())
         rev = pc.multiply(price_c,
                           pc.subtract(pa.scalar(100, pa.int64()), disc_c))
-        t = pa.table({"l_returnflag": batch["l_returnflag"],
-                      "l_linestatus": batch["l_linestatus"],
-                      "revenue_e4": rev,
-                      "n_rows": pa.array(np.ones(len(rev), np.int64))})
-        g = t.group_by(["l_returnflag", "l_linestatus"]).aggregate(
-            [("revenue_e4", "sum"), ("n_rows", "sum")])
-        return g.rename_columns(["l_returnflag", "l_linestatus",
-                                 "revenue_e4", "n_rows"])
+        return pa.table({"l_returnflag": batch["l_returnflag"],
+                         "l_linestatus": batch["l_linestatus"],
+                         "revenue_e4": rev})
 
-    base = merge_partials(ds.map_batches(partial, batch_format="pyarrow"),
-                          ["l_returnflag", "l_linestatus"],
-                          ["revenue_e4", "n_rows"])
+    base = aggregate(ds, ["l_returnflag", "l_linestatus"],
+                     {"revenue_e4": ("revenue_e4", "sum"),
+                      "n_rows": ("revenue_e4", "count")}, prep)
     lvl1 = base.groupby("l_returnflag", as_index=False)[
         ["revenue_e4", "n_rows"]].sum()
     lvl1["l_linestatus"] = "ALL"
@@ -2639,8 +2467,6 @@ def q_rollup_revenue(sf_dir: str):
                          "n_rows": [base["n_rows"].sum()]})
     out = pd.concat([base, lvl1[base.columns], lvl0[base.columns]],
                     ignore_index=True)
-    for c in ("revenue_e4", "n_rows"):
-        out[c] = out[c].astype("int64")
     return out.sort_values(["l_returnflag", "l_linestatus"]) \
               .reset_index(drop=True)
 
@@ -2691,15 +2517,8 @@ def q_q13_customer_distribution(sf_dir: str):
     ords = read_table(sf_dir, "orders", columns=["o_custkey"])
     cust = read_table(sf_dir, "customer", columns=["c_custkey"])
 
-    def cnt_partials(batch: pa.Table) -> pa.Table:
-        k = batch["o_custkey"].to_numpy(zero_copy_only=False)
-        u, c = np.unique(k, return_counts=True)
-        return pa.table({"c_custkey": pa.array(u.astype(np.int64)),
-                         "n_orders": pa.array(c.astype(np.int64))})
-
-    counts = merge_partials_ray(
-        ords.map_batches(cnt_partials, batch_format="pyarrow"),
-        ["c_custkey"], ["n_orders"])
+    counts = aggregate(ords, ["c_custkey"], {"n_orders": ("c_custkey", "count")},
+                       lambda t: t.rename_columns(["c_custkey"]), in_ray=True)
 
     tag = _tag_bucket(["c_custkey"], b, "jbucket")
 
@@ -2708,13 +2527,8 @@ def q_q13_customer_distribution(sf_dir: str):
             "c_custkey": pc.cast(t["c_custkey"], pa.int64()),
             "n_orders": pa.nulls(t.num_rows, pa.int64())}))
 
-    def tag_counts(t: pa.Table) -> pa.Table:
-        return tag(pa.table({
-            "c_custkey": pc.cast(t["c_custkey"], pa.int64()),
-            "n_orders": pc.cast(t["n_orders"], pa.int64())}))
-
     both = (cust.map_batches(tag_cust, batch_format="pyarrow")
-            .union(counts.map_batches(tag_counts, batch_format="pyarrow")))
+            .union(counts.map_batches(tag, batch_format="pyarrow")))
 
     def hist_bucket(g: pd.DataFrame) -> pd.DataFrame:
         cnt_rows = g[g["n_orders"].notna()]
@@ -2944,7 +2758,7 @@ def q_q5_local_supplier_volume(sf_dir: str):
         cust.map_batches(cust_side, batch_format="pyarrow"),
         "key", join2)
 
-    final = merge_partials(parts, ["n_nationkey"], ["revenue_e4"])
+    final = merge_partials(parts, ["n_nationkey"], {"revenue_e4": "sum"})
     if final.empty:
         return pd.DataFrame({"n_name": pd.Series([], dtype="object"),
                              "revenue_e4": pd.Series([], dtype="int64")})
@@ -3007,21 +2821,13 @@ def q_q10_returned_items(sf_dir: str, k: int = 20):
         _tagged_union_join(li.map_batches(li_side, batch_format="pyarrow"),
                            orders.map_batches(ord_side, batch_format="pyarrow"),
                            "key", join_bucket),
-        ["c_custkey"], ["revenue_e4"])
-
-    def topk_block(batch: pa.Table) -> pa.Table:
-        return batch.sort_by([("revenue_e4", "descending"),
-                              ("c_custkey", "ascending")]).slice(0, k)
-
-    agg = per_cust.map_batches(topk_block, batch_format="pyarrow").to_pandas()
+        ["c_custkey"], {"revenue_e4": "sum"})
+    agg = top_k(per_cust, [("revenue_e4", "descending"),
+                           ("c_custkey", "ascending")], k)
     if agg.empty:
         return pd.DataFrame({"c_custkey": pd.Series([], dtype="int64"),
                              "c_name": pd.Series([], dtype="object"),
                              "revenue_e4": pd.Series([], dtype="int64")})
-    agg["revenue_e4"] = agg["revenue_e4"].astype("int64")
-    agg = (agg.sort_values(["revenue_e4", "c_custkey"],
-                           ascending=[False, True]).head(k)
-           .reset_index(drop=True))
     win = read_local(
         sf_dir, "customer",
         columns=["c_custkey", "c_name"],
@@ -3044,17 +2850,13 @@ def q_q15_top_supplier(sf_dir: str):
                     columns=["l_suppkey", "l_shipdate",
                              "l_extendedprice", "l_discount"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         b = batch.filter(pc.and_(pc.greater_equal(batch["l_shipdate"], lo),
                                  pc.less(batch["l_shipdate"], hi)))
-        t = pa.table({"s_suppkey": pc.cast(b["l_suppkey"], pa.int64()),
-                      "total_revenue_e4": _rev_e4(b)})
-        g = t.group_by("s_suppkey").aggregate([("total_revenue_e4", "sum")])
-        return g.rename_columns(["s_suppkey", "total_revenue_e4"])
+        return pa.table({"s_suppkey": b["l_suppkey"], "rev": _rev_e4(b)})
 
-    per_supp = merge_partials_ray(
-        li.map_batches(partial, batch_format="pyarrow"),
-        ["s_suppkey"], ["total_revenue_e4"])
+    per_supp = aggregate(li, ["s_suppkey"],
+                         {"total_revenue_e4": ("rev", "sum")}, prep, in_ray=True)
 
     def max_block(batch: pa.Table) -> pa.Table:
         m = pc.max(batch["total_revenue_e4"])
@@ -3075,7 +2877,6 @@ def q_q15_top_supplier(sf_dir: str):
         columns=["s_suppkey", "s_name"],
         filters=[("s_suppkey", "in", [int(x) for x in winners["s_suppkey"]])])
     out = winners.merge(win, on="s_suppkey", how="left")
-    out["total_revenue_e4"] = out["total_revenue_e4"].astype("int64")
     return (out[["s_suppkey", "s_name", "total_revenue_e4"]]
             .sort_values("s_suppkey").reset_index(drop=True))
 
@@ -3089,16 +2890,10 @@ def q_q18_large_volume_customers(sf_dir: str, qty_threshold: int = 300):
     back-joins are predicate-pushdown reads over it."""
     li = read_table(sf_dir, "lineitem", columns=["l_orderkey", "l_quantity"])
 
-    def qty_partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({"o_orderkey": pc.cast(batch["l_orderkey"], pa.int64()),
-                      "total_qty": pc.cast(pc.round(batch["l_quantity"]),
-                                           pa.int64())})
-        g = t.group_by("o_orderkey").aggregate([("total_qty", "sum")])
-        return g.rename_columns(["o_orderkey", "total_qty"])
-
-    merged = merge_partials_ray(
-        li.map_batches(qty_partial, batch_format="pyarrow"),
-        ["o_orderkey"], ["total_qty"])
+    merged = aggregate(
+        li, ["o_orderkey"], {"total_qty": ("qty", "sum")},
+        lambda t: pa.table({"o_orderkey": t["l_orderkey"], "qty": pc.cast(
+            pc.round(t["l_quantity"]), pa.int64())}), in_ray=True)
     winners = merged.map_batches(
         lambda t: t.filter(pc.greater(t["total_qty"], qty_threshold)),
         batch_format="pyarrow").to_pandas()
@@ -3122,9 +2917,6 @@ def q_q18_large_volume_customers(sf_dir: str, qty_threshold: int = 300):
     out = (winners.merge(ords, on="o_orderkey")
            .merge(cust, left_on="o_custkey", right_on="c_custkey"))
     out["o_totalprice_c"] = (out["o_totalprice"] * 100).round().astype("int64")
-    out["total_qty"] = out["total_qty"].astype("int64")
-    out["c_custkey"] = out["c_custkey"].astype("int64")
-    out["o_orderkey"] = out["o_orderkey"].astype("int64")
     return (out[["c_custkey", "c_name", "o_orderkey", "o_orderdate",
                  "o_totalprice_c", "total_qty"]]
             .sort_values(["o_totalprice_c", "o_orderkey"],
@@ -3265,7 +3057,7 @@ def q_q7_volume_shipping(sf_dir: str, nation_a: str = "NATION_11",
         cust.map_batches(cust_side, batch_format="pyarrow"),
         "key", join2)
     final = merge_partials(parts, ["s_nationkey", "c_nationkey", "l_year"],
-                           ["revenue_e4"])
+                           {"revenue_e4": "sum"})
     if final.empty:
         return pd.DataFrame({"supp_nation": pd.Series([], dtype="object"),
                              "cust_nation": pd.Series([], dtype="object"),
@@ -3363,30 +3155,22 @@ def q_q17_small_qty_revenue(sf_dir: str):
 
     li = read_table(sf_dir, "lineitem", columns=["l_partkey", "l_quantity"])
 
-    def stats_partial(batch: pa.Table) -> pa.Table:
-        keys = ray.get(pk_ref)
-        b = batch.filter(pc.is_in(pc.cast(batch["l_partkey"], pa.int64()),
-                                  value_set=pa.array(keys, pa.int64())))
-        t = pa.table({"p_partkey": pc.cast(b["l_partkey"], pa.int64()),
-                      "sum_qty": pc.cast(pc.round(b["l_quantity"]),
-                                         pa.int64()),
-                      "n": pa.array(np.ones(b.num_rows, np.int64))})
-        g = t.group_by("p_partkey").aggregate([("sum_qty", "sum"),
-                                               ("n", "sum")])
-        return g.rename_columns(["p_partkey", "sum_qty", "n"])
+    def prep(batch: pa.Table) -> pa.Table:
+        b = batch.filter(pc.is_in(batch["l_partkey"], value_set=pa.array(
+            ray.get(pk_ref), pa.int64())))
+        return pa.table({"p_partkey": b["l_partkey"],
+                         "qty": pc.cast(pc.round(b["l_quantity"]), pa.int64())})
 
     # the merged stats table is slice-sized (== the broadcast key set),
     # so collecting it to build the pass-2 broadcast is not a leak
-    stats = merge_partials_ray(
-        li.map_batches(stats_partial, batch_format="pyarrow"),
-        ["p_partkey"], ["sum_qty", "n"]).to_pandas()
+    stats = aggregate(li, ["p_partkey"],
+                      {"sum_qty": ("qty", "sum"), "n": ("qty", "count")},
+                      prep, in_ray=True).to_pandas()
     if stats.empty:
         return pd.DataFrame([{"revenue_c": 0, "n_lines": 0}])
-    order = np.argsort(stats["p_partkey"].to_numpy())
-    st_pk = stats["p_partkey"].to_numpy().astype(np.int64)[order]
-    st_sum = stats["sum_qty"].to_numpy().astype(np.int64)[order]
-    st_n = stats["n"].to_numpy().astype(np.int64)[order]
-    st_ref = ray.put((st_pk, st_sum, st_n))
+    stats = stats.sort_values("p_partkey")
+    st_ref = ray.put(tuple(stats[c].to_numpy()
+                           for c in ("p_partkey", "sum_qty", "n")))
 
     li2 = read_table(sf_dir, "lineitem",
                      columns=["l_partkey", "l_quantity", "l_extendedprice"])
@@ -3486,7 +3270,7 @@ def q_q22_sales_opportunity(sf_dir: str):
         orders.map_batches(ord_side, batch_format="pyarrow"),
         "key", anti_bucket)
     final = merge_partials(parts, ["cntrycode"],
-                           ["numcust", "totacctbal_c"])
+                           {"numcust": "sum", "totacctbal_c": "sum"})
     if final.empty:
         return pd.DataFrame({"cntrycode": pd.Series([], dtype="int64"),
                              "numcust": pd.Series([], dtype="int64"),
@@ -3666,7 +3450,8 @@ def q_q8_market_share(sf_dir: str):
         fact2.map_batches(fact2_side, batch_format="pyarrow"),
         cust.map_batches(cust_side, batch_format="pyarrow"),
         "key", join3)
-    final = merge_partials(parts, ["o_year"], ["target_e4", "total_e4"])
+    final = merge_partials(parts, ["o_year"],
+                           {"target_e4": "sum", "total_e4": "sum"})
     if final.empty:
         return pd.DataFrame({"o_year": pd.Series([], dtype="int64"),
                              "target_e4": pd.Series([], dtype="int64"),
@@ -3794,7 +3579,8 @@ def q_q9_profit_by_nation(sf_dir: str):
         fact1.map_batches(fact_side, batch_format="pyarrow"),
         orders.map_batches(ord_side, batch_format="pyarrow"),
         "key", join2)
-    final = merge_partials(parts, ["s_nationkey", "o_year"], ["profit_e4"])
+    final = merge_partials(parts, ["s_nationkey", "o_year"], {
+                                                              "profit_e4": "sum"})
     if final.empty:
         return pd.DataFrame({"n_name": pd.Series([], dtype="object"),
                              "o_year": pd.Series([], dtype="int64"),
@@ -3872,21 +3658,13 @@ def q_q21_waiting_suppliers(sf_dir: str, k: int = 10):
                            orders.map_batches(ord_side,
                                               batch_format="pyarrow"),
                            "key", join_bucket),
-        ["s_suppkey"], ["numwait"])
-
-    def topk_block(batch: pa.Table) -> pa.Table:
-        return batch.sort_by([("numwait", "descending"),
-                              ("s_suppkey", "ascending")]).slice(0, k)
-
-    agg = per_supp.map_batches(topk_block, batch_format="pyarrow").to_pandas()
+        ["s_suppkey"], {"numwait": "sum"})
+    agg = top_k(per_supp, [("numwait", "descending"),
+                           ("s_suppkey", "ascending")], k)
     if agg.empty:
         return pd.DataFrame({"s_suppkey": pd.Series([], dtype="int64"),
                              "s_name": pd.Series([], dtype="object"),
                              "numwait": pd.Series([], dtype="int64")})
-    agg["numwait"] = agg["numwait"].astype("int64")
-    agg = (agg.sort_values(["numwait", "s_suppkey"],
-                           ascending=[False, True]).head(k)
-           .reset_index(drop=True))
     win = read_local(
         sf_dir, "supplier",
         columns=["s_suppkey", "s_name"],
@@ -3907,30 +3685,19 @@ def q_events_hopping_window(sf_dir: str):
     ds = read_table(sf_dir, "events", columns=["ts", "value"])
     hour_us = 3_600_000_000
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         base = pc.cast(pc.floor_temporal(batch["ts"], unit="hour"),
                        pa.int64())
         v_c = pc.cast(pc.round(pc.multiply(batch["value"], 100.0)),
                       pa.int64())
         w = pa.chunked_array([base, pc.subtract(
             base, pa.scalar(hour_us, pa.int64()))])
-        t = pa.table({"w_us": w, "v_c": pa.chunked_array([v_c, v_c])})
-        g = t.group_by("w_us").aggregate([("v_c", "count"), ("v_c", "sum")])
-        return g.rename_columns(["w_us", "n_events", "sum_value_c"])
+        return pa.table({"window_start": pc.cast(w, pa.timestamp("us")),
+                         "v_c": pa.chunked_array([v_c, v_c])})
 
-    merged = merge_partials_ray(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["w_us"], ["n_events", "sum_value_c"])
-
-    def finish(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "window_start": pc.cast(batch["w_us"], pa.timestamp("us")),
-            "n_events": pc.cast(batch["n_events"], pa.int64()),
-            "sum_value_c": pc.cast(batch["sum_value_c"], pa.int64())})
-
-    out = merged.map_batches(finish, batch_format="pyarrow").to_pandas()
-    out["n_events"] = out["n_events"].astype("int64")
-    out["sum_value_c"] = out["sum_value_c"].astype("int64")
+    out = aggregate(ds, ["window_start"], {"n_events": ("v_c", "count"),
+                                           "sum_value_c": ("v_c", "sum")},
+                    prep, in_ray=True).to_pandas()
     return out.sort_values("window_start").reset_index(drop=True)
 
 
@@ -3969,7 +3736,7 @@ def q_hopping_distinct_users(sf_dir: str):
 
     parts = map_buckets(ds.map_batches(pairs, batch_format="pyarrow"),
                         ["w_us", "user_id"], count_bucket)
-    out = merge_partials_ray(parts, ["w_us"], ["n_users"]).to_pandas()
+    out = merge_partials_ray(parts, ["w_us"], {"n_users": "sum"}).to_pandas()
     out["window_start"] = pd.to_datetime(out.pop("w_us"), unit="us")
     out["n_users"] = out["n_users"].astype("int64")
     return out[["window_start", "n_users"]] \
@@ -3988,21 +3755,15 @@ def q_cube_order_counts(sf_dir: str):
                     columns=["o_orderpriority", "o_orderstatus",
                              "o_totalprice"])
 
-    def partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({"o_orderpriority": batch["o_orderpriority"],
-                      "o_orderstatus": batch["o_orderstatus"],
-                      "total_c": pc.cast(pc.round(pc.multiply(
-                          batch["o_totalprice"], 100.0)), pa.int64()),
-                      "n_orders": pa.array(
-                          np.ones(batch.num_rows, np.int64))})
-        g = t.group_by(["o_orderpriority", "o_orderstatus"]).aggregate(
-            [("n_orders", "sum"), ("total_c", "sum")])
-        return g.rename_columns(["o_orderpriority", "o_orderstatus",
-                                 "n_orders", "total_c"])
+    def prep(batch: pa.Table) -> pa.Table:
+        return pa.table({"o_orderpriority": batch["o_orderpriority"],
+                         "o_orderstatus": batch["o_orderstatus"],
+                         "total_c": pc.cast(pc.round(pc.multiply(
+                             batch["o_totalprice"], 100.0)), pa.int64())})
 
-    base = merge_partials(ds.map_batches(partial, batch_format="pyarrow"),
-                          ["o_orderpriority", "o_orderstatus"],
-                          ["n_orders", "total_c"])
+    base = aggregate(ds, ["o_orderpriority", "o_orderstatus"],
+                     {"n_orders": ("total_c", "count"),
+                      "total_c": ("total_c", "sum")}, prep)
     sums = ["n_orders", "total_c"]
     lvl_p = base.groupby("o_orderpriority", as_index=False)[sums].sum()
     lvl_p["o_orderstatus"] = "ALL"
@@ -4014,8 +3775,6 @@ def q_cube_order_counts(sf_dir: str):
                           "total_c": [base["total_c"].sum()]})
     out = pd.concat([base, lvl_p[base.columns], lvl_s[base.columns],
                      lvl_0[base.columns]], ignore_index=True)
-    for c in sums:
-        out[c] = out[c].astype("int64")
     return (out.sort_values(["o_orderpriority", "o_orderstatus"])
             .reset_index(drop=True))
 
@@ -4194,6 +3953,20 @@ def q_full_outer_nation_accounts(sf_dir: str):
 # quantile fractions as exact rationals: DuckDB quantile_disc picks
 # the element at 0-based index ceil(q*n)-1; integer arithmetic
 # ((a*n + b - 1)//b - 1) reproduces it without float q*n
+def _type_cents(batch: pa.Table) -> pa.Table:
+    """``prep``: each event's type and value in exact integer cents."""
+    return pa.table({"event_type": batch["event_type"], "v_c": pc.cast(
+        pc.round(pc.multiply(batch["value"], 100.0)), pa.int64())})
+
+
+def _cents_histogram(ds: rd.Dataset) -> rd.Dataset:
+    """(event_type, v_c, n): how many events of each type carry each
+    value in cents, merged in Ray (the value set grows with the data).
+    The exact order statistics below read it bucket by event type."""
+    return aggregate(ds, ["event_type", "v_c"], {"n": ("v_c", "count")},
+                     _type_cents, in_ray=True)
+
+
 _QUANTILES = (("p25_c", 1, 4), ("p50_c", 1, 2),
               ("p75_c", 3, 4), ("p95_c", 19, 20))
 
@@ -4206,15 +3979,7 @@ def q_quantiles_value_per_type(sf_dir: str):
     lookup in the domain-sized merged count table."""
     ds = read_table(sf_dir, "events", columns=["event_type", "value"])
 
-    def partial(batch: pa.Table) -> pa.Table:
-        v_c = pc.cast(pc.round(pc.multiply(batch["value"], 100.0)), pa.int64())
-        t = pa.table({"event_type": batch["event_type"], "v_c": v_c})
-        g = t.group_by(["event_type", "v_c"]).aggregate([("v_c", "count")])
-        return g.rename_columns(["event_type", "v_c", "n"])
-
-    merged = merge_partials_ray(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "v_c"], ["n"])
+    merged = _cents_histogram(ds)
 
     def quant_bucket(g: pd.DataFrame) -> pd.DataFrame:
         rows = []
@@ -4232,8 +3997,6 @@ def q_quantiles_value_per_type(sf_dir: str):
 
     out = (map_buckets(merged, ["event_type"], quant_bucket)
            .to_pandas())
-    for c in ["n_events"] + [q[0] for q in _QUANTILES]:
-        out[c] = out[c].astype("int64")
     return out.sort_values("event_type").reset_index(drop=True)
 
 
@@ -4249,16 +4012,7 @@ def q_winsorize_value(sf_dir: str):
     ds = read_table(sf_dir, "events",
                     columns=["event_id", "event_type", "value"])
 
-    def partial(batch: pa.Table) -> pa.Table:
-        v_c = pc.cast(pc.round(pc.multiply(batch["value"], 100.0)),
-                      pa.int64())
-        t = pa.table({"event_type": batch["event_type"], "v_c": v_c})
-        g = t.group_by(["event_type", "v_c"]).aggregate([("v_c", "count")])
-        return g.rename_columns(["event_type", "v_c", "n"])
-
-    merged = merge_partials_ray(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "v_c"], ["n"])
+    merged = _cents_histogram(ds)
 
     def bounds_bucket(g: pd.DataFrame) -> pd.DataFrame:
         rows = []
@@ -4316,7 +4070,7 @@ def q_distinct_users_per_type(sf_dir: str):
 
     partials = map_buckets(ds.map_batches(pair_dedup, batch_format="pyarrow"),
                            ["event_type", "user_id"], count_bucket)
-    out = merge_partials(partials, ["event_type"], ["n_users"])
+    out = merge_partials(partials, ["event_type"], {"n_users": "sum"})
     out["n_users"] = out["n_users"].astype("int64")
     return out.reset_index(drop=True)
 
@@ -4330,15 +4084,7 @@ def q_median_value_per_type(sf_dir: str):
     to any quantile vector; only counts cross the exchange."""
     ds = read_table(sf_dir, "events", columns=["event_type", "value"])
 
-    def partial(batch: pa.Table) -> pa.Table:
-        v_c = pc.cast(pc.round(pc.multiply(batch["value"], 100.0)), pa.int64())
-        t = pa.table({"event_type": batch["event_type"], "v_c": v_c})
-        g = t.group_by(["event_type", "v_c"]).aggregate([("v_c", "count")])
-        return g.rename_columns(["event_type", "v_c", "n"])
-
-    merged = merge_partials_ray(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "v_c"], ["n"])
+    merged = _cents_histogram(ds)
 
     def median_bucket(g: pd.DataFrame) -> pd.DataFrame:
         rows = []
@@ -4354,8 +4100,6 @@ def q_median_value_per_type(sf_dir: str):
 
     out = (map_buckets(merged, ["event_type"], median_bucket)
            .to_pandas())
-    for c in ("n_events", "median_value_c"):
-        out[c] = out[c].astype("int64")
     return out.sort_values("event_type").reset_index(drop=True)
 
 
@@ -4369,15 +4113,7 @@ def q_median_cont_value_per_type(sf_dir: str):
     cross the exchange; no global sort."""
     ds = read_table(sf_dir, "events", columns=["event_type", "value"])
 
-    def partial(batch: pa.Table) -> pa.Table:
-        v_c = pc.cast(pc.round(pc.multiply(batch["value"], 100.0)), pa.int64())
-        t = pa.table({"event_type": batch["event_type"], "v_c": v_c})
-        g = t.group_by(["event_type", "v_c"]).aggregate([("v_c", "count")])
-        return g.rename_columns(["event_type", "v_c", "n"])
-
-    merged = merge_partials_ray(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "v_c"], ["n"])
+    merged = _cents_histogram(ds)
 
     def pick_bucket(g: pd.DataFrame) -> pd.DataFrame:
         rows = []
@@ -4394,8 +4130,6 @@ def q_median_cont_value_per_type(sf_dir: str):
 
     out = (map_buckets(merged, ["event_type"], pick_bucket)
            .to_pandas())
-    for c in ("n_events", "med2x_c"):
-        out[c] = out[c].astype("int64")
     return out.sort_values("event_type").reset_index(drop=True)
 
 
@@ -4411,16 +4145,8 @@ def q_weighted_median_chars(sf_dir: str):
     exchange."""
     ds = read_table(sf_dir, "documents", columns=["source", "n_chars"])
 
-    def partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({"source": batch["source"],
-                      "n_chars": batch["n_chars"],
-                      "w": batch["n_chars"]})
-        g = t.group_by(["source", "n_chars"]).aggregate([("w", "sum")])
-        return g.rename_columns(["source", "n_chars", "w"])
-
-    merged = merge_partials_ray(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["source", "n_chars"], ["w"])
+    merged = aggregate(ds, ["source", "n_chars"], {"w": ("n_chars", "sum")},
+                       in_ray=True)
 
     def wmedian_bucket(g: pd.DataFrame) -> pd.DataFrame:
         rows = []
@@ -4437,7 +4163,6 @@ def q_weighted_median_chars(sf_dir: str):
 
     out = (map_buckets(merged, ["source"], wmedian_bucket)
            .to_pandas())
-    out["wmedian_chars"] = out["wmedian_chars"].astype("int64")
     return out.sort_values("source").reset_index(drop=True)
 
 
@@ -4450,14 +4175,8 @@ def q_mode_chars_per_source(sf_dir: str):
     domain exactly like the distributed-median family."""
     ds = read_table(sf_dir, "documents", columns=["source", "n_chars"])
 
-    def partial(batch: pa.Table) -> pa.Table:
-        g = batch.group_by(["source", "n_chars"]).aggregate(
-            [("n_chars", "count")])
-        return g.rename_columns(["source", "n_chars", "n"])
-
-    merged = merge_partials_ray(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["source", "n_chars"], ["n"])
+    merged = aggregate(ds, ["source", "n_chars"], {"n": ("n_chars", "count")},
+                       in_ray=True)
 
     def mode_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["source", "n", "n_chars"],
@@ -4469,8 +4188,6 @@ def q_mode_chars_per_source(sf_dir: str):
 
     out = (map_buckets(merged, ["source"], mode_bucket)
            .to_pandas())
-    for c in ("mode_chars", "n_mode"):
-        out[c] = out[c].astype("int64")
     return out.sort_values("source").reset_index(drop=True)
 
 
@@ -4485,7 +4202,7 @@ def _set_op_users(sf_dir: str, keep_right: bool, min_cents: int = 9500):
     ds = read_table(sf_dir, "events",
                     columns=["user_id", "event_type", "value"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         et = batch["event_type"]
         v_c = pc.cast(pc.round(pc.multiply(batch["value"], 100.0)),
                       pa.int64())
@@ -4494,16 +4211,13 @@ def _set_op_users(sf_dir: str, keep_right: bool, min_cents: int = 9500):
             pc.greater(v_c, min_cents))
         t = batch.filter(keep)
         in_click = pc.cast(pc.equal(t["event_type"], "click"), pa.int64())
-        pairs = pa.table({"user_id": t["user_id"], "in_click": in_click,
-                          "in_purch": pc.subtract(pa.scalar(1, pa.int64()),
-                                                  in_click)})
-        g = pairs.group_by("user_id").aggregate(
-            [("in_click", "max"), ("in_purch", "max")])
-        return g.rename_columns(["user_id", "in_click", "in_purch"])
+        return pa.table({"user_id": t["user_id"], "in_click": in_click,
+                         "in_purch": pc.subtract(pa.scalar(1, pa.int64()),
+                                                 in_click)})
 
-    merged = merge_partials_ray(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["user_id"], ["in_click", "in_purch"])
+    merged = aggregate(ds, ["user_id"], {"in_click": ("in_click", "max"),
+                                         "in_purch": ("in_purch", "max")},
+                       prep, in_ray=True)
 
     def pick(batch: pa.Table) -> pa.Table:
         lhs = pc.greater(batch["in_click"], 0)
@@ -4515,7 +4229,6 @@ def _set_op_users(sf_dir: str, keep_right: bool, min_cents: int = 9500):
     out = merged.map_batches(pick, batch_format="pyarrow").to_pandas()
     if out.empty:
         out = pd.DataFrame({"user_id": pd.Series([], dtype="int64")})
-    out["user_id"] = out["user_id"].astype("int64")
     return out.sort_values("user_id").reset_index(drop=True)
 
 
@@ -4545,16 +4258,7 @@ def q_value_outliers_mad(sf_dir: str):
     the exchange, never raw events."""
     ds = read_table(sf_dir, "events", columns=["event_type", "value"])
 
-    def partial(batch: pa.Table) -> pa.Table:
-        v_c = pc.cast(pc.round(pc.multiply(batch["value"], 100.0)),
-                      pa.int64())
-        t = pa.table({"event_type": batch["event_type"], "v_c": v_c})
-        g = t.group_by(["event_type", "v_c"]).aggregate([("v_c", "count")])
-        return g.rename_columns(["event_type", "v_c", "n"])
-
-    merged = merge_partials_ray(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "v_c"], ["n"])
+    merged = _cents_histogram(ds)
 
     def _disc_pick(vals: np.ndarray, cnts: np.ndarray) -> int:
         order = np.argsort(vals)
@@ -4580,8 +4284,6 @@ def q_value_outliers_mad(sf_dir: str):
 
     out = (map_buckets(merged, ["event_type"], mad_bucket)
            .to_pandas())
-    for c in ("n_events", "median_value_c", "mad_c", "n_outliers"):
-        out[c] = out[c].astype("int64")
     return out.sort_values("event_type").reset_index(drop=True)
 
 
@@ -4815,7 +4517,7 @@ def q_cohort_retention(sf_dir: str):
     parts = map_buckets(ds.map_batches(to_wk, batch_format="pyarrow"),
                         ["user_id"], cohort_bucket)
     out = merge_partials_ray(parts, ["cohort_week", "week_offset"],
-                             ["n_users"]).to_pandas()
+                             {"n_users": "sum"}).to_pandas()
     for c in out.columns:
         out[c] = out[c].astype("int64")
     return out.sort_values(["cohort_week", "week_offset"]) \
@@ -4882,26 +4584,14 @@ def q_value_stats_per_type(sf_dir: str):
     bounded)."""
     ds = read_table(sf_dir, "events", columns=["event_type", "value"])
 
-    def part(batch: pa.Table) -> pa.Table:
-        v = pc.cast(pc.round(pc.multiply(batch["value"], 100.0)),
-                    pa.int64())
-        v_np = v.to_numpy(zero_copy_only=False)
-        t = pa.table({"event_type": batch["event_type"],
-                      "n_events": pa.array(
-                          np.ones(batch.num_rows, np.int64)),
-                      "sum_value_c": v,
-                      "sumsq_value_c2": pa.array(v_np * v_np)})
-        g = t.group_by("event_type").aggregate(
-            [("n_events", "sum"), ("sum_value_c", "sum"),
-             ("sumsq_value_c2", "sum")])
-        return g.rename_columns(["event_type", "n_events", "sum_value_c",
-                                 "sumsq_value_c2"])
+    def prep(batch: pa.Table) -> pa.Table:
+        t = _type_cents(batch)
+        return t.append_column("vv", pc.multiply(t["v_c"], t["v_c"]))
 
-    out = merge_partials(
-        ds.map_batches(part, batch_format="pyarrow"),
-        ["event_type"], ["n_events", "sum_value_c", "sumsq_value_c2"])
-    for c in ["n_events", "sum_value_c", "sumsq_value_c2"]:
-        out[c] = out[c].astype("int64")
+    out = aggregate(ds, ["event_type"], {"n_events": ("v_c", "count"),
+                                         "sum_value_c": ("v_c", "sum"),
+                                         "sumsq_value_c2": ("vv", "sum")},
+                    prep)
     return out.sort_values("event_type").reset_index(drop=True)
 
 
@@ -4916,30 +4606,18 @@ def q_covar_qty_discount(sf_dir: str):
     ds = read_table(sf_dir, "lineitem",
                     columns=["l_returnflag", "l_quantity", "l_discount"])
 
-    def part(batch: pa.Table) -> pa.Table:
-        q = pc.cast(pc.round(batch["l_quantity"]), pa.int64()) \
-            .to_numpy(zero_copy_only=False)
+    def prep(batch: pa.Table) -> pa.Table:
+        q = pc.cast(pc.round(batch["l_quantity"]), pa.int64())
         d = pc.cast(pc.round(pc.multiply(batch["l_discount"], 100.0)),
-                    pa.int64()).to_numpy(zero_copy_only=False)
-        t = pa.table({"l_returnflag": batch["l_returnflag"],
-                      "n": pa.array(np.ones(batch.num_rows, np.int64)),
-                      "sum_q": pa.array(q), "sum_d_e2": pa.array(d),
-                      "sumsq_q": pa.array(q * q),
-                      "sumsq_d_e4": pa.array(d * d),
-                      "sum_qd_e2": pa.array(q * d)})
-        cols = ["n", "sum_q", "sum_d_e2", "sumsq_q", "sumsq_d_e4",
-                "sum_qd_e2"]
-        g = t.group_by("l_returnflag").aggregate(
-            [(c, "sum") for c in cols])
-        return g.rename_columns(["l_returnflag"] + cols)
+                    pa.int64())
+        return pa.table({"l_returnflag": batch["l_returnflag"],
+                         "q": q, "d": d, "qq": pc.multiply(q, q),
+                         "dd": pc.multiply(d, d), "qd": pc.multiply(q, d)})
 
-    cols = ["n", "sum_q", "sum_d_e2", "sumsq_q", "sumsq_d_e4",
-            "sum_qd_e2"]
-    out = merge_partials(
-        ds.map_batches(part, batch_format="pyarrow"),
-        ["l_returnflag"], cols)
-    for c in cols:
-        out[c] = out[c].astype("int64")
+    out = aggregate(ds, ["l_returnflag"], {
+        "n": ("q", "count"), "sum_q": ("q", "sum"), "sum_d_e2": ("d", "sum"),
+        "sumsq_q": ("qq", "sum"), "sumsq_d_e4": ("dd", "sum"),
+        "sum_qd_e2": ("qd", "sum")}, prep)
     return out.sort_values("l_returnflag").reset_index(drop=True)
 
 
@@ -5219,7 +4897,7 @@ def q_event_transitions(sf_dir: str):
 
     parts = map_buckets(ds.map_batches(to_us, batch_format="pyarrow"),
                         ["user_id"], trans_bucket)
-    out = merge_partials(parts, ["from_type", "to_type"], ["n"])
+    out = merge_partials(parts, ["from_type", "to_type"], {"n": "sum"})
     out["n"] = out["n"].astype("int64")
     return out.sort_values(["from_type", "to_type"]).reset_index(drop=True)
 
@@ -5308,34 +4986,23 @@ def q_nation_revenue_share(sf_dir: str):
     orders = read_table(sf_dir, "orders",
                         columns=["o_custkey", "o_totalprice"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         import ray as _rayw
         bck, bnk = _rayw.get(ref)
         c = batch["o_custkey"].to_numpy(zero_copy_only=False) \
             .astype(np.int64)
-        v = pc.cast(pc.round(pc.multiply(batch["o_totalprice"],
-                                         pa.scalar(100.0))),
-                    pa.int64()).to_numpy(zero_copy_only=False)
         # guarded probe: an o_custkey absent from customer must fail
         # loudly, not attribute revenue to a neighboring nation (or
         # index past the end) — FK integrity is asserted, not assumed
         pos = np.clip(np.searchsorted(bck, c), 0, max(len(bck) - 1, 0))
         assert len(bck) and bool(np.all(bck[pos] == c)), \
             "o_custkey not in customer: FK violation in input"
-        nat = bnk[pos]
-        sums = np.zeros(int(bnk.max()) + 1, dtype=np.int64)
-        np.add.at(sums, nat, v)
-        nz = np.nonzero(sums)[0]
-        return pa.table({"n_nationkey": pa.array(nz.astype(np.int64)),
-                         "rev_c": pa.array(sums[nz])})
+        return pa.table({"n_nationkey": pa.array(bnk[pos]),
+                         "rev_c": pc.cast(pc.round(pc.multiply(
+                             batch["o_totalprice"], 100.0)), pa.int64())})
 
-    out = merge_partials(
-        orders.map_batches(partial, batch_format="pyarrow"),
-        ["n_nationkey"], ["rev_c"])
-    total = int(out["rev_c"].sum())
-    out["rev_c"] = out["rev_c"].astype("int64")
-    out["share_e6"] = (out["rev_c"] * 1_000_000 // total).astype("int64")
-    out["n_nationkey"] = out["n_nationkey"].astype("int64")
+    out = aggregate(orders, ["n_nationkey"], {"rev_c": ("rev_c", "sum")}, prep)
+    out["share_e6"] = out["rev_c"] * 1_000_000 // int(out["rev_c"].sum())
     return out.sort_values("n_nationkey").reset_index(drop=True)
 
 
@@ -5479,14 +5146,11 @@ def q_q11_important_parts(sf_dir: str):
         price_c = pc.cast(pc.round(pc.multiply(
             b["l_extendedprice"], 100.0)), pa.int64())
         qty = pc.cast(pc.round(b["l_quantity"]), pa.int64())
-        t = pa.table({"p_partkey": pc.cast(b["l_partkey"], pa.int64()),
-                      "value_c": pc.multiply(price_c, qty)})
-        g = t.group_by("p_partkey").aggregate([("value_c", "sum")])
-        return g.rename_columns(["p_partkey", "value_c"])
+        return pa.table({"p_partkey": b["l_partkey"],
+                         "value_c": pc.multiply(price_c, qty)})
 
-    per_part = merge_partials_ray(
-        li.map_batches(partial, batch_format="pyarrow"),
-        ["p_partkey"], ["value_c"])
+    per_part = aggregate(li, ["p_partkey"], {"value_c": ("value_c", "sum")},
+                         partial, in_ray=True)
     # part-cardinality-sized intermediate consumed TWICE (global
     # total, then the share filter) — pinned in the object store
     # (spills to disk at scale), never the driver heap
@@ -5510,7 +5174,6 @@ def q_q11_important_parts(sf_dir: str):
     if out.empty:
         return pd.DataFrame({"p_partkey": pd.Series([], dtype="int64"),
                              "value_c": pd.Series([], dtype="int64")})
-    out = out.astype({"p_partkey": "int64", "value_c": "int64"})
     return out.sort_values(["value_c", "p_partkey"],
                            ascending=[False, True]).reset_index(drop=True)
 
@@ -5591,7 +5254,7 @@ def q_q16_supplier_relationship(sf_dir: str):
                            part.map_batches(part_side,
                                             batch_format="pyarrow"),
                            "key", join_bucket),
-        ["p_brand", "p_type", "p_size", "suppkey"], ["one"])
+        ["p_brand", "p_type", "p_size", "suppkey"], {"one": "sum"})
 
     def cnt_partial(batch: pa.Table) -> pa.Table:
         # post-merge each (brand,type,size,suppkey) is globally unique
@@ -5603,7 +5266,8 @@ def q_q16_supplier_relationship(sf_dir: str):
 
     df = merge_partials(dist.map_batches(cnt_partial,
                                           batch_format="pyarrow"),
-                        ["p_brand", "p_type", "p_size"], ["supplier_cnt"])
+                        ["p_brand", "p_type", "p_size"],
+                        {"supplier_cnt": "sum"})
     if df.empty:
         return pd.DataFrame({"p_brand": pd.Series([], dtype="object"),
                              "p_type": pd.Series([], dtype="object"),
@@ -5718,16 +5382,11 @@ def q_cusum_alerts(sf_dir: str, h_mult: int = 8):
     a type-bucketed exchange; the data-sized pass stays the combiner."""
     ds = read_table(sf_dir, "events", columns=["event_type", "ts"])
 
-    def partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({"event_type": batch["event_type"],
-                      "window_start": pc.floor_temporal(batch["ts"],
-                                                        unit="hour")})
-        g = t.group_by(["event_type", "window_start"]).aggregate(
-            [("window_start", "count")])
-        return g.rename_columns(["event_type", "window_start", "n"])
-
-    hc = merge_partials(ds.map_batches(partial, batch_format="pyarrow"),
-                        ["event_type", "window_start"], ["n"])
+    hc = aggregate(ds, ["event_type", "window_start"],
+                   {"n": ("window_start", "count")},
+                   lambda t: pa.table({"event_type": t["event_type"],
+                                       "window_start": pc.floor_temporal(
+                                           t["ts"], unit="hour")}))
     hc = hc.sort_values(["event_type", "window_start"]) \
         .reset_index(drop=True)
     out = []
@@ -5745,9 +5404,7 @@ def q_cusum_alerts(sf_dir: str, h_mult: int = 8):
             "n_events": x,
             "cusum_sc": s.astype(np.int64),
             "alert": (s > h_mult * num).astype(np.int64)}))
-    res = pd.concat(out, ignore_index=True)
-    res["n_events"] = res["n_events"].astype("int64")
-    return res
+    return pd.concat(out, ignore_index=True)
 
 
 def q_bucket_skew_audit(sf_dir: str, num_buckets: int = 32):
@@ -5771,32 +5428,21 @@ def q_bucket_skew_audit(sf_dir: str, num_buckets: int = 32):
     tag_o = _tag_bucket(["o_custkey"], num_buckets)
     tag_d = _tag_bucket(["source"], num_buckets)
 
-    def part_o(batch: pa.Table) -> pa.Table:
-        b = tag_o(batch)
+    def prep_o(batch: pa.Table) -> pa.Table:
         p = pc.cast(pc.round(pc.multiply(batch["o_totalprice"], 100.0)),
                     pa.int64())
-        t = pa.table({"bucket": b["_kb"], "p": p})
-        g = t.group_by("bucket").aggregate([("p", "count"), ("p", "sum")])
-        return g.rename_columns(["bucket", "n_rows", "sum_price_c"])
+        return pa.table({"bucket": tag_o(batch)["_kb"], "p": p})
 
-    def part_d(batch: pa.Table) -> pa.Table:
-        b = tag_d(batch)
-        t = pa.table({"bucket": b["_kb"],
-                      "z": pa.array(np.zeros(len(batch), np.int64))})
-        g = t.group_by("bucket").aggregate([("z", "count"), ("z", "sum")])
-        return g.rename_columns(["bucket", "n_rows", "sum_price_c"])
+    def prep_d(batch: pa.Table) -> pa.Table:
+        return pa.table({"bucket": tag_d(batch)["_kb"],
+                         "p": pa.array(np.zeros(len(batch), np.int64))})
 
-    oa = merge_partials(orders.map_batches(part_o,
-                                            batch_format="pyarrow"),
-                        ["bucket"], ["n_rows", "sum_price_c"])
-    da = merge_partials(docs.map_batches(part_d,
-                                          batch_format="pyarrow"),
-                        ["bucket"], ["n_rows", "sum_price_c"])
+    aggs = {"n_rows": ("p", "count"), "sum_price_c": ("p", "sum")}
+    oa = aggregate(orders, ["bucket"], aggs, prep_o)
+    da = aggregate(docs, ["bucket"], aggs, prep_d)
     oa.insert(0, "key_kind", "orders_custkey")
     da.insert(0, "key_kind", "documents_source")
     out = pd.concat([oa, da], ignore_index=True)
-    for c in ["bucket", "n_rows", "sum_price_c"]:
-        out[c] = out[c].astype("int64")
     return out.sort_values(["key_kind", "bucket"]).reset_index(drop=True)
 
 
@@ -5954,21 +5600,13 @@ def _value_type_counts(sf_dir: str, type_a: str, type_b: str) -> pd.DataFrame:
         mask = pc.is_in(batch["event_type"],
                         value_set=pa.array([type_a, type_b]))
         t = batch.filter(mask)
-        if len(t) == 0:
-            return pa.table({"c": pa.array([], pa.int64()),
-                             "n_a": pa.array([], pa.int64()),
-                             "n_b": pa.array([], pa.int64())})
-        c = pc.cast(pc.round(pc.multiply(t["value"], pa.scalar(100.0))),
-                    pa.int64()).to_numpy(zero_copy_only=False)
-        a = np.asarray(pc.equal(t["event_type"], type_a)
-                       .to_numpy(zero_copy_only=False))
-        df = pd.DataFrame({"c": c, "n_a": a.astype(np.int64),
-                           "n_b": (~a).astype(np.int64)})
-        return pa.Table.from_pandas(
-            df.groupby("c", as_index=False).sum(), preserve_index=False)
+        a = pc.cast(pc.equal(t["event_type"], type_a), pa.int64())
+        return pa.table({"c": pc.cast(pc.round(pc.multiply(
+            t["value"], 100.0)), pa.int64()), "a": a,
+            "b": pc.subtract(pa.scalar(1, pa.int64()), a)})
 
-    parts = ds.map_batches(partial, batch_format="pyarrow")
-    m = merge_partials_ray(parts, ["c"], ["n_a", "n_b"]).to_pandas()
+    m = aggregate(ds, ["c"], {"n_a": ("a", "sum"), "n_b": ("b", "sum")},
+                  partial, in_ray=True).to_pandas()
     return m.sort_values("c").reset_index(drop=True)
 
 
@@ -6085,20 +5723,13 @@ def q_spearman_rank_corr(sf_dir: str):
     ds = read_table(sf_dir, "lineitem",
                     columns=["l_quantity", "l_discount"])
 
-    def partial(batch: pa.Table) -> pa.Table:
-        q = pc.cast(pc.round(batch["l_quantity"]), pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        d = pc.cast(pc.round(pc.multiply(batch["l_discount"],
-                                         pa.scalar(100.0))),
-                    pa.int64()).to_numpy(zero_copy_only=False)
-        df = pd.DataFrame({"q": q, "d": d, "n": 1})
-        return pa.Table.from_pandas(
-            df.groupby(["q", "d"], as_index=False).sum(),
-            preserve_index=False)
+    def prep(batch: pa.Table) -> pa.Table:
+        return pa.table({
+            "q": pc.cast(pc.round(batch["l_quantity"]), pa.int64()),
+            "d": pc.cast(pc.round(pc.multiply(batch["l_discount"], 100.0)),
+                         pa.int64())})
 
-    cells = merge_partials(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["q", "d"], ["n"])
+    cells = aggregate(ds, ["q", "d"], {"n": ("q", "count")}, prep)
 
     def doubled_ranks(marg: pd.Series) -> dict[int, int]:
         # tie-averaged rank of value v, doubled: 2·C_before + cnt + 1
@@ -6166,19 +5797,13 @@ def q_chi2_type_hour(sf_dir: str):
     driver merge; the statistic is O(cells) driver arithmetic."""
     ds = read_table(sf_dir, "events", columns=["event_type", "ts"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         us = batch["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
-        hr = (us // 3_600_000_000) % 24
-        df = pd.DataFrame({"event_type": batch["event_type"]
-                           .to_numpy(zero_copy_only=False),
-                           "hour": hr.astype(np.int64), "o": 1})
-        return pa.Table.from_pandas(
-            df.groupby(["event_type", "hour"], as_index=False).sum(),
-            preserve_index=False)
+        return pa.table({"event_type": batch["event_type"],
+                         "hour": (us // 3_600_000_000) % 24})
 
-    cells = merge_partials(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "hour"], ["o"])
+    cells = aggregate(ds, ["event_type", "hour"], {"o": ("hour", "count")},
+                      prep)
     r = {k: int(v) for k, v in
          cells.groupby("event_type")["o"].sum().items()}
     c = {int(k): int(v) for k, v in
@@ -6195,11 +5820,8 @@ def q_chi2_type_hour(sf_dir: str):
             chi2_e6 = num // den
             assert chi2_e6 < 2 ** 62, "chi2 e6 overflow: drop to e3"
             rows.append((t, h, o, chi2_e6))
-    out = pd.DataFrame(rows, columns=["event_type", "hour", "o",
-                                      "chi2_e6"])
-    for col in ["hour", "o", "chi2_e6"]:
-        out[col] = out[col].astype("int64")
-    return out
+    return pd.DataFrame(rows, columns=["event_type", "hour", "o",
+                                       "chi2_e6"])
 
 
 def _chi2_oracle_sql() -> str:
@@ -6325,19 +5947,12 @@ def q_gini_revenue(sf_dir: str):
     ds = read_table(sf_dir, "orders",
                     columns=["o_custkey", "o_totalprice"])
 
-    def partial(batch: pa.Table) -> pa.Table:
-        cents = pc.cast(pc.round(pc.multiply(batch["o_totalprice"],
-                                             pa.scalar(100.0))),
-                        pa.int64()).to_numpy(zero_copy_only=False)
-        df = pd.DataFrame({"o_custkey": batch["o_custkey"]
-                           .to_numpy(zero_copy_only=False), "x": cents})
-        return pa.Table.from_pandas(
-            df.groupby("o_custkey", as_index=False).sum(),
-            preserve_index=False)
-
-    totals = merge_partials_ray(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["o_custkey"], ["x"])
+    totals = aggregate(ds, ["o_custkey"], {"x": ("x", "sum")},
+                       lambda t: pa.table({
+                           "o_custkey": t["o_custkey"],
+                           "x": pc.cast(pc.round(pc.multiply(
+                               t["o_totalprice"], 100.0)), pa.int64())}),
+                       in_ray=True)
 
     def hist_partial(batch: pa.Table) -> pa.Table:
         df = pd.DataFrame({"x": batch["x"]
@@ -6347,7 +5962,7 @@ def q_gini_revenue(sf_dir: str):
 
     hist = merge_partials_ray(
         totals.map_batches(hist_partial, batch_format="pyarrow"),
-        ["x"], ["cnt"]).to_pandas().sort_values("x") \
+        ["x"], {"cnt": "sum"}).to_pandas().sort_values("x") \
         .reset_index(drop=True)
     n = s1 = sx = 0
     for v, cnt in zip(hist["x"], hist["cnt"]):
@@ -6609,6 +6224,17 @@ def _lru_oracle_sql() -> str:
         "ORDER BY c.capacity")
 
 
+def _hourly_type_counts(sf_dir: str) -> pd.DataFrame:
+    """(event_type, h, n): events of each type in each hour since the
+    epoch. Enum types x clock hours, so the merge runs on the driver."""
+    ds = read_table(sf_dir, "events", columns=["event_type", "ts"])
+    return aggregate(ds, ["event_type", "h"], {"n": ("h", "count")},
+                     lambda t: pa.table({
+                         "event_type": t["event_type"],
+                         "h": pc.divide(pc.cast(t["ts"], pa.int64()),
+                                        pa.scalar(3_600_000_000, pa.int64()))}))
+
+
 ACF_LAGS = (1, 2, 3, 6, 12, 24)
 
 
@@ -6627,18 +6253,7 @@ def q_acf_hourly(sf_dir: str):
     group_by on (type, hour)) → enum×time-bounded driver merge (the
     CUSUM/OHLC contract) → vectorized densify + shifted dot products
     per type. The lag products never touch row data."""
-    ds = read_table(sf_dir, "events", columns=["event_type", "ts"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        h = pc.divide(pc.cast(batch["ts"], pa.int64()),
-                      pa.scalar(3_600_000_000, pa.int64()))
-        t = pa.table({"event_type": batch["event_type"], "h": h})
-        g = t.group_by(["event_type", "h"]).aggregate([("h", "count")])
-        return g.rename_columns(["event_type", "h", "n"])
-
-    hc = merge_partials(ds.map_batches(partial,
-                                        batch_format="pyarrow"),
-                        ["event_type", "h"], ["n"])
+    hc = _hourly_type_counts(sf_dir)
     h0, h1 = int(hc["h"].min()), int(hc["h"].max())
     grid = np.arange(h0, h1 + 1, dtype=np.int64)
     rows = []
@@ -6656,8 +6271,6 @@ def q_acf_hourly(sf_dir: str):
     out = pd.DataFrame(rows, columns=[
         "event_type", "lag", "n_pairs", "sum_xy", "sum_x", "sum_y",
         "sum_x2", "sum_y2"])
-    for c in out.columns[1:]:
-        out[c] = out[c].astype("int64")
     return out.sort_values(["event_type", "lag"]) \
         .reset_index(drop=True)
 
@@ -6836,36 +6449,27 @@ def q_robots_verdict_stats(sf_dir: str):
                      np.int64)
     mref = ray.put((src_arr, masks))
 
-    def part(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         sa, mk = ray.get(mref)
         seg = pa.array(np.char.add(
             "d", batch["doc_id"].to_numpy(zero_copy_only=False)
             .astype("U")))
         shard = (stable_hash64_col_np(seg, ROBOTS_SEED ^ 0x70B0)
                  & np.uint64(0xF)).astype(np.int64)
-        src = batch["source"].to_numpy(zero_copy_only=False)
-        codes, uniq = pd.factorize(src)
+        codes, uniq = pd.factorize(
+            batch["source"].to_numpy(zero_copy_only=False))
         mrow = mk[np.searchsorted(sa, uniq)][codes]
-        denied = ((mrow >> shard) & 1).astype(np.int64)
-        k = len(uniq)
-        return pa.table({
-            "source": pa.array(uniq.astype(object)),
-            "n_urls": pa.array(np.bincount(codes, minlength=k)
-                               .astype(np.int64)),
-            "n_denied": pa.array(np.bincount(codes, weights=denied,
-                                             minlength=k)
-                                 .astype(np.int64))})
+        return pa.table({"source": batch["source"],
+                         "denied": pa.array((mrow >> shard) & 1)})
 
-    agg = merge_partials(ds.map_batches(part, batch_format="pyarrow"),
-                         ["source"], ["n_urls", "n_denied"])
+    agg = aggregate(ds, ["source"], {"n_urls": ("denied", "count"),
+                                     "n_denied": ("denied", "sum")}, prep)
     agg["host"] = agg["source"].astype(str) + ".example"
     agg["mask"] = masks[np.searchsorted(src_arr,
                                         agg["source"].to_numpy())]
     agg["n_allowed"] = agg["n_urls"] - agg["n_denied"]
     out = agg[["source", "host", "mask", "n_urls", "n_allowed",
-               "n_denied"]].copy()
-    for c in ["mask", "n_urls", "n_allowed", "n_denied"]:
-        out[c] = out[c].astype("int64")
+               "n_denied"]]
     return out.sort_values("source").reset_index(drop=True)
 
 
@@ -6933,18 +6537,7 @@ def q_holt_linear(sf_dir: str):
     length is clock-bounded, not data-bounded). The SQL twin replays
     the recursion with a recursive CTE advancing all types per
     step."""
-    ds = read_table(sf_dir, "events", columns=["event_type", "ts"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        h = pc.divide(pc.cast(batch["ts"], pa.int64()),
-                      pa.scalar(3_600_000_000, pa.int64()))
-        t = pa.table({"event_type": batch["event_type"], "h": h})
-        g = t.group_by(["event_type", "h"]).aggregate([("h", "count")])
-        return g.rename_columns(["event_type", "h", "n"])
-
-    hc = merge_partials(ds.map_batches(partial,
-                                        batch_format="pyarrow"),
-                        ["event_type", "h"], ["n"])
+    hc = _hourly_type_counts(sf_dir)
     h0, h1 = int(hc["h"].min()), int(hc["h"].max())
     T = h1 - h0  # last t index
     types = sorted(hc["event_type"].unique())
@@ -6976,8 +6569,6 @@ def q_holt_linear(sf_dir: str):
             recs.append((et, t, int(xv[i]), int(lv[i]), int(bv[i])))
     out = pd.DataFrame(recs, columns=["event_type", "t", "x",
                                       "level_e6", "trend_e6"])
-    for c in out.columns[1:]:
-        out[c] = out[c].astype("int64")
     return out.sort_values(["event_type", "t"]).reset_index(drop=True)
 
 
@@ -7295,12 +6886,7 @@ def q_crawl_budget_apportionment(sf_dir: str):
     oracle replays base/remainder arithmetic with one rank window."""
     ds = read_table(sf_dir, "documents", columns=["source", "n_chars"])
 
-    def part(batch: pa.Table) -> pa.Table:
-        g = batch.group_by(["source"]).aggregate([("n_chars", "sum")])
-        return g.rename_columns(["source", "mass"])
-
-    agg = merge_partials(ds.map_batches(part, batch_format="pyarrow"),
-                         ["source"], ["mass"])
+    agg = aggregate(ds, ["source"], {"mass": ("n_chars", "sum")})
     agg = agg.sort_values("source").reset_index(drop=True)
     mass = agg["mass"].to_numpy(np.int64)
     M = int(mass.sum())
@@ -7320,8 +6906,6 @@ def q_crawl_budget_apportionment(sf_dir: str):
         "extra": flag,
         "budget": base + flag})
     assert int(out["budget"].sum()) == B
-    for c in ["mass", "base", "extra", "budget"]:
-        out[c] = out[c].astype("int64")
     return out.sort_values("source").reset_index(drop=True)
 
 
@@ -7649,18 +7233,7 @@ def q_kendall_tau(sf_dir: str):
     running tally (O(H·maxcount) bincount cumsum), never a Python
     pair loop. The oracle is one self-join per type over the dense
     grid."""
-    ds = read_table(sf_dir, "events", columns=["event_type", "ts"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        h = pc.divide(pc.cast(batch["ts"], pa.int64()),
-                      pa.scalar(3_600_000_000, pa.int64()))
-        t = pa.table({"event_type": batch["event_type"], "h": h})
-        g = t.group_by(["event_type", "h"]).aggregate([("h", "count")])
-        return g.rename_columns(["event_type", "h", "n"])
-
-    hc = merge_partials(ds.map_batches(partial,
-                                        batch_format="pyarrow"),
-                        ["event_type", "h"], ["n"])
+    hc = _hourly_type_counts(sf_dir)
     h0, h1 = int(hc["h"].min()), int(hc["h"].max())
     grid_n = h1 - h0 + 1
     rows = []
@@ -7686,8 +7259,6 @@ def q_kendall_tau(sf_dir: str):
     out = pd.DataFrame(rows, columns=["event_type", "n_pairs",
                                       "n_concordant", "n_discordant",
                                       "n_ties_y"])
-    for c in out.columns[1:]:
-        out[c] = out[c].astype("int64")
     return out.sort_values("event_type").reset_index(drop=True)
 
 
@@ -7741,13 +7312,8 @@ def q_frontier_shard_balance(sf_dir: str):
 
     ds = read_table(sf_dir, "documents", columns=["source", "n_chars"])
 
-    def part(batch: pa.Table) -> pa.Table:
-        g = batch.group_by(["source"]).aggregate(
-            [("n_chars", "sum"), ("n_chars", "count")])
-        return g.rename_columns(["source", "mass", "n_docs"])
-
-    agg = merge_partials(ds.map_batches(part, batch_format="pyarrow"),
-                         ["source"], ["mass", "n_docs"])
+    agg = aggregate(ds, ["source"], {"mass": ("n_chars", "sum"),
+                                     "n_docs": ("n_chars", "count")})
     hosts = pa.array((agg["source"].astype(str) + ".example")
                      .to_numpy())
     shard = (stable_hash64_col_np(hosts, FRONTIER_SEED)
@@ -7756,8 +7322,6 @@ def q_frontier_shard_balance(sf_dir: str):
     out = agg.groupby("shard", as_index=False).agg(
         n_hosts=("source", "size"), n_docs=("n_docs", "sum"),
         chars_mass=("mass", "sum"))
-    for c in out.columns:
-        out[c] = out[c].astype("int64")
     return out.sort_values("shard").reset_index(drop=True)
 
 

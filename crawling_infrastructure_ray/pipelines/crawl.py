@@ -40,6 +40,7 @@ import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 
+from ..config import LEASE_TTL_S, MAX_LOST_RATIO
 from ..functions.urltools import url_host
 from ..stages.fetch import fetch_sim_batch, fetch_store_batch
 from ..state.frontier import Frontier
@@ -155,7 +156,7 @@ class CrawlQuarantined(RuntimeError):
 
 
 def check_quarantine(counters: dict, max_lost_leases: int = 10,
-                     max_lost_ratio: float = 0.01) -> None:
+                     max_lost_ratio: float = MAX_LOST_RATIO) -> None:
     """Evaluate the reference circuit-breaker rule on frontier
     counters; raises CrawlQuarantined when tripped."""
     lost = counters.get("expired_leases", 0)
@@ -166,11 +167,13 @@ def check_quarantine(counters: dict, max_lost_leases: int = 10,
             f"(max_lost_leases={max_lost_leases}, ratio≥{max_lost_ratio})")
 
 
-def job_limits(config) -> tuple[str, int, int]:
+def job_limits(config) -> tuple[str, int, int, float, float]:
     """What a ``JobConfig`` sets for a crawl loop: its storage policy,
-    its retry budget per item and its lost-lease breaker threshold."""
+    its retry budget per item, its lost-lease breaker (count and
+    ratio) and its frontier's lease TTL."""
     return (config.storage_policy, config.retry_failed_items,
-            config.max_lost_workers)
+            config.max_lost_workers, config.max_lost_workers_ratio,
+            config.lease_ttl_s)
 
 
 @dataclass
@@ -245,6 +248,7 @@ class LeaseRunner:
 
     def __init__(self, frontier: Frontier, out_dir: str, fetch_kwargs: dict,
                  *, window: int, max_lost_leases: int,
+                 max_lost_ratio: float = MAX_LOST_RATIO,
                  relay_children: bool = False):
         self.frontier = frontier
         self.out_dir = out_dir
@@ -253,6 +257,7 @@ class LeaseRunner:
         self.fetch_kwargs = dict(fetch_kwargs, docs_dir=self.docs_dir)
         self.window = window
         self.max_lost_leases = max_lost_leases
+        self.max_lost_ratio = max_lost_ratio
         self.relay = relay_children
         self.inflight: dict = {}      # ObjectRef -> (shard, lease_id, now)
         self.commit_refs: list = []   # commits sent, not yet awaited
@@ -336,7 +341,7 @@ class LeaseRunner:
         """The job's circuit breaker over expired leases plus lost tasks."""
         c = self.frontier.counters()
         c["expired_leases"] = c.get("expired_leases", 0) + self.lost
-        check_quarantine(c, max_lost_leases=self.max_lost_leases)
+        check_quarantine(c, self.max_lost_leases, self.max_lost_ratio)
 
     def heal(self, now) -> bool:
         """The reference daemon cycle's healing: the R1 retry gate, then
@@ -427,8 +432,10 @@ def run_crawl_pump(seed_urls: list[str] | None = None, *,
     """
     if rounds not in (None, "shard", "global"):
         raise ValueError(f"rounds must be None, 'shard' or 'global': {rounds!r}")
+    max_lost_ratio, lease_ttl = MAX_LOST_RATIO, LEASE_TTL_S
     if config is not None:
-        storage_policy, max_retries, max_lost_leases = job_limits(config)
+        (storage_policy, max_retries, max_lost_leases, max_lost_ratio,
+         lease_ttl) = job_limits(config)
         longliving = longliving or config.longliving
     claims_dir = os.path.join(out_dir, "claims")
     ckpt_dir = os.path.join(out_dir, "ckpt")
@@ -463,8 +470,8 @@ def run_crawl_pump(seed_urls: list[str] | None = None, *,
                                 robots=robots,
                                 default_rate=default_rate,
                                 default_burst=default_burst,
-                                max_retries=max_retries, order=order,
-                                track_seen_urls=track_seen)
+                                max_retries=max_retries, lease_ttl=lease_ttl,
+                                order=order, track_seen_urls=track_seen)
         if seed_urls is not None and hasattr(seed_urls, "map_batches"):
             # Dataset seed list (S1/S2 at 10^10 scale): distributed
             # ingest — map_batches tasks route straight to the shards,
@@ -491,6 +498,7 @@ def run_crawl_pump(seed_urls: list[str] | None = None, *,
                        "fail_marker": fetch_fail_marker,
                        "fail_after_store_marker": fetch_fail_after_store_marker},
                       window=target_inflight, max_lost_leases=max_lost_leases,
+                      max_lost_ratio=max_lost_ratio,
                       relay_children=rounds is not None)
 
     t0 = time.perf_counter()

@@ -23,7 +23,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
-from ..functions.bucketing import merge_partials_ray
+from ..functions.bucketing import aggregate, merge_partials_ray
 from ..functions.hashing import md5_id
 from ..stages.joins import bucketed_semi_join
 from ..stages.text import langid_batch, quality_score_batch, span_text
@@ -73,28 +73,20 @@ def curate_documents(docs: rd.Dataset, out_dir: str, *,
     n_filtered = filtered.count()
 
     # exact dedup: content-hash partial combine → keep min doc_id
-    def hash_partial(batch: pa.Table) -> pa.Table:
-        hashes = [md5_id(t) for t in batch["text"].to_pylist()]
-        t = batch.append_column("content_hash", pa.array(hashes, pa.string()))
-        g = t.select(["content_hash", "doc_id"]).group_by("content_hash") \
-             .aggregate([("doc_id", "min")])
-        return g.rename_columns(["content_hash", "keep_doc_id"])
+    def with_hash(batch: pa.Table) -> pa.Table:
+        return pa.table({"content_hash": pa.array(
+            [md5_id(t) for t in batch["text"].to_pylist()], pa.string()),
+            "doc_id": batch["doc_id"]})
 
-    keep_exact = merge_partials_ray(
-        filtered.map_batches(hash_partial, batch_format="pyarrow"),
-        ["content_hash"], {"keep_doc_id": "min"})
+    keep_exact = aggregate(filtered, ["content_hash"],
+                           {"keep_doc_id": ("doc_id", "min")}, with_hash,
+                           in_ray=True)
 
     # near-dup removal via ingest-time simhash: exact-collision groups
     # (hamming 0 — the conservative tier; banded hamming≤k is
     # stages.dedup.simhash_near_pairs)
-    def sim_partial(batch: pa.Table) -> pa.Table:
-        g = batch.select(["simhash", "doc_id"]).group_by("simhash") \
-                 .aggregate([("doc_id", "min")])
-        return g.rename_columns(["simhash", "keep_doc_id"])
-
-    keep_sim = merge_partials_ray(
-        filtered.map_batches(sim_partial, batch_format="pyarrow"),
-        ["simhash"], {"keep_doc_id": "min"})
+    keep_sim = aggregate(filtered, ["simhash"],
+                         {"keep_doc_id": ("doc_id", "min")}, in_ray=True)
 
     # keep set = intersection of the two keep sets, computed IN RAY
     # (a doc survives iff it is the representative of BOTH its exact
@@ -107,7 +99,7 @@ def curate_documents(docs: rd.Dataset, out_dir: str, *,
     both = merge_partials_ray(
         keep_exact.map_batches(id_counts, batch_format="pyarrow")
         .union(keep_sim.map_batches(id_counts, batch_format="pyarrow")),
-        ["keep_doc_id"], ["n_sources"])
+        ["keep_doc_id"], {"n_sources": "sum"})
 
     # final filter = bucketed SEMI-JOIN of the filtered docs against the
     # keep ids (hash both sides on doc_id into jbuckets, per-bucket

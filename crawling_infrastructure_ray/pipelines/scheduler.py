@@ -75,15 +75,17 @@ def run_multi_task(tasks, *, seed: int = 42, num_shards: int = 1,
 
     runners: dict[str, tuple[JobConfig, LeaseRunner]] = {}
     for cfg, urls in tasks:
-        storage_policy, max_retries, max_lost = job_limits(cfg)
+        storage_policy, max_retries, max_lost, lost_ratio, ttl = \
+            job_limits(cfg)
         fr = Frontier(num_shards, seed=seed, dedup=True,
-                      max_retries=max_retries)
+                      max_retries=max_retries, lease_ttl=ttl)
         fr.enqueue(list(urls))
         runners[cfg.name] = cfg, LeaseRunner(
             fr, os.path.join(out_root, cfg.name),
             {"seed": seed, "max_depth": 0, "storage_policy": storage_policy,
              **(faults or {})},
-            window=total_chunks_per_cycle, max_lost_leases=max_lost)
+            window=total_chunks_per_cycle, max_lost_leases=max_lost,
+            max_lost_ratio=lost_ratio)
 
     alloc_log: list[tuple[int, str, int]] = []
     for cycle in range(max_cycles):

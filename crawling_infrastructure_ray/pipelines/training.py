@@ -16,9 +16,9 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..functions.bucketing import (map_buckets, merge_partials,
+from ..functions.bucketing import (aggregate, map_buckets, merge_partials,
                                    merge_partials_ray, shuffle_partitions,
-                                   tag_bucket_fn)
+                                   tag_bucket_fn, top_k)
 from ..functions.tokenize import split_ws
 from ..sources.corpus import (fetch_audio_payloads, fetch_media_payloads,
                               fetch_video_payloads, make_seed_urls)
@@ -30,6 +30,22 @@ from ..stages.text import (langid_batch, quality_score_batch,
                            token_count_batch)
 from .crawl import read_documents, run_crawl_pump
 from .oracle import oracle_crawl
+
+def _token_counts(ds: rd.Dataset) -> rd.Dataset:
+    """(token, n): whitespace-token counts of the ``text`` column,
+    merged in Ray (a vocabulary grows with the data)."""
+    from ..stages.sampling import vocab_partial_counts
+    return aggregate(ds, ["token"], {"n": ("n", "sum")},
+                     vocab_partial_counts, in_ray=True)
+
+
+def _pair_counts(ds: rd.Dataset) -> rd.Dataset:
+    """(left_tok, right_tok, n): adjacent-token pair counts of the
+    ``text`` column, merged in Ray."""
+    from ..stages.sampling import bpe_pair_partial_counts
+    return aggregate(ds, ["left_tok", "right_tok"], {"n": ("n", "sum")},
+                     bpe_pair_partial_counts, in_ray=True)
+
 
 # ----------------------------------------------------------------------
 # dedup
@@ -50,9 +66,7 @@ def q_dedup_exact_remove(sf_dir: str):
     here with a DuckDB twin so the driver hash-gates it."""
     from ..stages.joins import bucketed_semi_join
     ds = read_table(sf_dir, "documents", columns=["doc_id", "text", "n_chars"])
-    groups = dd.exact_dedup_groups(
-        ds.map_batches(lambda t: t.select(["doc_id", "text"]),
-                       batch_format="pyarrow"))
+    groups = dd.exact_dedup_groups(ds)
     keys = groups.map_batches(
         lambda t: pa.table({"doc_id": t["keep_doc_id"]}),
         batch_format="pyarrow")
@@ -198,22 +212,13 @@ def q_zorder_layout(sf_dir: str):
         y = did % 1024
         zkey = (_spread(x) | (_spread(y) << np.uint64(1))) \
             .astype(np.int64)
-        g = pa.table({"shard": pa.array(zkey >> 16, pa.int64()),
-                      "n_docs": pa.array(np.ones(len(zkey), np.int64)),
-                      "min_zkey": pa.array(zkey), "max_zkey": pa.array(zkey),
-                      "min_chars": pa.array(nch), "max_chars": pa.array(nch)})
-        return g.group_by("shard").aggregate(
-            [("n_docs", "sum"), ("min_zkey", "min"), ("max_zkey", "max"),
-             ("min_chars", "min"), ("max_chars", "max")]).rename_columns(
-            ["shard", "n_docs", "min_zkey", "max_zkey",
-             "min_chars", "max_chars"])
+        return pa.table({"shard": pa.array(zkey >> 16), "z": pa.array(zkey),
+                         "nch": pa.array(nch)})
 
-    out = merge_partials(
-        ds.map_batches(partial, batch_format="pyarrow"), ["shard"],
-        {"n_docs": "sum", "min_zkey": "min", "max_zkey": "max",
-         "min_chars": "min", "max_chars": "max"})
-    for c in out.columns:
-        out[c] = out[c].astype("int64")
+    out = aggregate(ds, ["shard"], {
+        "n_docs": ("z", "count"), "min_zkey": ("z", "min"),
+        "max_zkey": ("z", "max"), "min_chars": ("nch", "min"),
+        "max_chars": ("nch", "max")}, partial)
     return out.sort_values("shard").reset_index(drop=True)
 
 
@@ -436,20 +441,9 @@ def q_vocab_topk(sf_dir: str):
     combiner map-reduce: per-batch factorize+bincount partials, the
     bucketed all-to-all carries distinct-token rows only, partial
     top-k per merged block, tiny driver head. ORACLE-CHECKED."""
-    from ..stages import sampling as sp
     ds = read_table(sf_dir, "documents", columns=["text"])
-    partials = ds.map_batches(sp.vocab_partial_counts,
-                              batch_format="pyarrow")
-    merged = merge_partials_ray(partials, ["token"], ["n"])
-
-    def topk_block(batch: pa.Table) -> pa.Table:
-        return batch.sort_by([("n", "descending"),
-                              ("token", "ascending")]).slice(0, 100)
-
-    df = merged.map_batches(topk_block, batch_format="pyarrow").to_pandas()
-    df["n"] = df["n"].astype("int64")
-    return (df.sort_values(["n", "token"], ascending=[False, True])
-            .head(100).reset_index(drop=True))
+    merged = _token_counts(ds)
+    return top_k(merged, [("n", "descending"), ("token", "ascending")], 100)
 
 
 def q_bm25_topk(sf_dir: str, k: int = 20):
@@ -469,23 +463,12 @@ def q_bm25_topk(sf_dir: str, k: int = 20):
     a flattened token stream, and ships ONLY matching docs; df and
     the final top-k reduce over that match-sized set (partial top-k
     per block, ≤ k × blocks rows to the driver)."""
-    from ..stages import sampling as sp
-
     ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
 
     # pass 1: distributed vocab — query terms (ranks 5/6) + total
     # token count from the same merged result
-    merged = merge_partials_ray(
-        ds.map_batches(sp.vocab_partial_counts, batch_format="pyarrow"),
-        ["token"], ["n"])
-
-    def top_block(batch: pa.Table) -> pa.Table:
-        return batch.sort_by([("n", "descending"),
-                              ("token", "ascending")]).slice(0, 6)
-
-    head = (merged.map_batches(top_block, batch_format="pyarrow")
-            .to_pandas().sort_values(["n", "token"],
-                                     ascending=[False, True]))
+    merged = _token_counts(ds)
+    head = top_k(merged, [("n", "descending"), ("token", "ascending")], 6)
     t1, t2 = head.iloc[4]["token"], head.iloc[5]["token"]
 
     # corpus totals: one tiny (1 row per block) combiner + metadata count
@@ -551,19 +534,10 @@ def q_bm25_topk(sf_dir: str, k: int = 20):
         s2 = (idf2 * tf2a * 44 * avgdl) // (20 * avgdl * tf2a + den_base)
         s1 = np.where(tf1a > 0, s1, 0)
         s2 = np.where(tf2a > 0, s2, 0)
-        t = batch.append_column("score_e6",
-                                pa.array(s1 + s2, pa.int64()))
-        return t.sort_by([("score_e6", "descending"),
-                          ("doc_id", "ascending")]).slice(0, k)
+        return batch.append_column("score_e6", pa.array(s1 + s2, pa.int64()))
 
-    out = matches.map_batches(score_block,
-                              batch_format="pyarrow").to_pandas()
-    out = out.sort_values(["score_e6", "doc_id"],
-                          ascending=[False, True]).head(k)
-    for c in out.columns:
-        out[c] = out[c].astype("int64")
-    return out[["doc_id", "tf1", "tf2", "dl", "score_e6"]] \
-        .reset_index(drop=True)
+    return top_k(matches.map_batches(score_block, batch_format="pyarrow"),
+                 [("score_e6", "descending"), ("doc_id", "ascending")], k)
 
 
 def _bm25_oracle_sql(k: int = 20) -> str:
@@ -654,7 +628,7 @@ def q_heavy_hitter_tokens(sf_dir: str, phi_recip: int = 31):
 
     merged = merge_partials_ray(
         partials.map_batches(keep_candidates, batch_format="pyarrow"),
-        ["token"], ["n"])
+        ["token"], {"n": "sum"})
     df = merged.to_pandas()
     df["n"] = df["n"].astype("int64")
     df = df[df["n"] * phi_recip >= total]
@@ -721,7 +695,7 @@ def q_source_vocab_overlap(sf_dir: str):
     dedup = ds.map_batches(pairs_partial, batch_format="pyarrow").materialize()
     pair_partials = map_buckets(dedup, ["token"], emit_bucket)
     out = merge_partials(pair_partials, ["src_a", "src_b"],
-                         ["n_common"])
+                         {"n_common": "sum"})
 
     def size_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.drop_duplicates(["source", "token"])
@@ -730,7 +704,7 @@ def q_source_vocab_overlap(sf_dir: str):
 
     sizes = merge_partials(
         map_buckets(dedup, ["token"], size_bucket),
-        ["source"], ["n_vocab"])
+        ["source"], {"n_vocab": "sum"})
     sz = dict(zip(sizes["source"], sizes["n_vocab"].astype("int64")))
     out["n_a"] = out["src_a"].map(sz).astype("int64")
     out["n_b"] = out["src_b"].map(sz).astype("int64")
@@ -747,22 +721,10 @@ def q_bpe_pair_counts(sf_dir: str, k: int = 20):
     rank up: per-batch composite-code combiner partials → bucketed
     merge on the pair → partial top-k per block → tiny driver head.
     ORACLE-CHECKED (unnest + positional indexing bigrams in SQL)."""
-    from ..stages import sampling as sp
     ds = read_table(sf_dir, "documents", columns=["text"])
-    partials = ds.map_batches(sp.bpe_pair_partial_counts,
-                              batch_format="pyarrow")
-    merged = merge_partials_ray(partials, ["left_tok", "right_tok"], ["n"])
-
-    def topk_block(batch: pa.Table) -> pa.Table:
-        return batch.sort_by([("n", "descending"),
-                              ("left_tok", "ascending"),
-                              ("right_tok", "ascending")]).slice(0, k)
-
-    df = merged.map_batches(topk_block, batch_format="pyarrow").to_pandas()
-    df["n"] = df["n"].astype("int64")
-    return (df.sort_values(["n", "left_tok", "right_tok"],
-                           ascending=[False, True, True])
-            .head(k).reset_index(drop=True))
+    merged = _pair_counts(ds)
+    return top_k(merged, [("n", "descending"), ("left_tok", "ascending"),
+                          ("right_tok", "ascending")], k)
 
 
 def q_contrastive_pairs(sf_dir: str, negs: int = 2):
@@ -986,20 +948,12 @@ def q_hierarchy_rollup(sf_dir: str):
             ch = ch[m]
             alln.append(cur)
             allc.append(ch)
-        node = np.concatenate(alln)
-        chs = np.concatenate(allc)
-        t = pa.table({"node": pa.array(node, pa.int64()),
-                      "n_docs": pa.array(np.ones(len(node), np.int64)),
-                      "sum_chars": pa.array(chs, pa.int64())})
-        g = t.group_by("node").aggregate([("n_docs", "sum"),
-                                          ("sum_chars", "sum")])
-        return g.rename_columns(["node", "n_docs", "sum_chars"])
+        return pa.table({"node": pa.array(np.concatenate(alln), pa.int64()),
+                         "ch": pa.array(np.concatenate(allc), pa.int64())})
 
-    out = merge_partials_ray(
-        ds.map_batches(explode, batch_format="pyarrow"),
-        ["node"], ["n_docs", "sum_chars"]).to_pandas()
-    for c in out.columns:
-        out[c] = out[c].astype("int64")
+    out = aggregate(ds, ["node"], {"n_docs": ("ch", "count"),
+                                   "sum_chars": ("ch", "sum")},
+                    explode, in_ray=True).to_pandas()
     return out.sort_values("node").reset_index(drop=True)
 
 
@@ -1019,17 +973,9 @@ def q_search_phrase(sf_dir: str):
 
     ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
 
-    partials = ds.map_batches(sp.bpe_pair_partial_counts,
-                              batch_format="pyarrow")
-    merged = merge_partials_ray(partials, ["left_tok", "right_tok"], ["n"])
-
-    def top1_block(batch: pa.Table) -> pa.Table:
-        return batch.sort_by([("n", "descending"), ("left_tok", "ascending"),
-                              ("right_tok", "ascending")]).slice(0, 1)
-
-    head = (merged.map_batches(top1_block, batch_format="pyarrow")
-            .to_pandas().sort_values(["n", "left_tok", "right_tok"],
-                                     ascending=[False, True, True]))
+    merged = _pair_counts(ds)
+    head = top_k(merged, [("n", "descending"), ("left_tok", "ascending"),
+                          ("right_tok", "ascending")], 1)
     left, right = head.iloc[0]["left_tok"], head.iloc[0]["right_tok"]
 
     def phrase_hits(batch: pa.Table) -> pa.Table:
@@ -1381,9 +1327,8 @@ def q_boilerplate_stats(sf_dir: str):
         return pa.table({"line_hash": pa.array(h),
                          "cnt": pa.array(cnt)})
 
-    counts = merge_partials_ray(
-        ds.map_batches(line_partials, batch_format="pyarrow"),
-        ["line_hash"], ["cnt"])
+    counts = aggregate(ds, ["line_hash"], {"cnt": ("cnt", "sum")},
+                       line_partials, in_ray=True)
     hot = counts.map_batches(
         lambda t: t.filter(pc.greater_equal(t["cnt"], BP_MIN_COUNT))
         .select(["line_hash"]), batch_format="pyarrow").to_pandas()
@@ -1490,12 +1435,10 @@ def q_source_terms(sf_dir: str, k: int = 5):
         return pa.table({"token": pa.array(tuniq),
                          "df": pa.array(df)})
 
-    tf = merge_partials_ray(
-        ds.map_batches(tf_partials, batch_format="pyarrow"),
-        ["source", "token"], ["tf"])
-    dfreq = merge_partials_ray(
-        ds.map_batches(df_partials, batch_format="pyarrow"),
-        ["token"], ["df"])
+    tf = aggregate(ds, ["source", "token"], {"tf": ("tf", "sum")},
+                   tf_partials, in_ray=True)
+    dfreq = aggregate(ds, ["token"], {"df": ("df", "sum")}, df_partials,
+                      in_ray=True)
 
     # tagged-union bucketed join on token (both sides data-sized)
     tag = tag_bucket_fn(["token"], 2 * p, "jbucket")
@@ -1918,11 +1861,8 @@ def q_label_centroids(sf_dir: str):
             "sum_q_e3": pa.array(sums.reshape(-1)),
             "n_vecs": pa.array(np.repeat(n, dim))})
 
-    out = merge_partials(
-        ds.map_batches(part, batch_format="pyarrow"),
-        ["label", "dim"], ["sum_q_e3", "n_vecs"])
-    for c in out.columns:
-        out[c] = out[c].astype("int64")
+    out = aggregate(ds, ["label", "dim"], {"sum_q_e3": ("sum_q_e3", "sum"),
+                                           "n_vecs": ("n_vecs", "sum")}, part)
     return out.sort_values(["label", "dim"]).reset_index(drop=True)
 
 
@@ -1959,9 +1899,8 @@ def q_centroid_similarity(sf_dir: str):
                                     len(uniq))),
             "sum_q_e3": pa.array(sums.reshape(-1))})
 
-    out = merge_partials(
-        ds.map_batches(part, batch_format="pyarrow"),
-        ["label", "dim"], ["sum_q_e3"])
+    out = aggregate(ds, ["label", "dim"], {"sum_q_e3": ("sum_q_e3", "sum")},
+                    part)
     piv = out.pivot_table(index="label", columns="dim",
                           values="sum_q_e3", aggfunc="sum").sort_index()
     labels = piv.index.to_numpy().astype(np.int64)
@@ -1977,8 +1916,6 @@ def q_centroid_similarity(sf_dir: str):
         "label_a": labels[iu], "label_b": labels[ju],
         "dot_num": gram[iu, ju],
         "nrm2_a": nrm2[iu], "nrm2_b": nrm2[ju]})
-    for c in res.columns:
-        res[c] = res[c].astype("int64")
     return res.sort_values(["label_a", "label_b"]).reset_index(drop=True)
 
 
@@ -2080,7 +2017,7 @@ def q_kmeans_lloyd(sf_dir: str):
                 "n": pa.array(np.repeat(n, dim))})
 
         st = merge_partials(ds.map_batches(part, batch_format="pyarrow"),
-                            ["cluster", "dim"], ["s", "n"])
+                            ["cluster", "dim"], {"s": "sum", "n": "sum"})
         st = st[st["n"] > 0]  # empty clusters drop (as in the SQL twin)
         piv = st.pivot_table(index="cluster", columns="dim", values="s",
                              aggfunc="sum").sort_index()
@@ -2931,7 +2868,8 @@ def q_lm_bigram_score(sf_dir: str):
 
     parts = map_buckets(partials, ["left_tok"], score_bucket, 2 * p)
     out = merge_partials_ray(parts, ["doc_id"],
-                             ["n_bigrams", "lm_score"]).to_pandas()
+                             {"n_bigrams": "sum",
+                              "lm_score": "sum"}).to_pandas()
     for c in out.columns:
         out[c] = out[c].astype("int64")
     return out.sort_values("doc_id").reset_index(drop=True)
@@ -2980,17 +2918,11 @@ def q_collocation_stats(sf_dir: str):
     data-sized (grows with the corpus), so neither side is broadcast.
     The >= COLLOC_MIN_COUNT filter runs before the first join, so the
     joins move only the collocation-candidate pairs."""
-    from ..stages import sampling as sp
-
     ds = read_table(sf_dir, "documents", columns=["text"])
-    pair = merge_partials_ray(
-        ds.map_batches(sp.bpe_pair_partial_counts, batch_format="pyarrow"),
-        ["left_tok", "right_tok"], ["n"])
+    pair = _pair_counts(ds)
     # vocab-sized; feeds BOTH joins — materialize so the corpus
     # combiner runs once, not once per join
-    uni = merge_partials_ray(
-        ds.map_batches(sp.vocab_partial_counts, batch_format="pyarrow"),
-        ["token", ], ["n"]).materialize()
+    uni = _token_counts(ds).materialize()
 
     def pair_side(batch: pa.Table) -> pa.Table:
         b = batch.filter(pc.greater_equal(batch["n"], COLLOC_MIN_COUNT))
@@ -3125,19 +3057,12 @@ def q_entity_resolution(sf_dir: str, block: int = 4096):
 
     fds = docs.map_batches(feats, batch_format="pyarrow")
 
-    def val_counts(batch: pa.Table) -> pa.Table:
-        v = batch["n_chars"].to_numpy(zero_copy_only=False)
-        u, c = np.unique(v, return_counts=True)
-        return pa.table({"n_chars": pa.array(u.astype(np.int64)),
-                         "cnt": pa.array(c.astype(np.int64))})
-
     # rank offsets need ONLY n_chars — a separate column-pruned read,
     # so the tokenizing feats pass runs exactly once (in the rank
     # shuffle below), never twice
-    counts = merge_partials(
-        read_table(sf_dir, "documents", columns=["n_chars"])
-        .map_batches(val_counts, batch_format="pyarrow"),
-        ["n_chars"], ["cnt"]).sort_values("n_chars").reset_index(drop=True)
+    counts = aggregate(read_table(sf_dir, "documents", columns=["n_chars"]),
+                       ["n_chars"], {"cnt": ("n_chars", "count")}) \
+        .sort_values("n_chars").reset_index(drop=True)
     vals = counts["n_chars"].to_numpy().astype(np.int64)
     base = np.concatenate(
         [[0], counts["cnt"].cumsum().to_numpy()[:-1]]).astype(np.int64)
@@ -3300,15 +3225,8 @@ def q_rank_fusion(sf_dir: str):
         """(doc_id, rank) with rank = 1-based position in the global
         (col DESC, doc_id ASC) order; count-table offsets, one
         col-bucketed shuffle."""
-        def val_counts(batch: pa.Table) -> pa.Table:
-            v = batch[col].to_numpy(zero_copy_only=False)
-            u, c = np.unique(v, return_counts=True)
-            return pa.table({col: pa.array(u.astype(np.int64)),
-                             "cnt": pa.array(c.astype(np.int64))})
-
-        counts = merge_partials(
-            fds.map_batches(val_counts, batch_format="pyarrow"),
-            [col], ["cnt"]).sort_values(col).reset_index(drop=True)
+        counts = aggregate(fds, [col], {"cnt": (col, "count")}) \
+            .sort_values(col).reset_index(drop=True)
         vals = counts[col].to_numpy().astype(np.int64)
         c = counts["cnt"].to_numpy().astype(np.int64)
         # docs with value strictly GREATER rank earlier (DESC order)
@@ -3415,15 +3333,8 @@ def q_sorted_neighborhood_pairs(sf_dir: str,
 
     docs = read_table(sf_dir, "documents", columns=["doc_id", "n_chars"])
 
-    def val_counts(batch: pa.Table) -> pa.Table:
-        v = batch["n_chars"].to_numpy(zero_copy_only=False)
-        u, c = np.unique(v, return_counts=True)
-        return pa.table({"n_chars": pa.array(u.astype(np.int64)),
-                         "cnt": pa.array(c.astype(np.int64))})
-
-    counts = merge_partials(
-        docs.map_batches(val_counts, batch_format="pyarrow"),
-        ["n_chars"], ["cnt"]).sort_values("n_chars").reset_index(drop=True)
+    counts = aggregate(docs, ["n_chars"], {"cnt": ("n_chars", "count")}) \
+        .sort_values("n_chars").reset_index(drop=True)
     vals = counts["n_chars"].to_numpy().astype(np.int64)
     base = np.concatenate(
         [[0], counts["cnt"].cumsum().to_numpy()[:-1]]).astype(np.int64)
@@ -3520,12 +3431,9 @@ def q_typo_token_pairs(sf_dir: str):
     levenshtein over the mirrored vocabulary — quadratic, valid at
     gate scale only (the engine side is the scale path)."""
     from ..functions.hashing import stable_hash64_np
-    from ..stages.sampling import vocab_partial_counts
 
     ds = read_table(sf_dir, "documents", columns=["text"])
-    vocab = merge_partials_ray(
-        ds.map_batches(vocab_partial_counts, batch_format="pyarrow"),
-        ["token"], ["n"])
+    vocab = _token_counts(ds)
 
     def inject(batch: pa.Table) -> pa.Table:
         toks = batch["token"].to_numpy(zero_copy_only=False)
@@ -3543,7 +3451,7 @@ def q_typo_token_pairs(sf_dir: str):
     # re-merge (an injected variant may collide with a real token)
     vocab = merge_partials_ray(
         vocab.map_batches(inject, batch_format="pyarrow"),
-        ["token"], ["n"])
+        ["token"], {"n": "sum"})
 
     def variants(batch: pa.Table) -> pa.Table:
         toks = batch["token"].to_numpy(zero_copy_only=False)
@@ -3783,26 +3691,14 @@ def q_cms_token_counts(sf_dir: str):
         return pa.table({"r": pa.array(rr), "reg": pa.array(gg),
                          "cnt": pa.array(mat.reshape(-1))})
 
-    regs = merge_partials(
-        ds.map_batches(regs_partial, batch_format="pyarrow"),
-        ["r", "reg"], ["cnt"])
+    regs = aggregate(ds, ["r", "reg"], {"cnt": ("cnt", "sum")}, regs_partial)
     table = np.zeros((CMS_D, CMS_W), dtype=np.int64)
     table[regs["r"].to_numpy(), regs["reg"].to_numpy()] = \
         regs["cnt"].to_numpy()
 
-    from ..stages import sampling as sp
-    vocab = merge_partials_ray(
-        ds.map_batches(sp.vocab_partial_counts, batch_format="pyarrow"),
-        ["token"], ["n"])
-
-    def topk_block(batch: pa.Table) -> pa.Table:
-        return batch.sort_by([("n", "descending"),
-                              ("token", "ascending")]).slice(0, CMS_TOPK)
-
-    top = (vocab.map_batches(topk_block, batch_format="pyarrow")
-           .to_pandas()
-           .sort_values(["n", "token"], ascending=[False, True])
-           .head(CMS_TOPK).reset_index(drop=True))
+    vocab = _token_counts(ds)
+    top = top_k(vocab, [("n", "descending"), ("token", "ascending")],
+                CMS_TOPK)
 
     th = stable_hash64_np(top["token"].to_numpy().astype(str))
     est = np.full(len(top), np.iinfo(np.int64).max, dtype=np.int64)
@@ -3811,7 +3707,7 @@ def q_cms_token_counts(sf_dir: str):
                % np.uint64(CMS_W)).astype(np.int64)
         est = np.minimum(est, table[r, reg])
     res = pd.DataFrame({"token": top["token"],
-                        "true_n": top["n"].astype("int64"),
+                        "true_n": top["n"],
                         "est_n": est.astype(np.int64)})
     assert (res["est_n"] >= res["true_n"]).all(), \
         "CMS invariant violated: estimate below true count"
@@ -3864,42 +3760,27 @@ def q_vocab_coverage_curve(sf_dir: str):
     the max cut bounds a partial top-k per block (global top-k ⊆
     union of block top-ks), so the driver sees max(VCC_KS) rows plus
     one scalar total — never the vocabulary."""
-    from ..stages import sampling as sp
-
     ds = read_table(sf_dir, "documents", columns=["text"])
     # materialize the vocab-sized merge: it feeds BOTH the top-k and
     # the total below — without this the whole corpus combiner would
     # lazily re-execute per consumer
-    vocab = merge_partials_ray(
-        ds.map_batches(sp.vocab_partial_counts, batch_format="pyarrow"),
-        ["token"], ["n"]).materialize()
-    kmax = max(VCC_KS)
-
-    def topk_block(batch: pa.Table) -> pa.Table:
-        return batch.sort_by([("n", "descending"),
-                              ("token", "ascending")]).slice(0, kmax)
+    vocab = _token_counts(ds).materialize()
 
     def total_block(batch: pa.Table) -> pa.Table:
         return pa.table({"t": pa.array(
             [int(pc.sum(batch["n"]).as_py() or 0)], pa.int64())})
 
-    top = (vocab.map_batches(topk_block, batch_format="pyarrow")
-           .to_pandas()
-           .sort_values(["n", "token"], ascending=[False, True])
-           .head(kmax).reset_index(drop=True))
+    top = top_k(vocab, [("n", "descending"), ("token", "ascending")],
+                max(VCC_KS))
     total = int(vocab.map_batches(total_block, batch_format="pyarrow")
                 .to_pandas()["t"].sum())
-    csum = top["n"].astype("int64").cumsum().to_numpy()
+    csum = top["n"].cumsum().to_numpy()
     rows = []
     for k in VCC_KS:
         covered = int(csum[min(k, len(csum)) - 1]) if len(csum) else 0
         rows.append((k, covered, total,
                      covered * 1_000_000 // max(total, 1)))
-    res = pd.DataFrame(rows, columns=["k", "covered", "total",
-                                      "share_e6"])
-    for c in res.columns:
-        res[c] = res[c].astype("int64")
-    return res
+    return pd.DataFrame(rows, columns=["k", "covered", "total", "share_e6"])
 
 
 def _vocab_coverage_oracle_sql() -> str:
@@ -4091,26 +3972,21 @@ def q_positional_index(sf_dir: str):
                          "df": pa.array(df), "cf": pa.array(cf),
                          "poshash": pa.array(poshash)})
 
-    merged = merge_partials_ray(
-        ds.map_batches(postings_partial, batch_format="pyarrow"),
-        ["token"], ["df", "cf", "poshash"])
+    merged = aggregate(ds, ["token"], {"df": ("df", "sum"), "cf": ("cf", "sum"),
+                                       "poshash": ("poshash", "sum")},
+                       postings_partial, in_ray=True)
 
-    def topk_block(batch: pa.Table) -> pa.Table:
+    def unwrapped(batch: pa.Table) -> pa.Table:
         # the global bound the per-batch 2^60 check cannot guarantee:
         # every MERGED poshash must be a non-wrapped int64 (terms are
         # all positive, so a wrap shows as a negative sum) — checked
         # over ALL merged tokens, before the top-k cut
-        if batch.num_rows:
-            assert int(pc.min(batch["poshash"]).as_py()) >= 0, \
-                "merged poshash wrapped int64: shrink PIDX_DOC_MULT"
-        return batch.sort_by([("cf", "descending"),
-                              ("token", "ascending")]).slice(0, PIDX_TOPK)
+        assert (pc.min(batch["poshash"]).as_py() or 0) >= 0, \
+            "merged poshash wrapped int64: shrink PIDX_DOC_MULT"
+        return batch
 
-    df = merged.map_batches(topk_block, batch_format="pyarrow").to_pandas()
-    for c in ("df", "cf", "poshash"):
-        df[c] = df[c].astype("int64")
-    return (df.sort_values(["cf", "token"], ascending=[False, True])
-            .head(PIDX_TOPK).reset_index(drop=True))
+    return top_k(merged.map_batches(unwrapped, batch_format="pyarrow"),
+                 [("cf", "descending"), ("token", "ascending")], PIDX_TOPK)
 
 
 def _positional_index_oracle_sql() -> str:
@@ -4686,12 +4562,8 @@ def q_crawl_host_counts(sf_dir: str):
     out = _flagship_crawl(sf_dir)
     docs = read_documents(out)
 
-    def partial(batch: pa.Table) -> pa.Table:
-        g = batch.select(["host"]).group_by("host").aggregate([("host", "count")])
-        return g.rename_columns(["host", "n_docs"])
-
-    return merge_partials_ray(docs.map_batches(partial, batch_format="pyarrow"),
-                              ["host"], ["n_docs"])
+    return aggregate(docs, ["host"], {"n_docs": ("host", "count")},
+                     in_ray=True)
 
 
 def q_crawl_simhash_audit(sf_dir: str):
@@ -4703,14 +4575,9 @@ def q_crawl_simhash_audit(sf_dir: str):
     out = _flagship_crawl(sf_dir)
     docs = read_documents(out)
 
-    def partial(batch: pa.Table) -> pa.Table:
-        g = batch.select(["simhash", "doc_id"]).group_by("simhash") \
-                 .aggregate([("doc_id", "count"), ("doc_id", "min")])
-        return g.rename_columns(["simhash", "n_docs", "first_doc"])
-
-    return merge_partials_ray(docs.map_batches(partial, batch_format="pyarrow"),
-                              ["simhash"],
-                              {"n_docs": "sum", "first_doc": "min"})
+    return aggregate(docs, ["simhash"], {"n_docs": ("doc_id", "count"),
+                                         "first_doc": ("doc_id", "min")},
+                     in_ray=True)
 
 
 def q_k7_sample_export(sf_dir: str):
@@ -6946,7 +6813,8 @@ def q_dsir_importance(sf_dir: str):
     parts = map_buckets(partials, ["left_tok", "right_tok"], score_bucket,
                         2 * p)
     out = merge_partials_ray(parts, ["doc_id"],
-                             ["n_bigrams", "dsir_score"]).to_pandas()
+                             {"n_bigrams": "sum",
+                              "dsir_score": "sum"}).to_pandas()
     for c in out.columns:
         out[c] = out[c].astype("int64")
     return out.sort_values("doc_id").reset_index(drop=True)
@@ -7128,25 +6996,18 @@ def q_charclass_profile(sf_dir: str):
     group_by partial per batch → enum-keyed driver merge (sources are
     config-sized). Zero shuffle."""
     ds = read_table(sf_dir, "documents", columns=["source", "text"])
-    vals = ["n_docs", "n_chars"] + [n for n, _ in _CHARCLASS_PATTERNS]
-
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         txt = pc.fill_null(pc.cast(batch["text"], pa.string()), "")
         cols = {"source": pc.cast(batch["source"], pa.string()),
-                "n_docs": pa.array(np.ones(len(txt), dtype=np.int64)),
                 "n_chars": pc.cast(pc.utf8_length(txt), pa.int64())}
         for name, pat in _CHARCLASS_PATTERNS:
             cols[name] = pc.cast(pc.count_substring_regex(txt, pat),
                                  pa.int64())
-        t = pa.table(cols)
-        g = t.group_by(["source"]).aggregate([(v, "sum") for v in vals])
-        return pa.table({"source": g["source"],
-                         **{v: g[f"{v}_sum"] for v in vals}})
+        return pa.table(cols)
 
-    out = merge_partials(ds.map_batches(partial, batch_format="pyarrow"),
-                         ["source"], vals)
-    for v in vals:
-        out[v] = out[v].astype("int64")
+    out = aggregate(ds, ["source"], {
+        "n_docs": ("n_chars", "count"), "n_chars": ("n_chars", "sum"),
+        **{n: (n, "sum") for n, _ in _CHARCLASS_PATTERNS}}, prep)
     return out.sort_values("source").reset_index(drop=True)
 
 
@@ -7171,7 +7032,7 @@ def q_dup_cluster_sizes(sf_dir: str):
                          "n_clusters": pa.array(cnt[sizes].astype(np.int64))})
 
     out = merge_partials(groups.map_batches(hist, batch_format="pyarrow"),
-                         ["cluster_size"], ["n_clusters"])
+                         ["cluster_size"], {"n_clusters": "sum"})
     out = out.astype({"cluster_size": "int64", "n_clusters": "int64"})
     return out.sort_values("cluster_size").reset_index(drop=True)
 
@@ -7213,7 +7074,7 @@ def q_dedup_savings_by_source(sf_dir: str):
 
     partials = map_buckets(ds.map_batches(tag, batch_format="pyarrow"),
                            ["content_hash"], bucket_stats)
-    out = merge_partials(partials, ["source"], vals)
+    out = merge_partials(partials, ["source"], dict.fromkeys(vals, "sum"))
     for v in vals:
         out[v] = out[v].astype("int64")
     return out.sort_values("source").reset_index(drop=True)
@@ -7261,13 +7122,12 @@ def q_token_length_histogram(sf_dir: str, cap: int = 20):
         return pd.DataFrame({"token_len": nz.astype(np.int64),
                              "n_distinct": cnt[nz].astype(np.int64)})
 
-    occ = merge_partials(
-        ds.map_batches(occ_partial, batch_format="pyarrow"),
-        ["token_len"], ["n_tokens"])
+    occ = aggregate(ds, ["token_len"], {"n_tokens": ("n_tokens", "sum")},
+                    occ_partial)
     dst = merge_partials(
         map_buckets(ds.map_batches(tok_partial, batch_format="pyarrow"),
                     ["token"], bucket_hist),
-        ["token_len"], ["n_distinct"])
+        ["token_len"], {"n_distinct": "sum"})
     out = occ.merge(dst, on="token_len", how="outer").fillna(0)
     out = out.astype({"token_len": "int64", "n_tokens": "int64",
                       "n_distinct": "int64"})
@@ -7351,7 +7211,8 @@ def q_ngram_novelty_by_source(sf_dir: str):
 
     parts = map_buckets(ds.map_batches(sh_partial, batch_format="pyarrow"),
                         ["shingle"], bucket_novel)
-    out = merge_partials(parts, ["source"], ["n_shingles", "n_new"])
+    out = merge_partials(parts, ["source"], {"n_shingles": "sum",
+                                             "n_new": "sum"})
     out = out.astype({"n_shingles": "int64", "n_new": "int64"})
     return out.sort_values("source").reset_index(drop=True)
 
@@ -7409,7 +7270,7 @@ def q_cross_source_dup_matrix(sf_dir: str, prefix_chars: int = 40):
 
     parts = map_buckets(ds.map_batches(tag, batch_format="pyarrow"), ["h"],
                         bucket_pairs)
-    out = merge_partials(parts, ["src_a", "src_b"], ["n_shared"])
+    out = merge_partials(parts, ["src_a", "src_b"], {"n_shared": "sum"})
     out["n_shared"] = out["n_shared"].astype("int64")
     return out.sort_values(["src_a", "src_b"]).reset_index(drop=True)
 
@@ -7465,7 +7326,8 @@ def q_hapax_stats(sf_dir: str):
     parts = map_buckets(ds.map_batches(part, batch_format="pyarrow"),
                         ["source", "token"], bucket_stats)
     out = merge_partials(parts, ["source"],
-                         ["n_tokens", "n_distinct", "n_hapax"])
+                         {"n_tokens": "sum", "n_distinct": "sum",
+                          "n_hapax": "sum"})
     for c in ["n_tokens", "n_distinct", "n_hapax"]:
         out[c] = out[c].astype("int64")
     return out.sort_values("source").reset_index(drop=True)
@@ -7484,11 +7346,8 @@ def q_freq_of_freqs(sf_dir: str):
     the vocabulary) → per-block np.unique histogram over n → driver
     merge over the count-value domain (≤ distinct count values —
     O(√occurrences) by Zipf, trivially enum-sized)."""
-    from ..stages import sampling as sp
     ds = read_table(sf_dir, "documents", columns=["text"])
-    merged = merge_partials_ray(
-        ds.map_batches(sp.vocab_partial_counts, batch_format="pyarrow"),
-        ["token"], ["n"])
+    merged = _token_counts(ds)
 
     def hist(batch: pa.Table) -> pa.Table:
         n = batch["n"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -7497,7 +7356,7 @@ def q_freq_of_freqs(sf_dir: str):
                          "n_types": pa.array(cnt.astype(np.int64))})
 
     out = merge_partials(merged.map_batches(hist, batch_format="pyarrow"),
-                         ["freq"], ["n_types"])
+                         ["freq"], {"n_types": "sum"})
     out = out.astype({"freq": "int64", "n_types": "int64"})
     return out.sort_values("freq").reset_index(drop=True)
 
@@ -7533,8 +7392,7 @@ def q_embedding_covariance(sf_dir: str):
                          "j": pa.array(j.astype(np.int64)),
                          "v": pa.array(v.astype(np.int64))})
 
-    m = merge_partials(ds.map_batches(part, batch_format="pyarrow"),
-                       ["i", "j"], ["v"])
+    m = aggregate(ds, ["i", "j"], {"v": ("v", "sum")}, part)
     lut = {(int(a), int(b)): int(c)
            for a, b, c in zip(m["i"], m["j"], m["v"])}
     n = lut[(-1, -1)]
@@ -7545,10 +7403,7 @@ def q_embedding_covariance(sf_dir: str):
             cov = n * lut[(i, j)] - lut[(i, -1)] * lut[(j, -1)]
             assert abs(cov) < 2 ** 62, "cov numerator overflow"
             rows.append((i, j, n, cov))
-    out = pd.DataFrame(rows, columns=["i", "j", "n_vecs", "cov_num"])
-    for c in out.columns:
-        out[c] = out[c].astype("int64")
-    return out
+    return pd.DataFrame(rows, columns=["i", "j", "n_vecs", "cov_num"])
 
 
 def _embedding_cov_oracle_sql() -> str:
@@ -7772,7 +7627,7 @@ def q_source_cosine_matrix(sf_dir: str):
 
     parts = map_buckets(ds.map_batches(part, batch_format="pyarrow"),
                         ["token"], bucket_dots)
-    merged = merge_partials(parts, ["src_a", "src_b"], ["dot"])
+    merged = merge_partials(parts, ["src_a", "src_b"], {"dot": "sum"})
     merged["dot"] = merged["dot"].astype("int64")
     nrm = (merged[merged["src_a"] == merged["src_b"]]
            .set_index("src_a")["dot"])
@@ -8111,16 +7966,13 @@ def q_surprisal_bits(sf_dir: str):
     per-doc bit partials → doc-bucketed exact totals → enum-sized
     per-source partials with argmax carried, tiny driver merge. msb
     via float64 frexp, exact for counts < 2^53 (asserted)."""
-    from ..stages import sampling as sp
     from .analytics import _tagged_union_join
 
     ds = read_table(sf_dir, "documents",
                     columns=["doc_id", "source", "text"])
 
     # pass A: global token counts, merged in Ray; N from bucket sums
-    vc = merge_partials_ray(
-        ds.map_batches(sp.vocab_partial_counts, batch_format="pyarrow"),
-        ["token"], ["n"])
+    vc = _token_counts(ds)
 
     def _bucket_n(batch: pa.Table) -> pa.Table:
         return pa.table({"n": pa.array(
@@ -8287,26 +8139,15 @@ def q_cdc_merge_stats(sf_dir: str):
         out_ids = np.concatenate([ids[keep], ids[ins] + 10 ** 9])
         out_nch = np.concatenate([upd[keep], nch[ins] + 7])
         out_src = np.concatenate([src[keep], src[ins]])
-        si, names = pd.factorize(out_src)
-        k = len(names)
-        # exact int64 accumulation (float bincount weights would lose
+        # arrow sums int64 exactly (float bincount weights would lose
         # exactness once a partial id mass crosses 2^53)
-        id_sum = np.zeros(k, dtype=np.int64)
-        np.add.at(id_sum, si, out_ids)
-        nch_sum = np.zeros(k, dtype=np.int64)
-        np.add.at(nch_sum, si, out_nch)
-        return pa.table({
-            "source": pa.array(names.astype(object)),
-            "n_docs": pa.array(np.bincount(si, minlength=k)
-                               .astype(np.int64)),
-            "n_chars_sum": pa.array(nch_sum),
-            "id_sum": pa.array(id_sum)})
+        return pa.table({"source": pa.array(out_src, pa.string()),
+                         "id": out_ids, "nch": out_nch})
 
-    out = merge_partials(
-        ds.map_batches(apply_and_stats, batch_format="pyarrow"),
-        ["source"], ["n_docs", "n_chars_sum", "id_sum"])
-    for c in ["n_docs", "n_chars_sum", "id_sum"]:
-        out[c] = out[c].astype("int64")
+    out = aggregate(ds, ["source"], {"n_docs": ("id", "count"),
+                                     "n_chars_sum": ("nch", "sum"),
+                                     "id_sum": ("id", "sum")},
+                    apply_and_stats)
     return out.sort_values("source").reset_index(drop=True)
 
 
@@ -8392,10 +8233,7 @@ def q_gopher_rules(sf_dir: str):
         return pa.table({"source": pa.array(names.astype(object)),
                          **{c: pa.array(v) for c, v in zip(cols, sums)}})
 
-    out = merge_partials(ds.map_batches(part, batch_format="pyarrow"),
-                         ["source"], cols)
-    for c in cols:
-        out[c] = out[c].astype("int64")
+    out = aggregate(ds, ["source"], {c: (c, "sum") for c in cols}, part)
     return out.sort_values("source").reset_index(drop=True)
 
 
@@ -8476,7 +8314,7 @@ def q_simpson_diversity(sf_dir: str):
 
     parts = map_buckets(ds.map_batches(part, batch_format="pyarrow"),
                         ["source", "token"], bucket_stats)
-    out = merge_partials(parts, ["source"], ["n_tokens", "coll"])
+    out = merge_partials(parts, ["source"], {"n_tokens": "sum", "coll": "sum"})
     out["n_tokens"] = out["n_tokens"].astype("int64")
     out["coll"] = out["coll"].astype("int64")
     nt = out["n_tokens"].to_numpy(dtype=np.int64)
@@ -9157,12 +8995,7 @@ def q_balanced_label_sample(sf_dir: str):
 
     ds = read_table(sf_dir, "embeddings", columns=["vec_id", "label"])
 
-    def cnt(batch: pa.Table) -> pa.Table:
-        g = batch.group_by(["label"]).aggregate([("vec_id", "count")])
-        return g.rename_columns(["label", "n"])
-
-    counts = merge_partials(
-        ds.map_batches(cnt, batch_format="pyarrow"), ["label"], ["n"])
+    counts = aggregate(ds, ["label"], {"n": ("vec_id", "count")})
     m = int(counts["n"].min())
 
     def pick_bucket(g: pd.DataFrame, _m=m) -> pd.DataFrame:
@@ -9461,13 +9294,8 @@ def q_bpe_train_merges(sf_dir: str, rounds: int = BPE_ROUNDS):
     trainer iterates a word-count table, not the corpus). The oracle
     replays the rounds as chained MATERIALIZED CTEs over the same
     unnested token counts."""
-    from ..stages import sampling as sp
-
     ds = read_table(sf_dir, "documents", columns=["text"])
-    vc = merge_partials_ray(
-        ds.map_batches(sp.vocab_partial_counts,
-                       batch_format="pyarrow"),
-        ["token"], ["n"]).to_pandas()
+    vc = _token_counts(ds).to_pandas()
     words = [(" ".join(w), int(f))
              for w, f in zip(vc["token"], vc["n"])]
     out = []

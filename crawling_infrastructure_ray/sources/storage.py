@@ -43,10 +43,6 @@ except ImportError:
 DEFAULT_BACKEND = "lance" if _HAS_LANCE else "parquet"
 
 
-def backend_available(backend: str) -> bool:
-    return backend == "parquet" or (backend == "lance" and _HAS_LANCE)
-
-
 def write_fragment(tbl: pa.Table, out_dir: str, name: str,
                    backend: str | None = None) -> str:
     """Atomically write one fragment of a table.

@@ -32,7 +32,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
-from ..functions.bucketing import (map_buckets, merge_partials_ray,
+from ..functions.bucketing import (aggregate, map_buckets, merge_partials_ray,
                                    shuffle_partitions, tag_bucket_fn)
 from ..functions.hashing import md5_id, stable_hash64
 from ..functions.tokenize import split_ws
@@ -43,43 +43,19 @@ _MERSENNE = (1 << 61) - 1
 # ----------------------------------------------------------------------
 # exact dedup
 # ----------------------------------------------------------------------
-def content_hash_batch(batch: pa.Table, column: str = "text") -> pa.Table:
-    hashes = [md5_id(t or "") for t in batch[column].to_pylist()]
-    return batch.append_column("content_hash", pa.array(hashes, pa.string()))
-
-
 def exact_dedup_groups(ds: rd.Dataset, id_column: str = "doc_id",
                        column: str = "text") -> rd.Dataset:
-    """(content_hash, keep_doc_id, n_dups): first (min id) per content."""
+    """(content_hash, keep_doc_id, n_dups): first (min id) per content,
+    merged in Ray (content hashes are a data-sized key set)."""
 
-    def partial(batch: pa.Table) -> pa.Table:
-        # per-batch combine: one row per hash per batch (pre-aggregation
-        # before the shuffle)
-        df = pd.DataFrame({"content_hash": [md5_id(t or "") for t in
-                                            batch[column].to_pylist()],
-                           "doc_id": batch[id_column].to_pylist()})
-        g = df.groupby("content_hash", as_index=False).agg(
-            keep_doc_id=("doc_id", "min"), n_dups=("doc_id", "size"))
-        return pa.Table.from_pandas(g, preserve_index=False)
+    def prep(batch: pa.Table) -> pa.Table:
+        return pa.table({"content_hash": pa.array(
+            [md5_id(t or "") for t in batch[column].to_pylist()], pa.string()),
+            "doc_id": batch[id_column]})
 
-    return merge_partials_ray(ds.map_batches(partial, batch_format="pyarrow"),
-                              ["content_hash"],
-                              {"keep_doc_id": "min", "n_dups": "sum"})
-
-
-def exact_dedup_keep_first(ds: rd.Dataset, id_column: str = "doc_id",
-                           column: str = "text") -> rd.Dataset:
-    """Dataset filtered to the kept representative per content hash.
-
-    The keep-id side stays a Dataset end to end: a bucketed semi-join
-    (stages.joins) resolves membership per hash bucket inside
-    map_buckets — no O(distinct hashes) driver set."""
-    from .joins import bucketed_semi_join
-    groups = exact_dedup_groups(ds, id_column, column)
-    keep = groups.map_batches(
-        lambda t: pa.table({id_column: t["keep_doc_id"]}),
-        batch_format="pyarrow")
-    return bucketed_semi_join(ds, keep, on=id_column)
+    return aggregate(ds, ["content_hash"], {"keep_doc_id": ("doc_id", "min"),
+                                            "n_dups": ("doc_id", "count")},
+                     prep, in_ray=True)
 
 
 # ----------------------------------------------------------------------
@@ -193,26 +169,6 @@ def _minhash_params(num_perm: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     a = rng.integers(1, _MERSENNE, size=num_perm, dtype=np.uint64)
     b = rng.integers(0, _MERSENNE, size=num_perm, dtype=np.uint64)
     return a, b
-
-
-def minhash_signature(shingles: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(num_perm,) uint64 signature, vectorized in native uint64.
-
-    Permutation i is the mixing hash x → mix(x*a_i + b_i) with
-    wrapping uint64 arithmetic and a xorshift-multiply finalizer — the
-    standard hash-based MinHash family (one independent hash per
-    permutation); min over shingles per permutation. All ops stay in
-    native uint64 (wraparound is part of the hash), no object dtype.
-    """
-    if shingles.size == 0:
-        return np.zeros(a.shape[0], dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        x = shingles[None, :]                                  # (1, n)
-        h = x * a[:, None] + b[:, None]                        # (p, n) wrap ok
-        h ^= h >> np.uint64(33)
-        h *= np.uint64(0xFF51AFD7ED558CCD)
-        h ^= h >> np.uint64(33)
-    return h.min(axis=1)
 
 
 def minhash_band_rows(batch: pa.Table, *, bands: int = 16,
@@ -1333,7 +1289,7 @@ def dup_window_stats(ds: rd.Dataset, *, window: int = RK_WINDOW,
                             batch_format="pyarrow")
     return merge_partials_ray(
         totals.union(dup.map_batches(dup_partial, batch_format="pyarrow")),
-        ["doc_id"], ["n_windows", "n_dup_windows"])
+        ["doc_id"], {"n_windows": "sum", "n_dup_windows": "sum"})
 
 
 def dup_window_remove_stats(ds: rd.Dataset, *, window: int = RK_WINDOW,

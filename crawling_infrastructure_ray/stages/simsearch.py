@@ -28,7 +28,7 @@ def _to_matrix(col) -> np.ndarray:
     """(n, dim) float64 matrix from a list<float> column. Zero-copy
     Arrow flatten + reshape when the lists are rectangular (the
     embeddings table always is) — the to_pylist fallback only runs for
-    ragged/null inputs."""
+    ragged/null inputs. No rows give a (0, 0) matrix."""
     if isinstance(col, pa.ChunkedArray):
         col = col.combine_chunks()
     t = col.type
@@ -43,7 +43,8 @@ def _to_matrix(col) -> np.ndarray:
             flat = col.flatten().to_numpy(zero_copy_only=False)
             return (flat.astype(np.float64, copy=False)
                     .reshape(-1, int(lens[0])))
-    return np.asarray(col.to_pylist(), dtype=np.float64)
+    m = np.asarray(col.to_pylist(), dtype=np.float64)
+    return m if len(col) else m.reshape(0, 0)
 
 
 def _normalize(mat: np.ndarray) -> np.ndarray:

@@ -29,7 +29,6 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..functions.hashing import rolling_fingerprint_col
 from ..functions.tokenize import split_ws
 
 # langid tokenization (per-row model scoring). Explicit ASCII
@@ -152,14 +151,6 @@ def span_text(spans) -> pa.Array:
         pa.array(kept[offs - offs[0]], pa.int32()),
         flat.field("text").filter(is_text))
     return pc.binary_join(lists, " ")
-
-
-def fingerprint_batch(batch: pa.Table, column: str = "text",
-                      window: int = 16, keep: int = 8) -> pa.Table:
-    """(doc_id, fingerprint: list<uint64>) winnowing sketches."""
-    return pa.table({"doc_id": batch["doc_id"],
-                     "fingerprint": rolling_fingerprint_col(
-                         batch[column], window, keep)})
 
 
 # ----------------------------------------------------------------------

@@ -48,6 +48,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import ray
 
+from ..config import LEASE_TTL_S
 from ..functions.hashing import stable_hash64
 from ..functions.urltools import canonicalize_and_host, url_host
 from .filters import (BloomFilter, CuckooFilter, ExactSeenSet,
@@ -76,7 +77,7 @@ class FrontierShardCore:
                  default_burst: float = 4.0,
                  politeness_overrides: dict | None = None,
                  robots: bool = False, robots_impl: str = "simulated",
-                 max_retries: int = 3, lease_ttl: float = 600.0,
+                 max_retries: int = 3, lease_ttl: float = LEASE_TTL_S,
                  order: str = "fifo", seed: int = 42,
                  track_seen_urls: bool = True):
         self.shard_id = shard_id

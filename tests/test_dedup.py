@@ -32,8 +32,7 @@ def test_exact_dedup(ray_session):
     assert len(groups) == 5                      # d2/d3 collapse
     dup = groups[groups["n_dups"] == 2]
     assert len(dup) == 1 and dup.iloc[0]["keep_doc_id"] == "d2"
-    kept = dd.exact_dedup_keep_first(ds).to_pandas()
-    assert sorted(kept["doc_id"]) == ["d0", "d1", "d2", "d4", "d5"]
+    assert sorted(groups["keep_doc_id"]) == ["d0", "d1", "d2", "d4", "d5"]
 
 
 def test_minhash_pairs_find_near_dups(ray_session):
@@ -45,18 +44,6 @@ def test_minhash_pairs_find_near_dups(ray_session):
     assert not any({"d4", "d5"} & {a, b} for a, b in got)
     j01 = float(pairs[(pairs["a"] == "d0")]["jaccard"].iloc[0])
     assert 0.5 <= j01 < 1.0
-
-
-def test_minhash_signature_approximates_jaccard():
-    a, b = dd._minhash_params(256, 42)
-    s1 = dd._token_shingles(BASE, 3)
-    s2 = dd._token_shingles(BASE.replace("lazy", "sleepy"), 3)
-    sig1 = dd.minhash_signature(s1, a, b)
-    sig2 = dd.minhash_signature(s2, a, b)
-    est = (sig1 == sig2).mean()
-    inter = np.intersect1d(s1, s2).size
-    true_j = inter / (s1.size + s2.size - inter)
-    assert abs(est - true_j) < 0.12              # 256 perms ≈ ±0.06 stderr
 
 
 def test_simhash_properties(ray_session):

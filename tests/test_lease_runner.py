@@ -11,6 +11,8 @@ import pytest
 
 from crawling_infrastructure_ray.config import JobConfig
 from crawling_infrastructure_ray.pipelines.crawl import (CrawlQuarantined,
+                                                         LeaseRunner,
+                                                         job_limits,
                                                          read_documents,
                                                          read_lineage)
 from crawling_infrastructure_ray.pipelines.scheduler import run_multi_task
@@ -88,3 +90,30 @@ def test_multi_task_poisoned_task_trips_quarantine(ray_session, tmp_path):
                        total_chunks_per_cycle=4,
                        out_root=str(tmp_path / "q"),
                        faults={"fail_marker": "POISON"})
+
+
+class _Counters:
+    """Frontier stand-in: the breaker reads only ``counters()``."""
+
+    def __init__(self, counters: dict):
+        self._c = counters
+
+    def counters(self) -> dict:
+        return dict(self._c)
+
+
+@pytest.mark.parametrize("ratio,trips", [(0.01, True), (0.5, False)])
+def test_lost_ratio_comes_from_job_config(tmp_path, ratio, trips):
+    """10 of 100 leases lost: the reference rule (lost >= max_lost_workers
+    and lost / started >= max_lost_workers_ratio) trips at the default
+    ratio 0.01 and holds at 0.5, read from the JobConfig."""
+    _, _, max_lost, max_ratio, _ = job_limits(
+        JobConfig(max_lost_workers=10, max_lost_workers_ratio=ratio))
+    run = LeaseRunner(_Counters({"expired_leases": 10, "leases_issued": 100}),
+                      str(tmp_path), {}, window=1, max_lost_leases=max_lost,
+                      max_lost_ratio=max_ratio)
+    if trips:
+        with pytest.raises(CrawlQuarantined):
+            run.check_breaker()
+    else:
+        run.check_breaker()

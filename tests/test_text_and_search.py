@@ -6,7 +6,7 @@ import ray.data as rd
 
 from crawling_infrastructure_ray.stages.simsearch import IVFIndex, brute_force_topk
 from crawling_infrastructure_ray.stages.text import (
-    fingerprint_batch, langid_batch, quality_score_batch, token_count_batch)
+    langid_batch, quality_score_batch, token_count_batch)
 
 
 def _docs():
@@ -39,14 +39,6 @@ def test_quality_scores_exact_integers():
 def test_langid_heuristic():
     out = langid_batch(_docs())
     assert out["lang_pred"].to_pylist() == ["en", "es", "de", "zh"]
-
-
-def test_fingerprint_batch_stability():
-    out1 = fingerprint_batch(_docs())
-    out2 = fingerprint_batch(_docs())
-    assert out1.equals(out2)
-    fps = out1["fingerprint"].to_pylist()
-    assert all(len(f) == 8 for f in fps[:3])
 
 
 def _emb_ds(n=64, d=16, seed=3):
