@@ -7296,29 +7296,26 @@ FRONTIER_SEED = 42
 
 def q_frontier_shard_balance(sf_dir: str):
     """FRONTIER SHARD-ROUTING BALANCE — hash-gates the frontier's
-    host→shard map (shard = stable_hash64(host, seed) % K,
-    state/frontier.py:709 — host-affine so per-host politeness and
-    FIFO live wholly in one shard) at K=8 over the corpus host
-    universe: per shard, host count, document count and character
-    mass. A placement drift here would silently break per-host FIFO
-    conformance; a skewed shard is a hot frontier actor at 10^10
-    URLs. The Ray side routes each DISTINCT host through the same
-    stable_hash64 (vectorized byte-position FNV, bit-identical); the
-    oracle replays the hash with the shared recursive-CTE mirror.
+    host→shard map (``state.frontier.shard_of_hosts``, host-affine so
+    per-host politeness and FIFO live wholly in one shard) at K=8 over
+    the corpus host universe: per shard, host count, document count
+    and character mass. A placement drift here would silently break
+    per-host FIFO conformance; a skewed shard is a hot frontier actor
+    at 10^10 URLs. The Ray side routes each DISTINCT host through the
+    live router itself; the oracle replays the hash with the shared
+    recursive-CTE mirror.
 
     Scale shape: one enum-keyed mass combiner; routing touches only
     the host universe."""
-    from ..functions.hashing import stable_hash64_col_np
+    from ..state.frontier import shard_of_hosts
 
     ds = read_table(sf_dir, "documents", columns=["source", "n_chars"])
 
     agg = aggregate(ds, ["source"], {"mass": ("n_chars", "sum"),
                                      "n_docs": ("n_chars", "count")})
-    hosts = pa.array((agg["source"].astype(str) + ".example")
-                     .to_numpy())
-    shard = (stable_hash64_col_np(hosts, FRONTIER_SEED)
-             % np.uint64(FRONTIER_SHARDS_AUDIT)).astype(np.int64)
-    agg = agg.assign(shard=shard)
+    hosts = (agg["source"].astype(str) + ".example").tolist()
+    agg = agg.assign(shard=shard_of_hosts(hosts, FRONTIER_SEED,
+                                          FRONTIER_SHARDS_AUDIT))
     out = agg.groupby("shard", as_index=False).agg(
         n_hosts=("source", "size"), n_docs=("n_docs", "sum"),
         chars_mass=("mass", "sum"))

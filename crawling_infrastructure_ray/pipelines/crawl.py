@@ -41,9 +41,8 @@ import ray
 import ray.data as rd
 
 from ..config import LEASE_TTL_S, MAX_LOST_RATIO
-from ..functions.urltools import url_host
 from ..stages.fetch import fetch_sim_batch, fetch_store_batch
-from ..state.frontier import Frontier
+from ..state.frontier import Frontier, route_discovered
 
 @ray.remote(num_cpus=1)
 def _fetch_store_route_task(seqs: list, urls: list, hosts: list,
@@ -80,8 +79,6 @@ def _fetch_store_route_task(seqs: list, urls: list, hosts: list,
     driver costs ~1.3 ms/chunk (Arrow-IPC fixed cost) vs ~0.06 ms for
     the plain lists — at 256-item polite chunks that difference alone
     was ~25% of the driver pump's busy time at 32 cpus."""
-    from ..functions.hashing import stable_hash64
-
     t_start = time.time()
     n = len(seqs)
     tbl = pa.table({
@@ -120,29 +117,11 @@ def _fetch_store_route_task(seqs: list, urls: list, hosts: list,
                 ok["enqueue_seq"].to_numpy(zero_copy_only=False), lens)
             children = (flat.to_pylist(), depths.tolist(), parents.tolist())
         else:
-            k = len(all_shards)
-            per: dict[int, tuple[list, list]] = {}
-            host_shard: dict[str, int] = {}
-            for u, d in zip(flat.to_pylist(), depths.tolist()):
-                # the Frontier's host rule: a divergent router would
-                # split one canonical URL or one host across shards,
-                # breaking shard-local URL dedup and per-host politeness
-                host = url_host(u)
-                sh = host_shard.get(host)
-                if sh is None:
-                    sh = stable_hash64(host, route_seed) % k
-                    host_shard[host] = sh
-                b = per.get(sh)
-                if b is None:
-                    b = per.setdefault(sh, ([], []))
-                b[0].append(u)
-                b[1].append(d)
             # fire-and-forget: an insert may land after this task is
             # observed complete, so each call carries the lease id the
             # driver's drain waits for (``ack_routed``)
-            for sh, (us, ds) in per.items():
-                all_shards[sh].enqueue_discovered.remote(us, ds, lease_id)
-            routed = list(per)
+            routed = list(route_discovered(all_shards, flat, depths,
+                                           route_seed, lease_id))
     return {"n": ctl.num_rows, "n_ok": n_ok, "n_children": len(flat),
             "routed": routed, "started": t_start,
             "ended": time.time()}, commit, children

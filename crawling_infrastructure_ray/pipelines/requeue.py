@@ -6,17 +6,16 @@ result) -> bool`` to every stored blob and resets matching items to
 predicate is a VECTORIZED function over documents batches
 (``pa.Table -> pa.BooleanArray``), streamed with ``iter_batches``;
 matching ``enqueue_seq``s are routed back to their frontier shards by
-host hash (the same routing as enqueue — no broadcast scan of shards).
+``shard_of_hosts`` (the same routing as enqueue — no broadcast scan of
+shards).
 """
 
 from __future__ import annotations
 
-
 import ray
 import ray.data as rd
 
-from ..functions.hashing import stable_hash64
-from ..state.frontier import Frontier
+from ..state.frontier import Frontier, by_shard, shard_of_hosts
 
 REQUEUE_BATCH = 1000  # reference batch size (queue.service.ts:150)
 
@@ -31,11 +30,11 @@ def requeue_matching(frontier: Frontier, docs: rd.Dataset, predicate,
                                    batch_format="pyarrow"):
         mask = predicate(batch)
         hit = batch.filter(mask)
-        seqs = hit["enqueue_seq"].to_pylist()
-        hosts = hit["host"].to_pylist()
-        for seq, host in zip(seqs, hosts):
-            sh = stable_hash64(host, frontier.seed) % frontier.num_shards
-            per_shard.setdefault(sh, []).append(seq)
+        seqs = hit["enqueue_seq"].to_numpy()
+        shard = shard_of_hosts(hit["host"], frontier.seed,
+                               frontier.num_shards)
+        for sh, idx in by_shard(shard):
+            per_shard.setdefault(sh, []).extend(seqs[idx].tolist())
     total = 0
     refs = []
     for sh, seqs in per_shard.items():

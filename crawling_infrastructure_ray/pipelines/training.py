@@ -5061,6 +5061,19 @@ def _video_decode_oracle_sql(seed: int = 42) -> str:
 ROBOTS_N_URLS = 500
 
 
+def _robots_gate_urls(seed: int = 42) -> pa.Table:
+    """The robots gates' (url, host) rows: the seed list's hosts with
+    path ids drawn over the full 24 bits. ``make_seed_urls`` draws path
+    ids below 4n, so at n = 500 every path starts ``/p00`` and the
+    rules keyed on the first two hex digits (the Allow override)
+    would almost never fire."""
+    hosts = make_seed_urls(ROBOTS_N_URLS, seed=seed)["host"]
+    paths = np.random.default_rng(seed).integers(0, 1 << 24, len(hosts))
+    return pa.table({"url": [f"http://{h}/p{p:06x}" for h, p in
+                             zip(hosts.to_pylist(), paths)],
+                     "host": hosts})
+
+
 class _RobotsVerdictStage:
     """Actor-pool robots evaluation: RealRobots built ONCE per actor
     (per-host parse results cache inside it), per-URL decisions per
@@ -5106,8 +5119,7 @@ def q_robots_real_verdicts(sf_dir: str):
     RobotsCache; RealRobots is its drop-in production twin (same
     interface + state contract)."""
     import ray.data as rd
-    tbl = make_seed_urls(ROBOTS_N_URLS, seed=42)
-    ds = rd.from_arrow(tbl.select(["url", "host"]))
+    ds = rd.from_arrow(_robots_gate_urls(42))
     verdicts = ds.map_batches(_RobotsVerdictStage,
                               fn_constructor_kwargs={"seed": 42},
                               concurrency=(1, 2), num_cpus=1,
@@ -5136,7 +5148,7 @@ def _robots_real_oracle_sql(seed: int = 42) -> str:
     from ..functions.sqlmirror import stable_hash64_cte
     from ..sources.corpus import _ROBOTS_SALT
 
-    urls = make_seed_urls(ROBOTS_N_URLS, seed=seed)["url"].to_pylist()
+    urls = _robots_gate_urls(seed)["url"].to_pylist()
     values = ", ".join(f"('{u}')" for u in urls)
     w, c = stable_hash64_cte(
         f"SELECT DISTINCT split_part(column0, '/', 3) AS host "
@@ -5582,8 +5594,7 @@ def q_fetch_decision_chain(sf_dir: str):
     composition slip (running indexability on an error page, counting
     links under nofollow, fetching a denied URL) hash-mismatches."""
     import ray.data as rd
-    tbl = make_seed_urls(ROBOTS_N_URLS, seed=42)
-    urls = sorted(set(tbl["url"].to_pylist()))
+    urls = sorted(set(_robots_gate_urls(42)["url"].to_pylist()))
     ds = rd.from_arrow(pa.table({"url": pa.array(urls, pa.string())}))
     out = ds.map_batches(_FetchDecisionStage,
                          fn_constructor_kwargs={"seed": 42},
@@ -5596,8 +5607,7 @@ def _fetch_decision_oracle_sql(seed: int = 42) -> str:
     from ..functions.sqlmirror import stable_hash64_cte
     from ..sources.corpus import _HTML_SALT, _HTTP_SALT, _ROBOTS_SALT
 
-    urls = sorted(set(
-        make_seed_urls(ROBOTS_N_URLS, seed=seed)["url"].to_pylist()))
+    urls = sorted(set(_robots_gate_urls(seed)["url"].to_pylist()))
     values = ", ".join(f"('{u}')" for u in urls)
     w1, c1 = stable_hash64_cte(
         f"SELECT DISTINCT split_part(column0, '/', 3) AS host "

@@ -17,7 +17,8 @@ and these semantics (SURVEY.md §3.2 invariant):
   ``initial`` (crawler/src/handler.ts:90-103, crawler/src/index.ts:237-243).
 
 Here each ``FrontierShardCore`` is a single-writer owner of one hash
-partition of the URL space (shard = stable_hash64(host) % K, so per-host
+partition of the URL space (shard = stable_hash64(host) % K, computed
+only by ``shard_of_urls`` / ``shard_of_hosts``, so per-host
 politeness state is shard-local). Single-writer actors make the
 reference's "atom write operation" claims (crawl_queue.ts:82-88)
 trivially race-free — the known ``num_workers_running`` races
@@ -45,11 +46,12 @@ import time
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray
 
 from ..config import LEASE_TTL_S
-from ..functions.hashing import stable_hash64
+from ..functions.hashing import stable_hash64_np
 from ..functions.urltools import canonicalize_and_host, url_host
 from .filters import (BloomFilter, CuckooFilter, ExactSeenSet,
                       ScalableSeenFilter)
@@ -707,12 +709,78 @@ class FrontierShardCore:
 FrontierShard = ray.remote(FrontierShardCore)
 
 
+# the ``scheme://netloc`` prefix of a URL. It is not lower-cased in
+# Arrow: Arrow's simple case mapping turns "İ" into "i" where Python's
+# gives "i̇", and the shard keys an item by Python's form (url_host)
+_NETLOC = r"(?P<p>^[A-Za-z0-9+.-]+://[^/?#]+)"
+
+
+def _strings(values) -> pa.Array:
+    if isinstance(values, pa.ChunkedArray):
+        return values.combine_chunks()
+    return values if isinstance(values, pa.Array) \
+        else pa.array(values, pa.string())
+
+
+def shard_of_hosts(hosts, seed: int, k: int) -> np.ndarray:
+    """The frontier's routing rule: shard = stable_hash64(host, seed) % k,
+    hashed once per distinct host. ``hosts`` is a list or an Arrow
+    string column; returns one int64 shard per row."""
+    try:
+        enc = pc.dictionary_encode(_strings(hosts))
+        distinct = enc.dictionary
+        idx = enc.indices.to_numpy(zero_copy_only=False)
+    except UnicodeEncodeError:  # lone surrogates: Arrow cannot hold them
+        distinct, idx = np.unique(np.asarray(hosts, dtype=object),
+                                  return_inverse=True)
+    shard = stable_hash64_np(distinct, seed) % np.uint64(k)
+    return shard.astype(np.int64)[idx]
+
+
+def shard_of_urls(urls, seed: int, k: int) -> np.ndarray:
+    """The shard of each URL: its host's shard (``url_host``, the
+    shard's own host rule), so a canonical URL and its host always land
+    on the same shard and URL dedup and politeness stay shard-local.
+    ``url_host`` runs once per distinct ``scheme://netloc`` prefix, and
+    once per distinct scheme-less URL (which it reads as http://)."""
+    try:
+        arr = _strings(urls)
+    except UnicodeEncodeError:  # lone surrogates: route URL by URL
+        return shard_of_hosts([url_host(u) for u in urls], seed, k)
+    prefix = pc.struct_field(pc.extract_regex(arr, _NETLOC), "p")
+    enc = pc.dictionary_encode(pc.coalesce(prefix, arr))
+    hosts = [url_host(p) for p in enc.dictionary.to_pylist()]
+    return shard_of_hosts(hosts, seed, k)[
+        enc.indices.to_numpy(zero_copy_only=False)]
+
+
+def by_shard(shard_ids: np.ndarray):
+    """(shard, row indices in input order) for each shard present."""
+    return [(int(sh), np.flatnonzero(shard_ids == sh))
+            for sh in np.unique(shard_ids)]
+
+
+def route_discovered(shards: list, urls, depths, seed: int,
+                     lease_id: int | None = None) -> dict:
+    """Send discovered URLs to their host shards' ``enqueue_discovered``
+    (which allocate their own seqs); ``{shard: insert ref}``."""
+    shard = shard_of_urls(urls, seed, len(shards))
+    urls = np.asarray(urls, dtype=object)
+    depths = np.asarray(depths, dtype=np.int64)
+    return {sh: shards[sh].enqueue_discovered.remote(
+                urls[idx].tolist(), depths[idx].tolist(), lease_id)
+            for sh, idx in by_shard(shard)}
+
+
 class Frontier:
     """Driver-side facade over K FrontierShard actors.
 
-    Routing: shard = stable_hash64(host) % K — host-affine so per-host
-    politeness and URL dedup are shard-local (a canonical URL always
-    lands on the same shard). The facade owns the global
+    Routing: every ingest path (``enqueue``, ``enqueue_dataset``, the
+    chunk task's child routing) and every requeue sends a URL to
+    ``shard_of_urls`` and a host to ``shard_of_hosts``, the one home of
+    the rule shard = stable_hash64(host) % K. It is host-affine, so
+    per-host politeness and URL dedup are shard-local (a canonical URL
+    always lands on the same shard). The facade owns the global
     ``enqueue_seq`` counter — the single ingest point, like the
     reference master API (queue.model.ts:32-68). Conformance mode is
     K=1 (global FIFO identical to the reference, SURVEY.md §7.4);
@@ -727,7 +795,7 @@ class Frontier:
         # — lets a multi-node deployment (or the single-box placement
         # rehearsal, tools/remote_shards.py) pin each shard to a node
         # group; placement changes WHERE a shard runs, never routing
-        # (shard = stable_hash64(host) % K is placement-independent).
+        # (shard_of_hosts is placement-independent).
         self.num_shards = num_shards
         self.seed = seed
         self.shard_kwargs = dict(shard_kwargs, seed=seed)
@@ -741,43 +809,12 @@ class Frontier:
             self.shards = [FrontierShard.remote(i, **self.shard_kwargs)
                            for i in range(num_shards)]
         self.next_seq = 0
-        # memoized host → shard; bounded (web-scale host sets reach
-        # 10^7-10^8 — an unbounded driver-side memo would be its own
-        # memory cliff). Cleared wholesale past the cap: rehashing a
-        # host is cheap, correctness never depends on the memo.
-        self._host_shard: dict[str, int] = {}
-        self._host_shard_cap = 1 << 20
-
-    def _shard_of_host(self, host: str) -> int:
-        # memoized per host — the host set is tiny relative to the URL
-        # stream
-        sh = self._host_shard.get(host)
-        if sh is None:
-            if len(self._host_shard) >= self._host_shard_cap:
-                self._host_shard.clear()
-            sh = stable_hash64(host, self.seed) % self.num_shards
-            self._host_shard[host] = sh
-        return sh
-
-    def _route(self, url: str) -> int:
-        return self._shard_of_host(url_host(url))
 
     def enqueue(self, urls: list[str], depths: list[int] | None = None,
                 priorities: list[int] | None = None) -> int:
-        """Assign global seqs in list order and scatter to shards.
-
-        Vectorized routing: each URL's ``scheme://netloc`` prefix is
-        extracted with an Arrow C++ regex and dictionary-encoded, and
-        only the (small) distinct-prefix set is routed in Python — the
-        driver cost is O(urls) numpy work, not O(urls) Python parsing.
-        """
-        n = len(urls)
-        if n == 0:
-            return 0
-        if n < 256:  # small batches: plain loop is cheaper than arrow setup
-            return self._enqueue_slow(urls, depths, priorities)
-        refs = self.enqueue_async(urls, depths, priorities)
-        return sum(ray.get(refs)) if refs else 0
+        """Assign global seqs in list order, scatter to the shards and
+        wait; returns the number inserted (dedup mode may skip)."""
+        return sum(ray.get(self.enqueue_async(urls, depths, priorities)))
 
     def enqueue_async(self, urls: list[str], depths: list[int] | None = None,
                       priorities: list[int] | None = None) -> list:
@@ -787,23 +824,6 @@ class Frontier:
         n = len(urls)
         if n == 0:
             return []
-        import numpy as np
-        import pyarrow as pa
-        import pyarrow.compute as pc
-        arr = pa.array(urls, pa.string())
-        # the "scheme://netloc" prefix, routed once per distinct value
-        prefixes = pc.extract_regex(pc.utf8_lower(arr),
-                                    r"(?P<p>^[a-z0-9+.-]+://[^/?#]+)")
-        prefix_field = pc.struct_field(prefixes, "p")
-        if prefix_field.null_count:
-            # rare fallback: synchronous slow path; wrap the count so
-            # callers can still sum(ray.get(refs))
-            return [ray.put(self._enqueue_slow(urls, depths, priorities))]
-        enc = pc.dictionary_encode(prefix_field)
-        shard_of_prefix = np.array(
-            [self._shard_of_host(url_host(p))
-             for p in enc.dictionary.to_pylist()], dtype=np.int64)
-        shard_ids = shard_of_prefix[enc.indices.to_numpy(zero_copy_only=False)]
         urls_np = np.asarray(urls, dtype=object)
         depths_np = (np.asarray(depths, dtype=np.int64) if depths is not None
                      else np.zeros(n, dtype=np.int64))
@@ -811,35 +831,13 @@ class Frontier:
                     else np.ones(n, dtype=np.int64))
         base = self.next_seq
         self.next_seq += n
-        refs = []
-        for sh in np.unique(shard_ids):
-            idx = np.flatnonzero(shard_ids == sh)
-            refs.append(self.shards[int(sh)].enqueue.remote(
-                (base + idx).tolist(), urls_np[idx].tolist(),
-                depths_np[idx].tolist(), prios_np[idx].tolist()))
-        return refs
+        return [self.shards[sh].enqueue.remote(
+                    (base + idx).tolist(), urls_np[idx].tolist(),
+                    depths_np[idx].tolist(), prios_np[idx].tolist())
+                for sh, idx in by_shard(
+                    shard_of_urls(urls, self.seed, self.num_shards))]
 
-    def _enqueue_slow(self, urls, depths=None, priorities=None) -> int:
-        depths = depths or [0] * len(urls)
-        priorities = priorities or [1] * len(urls)
-        per_shard: dict[int, tuple[list, list, list, list]] = {}
-        seq = self.next_seq
-        route = self._route
-        for url, d, p in zip(urls, depths, priorities):
-            b = per_shard.get(route(url))
-            if b is None:
-                b = per_shard.setdefault(route(url), ([], [], [], []))
-            b[0].append(seq)
-            b[1].append(url)
-            b[2].append(d)
-            b[3].append(p)
-            seq += 1
-        self.next_seq = seq
-        refs = [self.shards[sh].enqueue.remote(*b) for sh, b in per_shard.items()]
-        return sum(ray.get(refs))
-
-    def enqueue_dataset(self, ds, url_column: str = "url",
-                        depth_column: str | None = None) -> int:
+    def enqueue_dataset(self, ds, url_column: str = "url") -> int:
         """DISTRIBUTED seed ingest (S1/S2 at 10^10 scale): consume a
         ``ray.data.Dataset`` of URLs with map_batches tasks that route
         each batch straight to the owning shards — the driver never
@@ -851,28 +849,11 @@ class Frontier:
         Returns the number of URLs inserted (after dedup)."""
         shards = self.shards
         seed = self.seed
-        k = self.num_shards
 
         def route(batch: pa.Table) -> pa.Table:
-            urls = batch[url_column].to_pylist()
-            depths = (batch[depth_column].to_pylist() if depth_column
-                      else [0] * len(urls))
-            per: dict[int, tuple[list, list]] = {}
-            memo: dict[str, int] = {}
-            for u, d in zip(urls, depths):
-                host = url_host(u)
-                sh = memo.get(host)
-                if sh is None:
-                    sh = stable_hash64(host, seed) % k
-                    memo[host] = sh
-                b = per.get(sh)
-                if b is None:
-                    b = per.setdefault(sh, ([], []))
-                b[0].append(u)
-                b[1].append(d)
-            refs = [shards[sh].enqueue_discovered.remote(us, ds_)
-                    for sh, (us, ds_) in per.items()]
-            inserted = sum(ray.get(refs))  # await: consumption == landed
+            refs = route_discovered(shards, batch[url_column],
+                                    np.zeros(batch.num_rows, np.int64), seed)
+            inserted = sum(ray.get(list(refs.values())))  # consumption == landed
             return pa.table({"inserted": pa.array([inserted], pa.int64())})
 
         out = ds.map_batches(route, batch_format="pyarrow").to_pandas()
@@ -1005,8 +986,6 @@ class Frontier:
         fr.seed = meta["seed"]
         fr.shard_kwargs = meta["shard_kwargs"]
         fr.next_seq = meta["next_seq"]
-        fr._host_shard = {}
-        fr._host_shard_cap = 1 << 20
         fr.shards = [FrontierShard.remote(i, **fr.shard_kwargs)
                      for i in range(fr.num_shards)]
         ray.get([sh.restore.remote(os.path.join(ckpt_dir, f"shard_{i:04d}"))

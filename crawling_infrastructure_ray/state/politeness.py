@@ -156,8 +156,7 @@ class RobotsCache:
         mask = self._rules(host)
         if mask == 0:
             return True
-        path = url.split(host, 1)[-1]
-        seg = path.lstrip("/").split("/", 1)[0].split("?", 1)[0]
+        seg = urlsplit(url).path.lstrip("/").split("/", 1)[0]
         shard = stable_hash64(seg, self.seed ^ 0x70B0) & 0xF
         return not (mask >> shard) & 1
 

@@ -299,23 +299,49 @@ def routing_frontier(ray_session):
     return Frontier(4, seed=42, dedup=True)
 
 
-@pytest.mark.parametrize("url", ROUTING_URLS)
-def test_every_router_sends_url_to_its_host_shard(routing_frontier, url):
-    """The driver's per-URL router, its Arrow batch router (≥256 URLs)
-    and the Dataset ingest router all pick the host's shard, so
-    shard-local dedup sees every later insert of the URL."""
+def _check_every_router(fr, url, host, filler):
+    """Each router sends ``url`` to the shard of ``host``: the driver
+    enqueue (alone and in a batch), the Dataset ingest and the chunk
+    task's child routing all hit the shard-local seen filter, and
+    ``requeue_matching`` finds the crawled item where it lives."""
     import pyarrow as pa
+    import pyarrow.compute as pc
+    import ray
     import ray.data as rd
 
     from crawling_infrastructure_ray.functions.hashing import stable_hash64
+    from crawling_infrastructure_ray.pipelines.requeue import \
+        requeue_matching
+    from crawling_infrastructure_ray.state.frontier import (
+        route_discovered, shard_of_urls)
 
-    fr = routing_frontier
-    assert fr._route(url) == stable_hash64("a.com", 42) % 4
-    filler = [f"http://f{i}.example/{ROUTING_URLS.index(url)}"
-              for i in range(300)]
+    sh = stable_hash64(host, 42) % 4
+    assert shard_of_urls([url], 42, 4).tolist() == [sh]
+    assert shard_of_urls([url] + filler, 42, 4)[0] == sh
+    seq = fr.next_seq
     assert fr.enqueue([url]) == 1
     assert fr.enqueue([url] + filler) == len(filler)
     assert fr.enqueue_dataset(rd.from_arrow(pa.table({"url": [url]}))) == 0
+    refs = route_discovered(fr.shards, pa.array([url]), [1], 42, lease_id=7)
+    assert list(refs) == [sh] and ray.get(refs[sh]) == 0
+    # crawl the item on its shard, then requeue it by its host
+    lease = ray.get(fr.shards[sh].lease_seqs.remote([seq]))
+    assert lease["seq"] == [seq] and lease["host"] == [host]
+    ray.get(fr.commit(sh, lease["lease_id"], [seq], ["completed"]))
+    docs = rd.from_arrow(pa.table({"enqueue_seq": pa.array([seq], pa.uint64()),
+                                   "host": [host]}))
+    assert requeue_matching(fr, docs, lambda b: pc.is_valid(b["host"])) == 1
+
+
+@pytest.mark.parametrize("url", ROUTING_URLS)
+def test_every_router_sends_url_to_its_host_shard(routing_frontier, url):
+    """The router (``shard_of_urls``, on one URL and in a batch), the
+    driver enqueue, the Dataset ingest, the chunk task's child routing
+    and ``requeue_matching`` all pick the host's shard, so shard-local
+    dedup sees every later insert of the URL."""
+    filler = [f"http://f{i}.example/{ROUTING_URLS.index(url)}"
+              for i in range(300)]
+    _check_every_router(routing_frontier, url, "a.com", filler)
 
 
 # inputs the synthetic corpus never produces: (url, canonical form, host)
@@ -331,12 +357,8 @@ UNUSUAL_ROUTING_URLS = [
 def test_unusual_urls_route_by_their_host(routing_frontier, url, canon,
                                           host):
     """IPv6 literals keep their brackets and scheme-less URLs read as
-    http://: canonicalize_and_host, the per-URL router, the Arrow batch
-    router (≥256 URLs) and the Dataset ingest router agree on the host."""
-    import pyarrow as pa
-    import ray.data as rd
-
-    from crawling_infrastructure_ray.functions.hashing import stable_hash64
+    http://: canonicalize_and_host, the router and every site that
+    calls it agree on the host."""
     from crawling_infrastructure_ray.functions.urltools import (
         canonicalize_and_host, canonicalize_url, url_host)
 
@@ -344,13 +366,76 @@ def test_unusual_urls_route_by_their_host(routing_frontier, url, canon,
     assert canonicalize_and_host(url) == (canon, host) == \
         canonicalize_and_host(canon)
     assert url_host(url) == host
-    fr = routing_frontier
-    assert fr._route(url) == stable_hash64(host, 42) % 4
     k = [u for u, _, _ in UNUSUAL_ROUTING_URLS].index(url)
     filler = [f"http://g{i}.example/{k}" for i in range(300)]
-    assert fr.enqueue([url]) == 1
-    assert fr.enqueue([url] + filler) == len(filler)
-    assert fr.enqueue_dataset(rd.from_arrow(pa.table({"url": [url]}))) == 0
+    _check_every_router(routing_frontier, url, host, filler)
+
+
+def test_router_matches_url_host_per_url():
+    """``shard_of_urls`` routes each URL exactly as hashing its
+    ``url_host`` would, in small and large batches (the hash changes
+    path at 64 distinct hosts), on mixed case, userinfo, ports,
+    whitespace, scheme-less rows, a host whose lower case Arrow and
+    Python spell differently ("İ") and lone surrogates, which Arrow
+    cannot hold."""
+    import numpy as np
+
+    from crawling_infrastructure_ray.functions.hashing import stable_hash64
+    from crawling_infrastructure_ray.functions.urltools import url_host
+    from crawling_infrastructure_ray.sources.corpus import make_seed_urls
+    from crawling_infrastructure_ray.state.frontier import (
+        shard_of_hosts, shard_of_urls)
+
+    odd = ROUTING_URLS + [u for u, _, _ in UNUSUAL_ROUTING_URLS] + [
+        "http://İX.com/p", "HTTP://ÄB.com/x", "  http://a.com/x",
+        "http://a.com /x", "//a.com/x", "ftp://Files.Example/x",
+        "http://user:pw@B.com:8080/p?q#f", "https://a.com:443/",
+        "http://a.com?x/y"]
+    urls = odd + make_seed_urls(2000, seed=7)["url"].to_pylist() + \
+        [f"http://h{i}.example/p" for i in range(100)]
+    surrogates = ["http://a\ud800.com/x", "http://A\ud800B.com:81/x"]
+    for k in (1, 4, 7):
+        for batch in (odd[:1], odd, urls, surrogates, urls + surrogates):
+            want = [stable_hash64(url_host(u), 42) % k for u in batch]
+            assert shard_of_urls(batch, 42, k).tolist() == want
+            hosts = [url_host(u) for u in batch]
+            assert shard_of_hosts(hosts, 42, k).tolist() == want
+    assert shard_of_urls([], 42, 4).dtype == np.int64
+
+
+def test_host_routing_has_one_home():
+    """No package module but state/frontier.py computes a host's shard:
+    nothing else takes ``stable_hash64…(host…) % k`` or calls
+    ``url_host`` to route; every router calls ``shard_of_urls`` or
+    ``shard_of_hosts``."""
+    import pathlib
+    import re
+    pkg = pathlib.Path(__file__).resolve().parents[1] / \
+        "crawling_infrastructure_ray"
+    rule = re.compile(r"stable_hash64\w*\(\s*\w*host\w*\b[^)]*\)\s*%")
+    offenders = []
+    for p in sorted(pkg.rglob("*.py")):
+        rel = str(p.relative_to(pkg))
+        if rel in ("state/frontier.py", "functions/urltools.py"):
+            continue
+        code = p.read_text()
+        offenders += [f"{rel}: {m.group(0)}" for m in rule.finditer(code)]
+        offenders += [f"{rel}:{i}" for i, line in
+                      enumerate(code.splitlines(), 1)
+                      if re.search(r"\burl_host\b", line)]
+    assert offenders == []
+
+    import inspect
+
+    from crawling_infrastructure_ray.pipelines import analytics, crawl, requeue
+    from crawling_infrastructure_ray.state.frontier import Frontier
+    for fn, router in [
+            (Frontier.enqueue_async, "shard_of_urls("),
+            (Frontier.enqueue_dataset, "route_discovered("),
+            (crawl._fetch_store_route_task._function, "route_discovered("),
+            (requeue.requeue_matching, "shard_of_hosts("),
+            (analytics.q_frontier_shard_balance, "shard_of_hosts(")]:
+        assert router in inspect.getsource(fn), fn.__qualname__
 
 
 def test_url_splitting_has_one_home():

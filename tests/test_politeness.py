@@ -81,3 +81,45 @@ def test_parked_host_does_not_starve_others():
     # and the paused items are parked, not lost
     hist = core.status_histogram()
     assert hist["initial"] == 1500
+
+
+def test_robots_verdict_ignores_the_port():
+    """Canonical URLs keep a non-default port; the simulated verdict
+    reads the path with urlsplit, so a ported URL gets its portless
+    twin's verdict."""
+    import numpy as np
+
+    from crawling_infrastructure_ray.functions.urltools import \
+        canonicalize_url
+    assert canonicalize_url("http://h1.example:8080/p1") == \
+        "http://h1.example:8080/p1"
+    r = RobotsCache(seed=42)
+    rng = np.random.default_rng(42)
+    pairs = [(f"h{h}.example", f"p{p:06x}") for h, p in
+             zip(rng.integers(0, 400, 2000), rng.integers(0, 1 << 24, 2000))]
+    verdicts = [r.allowed(f"http://{h}/{p}") for h, p in pairs]
+    assert 0 < sum(verdicts) < len(pairs)
+    assert [r.allowed(f"http://{h}:8080/{p}") for h, p in pairs] == verdicts
+    assert [r.allowed(f"http://{h}:8080/{p}/x?q=1")
+            for h, p in pairs] == verdicts
+
+
+def test_robots_gate_urls_reach_the_allow_override():
+    """The robots oracle gates' URL set has paths under a disallowed
+    ``/p<d1>`` prefix that the nested ``Allow: /p<d1><e>`` re-allows
+    (longest match wins), so the gates hash that branch too."""
+    from crawling_infrastructure_ray.pipelines.training import \
+        _robots_gate_urls
+    from crawling_infrastructure_ray.sources.corpus import make_robots_txt
+    from crawling_infrastructure_ray.state.politeness import RealRobots
+
+    robots = RealRobots(seed=42)
+    overridden = 0
+    for url, host in zip(*_robots_gate_urls(42).to_pydict().values()):
+        allow = [ln.split()[1] for ln in
+                 make_robots_txt(host, 42).splitlines()
+                 if ln.startswith("Allow:")]
+        path = "/" + url.split("/", 3)[3]
+        if robots.allowed(url) and any(path.startswith(a) for a in allow):
+            overridden += 1
+    assert overridden > 0
