@@ -81,6 +81,7 @@ def run_bench() -> dict:
     from crawling_infrastructure_ray.pipelines import training as qt
     from crawling_infrastructure_ray.pipelines.crawl import run_crawl_pump
     from crawling_infrastructure_ray.sources.corpus import make_seed_urls
+    from crawling_infrastructure_ray.state.frontier import Frontier
 
     # warm-up, untimed: page cache + Ray worker processes + module
     # imports on every worker (ray_guide: measure compute + shuffle,
@@ -88,8 +89,9 @@ def run_bench() -> dict:
     import ray.data as rd
     rd.read_parquet(os.path.join(SF_DIR, "lineitem.parquet")).count()
     warm_seeds = make_seed_urls(2000, seed=7, num_hosts=128)["url"].to_pylist()
-    run_crawl_pump(warm_seeds, seed=7, num_shards=8, dedup=True, max_depth=0,
-                   chunk_size=256, out_dir=f"/tmp/bench_warm_{NUM_CPUS}")
+    run_crawl_pump(warm_seeds, frontier=Frontier(8, seed=7, dedup=True),
+                   seed=7, max_depth=0, chunk_size=256,
+                   out_dir=f"/tmp/bench_warm_{NUM_CPUS}")
 
     queries: dict[str, float] = {}
 
@@ -122,9 +124,7 @@ def run_bench() -> dict:
     # (the old 256 setting dated from the 64-host child era, where a
     # big lease outran burst+refill at a claim instant)
     polite_kwargs = dict(politeness=True, robots=True, default_rate=200.0,
-                         default_burst=32.0, chunk_size=1024,
-                         num_hosts=512) \
-        if POLITE else dict(chunk_size=1024)
+                         default_burst=32.0) if POLITE else {}
     # PASS-MAJOR reps: run the WHOLE pipeline list per pass and take
     # each pipeline's best ACROSS passes, instead of N consecutive
     # reps per pipeline. This VM's speed oscillates ~1-5x on a
@@ -150,11 +150,11 @@ def run_bench() -> dict:
         # 8 shards, not 12: measured 15-18% faster at 32 cpus (12
         # actors crowd the fetch tasks) and keeps the shard count
         # constant across the 8/32-cpu scaling pair
-        r = run_crawl_pump(seeds, seed=42, num_shards=8, dedup=True,
-                           max_depth=1, track_seen=False,
+        fr = Frontier(8, dedup=True, track_seen_urls=False, **polite_kwargs)
+        r = run_crawl_pump(seeds, frontier=fr, seed=42, max_depth=1,
+                           num_hosts=512 if POLITE else 64, chunk_size=1024,
                            evict_every_commits=64,
-                           out_dir=f"/tmp/bench_crawl_{NUM_CPUS}_{rep}",
-                           **polite_kwargs)
+                           out_dir=f"/tmp/bench_crawl_{NUM_CPUS}_{rep}")
         sec = time.perf_counter() - t0
         log(f"crawl rep{rep}: {r.urls_processed} urls in {sec:.2f}s"
             f"{' [polite]' if POLITE else ''}")

@@ -32,7 +32,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+
+from .config import JobConfig
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -67,6 +70,15 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def crawl_options(args: argparse.Namespace) -> tuple[dict, JobConfig]:
+    """What the flags set: the ``Frontier`` options and the crawl's
+    ``JobConfig``."""
+    return (dict(seed=args.seed, dedup=True, politeness=args.politeness,
+                 robots=args.robots, default_rate=args.rate,
+                 default_burst=args.burst, order=args.order),
+            JobConfig(storage_policy=args.storage_policy))
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
 
@@ -75,7 +87,6 @@ def main(argv: list[str] | None = None) -> int:
         # under `ray job submit` RAY_ADDRESS is set by the job server
         # and ray.init() attaches to the cluster; standalone we pin a
         # local session (num_cpus only applies there)
-        import os
         if os.environ.get("RAY_ADDRESS", "local") != "local":
             ray.init(include_dashboard=False, logging_level="ERROR")
         else:
@@ -86,6 +97,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         from .pipelines.crawl import run_crawl_pump
         from .sources.corpus import make_seed_urls
+        from .state.frontier import Frontier
 
         seeds: list[str] | None
         if args.seeds_parquet:
@@ -102,14 +114,16 @@ def main(argv: list[str] | None = None) -> int:
                   "or --resume", file=sys.stderr)
             return 2
 
+        frontier_kw, config = crawl_options(args)
+        # a resume without a checkpoint starts afresh on a new frontier
+        resume = args.resume and os.path.exists(
+            os.path.join(args.out, "ckpt", "frontier.pkl"))
         res = run_crawl_pump(
-            seeds, seed=args.seed, num_shards=args.shards, dedup=True,
-            max_depth=args.max_depth, chunk_size=args.chunk_size,
-            politeness=args.politeness, robots=args.robots,
-            default_rate=args.rate, default_burst=args.burst,
-            order=args.order, storage_policy=args.storage_policy,
-            out_dir=args.out, resume=args.resume,
-            checkpoint_every_commits=args.checkpoint_every)
+            seeds, frontier=None if resume else Frontier(args.shards,
+                                                         **frontier_kw),
+            seed=args.seed, max_depth=args.max_depth,
+            chunk_size=args.chunk_size, out_dir=args.out, resume=resume,
+            checkpoint_every_commits=args.checkpoint_every, config=config)
         print(json.dumps({
             "out_dir": res.out_dir,
             "urls_processed": res.urls_processed,

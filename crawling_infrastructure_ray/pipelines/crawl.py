@@ -40,7 +40,7 @@ import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 
-from ..config import LEASE_TTL_S, MAX_LOST_RATIO
+from ..config import MAX_LOST_RATIO, JobConfig
 from ..stages.fetch import fetch_sim_batch, fetch_store_batch
 from ..state.frontier import Frontier, route_discovered
 
@@ -340,36 +340,32 @@ class LeaseRunner:
 def run_crawl_pump(seed_urls: list[str] | None = None, *,
                    frontier: Frontier | None = None,
                    seed: int = 42,
-                   num_shards: int = 8,
-                   dedup: bool = True,
-                   exact_dedup: bool = False,
-                   politeness: bool = False,
-                   politeness_overrides: dict | None = None,
-                   robots: bool = False,
-                   default_rate: float = 1.0,
-                   default_burst: float = 4.0,
                    max_depth: int = 2,
-                   max_retries: int = 3,
                    num_hosts: int = 64,
                    chunk_size: int = 512,
                    rounds: str | None = None,
                    out_dir: str = "/tmp/crawl_pump",
                    resume: bool = False,
                    checkpoint_every_commits: int = 0,
-                   longliving: bool = False,
                    stop_when=None,
                    max_commits: int | None = None,
-                   track_seen: bool = True,
                    evict_every_commits: int = 0,
-                   max_lost_leases: int = 10,
-                   fetch_fail_marker: str = "",
-                   fetch_fail_after_store_marker: str = "",
-                   order: str = "fifo",
-                   storage_policy: str = "merged",
-                   store_fail_marker: str = "",
-                   config=None,
+                   config: JobConfig | None = None,
+                   faults: dict | None = None,
                    now_fn=None) -> CrawlResult:
-    """Run a crawl to drain (or to ``max_commits`` committed leases).
+    """Run a crawl on ``frontier`` to drain (or to ``max_commits``
+    committed leases).
+
+    The frontier carries the queue's options (shards, dedup,
+    politeness, robots, order, retry budget, lease TTL), set where it
+    is built; ``resume=True`` restores it from ``out_dir``'s checkpoint
+    instead, and then no frontier is passed. ``config``, a
+    ``JobConfig``, sets what the pump itself enforces (``job_limits``):
+    the storage policy, the lost-lease breaker and ``longliving``.
+    Without one the pump stores merged and trips at 10 lost leases and
+    a lost ratio of 0.01. ``seed``, ``num_hosts`` and ``max_depth``
+    shape the synthetic web the chunk tasks fetch, and ``faults`` passes
+    fault markers to every chunk task (``fetch_store_batch``; tests).
 
     ``rounds=None`` is the async pump, the throughput mode. The driver
     keeps 3 × the session's CPUs (``ray.cluster_resources``) chunks of
@@ -401,6 +397,10 @@ def run_crawl_pump(seed_urls: list[str] | None = None, *,
     (``longliving`` and ``stop_when`` apply to the pump only). The round
     number is the ``wave`` column and one ``manifest.jsonl`` row.
 
+    When politeness parks every open item, the pump sleeps until the
+    earliest time a shard can claim one (``Frontier.claim_wait``) and
+    ends only when none ever can (every open item on a paused host).
+
     Both modes drive one ``LeaseRunner`` (lineage, lost-task rollback;
     ``CrawlResult.waves`` counts committed leases) and checkpoint at
     soft barriers (drain in flight → snapshot) every
@@ -411,11 +411,9 @@ def run_crawl_pump(seed_urls: list[str] | None = None, *,
     """
     if rounds not in (None, "shard", "global"):
         raise ValueError(f"rounds must be None, 'shard' or 'global': {rounds!r}")
-    max_lost_ratio, lease_ttl = MAX_LOST_RATIO, LEASE_TTL_S
-    if config is not None:
-        (storage_policy, max_retries, max_lost_leases, max_lost_ratio,
-         lease_ttl) = job_limits(config)
-        longliving = longliving or config.longliving
+    config = config or JobConfig(storage_policy="merged")
+    storage_policy, _, max_lost_leases, max_lost_ratio, _ = \
+        job_limits(config)
     claims_dir = os.path.join(out_dir, "claims")
     ckpt_dir = os.path.join(out_dir, "ckpt")
     manifest = os.path.join(out_dir, "manifest.jsonl")
@@ -423,6 +421,9 @@ def run_crawl_pump(seed_urls: list[str] | None = None, *,
     rnd = 0                    # round number (round mode)
 
     if resume and os.path.exists(os.path.join(ckpt_dir, "frontier.pkl")):
+        if frontier is not None:
+            raise ValueError("resume restores the checkpoint's frontier; "
+                             "pass no frontier")
         frontier = Frontier.restore(ckpt_dir)
         next_ids = ray.get([sh.get_next_lease_id.remote() for sh in frontier.shards])
         for d in (os.path.join(out_dir, "documents"), claims_dir):
@@ -439,18 +440,11 @@ def run_crawl_pump(seed_urls: list[str] | None = None, *,
             fh.writelines(json.dumps(r) + "\n" for r in rows)
         rnd = rows[-1].get("wave", -1) + 1 if rows else 0
     else:
+        if frontier is None:
+            raise ValueError("run_crawl_pump needs a frontier, or resume=True "
+                             "with a checkpoint in out_dir")
         if os.path.isdir(out_dir):
             shutil.rmtree(out_dir)
-        if frontier is None:
-            frontier = Frontier(num_shards, seed=seed, dedup=dedup,
-                                exact_seen=exact_dedup,
-                                politeness=politeness,
-                                politeness_overrides=politeness_overrides,
-                                robots=robots,
-                                default_rate=default_rate,
-                                default_burst=default_burst,
-                                max_retries=max_retries, lease_ttl=lease_ttl,
-                                order=order, track_seen_urls=track_seen)
         if seed_urls is not None and hasattr(seed_urls, "map_batches"):
             # Dataset seed list (S1/S2 at 10^10 scale): distributed
             # ingest — map_batches tasks route straight to the shards,
@@ -472,10 +466,7 @@ def run_crawl_pump(seed_urls: list[str] | None = None, *,
     run = LeaseRunner(frontier, out_dir,
                       {"seed": seed, "max_depth": max_depth,
                        "num_hosts": num_hosts,
-                       "storage_policy": storage_policy,
-                       "store_fail_marker": store_fail_marker,
-                       "fail_marker": fetch_fail_marker,
-                       "fail_after_store_marker": fetch_fail_after_store_marker},
+                       "storage_policy": storage_policy, **(faults or {})},
                       window=target_inflight, max_lost_leases=max_lost_leases,
                       max_lost_ratio=max_lost_ratio,
                       relay_children=rounds is not None)
@@ -607,7 +598,6 @@ def run_crawl_pump(seed_urls: list[str] | None = None, *,
         frontier.checkpoint(ckpt_dir)
         run.write_lineage()
 
-    idle_rounds = 0
     while True:
         if max_commits is not None and run.commits >= max_commits:
             # interrupt point (kill simulation / bounded runs): a
@@ -639,14 +629,13 @@ def run_crawl_pump(seed_urls: list[str] | None = None, *,
                 continue
             if rounds:
                 break
-            hist = frontier.status_histogram()
-            if hist["initial"] > 0 and idle_rounds < 200:
-                # politeness back-off: eligible items exist but all
-                # host buckets are empty right now
-                idle_rounds += 1
-                time.sleep(0.02)
+            wait = frontier.claim_wait(now)
+            if wait < float("inf"):
+                # politeness back-off: every open item is parked on a
+                # host whose bucket is empty; sleep until one refills
+                time.sleep(wait)
                 continue
-            if longliving and not (stop_when and stop_when()):
+            if config.longliving and not (stop_when and stop_when()):
                 # reference longliving tasks never finish — they wait
                 # for externally-enqueued items (crawltask.model.ts:194-196;
                 # finish check skipped, daemon.ts:96-100)
@@ -657,7 +646,6 @@ def run_crawl_pump(seed_urls: list[str] | None = None, *,
         if rounds:
             row = run_round(leases, now)
         else:
-            idle_rounds = 0
             # event wait: wake on the FIRST completion of either kind —
             # a fetch task (commit) or a lease response (more tasks to
             # submit). Waiting for a fixed batch of task completions
@@ -696,8 +684,7 @@ def run_crawl_pump(seed_urls: list[str] | None = None, *,
     return CrawlResult(out_dir=out_dir, waves=run.commits,
                        histogram=frontier.status_histogram(),
                        counters=frontier.counters(),
-                       seen_set_size=(len(frontier.seen_set())
-                                      if track_seen else -1),
+                       seen_set_size=frontier.seen_count(),
                        docs_written=run.docs, elapsed_sec=elapsed,
                        urls_processed=run.urls)
 

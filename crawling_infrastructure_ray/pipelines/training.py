@@ -28,6 +28,7 @@ from ..stages import multimodal as mm
 from ..stages import simsearch as ss
 from ..stages.text import (langid_batch, quality_score_batch,
                            token_count_batch)
+from ..state.frontier import Frontier
 from .crawl import read_documents, run_crawl_pump
 from .oracle import oracle_crawl
 
@@ -4397,7 +4398,7 @@ def _run_fifo_crawl(sf_dir: str) -> str:
     out = _crawl_fifo_out_dir(sf_dir)
     if out not in _CRAWLS_BUILT:
         seeds = make_seed_urls(_CRAWL_SEEDS, seed=42)["url"].to_pylist()
-        run_crawl_pump(seeds, seed=42, num_shards=1, dedup=True,
+        run_crawl_pump(seeds, frontier=Frontier(1, dedup=True), seed=42,
                        max_depth=1, chunk_size=256, rounds="shard",
                        out_dir=out)
         _CRAWLS_BUILT.add(out)
@@ -4413,7 +4414,7 @@ def _run_fifo_crawl_sharded(sf_dir: str) -> str:
     out = _crawl_fifo_out_dir(sf_dir) + "_k8"
     if out not in _CRAWLS_BUILT:
         seeds = make_seed_urls(_CRAWL_SEEDS, seed=42)["url"].to_pylist()
-        run_crawl_pump(seeds, seed=42, num_shards=8, dedup=True,
+        run_crawl_pump(seeds, frontier=Frontier(8, dedup=True), seed=42,
                        max_depth=1, chunk_size=256, rounds="global",
                        out_dir=out)
         _CRAWLS_BUILT.add(out)
@@ -4430,7 +4431,7 @@ def q_crawl_documents(sf_dir: str):
 
     seeds = make_seed_urls(_CRAWL_SEEDS, seed=42)["url"].to_pylist()
     out = _crawl_out_dir(sf_dir)
-    res = run_crawl_pump(seeds, seed=42, num_shards=2, dedup=True,
+    res = run_crawl_pump(seeds, frontier=Frontier(2, dedup=True), seed=42,
                          max_depth=1, chunk_size=128, rounds="shard",
                          out_dir=out)
     with open(os.path.join(out, "engine_summary.json"), "w") as fh:
@@ -9178,7 +9179,6 @@ def _run_priority_crawl(sf_dir: str) -> str:
     are a deterministic splitmix draw over the enqueue position,
     replayed identically by the oracle."""
     from ..functions.hashing import splitmix64_np
-    from ..state.frontier import Frontier
 
     out = _crawl_fifo_out_dir(sf_dir) + "_prio"
     if out not in _CRAWLS_BUILT:
@@ -9186,12 +9186,10 @@ def _run_priority_crawl(sf_dir: str) -> str:
         prios = (splitmix64_np(
             np.arange(len(seeds), dtype=np.int64).view(np.uint64)
             ^ np.uint64(PRIO_SALT)) % np.uint64(3)).astype(np.int64)
-        fr = Frontier(1, seed=42, dedup=True, max_retries=3,
-                      order="priority")
+        fr = Frontier(1, dedup=True, order="priority")
         fr.enqueue(seeds, priorities=prios.tolist())
-        run_crawl_pump(None, frontier=fr, seed=42, num_shards=1,
-                       dedup=True, max_depth=0, chunk_size=256,
-                       rounds="shard", out_dir=out)
+        run_crawl_pump(None, frontier=fr, seed=42, max_depth=0,
+                       chunk_size=256, rounds="shard", out_dir=out)
         _CRAWLS_BUILT.add(out)
     return out
 

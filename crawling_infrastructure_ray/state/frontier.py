@@ -317,6 +317,18 @@ class FrontierShardCore:
     def get_next_lease_id(self) -> int:
         return self.next_lease_id
 
+    def claim_wait(self, now: float | None = None) -> float:
+        """Seconds until ``lease`` can claim an item: 0 while the heap
+        holds entries, the earliest time a parked host's bucket refills
+        when every open item is parked, inf when none ever can (nothing
+        open, or only items of paused hosts)."""
+        now = time.monotonic() if now is None else now
+        if self.heap:
+            return 0.0
+        if self._park_heap:
+            return max(0.0, self._park_heap[0][0] - now)
+        return float("inf")
+
     # ------------------------------------------------------------------
     # global-FIFO interleave mode (SURVEY §7.4): two-phase claim
     # ------------------------------------------------------------------
@@ -480,8 +492,7 @@ class FrontierShardCore:
         """
         n = 0
         for seq, it in self.items.items():
-            if it[_STATUS] == FAILED and it[_RETRIES] < self.max_retries \
-                    and it[_ERROR] != "robots_disallowed":
+            if it[_STATUS] == FAILED and not self._terminal(it):
                 it[_STATUS] = INITIAL
                 heapq.heappush(self.heap, self._key(seq, it[_DEPTH], it[_PRIORITY]))
                 n += 1
@@ -541,28 +552,31 @@ class FrontierShardCore:
             h[names[it[_STATUS]]] += 1
         return h
 
+    def _terminal(self, it: list) -> bool:
+        """Completed, or failed for good (retries spent or robots-denied)."""
+        return it[_STATUS] == COMPLETED or (it[_STATUS] == FAILED and (
+            it[_RETRIES] >= self.max_retries
+            or it[_ERROR] == "robots_disallowed"))
+
     def is_finished(self) -> bool:
         """G2 task-finished predicate: nothing initial/running and every
         failed item is terminally failed (retries exhausted)."""
-        for it in self.items.values():
-            st = it[_STATUS]
-            if st in (INITIAL, RUNNING):
-                return False
-            if st == FAILED and it[_RETRIES] < self.max_retries \
-                    and it[_ERROR] != "robots_disallowed":
-                return False
-        return True
+        return all(self._terminal(it) for it in self.items.values())
+
+    def _seen(self) -> set[str]:
+        out = set(self._terminal_seen)
+        out.update(it[_URL] for it in self.items.values() if self._terminal(it))
+        return out
 
     def seen_set(self) -> list[str]:
         """Distinct canonical URLs that reached completed or terminal
         failed — the derived 'URL-seen set' (SURVEY.md §1.1)."""
-        out = set(self._terminal_seen)
-        for it in self.items.values():
-            if it[_STATUS] == COMPLETED or (
-                    it[_STATUS] == FAILED and (it[_RETRIES] >= self.max_retries
-                                               or it[_ERROR] == "robots_disallowed")):
-                out.add(it[_URL])
-        return sorted(out)
+        return sorted(self._seen())
+
+    def seen_count(self) -> int:
+        """``len(seen_set())`` without sending the set; -1 when the shard
+        does not track seen URLs (``track_seen_urls=False``)."""
+        return len(self._seen()) if self.track_seen_urls else -1
 
     def get_counters(self) -> dict:
         return dict(self.counters)
@@ -581,10 +595,7 @@ class FrontierShardCore:
     def evict_terminal(self) -> int:
         """Drop terminal items from memory (counts preserved) — keeps
         shard memory O(active frontier) at 10^10-URL scale."""
-        gone = [s for s, it in self.items.items()
-                if it[_STATUS] == COMPLETED
-                or (it[_STATUS] == FAILED and (it[_RETRIES] >= self.max_retries
-                                               or it[_ERROR] == "robots_disallowed"))]
+        gone = [s for s, it in self.items.items() if self._terminal(it)]
         for s in gone:
             it = self.items.pop(s)
             if it[_STATUS] == COMPLETED:
@@ -934,6 +945,16 @@ class Frontier:
         for part in ray.get([sh.seen_set.remote() for sh in self.shards]):
             out.update(part)
         return sorted(out)
+
+    def seen_count(self) -> int:
+        """``len(seen_set())``, summed per shard (a URL's host fixes its
+        shard, so no URL is on two); -1 when seen URLs are not tracked."""
+        counts = ray.get([sh.seen_count.remote() for sh in self.shards])
+        return -1 if -1 in counts else sum(counts)
+
+    def claim_wait(self, now: float | None = None) -> float:
+        """Seconds until some shard can claim an item (``claim_wait``)."""
+        return min(ray.get([sh.claim_wait.remote(now) for sh in self.shards]))
 
     def counters(self) -> dict:
         parts = ray.get([sh.get_counters.remote() for sh in self.shards])

@@ -39,9 +39,9 @@ def golden(seeds):
 @pytest.fixture(scope="module")
 def engine_run(ray_session, seeds, tmp_path_factory):
     out = str(tmp_path_factory.mktemp("crawl") / "run")
-    res = run_crawl_pump(seeds, seed=SEED, num_shards=1, dedup=True,
-                         max_depth=1, chunk_size=WAVE, rounds="shard",
-                         out_dir=out)
+    res = run_crawl_pump(seeds, frontier=Frontier(1, seed=SEED, dedup=True),
+                         seed=SEED, max_depth=1, chunk_size=WAVE,
+                         rounds="shard", out_dir=out)
     return res
 
 
@@ -81,8 +81,9 @@ def test_golden_spans_equality(golden, engine_run):
 def test_sharded_mode_matches_seen_set(ray_session, seeds, golden, tmp_path):
     """K=4 shards: per-shard FIFO, same final seen set + histogram
     totals (global claim order differs by design — SURVEY.md §7.4)."""
-    res = run_crawl_pump(seeds, seed=SEED, num_shards=4, dedup=True,
-                         max_depth=1, chunk_size=WAVE // 4, rounds="shard",
+    res = run_crawl_pump(seeds, frontier=Frontier(4, seed=SEED, dedup=True),
+                         seed=SEED, max_depth=1, chunk_size=WAVE // 4,
+                         rounds="shard",
                          out_dir=str(tmp_path / "sharded"))
     assert res.histogram["completed"] == golden["histogram"]["completed"]
     assert res.histogram["failed"] == golden["histogram"]["failed"]
@@ -111,12 +112,12 @@ def test_fidelity_mode_crawls_duplicates(ray_session, tmp_path):
     """FIXTURES duplicate-handling scenario: fidelity mode (dedup=False)
     crawls duplicates twice; dedup mode crawls once."""
     dup_seeds = ["http://hd.example/a", "http://hd.example/a", "http://hd.example/b"]
-    fid = run_crawl_pump(dup_seeds, seed=SEED, num_shards=1, dedup=False,
-                         max_depth=0, chunk_size=10, rounds="shard",
-                         out_dir=str(tmp_path / "fid"))
-    ded = run_crawl_pump(dup_seeds, seed=SEED, num_shards=1, dedup=True,
-                         max_depth=0, chunk_size=10, rounds="shard",
-                         out_dir=str(tmp_path / "ded"))
+    fid = run_crawl_pump(dup_seeds, frontier=Frontier(1, seed=SEED),
+                         seed=SEED, max_depth=0, chunk_size=10,
+                         rounds="shard", out_dir=str(tmp_path / "fid"))
+    ded = run_crawl_pump(dup_seeds, frontier=Frontier(1, seed=SEED, dedup=True),
+                         seed=SEED, max_depth=0, chunk_size=10,
+                         rounds="shard", out_dir=str(tmp_path / "ded"))
     assert fid.urls_processed == 3
     assert ded.urls_processed == 2
     assert ded.counters["deduped"] == 1
@@ -131,20 +132,16 @@ def test_direct_crawl_scatter_gather(ray_session, seeds):
 def test_kill_and_resume_byte_identical(ray_session, seeds, tmp_path):
     """North rule: a killed run resumes exactly — final documents table
     byte-identical to an uninterrupted run."""
-    full = run_crawl_pump(seeds, seed=SEED, num_shards=2, dedup=True,
-                          max_depth=1, chunk_size=WAVE // 2, rounds="shard",
-                          checkpoint_every_commits=1,
-                          out_dir=str(tmp_path / "full"))
+    kw = dict(seed=SEED, max_depth=1, chunk_size=WAVE // 2, rounds="shard",
+              checkpoint_every_commits=1)
+    full = run_crawl_pump(seeds, frontier=Frontier(2, seed=SEED, dedup=True),
+                          out_dir=str(tmp_path / "full"), **kw)
     # interrupted: stop after 2 leases (checkpointing every round)...
-    run_crawl_pump(seeds, seed=SEED, num_shards=2, dedup=True, max_depth=1,
-                   chunk_size=WAVE // 2, rounds="shard",
-                   checkpoint_every_commits=1, max_commits=2,
-                   out_dir=str(tmp_path / "cut"))
+    run_crawl_pump(seeds, frontier=Frontier(2, seed=SEED, dedup=True),
+                   max_commits=2, out_dir=str(tmp_path / "cut"), **kw)
     # ...then resume to drain
-    resumed = run_crawl_pump(None, resume=True, seed=SEED, num_shards=2,
-                             dedup=True, max_depth=1, chunk_size=WAVE // 2,
-                             rounds="shard", checkpoint_every_commits=1,
-                             out_dir=str(tmp_path / "cut"))
+    resumed = run_crawl_pump(None, resume=True,
+                             out_dir=str(tmp_path / "cut"), **kw)
     t_full = _read_sorted(str(tmp_path / "full" / "documents" / "**" / "*.parquet"),
                           "enqueue_seq")
     t_res = _read_sorted(str(tmp_path / "cut" / "documents" / "**" / "*.parquet"),
@@ -162,7 +159,7 @@ def test_priority_order_engine(ray_session, tmp_path):
     fr.enqueue(["http://hp.example/shallow"], [0])
     res = run_crawl_pump(None, frontier=fr, seed=SEED, max_depth=0,
                          chunk_size=1, rounds="shard", max_commits=3,
-                         out_dir=str(tmp_path / "prio"), order="priority")
+                         out_dir=str(tmp_path / "prio"))
     claims = _read_sorted(str(tmp_path / "prio" / "claims" / "*.parquet"),
                           [("wave", "ascending")])
     assert claims["url"].to_pylist()[0] == "http://hp.example/shallow"
@@ -175,8 +172,9 @@ def test_robots_ordering_matches_oracle(ray_session, seeds, tmp_path):
     golden = oracle_crawl(seeds, seed=SEED, dedup=True, robots=True,
                           max_depth=0, items_per_wave=WAVE)
     out = str(tmp_path / "rob_conf")
-    res = run_crawl_pump(seeds, seed=SEED, num_shards=1, dedup=True,
-                         robots=True, max_depth=0, chunk_size=WAVE,
+    res = run_crawl_pump(seeds, frontier=Frontier(1, seed=SEED, dedup=True,
+                                                  robots=True),
+                         seed=SEED, max_depth=0, chunk_size=WAVE,
                          rounds="shard", out_dir=out)
     claims = _read_sorted(os.path.join(out, "claims", "*.parquet"),
                           [("wave", "ascending"), ("enqueue_seq", "ascending")])

@@ -12,10 +12,12 @@ import pyarrow as pa
 import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
+from crawling_infrastructure_ray.config import JobConfig
 from crawling_infrastructure_ray.pipelines.crawl import (read_documents,
                                                          read_lineage,
                                                          run_crawl_pump)
 from crawling_infrastructure_ray.sources.corpus import make_seed_urls
+from crawling_infrastructure_ray.state.frontier import Frontier
 
 SEED = 42
 
@@ -34,12 +36,16 @@ def test_round_mode_post_store_crash_matches_clean_run(ray_session, tmp_path):
     """A task that dies after writing its fragment (K=2 shard rounds):
     its lease rolls back, the orphan fragment is deleted, and the crawl
     ends with the documents and histogram of a clean run."""
-    kw = dict(seed=SEED, num_shards=2, dedup=True, exact_dedup=True,
-              max_depth=1, chunk_size=16, rounds="shard",
-              max_lost_leases=50)
-    clean = run_crawl_pump(_seeds(), out_dir=str(tmp_path / "clean"), **kw)
-    crash = run_crawl_pump(_seeds(), out_dir=str(tmp_path / "crash"),
-                           fetch_fail_after_store_marker="POISON", **kw)
+    kw = dict(seed=SEED, max_depth=1, chunk_size=16, rounds="shard",
+              config=JobConfig(storage_policy="merged", max_lost_workers=50))
+
+    def frontier():
+        return Frontier(2, seed=SEED, dedup=True, exact_seen=True)
+    clean = run_crawl_pump(_seeds(), frontier=frontier(),
+                           out_dir=str(tmp_path / "clean"), **kw)
+    crash = run_crawl_pump(_seeds(), frontier=frontier(),
+                           out_dir=str(tmp_path / "crash"),
+                           faults={"fail_after_store_marker": "POISON"}, **kw)
     assert crash.counters["rolled_back"] > 0       # a task really died
     assert crash.histogram == clean.histogram
     assert crash.docs_written == clean.docs_written
@@ -50,9 +56,9 @@ def test_round_mode_post_store_crash_matches_clean_run(ray_session, tmp_path):
 
 def test_round_mode_lineage_one_row_per_committed_lease(ray_session, tmp_path):
     out = str(tmp_path / "lin")
-    res = run_crawl_pump(_seeds(), seed=SEED, num_shards=2, dedup=True,
-                         max_depth=1, chunk_size=16, rounds="global",
-                         out_dir=out)
+    res = run_crawl_pump(_seeds(), frontier=Frontier(2, seed=SEED, dedup=True),
+                         seed=SEED, max_depth=1, chunk_size=16,
+                         rounds="global", out_dir=out)
     lin = read_lineage(out)
     assert lin.num_rows == res.waves > 0
     assert len(set(lin["lease_id"].to_pylist())) == lin.num_rows
@@ -100,11 +106,11 @@ def test_global_fifo_k8_matches_k1(ray_session, tmp_path):
     (lease_wave_global peek→merge→claim) makes a K=8 run's claim
     stream bit-identical to the K=1 conformance stream."""
     seeds = make_seed_urls(150, seed=SEED)["url"].to_pylist()
-    kw = dict(seed=SEED, dedup=True, max_depth=1, chunk_size=64)
-    r1 = run_crawl_pump(seeds, num_shards=1, rounds="shard",
-                        out_dir=str(tmp_path / "k1"), **kw)
-    r8 = run_crawl_pump(seeds, num_shards=8, rounds="global",
-                        out_dir=str(tmp_path / "k8"), **kw)
+    kw = dict(seed=SEED, max_depth=1, chunk_size=64)
+    r1 = run_crawl_pump(seeds, frontier=Frontier(1, seed=SEED, dedup=True),
+                        rounds="shard", out_dir=str(tmp_path / "k1"), **kw)
+    r8 = run_crawl_pump(seeds, frontier=Frontier(8, seed=SEED, dedup=True),
+                        rounds="global", out_dir=str(tmp_path / "k8"), **kw)
     assert r1.histogram == r8.histogram
     c1, c8 = _claims(str(tmp_path / "k1")), _claims(str(tmp_path / "k8"))
     assert len(c1) == len(c8) > 0

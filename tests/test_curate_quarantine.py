@@ -47,8 +47,9 @@ def test_cross_task_enqueue_six_rows(ray_session):
 
 def test_curation_pipeline(ray_session, tmp_path):
     seeds = make_seed_urls(300, seed=42)["url"].to_pylist()
-    res = run_crawl_pump(seeds, seed=42, num_shards=2, dedup=True, max_depth=1,
-                         chunk_size=64, out_dir=str(tmp_path / "crawl"))
+    res = run_crawl_pump(seeds, frontier=Frontier(2, dedup=True), seed=42,
+                         max_depth=1, chunk_size=64,
+                         out_dir=str(tmp_path / "crawl"))
     docs = read_documents(res.out_dir)
     summary = curate_documents(docs, str(tmp_path / "curated"))
     assert summary["n_input"] == res.docs_written

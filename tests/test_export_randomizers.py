@@ -13,13 +13,14 @@ from crawling_infrastructure_ray.pipelines.crawl import (read_documents,
                                                          run_crawl_pump)
 from crawling_infrastructure_ray.pipelines.export import export_sample_tar
 from crawling_infrastructure_ray.sources.corpus import make_seed_urls
+from crawling_infrastructure_ray.state.frontier import Frontier
 
 
 def test_k7_export_sample_tar(ray_session, tmp_path):
     seeds = make_seed_urls(60, seed=42)["url"].to_pylist()
     out = str(tmp_path / "c")
-    run_crawl_pump(seeds, seed=42, num_shards=1, dedup=True, max_depth=0,
-                   chunk_size=128, rounds="shard", out_dir=out)
+    run_crawl_pump(seeds, frontier=Frontier(1, dedup=True), seed=42,
+                   max_depth=0, chunk_size=128, rounds="shard", out_dir=out)
     docs = read_documents(out)
     tar_path = str(tmp_path / "sample.tar.gz")
     listing = export_sample_tar(docs, tar_path, n=10)

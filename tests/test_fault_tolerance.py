@@ -5,9 +5,11 @@ silently dropping items."""
 
 import pytest
 
+from crawling_infrastructure_ray.config import JobConfig
 from crawling_infrastructure_ray.pipelines.crawl import (CrawlQuarantined,
                                                          run_crawl_pump)
 from crawling_infrastructure_ray.state.filters import ScalableSeenFilter
+from crawling_infrastructure_ray.state.frontier import Frontier
 
 
 def test_poisoned_tasks_trip_quarantine(ray_session, tmp_path):
@@ -17,16 +19,19 @@ def test_poisoned_tasks_trip_quarantine(ray_session, tmp_path):
     urls = [f"http://hq.example/ok{i}" for i in range(40)] + \
            ["http://hq.example/POISON"]
     with pytest.raises(CrawlQuarantined):
-        run_crawl_pump(urls, seed=42, num_shards=1, dedup=True, max_depth=0,
-                       chunk_size=64, out_dir=str(tmp_path / "q"),
-                       fetch_fail_marker="POISON", max_lost_leases=5)
+        run_crawl_pump(urls, frontier=Frontier(1, dedup=True), seed=42,
+                       max_depth=0, chunk_size=64, out_dir=str(tmp_path / "q"),
+                       faults={"fail_marker": "POISON"},
+                       config=JobConfig(storage_policy="merged",
+                                        max_lost_workers=5))
 
 
 def test_clean_run_without_marker(ray_session, tmp_path):
     urls = [f"http://hq.example/ok{i}" for i in range(40)]
-    res = run_crawl_pump(urls, seed=42, num_shards=1, dedup=True, max_depth=0,
-                         chunk_size=16, out_dir=str(tmp_path / "c"),
-                         fetch_fail_marker="POISON")
+    res = run_crawl_pump(urls, frontier=Frontier(1, dedup=True), seed=42,
+                         max_depth=0, chunk_size=16,
+                         out_dir=str(tmp_path / "c"),
+                         faults={"fail_marker": "POISON"})
     assert res.histogram["completed"] + res.histogram["failed"] == 40
 
 
@@ -62,10 +67,11 @@ def test_post_store_crash_leaves_no_orphan_fragment(ray_session, tmp_path):
     urls = [f"http://orph.example/ok{i}" for i in range(30)] + \
            ["http://orph.example/POISON"]
     out = str(tmp_path / "orphan")
-    res = run_crawl_pump(urls, seed=42, num_shards=1, dedup=True, max_depth=0,
-                         chunk_size=64, out_dir=out,
-                         fetch_fail_after_store_marker="POISON",
-                         max_lost_leases=50)
+    res = run_crawl_pump(urls, frontier=Frontier(1, dedup=True), seed=42,
+                         max_depth=0, chunk_size=64, out_dir=out,
+                         faults={"fail_after_store_marker": "POISON"},
+                         config=JobConfig(storage_policy="merged",
+                                          max_lost_workers=50))
     assert res.histogram["completed"] == 31
     docs = read_documents(out).to_pandas()
     # every document exactly once — the orphan fragment was removed

@@ -103,10 +103,11 @@ def test_fetchsim_randomize_columns(ray_session):
 @pytest.fixture(scope="module")
 def pump_docs(ray_session, tmp_path_factory):
     from crawling_infrastructure_ray.pipelines.crawl import run_crawl_pump
+    from crawling_infrastructure_ray.state.frontier import Frontier
     out = str(tmp_path_factory.mktemp("pump_docs"))
     seeds = make_seed_urls(200, seed=7)["url"].to_pylist()
-    res = run_crawl_pump(seeds, seed=7, num_shards=2, max_depth=1,
-                         chunk_size=64, out_dir=out)
+    res = run_crawl_pump(seeds, frontier=Frontier(2, seed=7, dedup=True),
+                         seed=7, max_depth=1, chunk_size=64, out_dir=out)
     files = sorted(glob.glob(os.path.join(out, "documents", "part-*.parquet")))
     assert files and res.docs_written > 0
     return files

@@ -195,6 +195,22 @@ def test_politeness_defers_but_preserves_order():
     assert lease2["url"] == ["http://a.example/2"]
 
 
+def test_claim_wait_reports_when_a_parked_host_refills():
+    sh = make_shard(politeness=True, default_rate=0.5, default_burst=1.0,
+                    politeness_overrides={"paused.example": (0.0, 1.0)})
+    assert sh.claim_wait(now=0.0) == float("inf")          # nothing open
+    enqueue_urls(sh, ["http://a.example/1", "http://a.example/2"])
+    assert sh.claim_wait(now=0.0) == 0.0                   # heap holds items
+    assert sh.lease(2, now=0.0)["url"] == ["http://a.example/1"]
+    assert sh.claim_wait(now=0.5) == pytest.approx(1.5)    # refill at t=2
+    assert sh.claim_wait(now=3.0) == 0.0
+    assert sh.lease(2, now=2.0)["url"] == ["http://a.example/2"]
+    enqueue_urls(sh, ["http://paused.example/1", "http://paused.example/2"],
+                 start_seq=2)
+    assert sh.lease(2, now=2.0)["url"] == ["http://paused.example/1"]
+    assert sh.claim_wait(now=2.0) == float("inf")          # rate 0: never
+
+
 def test_priority_order_mode():
     # north-star heap: (crawl_depth, -priority, enqueue_seq)
     sh = make_shard(order="priority")
@@ -470,3 +486,34 @@ def test_exact_seen_shard_snapshot_roundtrip(tmp_path):
     before = fresh.status_histogram()["initial"]
     fresh.enqueue([100, 101], [urls[0], urls[1]], [0, 0])
     assert fresh.status_histogram()["initial"] == before
+
+
+@pytest.mark.parametrize("k", [1, 4])
+def test_seen_count_matches_seen_set(ray_session, tmp_path, k):
+    """``seen_count`` (what the pump reports as ``seen_set_size``) equals
+    ``len(seen_set())`` on a crawl with retries, terminal fetch
+    failures, robots denials and mixed-case and ported hosts; -1 when
+    the frontier does not track seen URLs."""
+    from crawling_infrastructure_ray.pipelines.crawl import run_crawl_pump
+    from crawling_infrastructure_ray.sources.corpus import make_seed_urls
+    from crawling_infrastructure_ray.state.frontier import Frontier
+
+    seeds = make_seed_urls(150, seed=SEED)["url"].to_pylist() + [
+        "http://Mixed.Example/a", "http://mixed.example:80/a",
+        "http://MIXED.example:8080/a", "HTTP://mixed.example:8080/b"]
+    for track in (True, False):
+        fr = Frontier(k, seed=SEED, dedup=True, robots=True, max_retries=2,
+                      track_seen_urls=track)
+        res = run_crawl_pump(seeds, frontier=fr, seed=SEED, max_depth=1,
+                             chunk_size=32,
+                             out_dir=str(tmp_path / f"k{k}_{track}"))
+        c, h = res.counters, res.histogram
+        assert c["retried"] > 0 and c["robots_denied"] > 0
+        assert h["failed"] > c["robots_denied"]      # retries spent too
+        assert h["initial"] == h["running"] == 0
+        if track:
+            assert res.seen_set_size == fr.seen_count() == \
+                len(fr.seen_set()) == h["completed"] + h["failed"]
+            assert "http://mixed.example:8080/a" in fr.seen_set()
+        else:
+            assert res.seen_set_size == fr.seen_count() == -1

@@ -4,8 +4,11 @@ subprocess that owns its own Ray session, like the job server would."""
 
 import json
 import os
+import pickle
 import subprocess
 import sys
+
+from crawling_infrastructure_ray.job import build_parser, crawl_options
 
 
 def _run(args, timeout=240):
@@ -33,6 +36,31 @@ def test_job_submit_smoke_and_resume(tmp_path):
     m2 = _run(["--out", out_dir, "--resume", "--num-cpus", "4"])
     assert m2["urls_processed"] == 0
     assert m2["docs_written"] == 0
+
+def test_job_flags_reach_frontier_and_job_config(tmp_path):
+    """Every crawl-shaping flag lands on the ``Frontier`` the job builds
+    (read back from its checkpoint's shard control state) or on its
+    ``JobConfig``."""
+    flags = ["--order", "priority", "--politeness", "--robots",
+             "--rate", "50", "--burst", "8", "--storage-policy", "itemwise"]
+    out_dir = str(tmp_path / "flags")
+    _, config = crawl_options(build_parser().parse_args(
+        ["--out", out_dir, *flags]))
+    assert config.storage_policy == "itemwise"
+    m = _run(["--synthetic-seeds", "60", "--out", out_dir, "--num-cpus", "2",
+              "--shards", "2", "--max-depth", "0", "--checkpoint-every", "1",
+              *flags])
+    assert m["urls_processed"] > 0
+    with open(os.path.join(out_dir, "ckpt", "shard_0000", "control.pkl"),
+              "rb") as f:
+        ctrl = pickle.load(f)
+    assert ctrl["order"] == "priority"
+    assert ctrl["politeness"]["default_rate"] == 50.0
+    assert ctrl["politeness"]["default_burst"] == 8.0
+    assert ctrl["robots"] is not None
+    with open(os.path.join(out_dir, "ckpt", "frontier.pkl"), "rb") as f:
+        assert pickle.load(f)["num_shards"] == 2
+
 
 def test_job_submit_requires_seed_source(tmp_path):
     out = subprocess.run(

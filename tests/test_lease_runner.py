@@ -3,6 +3,8 @@ submission site, and the multi-task daemon cycle gets the pump's
 lost-task rollback, orphan-fragment cleanup, circuit breaker and
 lineage through it."""
 
+import dataclasses
+import inspect
 import os
 import pathlib
 import re
@@ -14,21 +16,23 @@ from crawling_infrastructure_ray.pipelines.crawl import (CrawlQuarantined,
                                                          LeaseRunner,
                                                          job_limits,
                                                          read_documents,
-                                                         read_lineage)
+                                                         read_lineage,
+                                                         run_crawl_pump)
 from crawling_infrastructure_ray.pipelines.scheduler import run_multi_task
+from crawling_infrastructure_ray.state.frontier import FrontierShardCore
+
+PKG = pathlib.Path(__file__).resolve().parents[1] / "crawling_infrastructure_ray"
 
 
 def test_chunk_task_has_one_submission_site():
     """No package module but pipelines/crawl.py names the chunk task,
     and crawl.py submits it from one line (``LeaseRunner.submit``)."""
-    pkg = pathlib.Path(__file__).resolve().parents[1] / \
-        "crawling_infrastructure_ray"
     mentions, submits = [], []
-    for p in sorted(pkg.rglob("*.py")):
+    for p in sorted(PKG.rglob("*.py")):
         for i, line in enumerate(p.read_text().splitlines(), 1):
-            site = f"{p.relative_to(pkg)}:{i}"
+            site = f"{p.relative_to(PKG)}:{i}"
             if "_fetch_store_route_task" in line and \
-                    p.relative_to(pkg) != pathlib.Path("pipelines/crawl.py"):
+                    p.relative_to(PKG) != pathlib.Path("pipelines/crawl.py"):
                 mentions.append(site)
             if re.search(r"_fetch_store_route_task\s*\.\s*(options|remote)\b",
                          line):
@@ -36,6 +40,36 @@ def test_chunk_task_has_one_submission_site():
     assert mentions == []
     assert len(submits) == 1 and \
         submits[0].startswith("pipelines/crawl.py:"), submits
+
+
+def test_pump_options_have_one_home():
+    """``run_crawl_pump`` takes the crawl's ``Frontier`` and ``JobConfig``
+    instead of repeating their options: its parameter list is pinned,
+    and none of its names is a shard option or a ``JobConfig`` field
+    (``seed`` also shapes the synthetic web)."""
+    params = list(inspect.signature(run_crawl_pump).parameters)
+    assert params == [
+        "seed_urls", "frontier", "seed", "max_depth", "num_hosts",
+        "chunk_size", "rounds", "out_dir", "resume",
+        "checkpoint_every_commits", "stop_when", "max_commits",
+        "evict_every_commits", "config", "faults", "now_fn"]
+    shard = set(inspect.signature(FrontierShardCore).parameters) - {"seed"}
+    job = {f.name for f in dataclasses.fields(JobConfig)}
+    assert set(params) & (shard | job) == set()
+
+
+def test_fault_markers_have_one_home():
+    """Fault markers reach chunk tasks only through a loop's ``faults``
+    dict: no package module but stages/fetch.py, which reads them,
+    names one, and both crawl loops take ``faults``."""
+    sites = [f"{p.relative_to(PKG)}:{i}"
+             for p in sorted(PKG.rglob("*.py"))
+             if p.relative_to(PKG) != pathlib.Path("stages/fetch.py")
+             for i, line in enumerate(p.read_text().splitlines(), 1)
+             if re.search(r"fail_marker|fail_after_store_marker", line)]
+    assert sites == []
+    for loop in (run_crawl_pump, run_multi_task):
+        assert "faults" in inspect.signature(loop).parameters, loop
 
 
 def _tasks(max_lost_workers: int = 10):

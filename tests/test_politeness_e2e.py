@@ -13,8 +13,8 @@ def test_pump_respects_host_budget(ray_session, tmp_path):
     # ≥ ~0.8s (politeness-bound), vs milliseconds unbounded
     urls = [f"http://h{h}.example/p{i}" for h in range(2) for i in range(40)]
     t0 = time.perf_counter()
-    res = run_crawl_pump(urls, seed=42, num_shards=2, dedup=True,
-                         politeness=True, default_rate=40.0, max_depth=0,
+    fr = Frontier(2, dedup=True, politeness=True, default_rate=40.0)
+    res = run_crawl_pump(urls, frontier=fr, seed=42, max_depth=0,
                          chunk_size=8, out_dir=str(tmp_path / "pol"))
     elapsed = time.perf_counter() - t0
     assert res.histogram["completed"] + res.histogram["failed"] == 80
@@ -24,19 +24,50 @@ def test_pump_respects_host_budget(ray_session, tmp_path):
     assert h["initial"] == 0 and h["running"] == 0
 
 
+def test_pump_waits_out_a_slow_host(ray_session, tmp_path):
+    """One host at 0.1 URL/s, burst 1: the second URL can be claimed
+    10 s after the first. The pump sleeps until the host's bucket
+    refills (``Frontier.claim_wait``) instead of giving up on an open
+    item."""
+    fr = Frontier(1, dedup=True, politeness=True, default_rate=0.1,
+                  default_burst=1.0)
+    t0 = time.perf_counter()
+    res = run_crawl_pump(["http://slow.example/p1", "http://slow.example/p2"],
+                         frontier=fr, seed=42, max_depth=0, chunk_size=4,
+                         out_dir=str(tmp_path / "slow"))
+    assert res.histogram == {"initial": 0, "running": 0, "completed": 2,
+                             "failed": 0}
+    assert time.perf_counter() - t0 >= 9.5
+
+
+def test_pump_ends_when_only_paused_hosts_remain(ray_session, tmp_path):
+    """A host at rate 0 never refills: once its burst is spent the pump
+    ends at once, leaving its other item open."""
+    fr = Frontier(1, dedup=True, politeness=True, default_rate=100.0,
+                  politeness_overrides={"paused.example": (0.0, 1.0)})
+    t0 = time.perf_counter()
+    res = run_crawl_pump(["http://paused.example/p1",
+                          "http://paused.example/p2",
+                          "http://open.example/p1"],
+                         frontier=fr, seed=42, max_depth=0, chunk_size=4,
+                         out_dir=str(tmp_path / "paused"))
+    assert res.histogram["initial"] == 1
+    assert res.histogram["completed"] + res.histogram["failed"] == 2
+    assert time.perf_counter() - t0 < 3.0
+
+
 def test_pump_unbounded_is_fast(ray_session, tmp_path):
     urls = [f"http://h{h}.example/p{i}" for h in range(2) for i in range(40)]
     t0 = time.perf_counter()
-    run_crawl_pump(urls, seed=42, num_shards=2, dedup=True,
-                   politeness=False, max_depth=0, chunk_size=40,
-                   out_dir=str(tmp_path / "nopol"))
+    run_crawl_pump(urls, frontier=Frontier(2, dedup=True), seed=42,
+                   max_depth=0, chunk_size=40, out_dir=str(tmp_path / "nopol"))
     assert time.perf_counter() - t0 < 5.0
 
 
 def test_robots_in_engine(ray_session, tmp_path):
     urls = [f"http://h1.example/s{i}/p" for i in range(60)]
-    res = run_crawl_pump(urls, seed=42, num_shards=1, dedup=True, robots=True,
-                         max_depth=0, chunk_size=16,
+    res = run_crawl_pump(urls, frontier=Frontier(1, dedup=True, robots=True),
+                         seed=42, max_depth=0, chunk_size=16,
                          out_dir=str(tmp_path / "rob"))
     denied = res.counters["robots_denied"]
     assert denied > 0
@@ -82,9 +113,9 @@ def test_politeness_ordering_matches_oracle(ray_session, tmp_path):
     golden = oracle_crawl(urls, seed=42, dedup=True, max_depth=0,
                           items_per_wave=64, now_fn=_step_clock(), **budget)
     out = str(tmp_path / "polconf")
-    res = run_crawl_pump(urls, seed=42, num_shards=1, dedup=True, max_depth=0,
-                         chunk_size=64, rounds="shard", out_dir=out,
-                         now_fn=_step_clock(), **budget)
+    res = run_crawl_pump(urls, frontier=Frontier(1, dedup=True, **budget),
+                         seed=42, max_depth=0, chunk_size=64, rounds="shard",
+                         out_dir=out, now_fn=_step_clock())
 
     files = sorted(glob.glob(os.path.join(out, "claims", "*.parquet")))
     claims = pa.concat_tables([pq.read_table(f) for f in files]) \

@@ -58,8 +58,8 @@ def test_checkpoints_see_every_routed_child(ray_session, tmp_path,
 
     monkeypatch.setattr(Frontier, "checkpoint", checkpoint)
     monkeypatch.setattr(crawl, "_write_lineage", write_lineage)
-    res = run_crawl_pump(seeds, seed=SEED, num_shards=2, dedup=True,
-                         max_depth=1, chunk_size=16,
+    res = run_crawl_pump(seeds, frontier=Frontier(2, seed=SEED, dedup=True),
+                         seed=SEED, max_depth=1, chunk_size=16,
                          checkpoint_every_commits=1,
                          out_dir=str(tmp_path / "run"))
     assert len(checks) >= 5
@@ -113,10 +113,11 @@ def test_politeness_off_pump_never_sleeps(ray_session, tmp_path,
     seeds = make_seed_urls(200, seed=SEED)["url"].to_pylist()
     clock = _CountingTime()
     monkeypatch.setattr(crawl, "time", clock)
-    kw = dict(seed=SEED, num_shards=2, dedup=True, max_depth=1,
-              chunk_size=32)
-    plain = run_crawl_pump(seeds, out_dir=str(tmp_path / "plain"), **kw)
-    ckpt = run_crawl_pump(seeds, out_dir=str(tmp_path / "ckpt"),
+    kw = dict(seed=SEED, max_depth=1, chunk_size=32)
+    plain = run_crawl_pump(seeds, frontier=Frontier(2, seed=SEED, dedup=True),
+                           out_dir=str(tmp_path / "plain"), **kw)
+    ckpt = run_crawl_pump(seeds, frontier=Frontier(2, seed=SEED, dedup=True),
+                          out_dir=str(tmp_path / "ckpt"),
                           checkpoint_every_commits=2, **kw)
     assert clock.sleeps == 0
     assert plain.histogram == ckpt.histogram

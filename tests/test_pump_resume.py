@@ -12,6 +12,7 @@ import pyarrow.parquet as pq
 
 from crawling_infrastructure_ray.pipelines.crawl import run_crawl_pump
 from crawling_infrastructure_ray.sources.corpus import make_seed_urls
+from crawling_infrastructure_ray.state.frontier import Frontier
 
 SEED = 42
 
@@ -26,12 +27,14 @@ def _doc_ids_and_spans(out_dir):
 
 def test_pump_kill_and_resume(ray_session, tmp_path):
     seeds = make_seed_urls(400, seed=SEED)["url"].to_pylist()
-    kw = dict(seed=SEED, num_shards=2, dedup=True, max_depth=1, chunk_size=32)
+    kw = dict(seed=SEED, max_depth=1, chunk_size=32)
 
-    full = run_crawl_pump(seeds, out_dir=str(tmp_path / "full"), **kw)
+    full = run_crawl_pump(seeds, frontier=Frontier(2, seed=SEED, dedup=True),
+                          out_dir=str(tmp_path / "full"), **kw)
 
     # interrupted run: checkpoint every 4 commits, stop after 6
-    cut = run_crawl_pump(seeds, out_dir=str(tmp_path / "cut"),
+    cut = run_crawl_pump(seeds, frontier=Frontier(2, seed=SEED, dedup=True),
+                         out_dir=str(tmp_path / "cut"),
                          checkpoint_every_commits=4, max_commits=6, **kw)
     assert cut.histogram["initial"] + cut.histogram["running"] > 0  # actually interrupted
 
@@ -57,8 +60,8 @@ def test_checkpointed_run_counts_every_lease(ray_session, tmp_path):
     ``checkpoint_every_commits`` and ``max_commits`` count every one."""
     seeds = make_seed_urls(600, seed=SEED)["url"].to_pylist()
     out = str(tmp_path / "ckpt")
-    res = run_crawl_pump(seeds, seed=SEED, num_shards=2, dedup=True,
-                         chunk_size=128, checkpoint_every_commits=2,
+    res = run_crawl_pump(seeds, frontier=Frontier(2, seed=SEED, dedup=True),
+                         seed=SEED, chunk_size=128, checkpoint_every_commits=2,
                          out_dir=out)
     leases = pq.read_table(f"{out}/lineage.parquet").num_rows
     assert res.waves == leases
@@ -71,10 +74,11 @@ def test_politeness_overrides(ray_session, tmp_path):
     urls = [f"http://slow.example/p{i}" for i in range(12)] + \
            [f"http://fast.example/p{i}" for i in range(12)]
     t0 = time.perf_counter()
-    res = run_crawl_pump(urls, seed=SEED, num_shards=1, dedup=True,
-                         politeness=True, default_rate=1000.0,
-                         politeness_overrides={"slow.example": (10.0, 2.0)},
-                         max_depth=0, chunk_size=4,
+    fr = Frontier(1, seed=SEED, dedup=True, politeness=True,
+                  default_rate=1000.0,
+                  politeness_overrides={"slow.example": (10.0, 2.0)})
+    res = run_crawl_pump(urls, frontier=fr, seed=SEED, max_depth=0,
+                         chunk_size=4,
                          out_dir=str(tmp_path / "ovr"))
     elapsed = time.perf_counter() - t0
     assert res.histogram["completed"] + res.histogram["failed"] == 24
@@ -93,10 +97,11 @@ def test_pump_matches_wave_mode(ray_session, tmp_path):
     seeds = make_seed_urls(120, seed=42)["url"].to_pylist()
     wave_out = str(tmp_path / "wave")
     pump_out = str(tmp_path / "pump")
-    rw = run_crawl_pump(seeds, seed=42, num_shards=2, dedup=True, max_depth=1,
-                        chunk_size=32, rounds="shard", out_dir=wave_out)
-    rp = run_crawl_pump(seeds, seed=42, num_shards=2, dedup=True, max_depth=1,
-                        chunk_size=32, out_dir=pump_out)
+    rw = run_crawl_pump(seeds, frontier=Frontier(2, dedup=True), seed=42,
+                        max_depth=1, chunk_size=32, rounds="shard",
+                        out_dir=wave_out)
+    rp = run_crawl_pump(seeds, frontier=Frontier(2, dedup=True), seed=42,
+                        max_depth=1, chunk_size=32, out_dir=pump_out)
     assert rw.histogram == rp.histogram
     assert rw.seen_set_size == rp.seen_set_size
     dw = read_documents(wave_out).to_pandas().sort_values("doc_id")
@@ -117,8 +122,9 @@ def test_pump_accepts_seed_dataset(ray_session, tmp_path):
     from crawling_infrastructure_ray.sources.corpus import make_seed_urls
     seeds = make_seed_urls(500, seed=11)
     ds = rd.from_arrow(pa.table({"url": seeds["url"]}))
-    res = run_crawl_pump(ds, seed=42, num_shards=2, dedup=True, max_depth=0,
-                         chunk_size=128, out_dir=str(tmp_path / "sd"))
+    res = run_crawl_pump(ds, frontier=Frontier(2, dedup=True), seed=42,
+                         max_depth=0, chunk_size=128,
+                         out_dir=str(tmp_path / "sd"))
     n_distinct = len(set(seeds["url"].to_pylist()))
     h = res.histogram
     assert h["completed"] + h["failed"] == n_distinct
@@ -142,10 +148,13 @@ def test_pump_exact_dedup_kill_resume_no_dup_docs(ray_session, tmp_path):
     at the interrupt point even when commits jump past the exact
     multiple (the ``commits % N`` bug)."""
     seeds = make_seed_urls(600, seed=SEED)["url"].to_pylist()
-    kw = dict(seed=SEED, num_shards=4, dedup=True, exact_dedup=True,
-              max_depth=1, chunk_size=32)
-    full = run_crawl_pump(seeds, out_dir=str(tmp_path / "full"), **kw)
-    cut = run_crawl_pump(seeds, out_dir=str(tmp_path / "cut"),
+    kw = dict(seed=SEED, max_depth=1, chunk_size=32)
+    full = run_crawl_pump(seeds, frontier=Frontier(
+        4, seed=SEED, dedup=True, exact_seen=True),
+        out_dir=str(tmp_path / "full"), **kw)
+    cut = run_crawl_pump(seeds, frontier=Frontier(
+        4, seed=SEED, dedup=True, exact_seen=True),
+        out_dir=str(tmp_path / "cut"),
                          checkpoint_every_commits=5, max_commits=12, **kw)
     assert cut.histogram["initial"] + cut.histogram["running"] > 0
     # the checkpoint-threshold fix: a checkpoint must exist even though

@@ -17,8 +17,8 @@ def pump_run(ray_session, tmp_path_factory):
     seeds = make_seed_urls(300, seed=42)["url"].to_pylist()
     from crawling_infrastructure_ray.state.frontier import Frontier
     fr = Frontier(2, seed=42, dedup=True, max_retries=3, order="fifo")
-    res = run_crawl_pump(seeds, frontier=fr, seed=42, num_shards=2, dedup=True,
-                         max_depth=1, chunk_size=64, out_dir=out)
+    res = run_crawl_pump(seeds, frontier=fr, seed=42, max_depth=1,
+                         chunk_size=64, out_dir=out)
     return res, fr
 
 

@@ -44,7 +44,8 @@ def test_longliving_pump_receives_late_items(ray_session, tmp_path):
     def run():
         result["res"] = run_crawl_pump(
             None, frontier=fr, seed=42, max_depth=0, chunk_size=4,
-            out_dir=str(tmp_path / "ll"), longliving=True,
+            out_dir=str(tmp_path / "ll"),
+            config=JobConfig(storage_policy="merged", longliving=True),
             stop_when=stop.is_set)
 
     t = threading.Thread(target=run)

@@ -13,6 +13,9 @@ from crawling_infrastructure_ray.config import JobConfig
 from crawling_infrastructure_ray.pipelines.crawl import (read_documents,
                                                          run_crawl_pump)
 from crawling_infrastructure_ray.sources.corpus import fetch_outcome
+from crawling_infrastructure_ray.state.frontier import Frontier
+
+STOREFAIL = {"store_fail_marker": "STOREFAIL"}
 
 
 def _urls(n):
@@ -36,11 +39,11 @@ def _urls(n):
 
 def test_itemwise_storage_failure_resets_only_that_item(ray_session, tmp_path):
     out = str(tmp_path / "iw")
-    res = run_crawl_pump(_urls(9), seed=42, num_shards=1, dedup=True,
+    res = run_crawl_pump(_urls(9), frontier=Frontier(1, dedup=True), seed=42,
                          max_depth=0, chunk_size=64, rounds="shard",
                          out_dir=out,
                          config=JobConfig(storage_policy="itemwise"),
-                         store_fail_marker="STOREFAIL")
+                         faults=STOREFAIL)
     # first wave: 9 items commit, 1 rolls back alone; second wave
     # re-leases just that item (attempt=1) and succeeds
     assert res.histogram == {"initial": 0, "running": 0,
@@ -56,11 +59,11 @@ def test_itemwise_storage_failure_resets_only_that_item(ray_session, tmp_path):
 
 def test_merged_storage_failure_resets_whole_lease(ray_session, tmp_path):
     out = str(tmp_path / "mg")
-    res = run_crawl_pump(_urls(9), seed=42, num_shards=1, dedup=True,
+    res = run_crawl_pump(_urls(9), frontier=Frontier(1, dedup=True), seed=42,
                          max_depth=0, chunk_size=64, rounds="shard",
                          out_dir=out,
                          config=JobConfig(storage_policy="merged"),
-                         store_fail_marker="STOREFAIL")
+                         faults=STOREFAIL)
     # first wave: the whole 10-item lease rolls back (nothing written);
     # second wave re-leases all 10 (attempt=1) and succeeds
     assert res.histogram == {"initial": 0, "running": 0,
@@ -74,12 +77,12 @@ def test_merged_storage_failure_resets_whole_lease(ray_session, tmp_path):
 
 def test_retries_not_consumed_by_storage_failure(ray_session, tmp_path):
     # drive the frontier directly so we can inspect per-item retries
-    from crawling_infrastructure_ray.state.frontier import Frontier
     out = str(tmp_path / "rt")
     fr = Frontier(1, seed=42, dedup=True)
-    run_crawl_pump(_urls(4), seed=42, frontier=fr, num_shards=1, max_depth=0,
+    run_crawl_pump(_urls(4), frontier=fr, seed=42, max_depth=0,
                    chunk_size=64, rounds="shard", out_dir=out,
-                   storage_policy="itemwise", store_fail_marker="STOREFAIL")
+                   config=JobConfig(storage_policy="itemwise"),
+                   faults=STOREFAIL)
     tbl = fr.dump_table()
     assert pc.max(tbl["retries"]).as_py() == 0   # R7: no retry consumed
     # the storage-failed item was leased twice (attempt counter)
@@ -96,10 +99,10 @@ def test_storage_policies_in_pump_mode(ray_session, tmp_path):
     urls = _urls(7)   # 7 clean + 1 STOREFAIL, all complete on attempt 0
     for policy, min_rb in (("itemwise", 1), ("merged", len(urls))):
         out = str(tmp_path / f"p_{policy}")
-        res = run_crawl_pump(urls, seed=42, num_shards=1, dedup=True,
+        res = run_crawl_pump(urls, frontier=Frontier(1, dedup=True), seed=42,
                              max_depth=0, chunk_size=64, out_dir=out,
-                             storage_policy=policy,
-                             store_fail_marker="STOREFAIL")
+                             config=JobConfig(storage_policy=policy),
+                             faults=STOREFAIL)
         assert res.histogram["completed"] == len(urls), policy
         assert res.counters["rolled_back"] >= min_rb, policy
         docs = read_documents(out).to_pandas()
@@ -122,13 +125,12 @@ def test_unstored_rows_route_no_children_in_either_driver(ray_session,
             fails.append(u)
         i += 1
     seeds = _urls(20)[:-1] + fails
-    kw = dict(seed=42, num_shards=1, dedup=False, max_depth=1,
-              config=JobConfig(storage_policy="itemwise"),
-              store_fail_marker="STOREFAIL")
-    rw = run_crawl_pump(seeds, chunk_size=64, rounds="shard",
+    kw = dict(seed=42, max_depth=1, chunk_size=64,
+              config=JobConfig(storage_policy="itemwise"), faults=STOREFAIL)
+    rw = run_crawl_pump(seeds, frontier=Frontier(1), rounds="shard",
                         out_dir=str(tmp_path / "w"), **kw)
-    rp = run_crawl_pump(seeds, chunk_size=64, out_dir=str(tmp_path / "p"),
-                        **kw)
+    rp = run_crawl_pump(seeds, frontier=Frontier(1),
+                        out_dir=str(tmp_path / "p"), **kw)
     assert rw.counters["rolled_back"] == rp.counters["rolled_back"] == 6
     assert rw.histogram == rp.histogram
     assert rw.urls_processed == rp.urls_processed

@@ -160,9 +160,9 @@ def main() -> int:
         h = fr.status_histogram()
         return h["initial"] == 0 and h["running"] == 0
 
-    ll = run_crawl_pump(None, frontier=fr, seed=42, num_shards=4,
-                        dedup=True, max_depth=0, track_seen=False,
-                        chunk_size=1024, longliving=True,
+    ll = run_crawl_pump(None, frontier=fr, seed=42, max_depth=0,
+                        chunk_size=1024, config=JobConfig(
+                            storage_policy="merged", longliving=True),
                         stop_when=stop_when,
                         out_dir=os.path.join(OUT, "longliving"))
     result["longliving"] = {
@@ -174,16 +174,17 @@ def main() -> int:
     # ---- segment 3: 1M+ URLs, checkpoint / kill / resume ------------
     seeds = make_seed_urls(N_SEEDS, seed=42, num_hosts=512,
                            host_dist="zipf")["url"].to_pylist()
-    # exact_dedup: the soak's equality gate needs a deterministic
+    # exact_seen: the soak's equality gate needs a deterministic
     # final document SET — cuckoo-filter false positives are
     # insertion-order-dependent (~1 URL per 10^6 differs between runs;
     # found BY this soak), so conformance comparisons use ExactSeenSet
-    kw = dict(seed=42, num_shards=8, dedup=True, exact_dedup=True,
-              max_depth=1, track_seen=False, evict_every_commits=64,
-              chunk_size=1024)
+    def frontier():
+        return Frontier(8, dedup=True, exact_seen=True, track_seen_urls=False)
+    kw = dict(seed=42, max_depth=1, evict_every_commits=64, chunk_size=1024)
 
     t0 = time.perf_counter()
-    full = run_crawl_pump(seeds, out_dir=os.path.join(OUT, "full"), **kw)
+    full = run_crawl_pump(seeds, frontier=frontier(),
+                          out_dir=os.path.join(OUT, "full"), **kw)
     full_sec = time.perf_counter() - t0
     result["full_run"] = {
         "sec": round(full_sec, 1), "urls": full.urls_processed,
@@ -199,7 +200,8 @@ def main() -> int:
                            "max_commits": max_commits,
                            "checkpoint_every": ckpt_every}
     t0 = time.perf_counter()
-    interrupted = run_crawl_pump(seeds, out_dir=os.path.join(OUT, "cut"),
+    interrupted = run_crawl_pump(seeds, frontier=frontier(),
+                                 out_dir=os.path.join(OUT, "cut"),
                                  checkpoint_every_commits=ckpt_every,
                                  max_commits=max_commits, **kw)
     time.sleep(3)  # let the killed run's in-flight tasks die off

@@ -50,12 +50,11 @@ def run_pump(tag: str, shard_resources):
     from crawling_infrastructure_ray.state.frontier import Frontier
 
     seeds = make_seed_urls(N_SEEDS, seed=42)["url"].to_pylist()
-    fr = Frontier(K, seed=42, dedup=True,
+    fr = Frontier(K, seed=42, dedup=True, track_seen_urls=False,
                   shard_resources=shard_resources)
     t0 = time.perf_counter()
     res = run_crawl_pump(seeds, frontier=fr, seed=42,
-                         out_dir=f"/tmp/remote_shards_{tag}",
-                         track_seen=False)
+                         out_dir=f"/tmp/remote_shards_{tag}")
     dt = time.perf_counter() - t0
     return {"tag": tag, "urls": res.urls_processed,
             "sec": round(dt, 2),
